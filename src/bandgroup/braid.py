@@ -6,15 +6,21 @@ two words are equal in the braid group exactly when they induce the same
 endomorphism, i.e. the same tuple of images of the free generators.  No
 normal forms are computed; all words stay exact.
 
-Free words are stored as tuples of signed integers (+i for t_i, -i for its
-inverse), always freely reduced.
+The images are built by right-composition, from the last Artin letter
+back: each letter rebuilds only the images of t_k and t_{k+1}, as reduced
+products of images already built, and letters cancel only where two
+factors meet.  Inside that kernel a reduced free word is a `bytes` object,
+t_i as the byte 128 + i and t_i^-1 as 128 - i, so concatenation, slicing
+and inversion run in C; this encoding limits the free action to at most
+127 strands.  At the API boundary free words are `FreeWord`s, tuples of
+signed integers (+i for t_i, -i for its inverse), always freely reduced.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .coxeter import BandPair
 
@@ -137,50 +143,6 @@ class FreeWord:
         return len(self.letters)
 
 
-def _apply_artin_letter(word: Sequence[int], k: int, sign: int) -> list[int]:
-    # Substitution rules for one Artin letter acting on the right, with
-    # free reduction folded into the rebuild.
-    kk = k + 1
-    out: list[int] = []
-    if sign > 0:
-        # t_k -> t_k t_{k+1} t_k^-1,  t_{k+1} -> t_k
-        for x in word:
-            if x == k:
-                seq = (k, kk, -k)
-            elif x == -k:
-                seq = (k, -kk, -k)
-            elif x == kk:
-                seq = (k,)
-            elif x == -kk:
-                seq = (-k,)
-            else:
-                seq = (x,)
-            for y in seq:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-    else:
-        # t_k -> t_{k+1},  t_{k+1} -> t_{k+1}^-1 t_k t_{k+1}
-        for x in word:
-            if x == k:
-                seq = (kk,)
-            elif x == -k:
-                seq = (-kk,)
-            elif x == kk:
-                seq = (-kk, k, kk)
-            elif x == -kk:
-                seq = (-kk, -k, kk)
-            else:
-                seq = (x,)
-            for y in seq:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-    return out
-
-
 @dataclass(frozen=True)
 class FreeEndo:
     """Images of the free generators t_1 .. t_n under a braid action."""
@@ -216,20 +178,105 @@ class FreeEndo:
         return FreeEndo(self.n, tuple(later.apply_to(img) for img in self.images))
 
 
+# -- the free action ----------------------------------------------------------
+
+MAX_STRANDS = 127
+# Letters allowed in any one free image.  Images grow exponentially with
+# word length.  At one byte per letter an image stays within 16 MiB and a
+# query within about n + 3 images, and a query too long for the oracle
+# stops early instead of running for minutes.
+MAX_IMAGE_LETTERS = 1 << 24
+
+# Inverts one encoded letter: 128 + i <-> 128 - i.
+_NEG = bytes((256 - b) % 256 for b in range(256))
+
+
+class ImageLimitError(ValueError):
+    """A free image would exceed MAX_IMAGE_LETTERS letters."""
+
+
+def _check_strands(n: int) -> None:
+    if n > MAX_STRANDS:
+        raise ValueError(f"the free action handles at most {MAX_STRANDS} strands, got {n}")
+
+
+def _inverse(x: bytes) -> bytes:
+    return x[::-1].translate(_NEG)
+
+
+def _mul(x: bytes, y: bytes) -> bytes:
+    """The reduced product of two reduced words.
+
+    Letters cancel only where x meets y; the number that cancel is found by
+    galloping, then bisecting, over slice comparisons.  A letter and its
+    inverse are the two bytes that sum to 256.  Both words must be
+    non-empty, as every product the kernel forms is the image of a
+    non-trivial element under an automorphism.
+    """
+    if x[-1] + y[0] != 256:
+        return x + y
+    lx = len(x)
+    limit = min(lx, len(y))
+    c, step = 1, 1  # the last c letters of x cancel the first c of y
+    while c < limit:
+        hi = min(c + step, limit)
+        if x[lx - hi:lx - c][::-1].translate(_NEG) != y[c:hi]:
+            while hi - c > 1:
+                mid = (c + hi) // 2
+                if x[lx - mid:lx - c][::-1].translate(_NEG) == y[c:mid]:
+                    c = mid
+                else:
+                    hi = mid
+            break
+        c = hi
+        step *= 2
+    return x[:lx - c] + y[c:]
+
+
+def _free_images(w: ArtinWord) -> list[bytes]:
+    """Images of t_1 .. t_n under the right action of w, as encoded words.
+
+    The action of w = x_1 .. x_m is Psi_1 = phi_m o .. o phi_1, so
+    Psi_k = Psi_{k+1} o phi_k, built from the last letter back.  phi_k
+    moves only t_k and t_{k+1}; with a = Psi_{k+1}(t_k) and
+    b = Psi_{k+1}(t_{k+1}), sigma_k sends them to a b a^-1 and a, and
+    sigma_k^-1 to b and b^-1 a b.
+
+    >>> [[x - 128 for x in img] for img in _free_images(ArtinWord(3, ((1, 1), (2, -1))))]
+    [[1, 3, -1], [1], [-3, 2, 3]]
+    """
+    _check_strands(w.n)
+    images = [bytes((128 + i,)) for i in range(1, w.n + 1)]
+    for k, s in reversed(w.letters):
+        a, b = images[k - 1], images[k]
+        if s > 0:
+            new = _mul(_mul(a, b), _inverse(a))
+            images[k - 1], images[k] = new, a
+        else:
+            new = _mul(_mul(_inverse(b), a), b)
+            images[k - 1], images[k] = b, new
+        if len(new) > MAX_IMAGE_LETTERS:
+            raise ImageLimitError(
+                f"a free image exceeds {MAX_IMAGE_LETTERS} letters; "
+                "the word is too long for the free-action oracle"
+            )
+    return images
+
+
+def _decode(x: bytes) -> FreeWord:
+    return FreeWord(tuple(b - 128 for b in x))
+
+
 def free_image(w: ArtinWord, i: int) -> FreeWord:
     """Image of the free generator t_i under the right action of w."""
-    word: list[int] = [i]
-    for k, s in w.letters:
-        word = _apply_artin_letter(word, k, s)
-    return FreeWord(tuple(word))
+    if not 1 <= i <= w.n:
+        raise ValueError(f"free generator index {i} outside 1..{w.n}")
+    return _decode(_free_images(w)[i - 1])
 
 
 def artin_action_on_free(w: ArtinWord) -> FreeEndo:
-    """The right action of w on (t_1, .., t_n), composed letter by letter."""
-    images: list[list[int]] = [[i] for i in range(1, w.n + 1)]
-    for k, s in w.letters:
-        images = [_apply_artin_letter(img, k, s) for img in images]
-    return FreeEndo(w.n, tuple(FreeWord(tuple(img)) for img in images))
+    """The right action of w on (t_1, .., t_n)."""
+    return FreeEndo(w.n, tuple(_decode(img) for img in _free_images(w)))
 
 
 def braid_equal(u: ArtinWord, v: ArtinWord) -> bool:
@@ -241,11 +288,12 @@ def braid_equal(u: ArtinWord, v: ArtinWord) -> bool:
     """
     if u.n != v.n:
         raise ValueError("cannot compare words on different strand counts")
+    _check_strands(u.n)
     if u.letters == v.letters:
         return True
-    if permutation_image(u) != permutation_image(v):
+    if _permutation_list(u) != _permutation_list(v):
         return False
-    return all(free_image(u, i) == free_image(v, i) for i in range(1, u.n + 1))
+    return _free_images(u) == _free_images(v)
 
 
 # -- permutations -------------------------------------------------------------
@@ -353,6 +401,13 @@ class Permutation:
         return Permutation.from_cycles(degree, cycles)
 
 
+def _permutation_list(w: ArtinWord) -> list[int]:
+    images = list(range(1, w.n + 1))
+    for k, _ in w.letters:
+        images[k - 1], images[k] = images[k], images[k - 1]
+    return images
+
+
 def permutation_image(w: ArtinWord) -> Permutation:
     """The permutation underlying a braid word.
 
@@ -360,10 +415,7 @@ def permutation_image(w: ArtinWord) -> Permutation:
     composed functionally with later letters innermost, so the image of a
     concatenation is the composition of the images.
     """
-    acc = Permutation.identity(w.n)
-    for k, _ in w.letters:
-        acc = acc.after(Permutation.transposition(w.n, k, k + 1))
-    return acc
+    return Permutation(tuple(_permutation_list(w)))
 
 
 # -- textual syntax -----------------------------------------------------------

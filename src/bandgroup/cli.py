@@ -86,8 +86,22 @@ def _emit(reports: list[RunReport], args: argparse.Namespace, command: str) -> i
 # -- subcommands --------------------------------------------------------------
 
 
+# The input files each verify family reads.
+_VERIFY_INPUTS = {
+    "thm1": ("matrix",),
+    "thm2": ("partition",),
+    "combing": ("partition",),
+    "sec4": ("matrix",),
+    "cosets": ("partition",),
+    "block": ("matrix1", "matrix2"),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     family = args.family
+    for name in _VERIFY_INPUTS.get(family, ()):
+        if getattr(args, name) is None:
+            raise ValueError(f"verify {family} needs --{name}")
     if family == "thm1":
         matrix = _load_matrix(args.matrix)
         reports = [verify_relations(relations_thm1(matrix), matrix, tag="thm1")]

@@ -292,14 +292,36 @@ def matrix_to_partition(m: CoxeterDatum) -> Partition:
 # Partition: {"n": 3, "parts": [[1, 2], [3]]}
 
 
-def matrix_from_json(text: str) -> CoxeterDatum:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _load_object(text: str, what: str, key: str) -> tuple[int, list[list[int]]]:
+    """Parse {"n": <int>, key: <list of integer lists>}, checking the schema."""
     data = json.loads(text)
-    datum = CoxeterDatum.from_rows(data["m"])
-    if datum.n != int(data["n"]):
-        raise ValueError(f"declared n={data['n']} but matrix is {datum.n}x{datum.n}")
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} file must hold a JSON object")
+    for name in ("n", key):
+        if name not in data:
+            raise ValueError(f"{what} file has no {name!r} key")
+    if not _is_int(data["n"]):
+        raise ValueError(f"{what} 'n' must be an integer, got {data['n']!r}")
+    rows = data[key]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(_is_int(x) for x in row) for row in rows
+    ):
+        raise ValueError(f"{what} {key!r} must be a list of integer lists")
+    return data["n"], rows
+
+
+def matrix_from_json(text: str) -> CoxeterDatum:
+    n, rows = _load_object(text, "matrix", "m")
+    datum = CoxeterDatum.from_rows(rows)
+    if datum.n != n:
+        raise ValueError(f"declared n={n} but matrix is {datum.n}x{datum.n}")
     return datum
 
 
 def partition_from_json(text: str) -> Partition:
-    data = json.loads(text)
-    return Partition.of(int(data["n"]), data["parts"])
+    n, parts = _load_object(text, "partition", "parts")
+    return Partition.of(n, parts)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .braid import ArtinWord
+from .braid import ArtinWord, artin_action_on_free
 from .coxeter import BandPair, commutes_in_brn, crossing
 
 
@@ -205,28 +205,21 @@ def act_band_on_cox(w: CoxWord, tau: BandPair, m: int) -> CoxWord:
 
 
 def apply_artin_to_cox(w: CoxWord, braid: ArtinWord) -> CoxWord:
-    """Act on a word one Artin letter at a time.
+    """Act on a word through the free action and the quotient t_i -> s_i.
 
-    sigma_k substitutes s_k -> s_k s_{k+1} s_k and s_{k+1} -> s_k; its
-    inverse substitutes s_k -> s_{k+1} and s_{k+1} -> s_{k+1} s_k s_{k+1}.
-    Substitutions compose left to right along the braid word.
+    A letter s_x with x <= braid.n goes to the free image of t_x with its
+    signs dropped; letters above braid.n are fixed.  The concatenation is
+    then reduced.  sigma_k thus substitutes s_k -> s_k s_{k+1} s_k and
+    s_{k+1} -> s_k, composing left to right along the braid word.
     """
-    letters = list(w.letters)
-    for k, sign in braid.letters:
-        kk = k + 1
-        out: list[int] = []
-        for x in letters:
-            if sign > 0:
-                seq = (k, kk, k) if x == k else ((k,) if x == kk else (x,))
-            else:
-                seq = (kk,) if x == k else ((kk, k, kk) if x == kk else (x,))
-            for y in seq:
-                if out and out[-1] == y:
-                    out.pop()
-                else:
-                    out.append(y)
-        letters = out
-    return CoxWord(tuple(letters))
+    images = artin_action_on_free(braid).images
+    out: list[int] = []
+    for x in w.letters:
+        if x <= braid.n:
+            out.extend(abs(y) for y in images[x - 1].letters)
+        else:
+            out.append(x)
+    return reduce_cox(out)
 
 
 def has_long_subword(w: CoxWord, j: int, k: int) -> bool:

@@ -124,3 +124,39 @@ def transposition_map(d: int, a: int, b: int) -> dict[int, int]:
     out = {x: x for x in range(1, d + 1)}
     out[a], out[b] = b, a
     return out
+
+
+def substitute_artin_letter(word: list[int], k: int, sign: int) -> list[int]:
+    """Apply one Artin letter on the right, letter by letter, reducing as it goes.
+
+    sigma_k substitutes t_k -> t_k t_{k+1} t_k^-1 and t_{k+1} -> t_k; its
+    inverse substitutes t_k -> t_{k+1} and t_{k+1} -> t_{k+1}^-1 t_k t_{k+1}.
+    """
+    kk = k + 1
+    if sign > 0:
+        rules = {k: (k, kk, -k), -k: (k, -kk, -k), kk: (k,), -kk: (-k,)}
+    else:
+        rules = {k: (kk,), -k: (-kk,), kk: (-kk, k, kk), -kk: (-kk, -k, kk)}
+    out: list[int] = []
+    for x in word:
+        for y in rules.get(x, (x,)):
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return out
+
+
+def referee_free_image(letters, i: int) -> tuple[int, ...]:
+    """Image of t_i under the right action of a braid word, letter by letter."""
+    word = [i]
+    for k, sign in letters:
+        word = substitute_artin_letter(word, k, sign)
+    return tuple(word)
+
+
+def referee_braid_equal(n: int, u_letters, v_letters) -> bool:
+    return all(
+        referee_free_image(u_letters, i) == referee_free_image(v_letters, i)
+        for i in range(1, n + 1)
+    )

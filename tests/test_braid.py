@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from bandgroup.braid import (
     ArtinWord,
     FreeWord,
+    ImageLimitError,
     Permutation,
     artin_action_on_free,
     band_to_artin,
@@ -17,9 +18,15 @@ from bandgroup.braid import (
     parse_free_word,
     permutation_image,
 )
-from bandgroup.coxeter import BandPair, commutes_in_brn
+from bandgroup.coxeter import BandPair, commutes_in_brn, partition_to_matrix, set_partitions
+from bandgroup.present import expand_letter_word, relations_thm2
 
-from oracles import compose_maps, transposition_map
+from oracles import (
+    compose_maps,
+    referee_braid_equal,
+    referee_free_image,
+    transposition_map,
+)
 
 
 def word(n, *letters):
@@ -142,6 +149,69 @@ class TestBraidEqual:
                 assert braid_equal(
                     bands[(j, k)] * bands[(i, j)], bands[(i, k)] * bands[(j, k)]
                 )
+
+
+class TestKernelAgainstReferee:
+    """The right-composition kernel against letter-by-letter substitution."""
+
+    def test_images_match_referee(self):
+        rng = random.Random(11)
+        for n in range(2, 8):
+            for _ in range(25):
+                w = random_word(rng, n, 40)
+                endo = artin_action_on_free(w)
+                for i in range(1, n + 1):
+                    assert endo.images[i - 1].letters == referee_free_image(w.letters, i)
+
+    def test_equal_pairs_agree(self):
+        rng = random.Random(12)
+        for n in range(2, 8):
+            for _ in range(10):
+                u = random_word(rng, n, 30)
+                letters = list(u.letters)
+                for _ in range(rng.randint(1, 4)):
+                    k, s = rng.randint(1, n - 1), rng.choice((1, -1))
+                    pos = rng.randint(0, len(letters))
+                    letters[pos:pos] = [(k, s), (k, -s)]
+                v = ArtinWord(n, tuple(letters))
+                assert braid_equal(u, v)
+                assert referee_braid_equal(n, u.letters, v.letters)
+
+    def test_thm2_relations_agree(self):
+        for p in set_partitions(4):
+            matrix = partition_to_matrix(p)
+            for rel in relations_thm2(p):
+                lhs = expand_letter_word(rel.lhs, matrix)
+                rhs = expand_letter_word(rel.rhs, matrix)
+                assert braid_equal(lhs, rhs)
+                assert referee_braid_equal(4, lhs.letters, rhs.letters)
+
+    def test_unequal_pairs_with_equal_permutations_agree(self):
+        # Inserting sigma_k^2 keeps the permutation but changes the braid.
+        rng = random.Random(13)
+        for n in range(2, 8):
+            for _ in range(10):
+                u = random_word(rng, n, 30)
+                letters = list(u.letters)
+                k, s = rng.randint(1, n - 1), rng.choice((1, -1))
+                pos = rng.randint(0, len(letters))
+                letters[pos:pos] = [(k, s), (k, s)]
+                v = ArtinWord(n, tuple(letters))
+                assert permutation_image(u) == permutation_image(v)
+                assert not braid_equal(u, v)
+                assert not referee_braid_equal(n, u.letters, v.letters)
+
+    def test_image_limit(self, monkeypatch):
+        monkeypatch.setattr("bandgroup.braid.MAX_IMAGE_LETTERS", 50)
+        w = parse_braid_word("a1.3^3 a2.4^3 a1.3^3", 4)
+        with pytest.raises(ImageLimitError, match="exceeds 50 letters"):
+            braid_equal(w, w * word(4, (1, 1), (1, -1)))
+        assert braid_equal(w, w)
+
+    def test_strand_limit(self):
+        with pytest.raises(ValueError, match="at most 127 strands"):
+            braid_equal(ArtinWord.identity(128), ArtinWord.identity(128))
+        assert braid_equal(word(127, (126, 1)), word(127, (126, 1), (1, 1), (1, -1)))
 
 
 class TestPermutation:

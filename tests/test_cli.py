@@ -41,6 +41,16 @@ class TestEq:
     def test_bad_token_is_usage_error(self, capsys):
         assert main(["eq", "q1", "s1", "--n", "2"]) == 2
 
+    def test_too_many_strands_is_usage_error(self, capsys):
+        assert main(["eq", "s1", "s2", "--n", "200"]) == 2
+        assert "at most 127 strands" in capsys.readouterr().err
+
+    def test_image_limit_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("bandgroup.braid.MAX_IMAGE_LETTERS", 100)
+        long = " ".join(["a1.3^3 a2.4^3"] * 2)
+        assert main(["eq", long, long + " s1 s1'", "--n", "4"]) == 2
+        assert "exceeds 100 letters" in capsys.readouterr().err
+
 
 class TestPerm:
     def test_cycle_output(self, capsys):
@@ -86,6 +96,35 @@ class TestVerify:
 
     def test_missing_file(self, capsys):
         assert main(["verify", "thm2", "--partition", "/nonexistent.json"]) == 2
+
+    def _usage_error(self, capsys, argv, phrase):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert phrase in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_matrix_entry_not_a_list(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 3, "m": 5}))
+        self._usage_error(capsys, ["verify", "thm1", "--matrix", str(path)],
+                          "list of integer lists")
+
+    def test_matrix_top_level_array(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([[0, 3], [3, 0]]))
+        self._usage_error(capsys, ["verify", "thm1", "--matrix", str(path)],
+                          "JSON object")
+
+    def test_missing_required_flag_is_named(self, capsys):
+        self._usage_error(capsys, ["verify", "thm1"], "--matrix")
+        self._usage_error(capsys, ["verify", "cosets"], "--partition")
+        self._usage_error(capsys, ["verify", "block", "--matrix1", "x.json"], "--matrix2")
+
+    def test_partition_with_non_integer_element(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 2, "parts": [[1, "x"]]}))
+        self._usage_error(capsys, ["verify", "thm2", "--partition", str(path)],
+                          "list of integer lists")
 
     def test_json_reports_byte_stable(self, capsys, partition_file):
         path = partition_file("p.json", Partition.singletons(3))
