@@ -27,10 +27,7 @@ from .coxeter import BandPair
 
 @dataclass(frozen=True)
 class ArtinWord:
-    """A word in the Artin generators sigma_1 .. sigma_{n-1} with signs.
-
-    Words are not kept freely reduced; free_reduce is available when wanted.
-    """
+    """A word in the Artin generators sigma_1 .. sigma_{n-1} with signs."""
 
     n: int
     letters: tuple[tuple[int, int], ...] = ()
@@ -61,15 +58,6 @@ class ArtinWord:
     def __pow__(self, e: int) -> ArtinWord:
         base = self if e >= 0 else self.inverse()
         return ArtinWord(self.n, base.letters * abs(e))
-
-    def free_reduce(self) -> ArtinWord:
-        out: list[tuple[int, int]] = []
-        for k, s in self.letters:
-            if out and out[-1] == (k, -s):
-                out.pop()
-            else:
-                out.append((k, s))
-        return ArtinWord(self.n, tuple(out))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -430,7 +418,7 @@ def parse_braid_word(text: str, n: int) -> ArtinWord:
     inverts and `^<e>` raises to an integer power, so "a1.3'^2" means the
     square of the inverse band on strands 1 and 3.
     """
-    word = ArtinWord.identity(n)
+    letters: list[tuple[int, int]] = []
     for token in text.split():
         m = _TOKEN.match(token)
         if not m:
@@ -442,8 +430,8 @@ def parse_braid_word(text: str, n: int) -> ArtinWord:
             atom = band_to_artin(BandPair(int(band_i), int(band_j)), n)
         if prime:
             atom = atom.inverse()
-        word = word * (atom ** int(power) if power is not None else atom)
-    return word
+        letters += (atom ** int(power) if power is not None else atom).letters
+    return ArtinWord(n, tuple(letters))
 
 
 def format_braid_word(w: ArtinWord) -> str:

@@ -138,7 +138,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.matrix)
     report = injectivity_scan(matrix, args.max_len, args.max_exp)
-    report.info["seed"] = args.seed
     return _emit([report], args, "scan inject")
 
 
@@ -269,7 +268,8 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _random_cox_word(rng: random.Random, n: int, max_len: int) -> CoxWord:
+def random_cox_word(rng: random.Random, n: int, max_len: int) -> CoxWord:
+    """A reduced word over s_1 .. s_n whose length is drawn from 0 .. max_len."""
     length = rng.randint(0, max_len)
     letters: list[int] = []
     while len(letters) < length:
@@ -307,12 +307,16 @@ def cmd_checkprop(args: argparse.Namespace) -> int:
             return 2
         return 0 if result.passed else 1
 
+    bounds = (("random", args.random, 1), ("n", args.n, 3), ("max-len", args.max_len, 0))
+    for flag, value, least in bounds:
+        if value < least:
+            raise ValueError(f"--{flag} must be at least {least}, got {value}")
     rng = random.Random(args.seed)
     report = RunReport(tag=f"checkprop {args.which} random={args.random} seed={args.seed}")
     produced = 0
     while produced < args.random:
         n = rng.randint(3, args.n)
-        word = _random_cox_word(rng, n, args.max_len)
+        word = random_cox_word(rng, n, args.max_len)
         i = rng.randint(1, n - 1)
         j = rng.randint(i + 1, n)
         band = BandPair(i, j)
@@ -380,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--matrix", required=True)
     p_scan.add_argument("--max-len", type=int, required=True)
     p_scan.add_argument("--max-exp", type=int, required=True)
-    p_scan.add_argument("--seed", type=int, default=0)
     p_scan.set_defaults(func=cmd_scan)
 
     p_eq = sub.add_parser("eq", help="decide braid-word equality")

@@ -43,6 +43,10 @@ class CoxWord:
     def __mul__(self, other: CoxWord) -> CoxWord:
         return reduce_cox(self.letters + other.letters)
 
+    def inverse(self) -> CoxWord:
+        """The reversed word; every letter is its own inverse."""
+        return CoxWord(self.letters[::-1])
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -159,44 +163,38 @@ def is_critical(f: JkFactorization, nu: int) -> bool:
     return crossing(BandPair.of(left, right), BandPair.of(f.j, f.k))
 
 
-def _alternating(a: int, b: int, count: int) -> list[int]:
-    return [a if t % 2 == 0 else b for t in range(count)]
-
-
 def band_power_letter_action(i: int, tau: BandPair, m: int) -> CoxWord:
-    """Closed form for the image of the letter s_i under the m-th band power.
-
-    For the band on (j, k): letters outside [j, k] are fixed; s_j maps to
-    (s_j s_k)^m s_j, a letter strictly between to its conjugate by
-    (s_j s_k)^m, and s_k to s_k (s_j s_k)^-m.  Negative m uses
-    (s_j s_k)^-1 = s_k s_j.  The result is returned reduced.
-    """
-    j, k = tau.i, tau.j
-    if i < j or i > k:
-        return CoxWord.single(i)
-
-    def power(e: int) -> list[int]:
-        if e >= 0:
-            return _alternating(j, k, 2 * e)
-        return _alternating(k, j, -2 * e)
-
-    if i == j:
-        return reduce_cox(power(m) + [j])
-    if i == k:
-        return reduce_cox([k] + power(-m))
-    return reduce_cox(power(m) + [i] + power(-m))
+    """Image of the letter s_i under the m-th band power; see act_band_on_cox."""
+    return act_band_on_cox(CoxWord.single(i), tau, m)
 
 
 def act_band_on_cox(w: CoxWord, tau: BandPair, m: int) -> CoxWord:
     """Image of a word under the m-th power of the band on tau.
 
-    Each letter is replaced by its closed-form image and the concatenation
-    is reduced; this agrees with pushing the expanded Artin word through
-    the letterwise substitution rules.
+    Closed form, letter by letter, with c = (s_j s_k)^m for the band on
+    (j, k): letters outside [j, k] are fixed, s_j maps to c s_j, a letter
+    strictly between to c s_i c^-1, and s_k to s_k c^-1.  Negative m uses
+    (s_j s_k)^-1 = s_k s_j.  The images are concatenated and reduced; this
+    agrees with pushing the expanded Artin word through the letterwise
+    substitution rules.
+
+    >>> act_band_on_cox(CoxWord((2, 4)), BandPair(1, 3), -1).letters
+    (3, 1, 2, 1, 3, 4)
     """
+    j, k = tau.i, tau.j
+    c = (j, k) * m if m >= 0 else (k, j) * -m
+    c_inv = c[::-1]
     out: list[int] = []
     for x in w.letters:
-        for y in band_power_letter_action(x, tau, m).letters:
+        if x < j or x > k:
+            image: tuple[int, ...] = (x,)
+        elif x == j:
+            image = c + (j,)
+        elif x == k:
+            image = (k,) + c_inv
+        else:
+            image = c + (x,) + c_inv
+        for y in image:
             if out and out[-1] == y:
                 out.pop()
             else:

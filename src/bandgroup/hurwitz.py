@@ -3,8 +3,8 @@
 Three coefficient systems are supported: the free group on t_1..t_n, the
 universal Coxeter group on involutive s_1..s_n, and a user-supplied finite
 permutation realization.  A positive step at position j replaces
-(e_j, e_{j+1}) by (e_j e_{j+1} e_j^-1, e_j), with the involutive variant
-e_j e_{j+1} e_j in the Coxeter case; the negative step is the inverse move.
+(e_j, e_{j+1}) by (e_j e_{j+1} e_j^-1, e_j) in every group; the negative
+step is the inverse move.
 Applying a braid word means applying its letters left to right, which makes
 the whole thing a right action on tuples.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .braid import ArtinWord, FreeWord, Permutation
-from .coxword import CoxWord, band_power_letter_action, reduce_cox
+from .coxword import CoxWord
 
 __all__ = [
     "GroupContext",
@@ -23,7 +23,6 @@ __all__ = [
     "hurwitz_step",
     "hurwitz_apply",
     "stabilizes",
-    "band_power_letter_action",
 ]
 
 Entry = Union[FreeWord, CoxWord, Permutation]
@@ -95,22 +94,11 @@ class GroupTuple:
             )
 
 
-def _conjugate(kind: str, a: Entry, b: Entry) -> Entry:
-    """a b a^-1, with the involutive form a b a in the Coxeter case."""
-    if kind == FREE:
-        return a * b * a.inverse()
-    if kind == COXETER:
-        return reduce_cox(a.letters + b.letters + a.letters)
-    return a.after(b).after(a.inverse())
-
-
-def _conjugate_inv(kind: str, a: Entry, b: Entry) -> Entry:
-    """a^-1 b a, with the involutive form a b a in the Coxeter case."""
-    if kind == FREE:
-        return a.inverse() * b * a
-    if kind == COXETER:
-        return reduce_cox(a.letters + b.letters + a.letters)
-    return a.inverse().after(b).after(a)
+def _conjugate(a: Entry, b: Entry) -> Entry:
+    """a b a^-1."""
+    if isinstance(a, Permutation):
+        return a.after(b).after(a.inverse())
+    return a * b * a.inverse()
 
 
 def hurwitz_step(tup: GroupTuple, j: int, sign: int) -> GroupTuple:
@@ -118,15 +106,14 @@ def hurwitz_step(tup: GroupTuple, j: int, sign: int) -> GroupTuple:
     n = tup.context.n
     if not 1 <= j <= n - 1:
         raise IndexError(f"position {j} outside 1..{n - 1}")
-    kind = tup.context.kind
     entries = list(tup.entries)
     a, b = entries[j - 1], entries[j]
     if sign > 0:
-        entries[j - 1] = _conjugate(kind, a, b)
+        entries[j - 1] = _conjugate(a, b)
         entries[j] = a
     else:
         entries[j - 1] = b
-        entries[j] = _conjugate_inv(kind, b, a)
+        entries[j] = _conjugate(b.inverse(), a)
     return GroupTuple(tup.context, tuple(entries))
 
 

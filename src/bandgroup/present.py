@@ -56,13 +56,13 @@ def format_letter_word(word: Word) -> str:
 
 def expand_letter_word(word: Word, matrix: CoxeterDatum) -> ArtinWord:
     """Expand every letter (tau, e) to the band on tau raised to e * m_tau."""
-    out = ArtinWord.identity(matrix.n)
+    letters: list[tuple[int, int]] = []
     for pair, e in word:
         m = matrix.entry(pair)
         if m == 0:
             raise ValueError(f"letter base {pair} has zero matrix entry")
-        out = out * (band_to_artin(pair, matrix.n) ** (e * m))
-    return out
+        letters += (band_to_artin(pair, matrix.n) ** (e * m)).letters
+    return ArtinWord(matrix.n, tuple(letters))
 
 
 def _rel(label: str, indices: tuple[int, ...], lhs: list[Letter], rhs: list[Letter]) -> Relation:

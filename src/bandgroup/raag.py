@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .braid import ArtinWord, band_to_artin, braid_equal
+from .braid import ArtinWord, braid_equal
 from .coxeter import BandPair, CoxeterDatum, ScopeError, commutes_in_brn
 from .coxword import CoxWord, act_band_on_cox
+from .present import expand_letter_word, format_letter_word
 from .report import RunReport
 
 Factor = tuple[BandPair, int]
@@ -177,13 +178,7 @@ def ends_in_witness(w: RaagExpression, tau: BandPair) -> RaagExpression | None:
 
 def expression_to_braid(w: RaagExpression, matrix: CoxeterDatum) -> ArtinWord:
     """Concatenate each band raised to (exponent times matrix entry)."""
-    word = ArtinWord.identity(matrix.n)
-    for base, p in w.factors:
-        m = matrix.entry(base)
-        if m == 0:
-            raise ValueError(f"base {base} has zero matrix entry")
-        word = word * (band_to_artin(base, matrix.n) ** (p * m))
-    return word
+    return expand_letter_word(w.factors, matrix)
 
 
 def canonical_expressions(
@@ -279,8 +274,4 @@ def parse_expression(text: str) -> RaagExpression:
 
 
 def format_expression(w: RaagExpression) -> str:
-    if not w.factors:
-        return "1"
-    return " ".join(
-        f"b{base}" if p == 1 else f"b{base}^{p}" for base, p in w.factors
-    )
+    return format_letter_word(w.factors)

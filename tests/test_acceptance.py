@@ -12,6 +12,7 @@ import random
 import time
 
 from bandgroup.braid import ArtinWord, band_to_artin, braid_equal
+from bandgroup.cli import random_cox_word
 from bandgroup.coxeter import (
     BandPair,
     CoxeterDatum,
@@ -51,17 +52,6 @@ import oracles
 
 def report_line(number, text):
     print(f"ACCEPTANCE {number}: {text} -- PASS")
-
-
-def random_cox_word(rng, n, max_len):
-    length = rng.randint(0, max_len)
-    letters = []
-    while len(letters) < length:
-        x = rng.randint(1, n)
-        if letters and letters[-1] == x:
-            continue
-        letters.append(x)
-    return CoxWord(tuple(letters))
 
 
 def test_criterion_1_band_presentation_soundness():

@@ -268,6 +268,11 @@ class TestSyntax:
             with pytest.raises(ValueError):
                 parse_braid_word(bad, 4)
 
+    def test_parse_rejects_letters_off_the_strands(self):
+        for bad in ("s4", "s0", "a1.5"):
+            with pytest.raises(ValueError):
+                parse_braid_word(bad, 4)
+
     def test_round_trip(self):
         rng = random.Random(7)
         for _ in range(50):

@@ -41,6 +41,10 @@ class TestEq:
     def test_bad_token_is_usage_error(self, capsys):
         assert main(["eq", "q1", "s1", "--n", "2"]) == 2
 
+    def test_generator_out_of_range_is_usage_error(self, capsys):
+        assert main(["eq", "s4", "s1", "--n", "4"]) == 2
+        assert "generator index 4 outside 1..3" in capsys.readouterr().err
+
     def test_too_many_strands_is_usage_error(self, capsys):
         assert main(["eq", "s1", "s2", "--n", "200"]) == 2
         assert "at most 127 strands" in capsys.readouterr().err
@@ -144,6 +148,7 @@ class TestScan:
                      "--max-len", "1", "--max-exp", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
+        assert "seed" not in payload["reports"][0]["info"]
 
     def test_scope_error(self, matrix_file):
         path = matrix_file("m.json", CoxeterDatum.constant(3, 1))
@@ -165,6 +170,14 @@ class TestHurwitz:
         ctx.write_text(json.dumps({"degree": 3, "images": ["(1 2)", "(2 3)"]}))
         assert main(["hurwitz", "--context", f"perm:{ctx}", "--word", "a1.2^3"]) == 0
         assert "stabilizes" in capsys.readouterr().out
+
+    def test_coxeter_twist_and_inverse_cancel(self, tmp_path, capsys):
+        tup = tmp_path / "t.json"
+        tup.write_text(json.dumps(["s1 s2", "s3"]))
+        assert main(["hurwitz", "--context", "coxeter", "--tuple", str(tup),
+                     "--word", "s1 s1'"]) == 0
+        out = capsys.readouterr().out
+        assert "1: s1 s2\n2: s3\n" in out and "stabilizes" in out
 
     def test_tuple_required_for_free(self):
         assert main(["hurwitz", "--context", "free", "--word", "s1"]) == 2
@@ -204,6 +217,20 @@ class TestCheckprop:
 
     def test_single_needs_arguments(self):
         assert main(["checkprop", "trans", "s1 s2"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, options",
+        [
+            ("--n", ["--random", "5", "--n", "2"]),
+            ("--max-len", ["--random", "5", "--max-len", "-1"]),
+            ("--random", ["--random", "-3"]),
+        ],
+    )
+    def test_random_bounds_are_usage_errors(self, capsys, flag, options):
+        assert main(["checkprop", "trans", *options]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {flag} must be at least")
+        assert "\n" not in err
 
 
 class TestExport:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bandgroup.braid import band_to_artin
+from bandgroup.cli import random_cox_word
 from bandgroup.coxeter import BandPair
 from bandgroup.coxword import (
     CoxWord,
@@ -28,17 +29,6 @@ def w(*letters):
 
 def alternating(a, b, count):
     return tuple(a if t % 2 == 0 else b for t in range(count))
-
-
-def random_cox_word(rng, n, max_len):
-    length = rng.randint(0, max_len)
-    letters = []
-    while len(letters) < length:
-        x = rng.randint(1, n)
-        if letters and letters[-1] == x:
-            continue
-        letters.append(x)
-    return CoxWord(tuple(letters))
 
 
 class TestReduce:

@@ -59,6 +59,12 @@ class TestStep:
                 j = rng.randint(1, n - 1)
                 assert hurwitz_step(hurwitz_step(tup, j, +1), j, -1) == tup
                 assert hurwitz_step(hurwitz_step(tup, j, -1), j, +1) == tup
+        # entries that are not involutions
+        ctx = GroupContext.coxeter(3)
+        tup = GroupTuple(ctx, (CoxWord((1, 2)), CoxWord((3,)), CoxWord((2, 3, 1))))
+        for j in (1, 2):
+            assert hurwitz_step(hurwitz_step(tup, j, +1), j, -1) == tup
+            assert hurwitz_step(hurwitz_step(tup, j, -1), j, +1) == tup
 
     def test_permutation_conjugation(self):
         tup = perm_tuple(3, "(1 2)", "(2 3)")

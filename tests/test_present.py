@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from bandgroup.braid import braid_equal, permutation_image
+from bandgroup.braid import ArtinWord, band_to_artin, braid_equal, permutation_image
 from bandgroup.coxeter import (
     BandPair,
     CoxeterDatum,
@@ -140,6 +141,25 @@ class TestVerifyRelations:
         rel = Relation("x", (1, 3), ((bp(1, 3), 1), (bp(1, 2), 1)), ((bp(1, 2), 1),))
         with pytest.raises(ValueError):
             verify_relations([rel], matrix)
+
+    def test_expansion_matches_word_product(self):
+        rng = random.Random(5)
+        matrices = [
+            partition_to_matrix(Partition.of(5, [[1, 3], [2, 4, 5]])),
+            CoxeterDatum.constant(5, 3),
+        ]
+        for matrix in matrices:
+            bands = matrix.band_pairs()
+            for _ in range(100):
+                word = tuple(
+                    (rng.choice(bands), rng.choice((-2, -1, 1, 2)))
+                    for _ in range(rng.randint(0, 6))
+                )
+                expected = ArtinWord.identity(matrix.n)
+                for pair, e in word:
+                    band = band_to_artin(pair, matrix.n)
+                    expected = expected * band ** (e * matrix.entry(pair))
+                assert expand_letter_word(word, matrix) == expected
 
 
 class TestCombing:
