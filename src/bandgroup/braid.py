@@ -1,10 +1,12 @@
 """Exact braid arithmetic on n strands.
 
 Words in the Artin generators are the universal currency.  Equality of
-braids is decided through the faithful right action on a free group F_n:
-two words are equal in the braid group exactly when they induce the same
-endomorphism, i.e. the same tuple of images of the free generators.  No
-normal forms are computed; all words stay exact.
+braids is decided first through the faithful right action on a free group
+F_n: two words are equal in the braid group exactly when they induce the
+same endomorphism, i.e. the same tuple of images of the free generators.
+Images can grow exponentially with word length, so once one outgrows a
+fixed budget the query is handed to the Garside left normal form, which
+is exact as well and polynomial in the word length.
 
 The images are built by right-composition, from the last Artin letter
 back: each letter rebuilds only the images of t_k and t_{k+1}, as reduced
@@ -169,18 +171,25 @@ class FreeEndo:
 # -- the free action ----------------------------------------------------------
 
 MAX_STRANDS = 127
-# Letters allowed in any one free image.  Images grow exponentially with
-# word length.  At one byte per letter an image stays within 16 MiB and a
-# query within about n + 3 images, and a query too long for the oracle
-# stops early instead of running for minutes.
+# Letters allowed in any one free image built by `free_image` and
+# `artin_action_on_free`.  Images grow exponentially with word length.  At
+# one byte per letter an image stays within 16 MiB and a query within about
+# n + 3 images, and a query too long for the action stops early instead of
+# running for minutes.
 MAX_IMAGE_LETTERS = 1 << 24
+# Letters a free image may reach inside `braid_equal` before the query is
+# handed to the normal form.  Images of the short words the verifier and
+# the scanner compare stay far below it (a few thousand letters at most);
+# past it the free action is slower than the normal form and its memory
+# grows exponentially.
+_HANDOVER_LETTERS = 1 << 17
 
 # Inverts one encoded letter: 128 + i <-> 128 - i.
 _NEG = bytes((256 - b) % 256 for b in range(256))
 
 
 class ImageLimitError(ValueError):
-    """A free image would exceed MAX_IMAGE_LETTERS letters."""
+    """A free image would exceed the letters allowed to it."""
 
 
 def _check_strands(n: int) -> None:
@@ -221,16 +230,18 @@ def _mul(x: bytes, y: bytes) -> bytes:
     return x[:lx - c] + y[c:]
 
 
-def _free_images(w: ArtinWord) -> list[bytes]:
+def _free_images(w: ArtinWord, limit: int) -> list[bytes]:
     """Images of t_1 .. t_n under the right action of w, as encoded words.
 
     The action of w = x_1 .. x_m is Psi_1 = phi_m o .. o phi_1, so
     Psi_k = Psi_{k+1} o phi_k, built from the last letter back.  phi_k
     moves only t_k and t_{k+1}; with a = Psi_{k+1}(t_k) and
     b = Psi_{k+1}(t_{k+1}), sigma_k sends them to a b a^-1 and a, and
-    sigma_k^-1 to b and b^-1 a b.
+    sigma_k^-1 to b and b^-1 a b.  An image longer than `limit` letters
+    raises ImageLimitError.
 
-    >>> [[x - 128 for x in img] for img in _free_images(ArtinWord(3, ((1, 1), (2, -1))))]
+    >>> w = ArtinWord(3, ((1, 1), (2, -1)))
+    >>> [[x - 128 for x in img] for img in _free_images(w, MAX_IMAGE_LETTERS)]
     [[1, 3, -1], [1], [-3, 2, 3]]
     """
     _check_strands(w.n)
@@ -243,10 +254,10 @@ def _free_images(w: ArtinWord) -> list[bytes]:
         else:
             new = _mul(_mul(_inverse(b), a), b)
             images[k - 1], images[k] = b, new
-        if len(new) > MAX_IMAGE_LETTERS:
+        if len(new) > limit:
             raise ImageLimitError(
-                f"a free image exceeds {MAX_IMAGE_LETTERS} letters; "
-                "the word is too long for the free-action oracle"
+                f"a free image exceeds {limit} letters; "
+                "the word is too long for the free action"
             )
     return images
 
@@ -259,20 +270,21 @@ def free_image(w: ArtinWord, i: int) -> FreeWord:
     """Image of the free generator t_i under the right action of w."""
     if not 1 <= i <= w.n:
         raise ValueError(f"free generator index {i} outside 1..{w.n}")
-    return _decode(_free_images(w)[i - 1])
+    return _decode(_free_images(w, MAX_IMAGE_LETTERS)[i - 1])
 
 
 def artin_action_on_free(w: ArtinWord) -> FreeEndo:
     """The right action of w on (t_1, .., t_n)."""
-    return FreeEndo(w.n, tuple(_decode(img) for img in _free_images(w)))
+    return FreeEndo(w.n, tuple(_decode(img) for img in _free_images(w, MAX_IMAGE_LETTERS)))
 
 
 def braid_equal(u: ArtinWord, v: ArtinWord) -> bool:
     """Exact equality in the braid group on u.n strands.
 
-    Decided by comparing the induced free-group endomorphisms; the action
-    is faithful, so agreement of all generator images settles equality.
     The underlying permutations are compared first as a cheap filter.
+    Then the induced free-group endomorphisms are compared; the action is
+    faithful, so agreement of all generator images settles equality.  When
+    an image outgrows _HANDOVER_LETTERS, the left normal forms decide.
     """
     if u.n != v.n:
         raise ValueError("cannot compare words on different strand counts")
@@ -281,7 +293,190 @@ def braid_equal(u: ArtinWord, v: ArtinWord) -> bool:
         return True
     if _permutation_list(u) != _permutation_list(v):
         return False
-    return _free_images(u) == _free_images(v)
+    try:
+        return _free_images(u, _HANDOVER_LETTERS) == _free_images(v, _HANDOVER_LETTERS)
+    except ImageLimitError:
+        return left_normal_form(u) == left_normal_form(v)
+
+
+# -- the Garside normal form --------------------------------------------------
+#
+# A simple braid, a positive braid in which any two strands cross at most
+# once, is a permutation tuple x of 0 .. n-1: x[p] is the strand, numbered
+# by its starting position, that ends at position p.  Right multiplication
+# by sigma_k swaps the positions k-1 and k, left multiplication the values
+# k-1 and k.  The half twist Delta is the reversal, and conjugation by Delta
+# is tau: sigma_i -> sigma_{n-i}.  References: ElRifai and Morton,
+# "Algorithms for positive braids" (1994); Thurston, ch. 9 of Epstein et
+# al., "Word Processing in Groups" (1992).
+
+
+def _perm_inverse(x) -> list[int]:
+    inv = [0] * len(x)
+    for p, v in enumerate(x):
+        inv[v] = p
+    return inv
+
+
+def _twist(x: tuple[int, ...]) -> tuple[int, ...]:
+    """tau of a simple braid: Delta x Delta^-1."""
+    top = len(x) - 1
+    return tuple(top - v for v in reversed(x))
+
+
+def _meet(xi: list[int], yi: list[int]) -> list[int]:
+    """The greatest common left divisor of two simple braids.
+
+    Each braid is given by the end position of every strand; the result is
+    the meet's permutation tuple.  This is Thurston's merge sort: blocks of
+    consecutive strands are merged, each already in the meet's order, and a
+    strand of the upper block goes ahead of what is left of the lower block
+    only if it ends ahead of all of it in both braids.  The first blocks
+    are the longest runs of strands that one braid keeps in order, which
+    the meet keeps in order too, or that both braids reverse, which the
+    meet reverses.  O(n log n).
+    """
+    n = len(xi)
+    runs = []
+    lo = 0
+    while lo < n:
+        hi = lo + 1
+        if hi < n and xi[lo] > xi[hi] and yi[lo] > yi[hi]:
+            while hi < n and xi[hi - 1] > xi[hi] and yi[hi - 1] > yi[hi]:
+                hi += 1
+            runs.append(list(range(hi - 1, lo - 1, -1)))
+        else:
+            up_x = up_y = True
+            while hi < n:
+                up_x = up_x and xi[hi - 1] < xi[hi]
+                up_y = up_y and yi[hi - 1] < yi[hi]
+                if not (up_x or up_y):
+                    break
+                hi += 1
+            runs.append(list(range(lo, hi)))
+        lo = hi
+    while len(runs) > 1:
+        merged = []
+        for t in range(1, len(runs), 2):
+            low, high = runs[t - 1], runs[t]
+            m = len(low)
+            # the least end positions over low[i:] in either braid
+            tail_x, tail_y = [0] * m, [0] * m
+            mx = my = n
+            for i in range(m - 1, -1, -1):
+                if xi[low[i]] < mx:
+                    mx = xi[low[i]]
+                if yi[low[i]] < my:
+                    my = yi[low[i]]
+                tail_x[i], tail_y[i] = mx, my
+            out: list[int] = []
+            i = 0
+            for r in high:
+                xr, yr = xi[r], yi[r]
+                while i < m and (xr > tail_x[i] or yr > tail_y[i]):
+                    out.append(low[i])
+                    i += 1
+                out.append(r)
+            out += low[i:]
+            merged.append(out)
+        if len(runs) % 2:
+            merged.append(runs[-1])
+        runs = merged
+    return runs[0]
+
+
+def _left_weight(
+    a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The left-weighted form (a c, c^-1 b) of the product of two simples.
+
+    c is the meet of b with the complement a^-1 Delta of a; None when c is
+    trivial, i.e. when Start(b) is inside Finish(a) already.
+    """
+    n = len(a)
+    b_inv = _perm_inverse(b)
+    if all(a[k - 1] > a[k] or b_inv[k - 1] < b_inv[k] for k in range(1, n)):
+        return None
+    c = _meet([n - 1 - v for v in a], b_inv)
+    c_inv = _perm_inverse(c)
+    return tuple(a[v] for v in c), tuple(c_inv[v] for v in b)
+
+
+def left_normal_form(w: ArtinWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The left normal form Delta^p A_1 .. A_r of w, as (p, (A_1, .., A_r)).
+
+    Each A_i is a simple braid other than 1 and Delta, as a permutation
+    tuple, and every pair is left-weighted: Start(A_{i+1}) lies inside
+    Finish(A_i).  Two words are equal braids exactly when their normal
+    forms are equal.  Each sigma_k^-1 is written Delta^-1 (Delta sigma_k^-1)
+    and every Delta^-1 is moved to the front through tau.  The positive
+    factors are then inserted from the right, and each insertion makes the
+    pairs left-weighted from the right end back, stopping at the first pair
+    that already is.  A factor that becomes Delta joins the front, twisting
+    the factors before it.
+
+    >>> left_normal_form(ArtinWord(3, ((1, 1), (2, 1), (1, 1))))
+    (1, ())
+    >>> left_normal_form(ArtinWord(3, ((1, -1), (2, 1))))
+    (-1, ((1, 2, 0), (0, 2, 1)))
+    """
+    n = w.n
+    identity = tuple(range(n))
+    delta = identity[::-1]
+    negatives = sum(1 for _, s in w.letters if s < 0)
+    remaining = negatives
+    # The normal form so far, with the Deltas it pulled to the front kept
+    # apart: factors[i] is stored as of the pull count stamps[i], and each
+    # later pull from its right twists it once more.
+    pulled = 0
+    factors: list[tuple[int, ...]] = []
+    stamps: list[int] = []
+    # A word that repeats a pattern repeats its pair fixes.
+    fixed_pairs: dict = {}
+    for k, s in w.letters:
+        if s < 0:
+            remaining -= 1
+        # sigma_k or Delta sigma_k^-1, through tau once per Delta^-1 after it
+        if remaining % 2:
+            k = n - k
+        x = list(identity if s > 0 else delta)
+        x[k - 1], x[k] = x[k], x[k - 1]
+        right = tuple(x)
+        if right == delta:
+            pulled += 1
+            continue
+        if right == identity:
+            continue
+        j = len(factors)
+        factors.append(right)
+        stamps.append(pulled)
+        while j:
+            left = factors[j - 1]
+            if (pulled - stamps[j - 1]) % 2:
+                left = _twist(left)
+            if (left, right) in fixed_pairs:
+                pair = fixed_pairs[left, right]
+            else:
+                pair = fixed_pairs[left, right] = _left_weight(left, right)
+            if pair is None:
+                break
+            left, right = pair
+            factors[j], stamps[j] = right, pulled
+            if left == delta:
+                del factors[j - 1], stamps[j - 1]
+                for i in range(j - 1, len(stamps)):
+                    stamps[i] += 1
+                pulled += 1
+                break
+            factors[j - 1], stamps[j - 1] = left, pulled
+            right = left
+            j -= 1
+        if factors[-1] == identity:
+            factors.pop()
+            stamps.pop()
+    return pulled - negatives, tuple(
+        _twist(f) if (pulled - t) % 2 else f for f, t in zip(factors, stamps)
+    )
 
 
 # -- permutations -------------------------------------------------------------
@@ -410,13 +605,21 @@ def permutation_image(w: ArtinWord) -> Permutation:
 
 _TOKEN = re.compile(r"^(?:s(\d+)|a(\d+)\.(\d+))('?)(?:\^(-?\d+))?$")
 
+# Letters allowed in a parsed braid word.  This bounds what one `eq` query
+# can cost: the normal forms of a pair of seeded random words of this
+# length, on 4, 16 or 127 strands, took at most about 5 s on a 2-core
+# machine (figures in CHANGES.md), and the free action hands over before
+# its images pass _HANDOVER_LETTERS.
+MAX_WORD_LETTERS = 2048
+
 
 def parse_braid_word(text: str, n: int) -> ArtinWord:
     """Parse whitespace-separated braid tokens.
 
     `s<k>` is an Artin generator, `a<i>.<j>` a band; a trailing apostrophe
     inverts and `^<e>` raises to an integer power, so "a1.3'^2" means the
-    square of the inverse band on strands 1 and 3.
+    square of the inverse band on strands 1 and 3.  A word of more than
+    MAX_WORD_LETTERS letters is refused before any of it is built.
     """
     letters: list[tuple[int, int]] = []
     for token in text.split():
@@ -424,13 +627,18 @@ def parse_braid_word(text: str, n: int) -> ArtinWord:
         if not m:
             raise ValueError(f"cannot parse braid token {token!r}")
         s_idx, band_i, band_j, prime, power = m.groups()
-        if s_idx is not None:
-            atom = ArtinWord.generator(n, int(s_idx))
+        e = int(power) if power is not None else 1
+        if s_idx is None:
+            band = BandPair(int(band_i), int(band_j))
+            size = 2 * (band.j - band.i) - 1
         else:
-            atom = band_to_artin(BandPair(int(band_i), int(band_j)), n)
+            size = 1
+        if len(letters) + size * abs(e) > MAX_WORD_LETTERS:
+            raise ValueError(f"a braid word may have at most {MAX_WORD_LETTERS} letters")
+        atom = band_to_artin(band, n) if s_idx is None else ArtinWord.generator(n, int(s_idx))
         if prime:
             atom = atom.inverse()
-        letters += (atom ** int(power) if power is not None else atom).letters
+        letters += (atom**e).letters
     return ArtinWord(n, tuple(letters))
 
 

@@ -30,6 +30,12 @@ from .report import RunReport
 
 Factor = tuple[BandPair, int]
 
+# Budget on (bases x 2 x max_exp)^max_len, the raw count of expressions an
+# injectivity scan may enumerate; a scan past it is refused before it
+# starts.  The scan takes about 0.25 ms per unit of this count (n = 4 and
+# 5, 2 cores), so an accepted scan ends within about half a minute.
+MAX_SCAN_EXPRESSIONS = 100_000
+
 
 @lru_cache(maxsize=None)
 def _commutes(a: BandPair, b: BandPair) -> bool:
@@ -221,9 +227,16 @@ def injectivity_scan(
         raise ScopeError("injectivity scan needs a large-type matrix (entries 0 or >= 3)")
     if max_len < 1 or max_exp < 1:
         raise ValueError("bounds must be at least 1")
+    bases = matrix.band_pairs()
+    letters = len(bases) * 2 * max_exp
+    # a count of 2 or more passes the budget within 64 factors
+    if letters ** min(max_len, 64) > MAX_SCAN_EXPRESSIONS:
+        raise ValueError(
+            f"scan of up to {letters}^{max_len} expressions exceeds the budget of "
+            f"{MAX_SCAN_EXPRESSIONS}; lower --max-len or --max-exp"
+        )
     start = time.perf_counter()
     report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
-    bases = matrix.band_pairs()
     identity = ArtinWord.identity(matrix.n)
     certificates = 0
     for expr in canonical_expressions(bases, max_len, max_exp):

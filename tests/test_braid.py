@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bandgroup.braid import (
+    MAX_IMAGE_LETTERS,
+    MAX_WORD_LETTERS,
     ArtinWord,
     FreeWord,
     ImageLimitError,
     Permutation,
+    _free_images,
     artin_action_on_free,
     band_to_artin,
     braid_equal,
     format_braid_word,
     free_image,
+    left_normal_form,
     parse_braid_word,
     parse_free_word,
     permutation_image,
@@ -21,6 +25,7 @@ from bandgroup.braid import (
 from bandgroup.coxeter import BandPair, commutes_in_brn, partition_to_matrix, set_partitions
 from bandgroup.present import expand_letter_word, relations_thm2
 
+import test_acceptance as acceptance
 from oracles import (
     compose_maps,
     referee_braid_equal,
@@ -204,14 +209,118 @@ class TestKernelAgainstReferee:
     def test_image_limit(self, monkeypatch):
         monkeypatch.setattr("bandgroup.braid.MAX_IMAGE_LETTERS", 50)
         w = parse_braid_word("a1.3^3 a2.4^3 a1.3^3", 4)
+        v = w * word(4, (1, 1), (1, -1))
         with pytest.raises(ImageLimitError, match="exceeds 50 letters"):
-            braid_equal(w, w * word(4, (1, 1), (1, -1)))
-        assert braid_equal(w, w)
+            free_image(v, 1)
+        with pytest.raises(ImageLimitError, match="exceeds 50 letters"):
+            artin_action_on_free(v)
+        assert braid_equal(w, v)
 
     def test_strand_limit(self):
         with pytest.raises(ValueError, match="at most 127 strands"):
             braid_equal(ArtinWord.identity(128), ArtinWord.identity(128))
         assert braid_equal(word(127, (126, 1)), word(127, (126, 1), (1, 1), (1, -1)))
+
+
+def equal_rewrite(rng, n, letters):
+    """Insert x x^-1 pairs and braid relations: the same braid, another word."""
+    letters = list(letters)
+    for _ in range(rng.randint(1, 4)):
+        k, s = rng.randint(1, n - 1), rng.choice((1, -1))
+        pos = rng.randint(0, len(letters))
+        letters[pos:pos] = [(k, s), (k, -s)]
+    if n >= 3:
+        k = rng.randint(1, n - 2)
+        pos = rng.randint(0, len(letters))
+        letters[pos:pos] = [(k, 1), (k + 1, 1), (k, 1), (k + 1, -1), (k, -1), (k + 1, -1)]
+    if n >= 4:
+        i = rng.randint(1, n - 3)
+        j = rng.randint(i + 2, n - 1)
+        pos = rng.randint(0, len(letters))
+        letters[pos:pos] = [(i, 1), (j, 1), (i, -1), (j, -1)]
+    return ArtinWord(n, tuple(letters))
+
+
+def long_word_pair(k, equal):
+    """(a1.3^3 a2.4^3)^k on 4 strands against a rewrite or the reverse."""
+    factors = ["a1.3^3", "a2.4^3"] * k
+    left = parse_braid_word(" ".join(factors), 4)
+    if equal:
+        factors[1] = "s2' s3^3 s2"  # a_{2,4}^3
+    else:
+        factors = ["a2.4^3", "a1.3^3"] * k
+    return left, parse_braid_word(" ".join(factors), 4)
+
+
+class TestNormalForm:
+    """The Garside left normal form against the free action."""
+
+    def test_factors_are_proper_and_left_weighted(self):
+        rng = random.Random(21)
+        for n in range(2, 8):
+            delta = tuple(range(n - 1, -1, -1))
+            for _ in range(20):
+                _, factors = left_normal_form(random_word(rng, n, 30))
+                for a in factors:
+                    assert sorted(a) == list(range(n))
+                    assert a not in (tuple(range(n)), delta)
+                for a, b in zip(factors, factors[1:]):
+                    b_inv = [b.index(v) for v in range(n)]
+                    start = {k for k in range(1, n) if b_inv[k - 1] > b_inv[k]}
+                    finish = {k for k in range(1, n) if a[k - 1] > a[k]}
+                    assert start <= finish
+
+    def test_seeded_pairs_match_referee(self):
+        rng = random.Random(22)
+        for n in range(2, 8):
+            for _ in range(15):
+                u = random_word(rng, n, 25)
+                v = equal_rewrite(rng, n, u.letters)
+                assert referee_braid_equal(n, u.letters, v.letters)
+                assert left_normal_form(u) == left_normal_form(v)
+                # sigma_k^2 keeps the permutation but changes the braid
+                k, s = rng.randint(1, n - 1), rng.choice((1, -1))
+                pos = rng.randint(0, len(u.letters))
+                w = ArtinWord(n, u.letters[:pos] + ((k, s), (k, s)) + u.letters[pos:])
+                assert permutation_image(w) == permutation_image(u)
+                assert not referee_braid_equal(n, u.letters, w.letters)
+                assert left_normal_form(u) != left_normal_form(w)
+
+    @pytest.mark.parametrize(
+        "criterion",
+        [
+            acceptance.test_criterion_1_band_presentation_soundness,
+            acceptance.test_criterion_5_commutation_presentation_and_injectivity_scan,
+            acceptance.test_criterion_6_partition_presentations_sound,
+            acceptance.test_criterion_7_combing_families_and_derived_identities,
+            acceptance.test_criterion_8_coset_closure_tables,
+            acceptance.test_criterion_9_general_exponent_families,
+        ],
+        ids=lambda f: f.__name__.split("_")[2],
+    )
+    def test_acceptance_relations_decided_by_normal_form(self, monkeypatch, criterion):
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return left_normal_form(w)
+
+        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
+        monkeypatch.setattr("bandgroup.braid.left_normal_form", counted)
+        criterion()
+        assert calls
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_long_words_both_ways(self, monkeypatch, k):
+        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
+        for equal in (True, False):
+            u, v = long_word_pair(k, equal)
+            assert permutation_image(u) == permutation_image(v)
+            assert (left_normal_form(u) == left_normal_form(v)) is equal
+            assert braid_equal(u, v) is equal
+            if k <= 4:  # k = 5 images pass MAX_IMAGE_LETTERS
+                images = _free_images(u, MAX_IMAGE_LETTERS), _free_images(v, MAX_IMAGE_LETTERS)
+                assert (images[0] == images[1]) is equal
 
 
 class TestPermutation:
@@ -271,6 +380,17 @@ class TestSyntax:
     def test_parse_rejects_letters_off_the_strands(self):
         for bad in ("s4", "s0", "a1.5"):
             with pytest.raises(ValueError):
+                parse_braid_word(bad, 4)
+
+    def test_word_length_is_bounded_before_building(self):
+        assert len(parse_braid_word(f"s1^{MAX_WORD_LETTERS}", 3)) == MAX_WORD_LETTERS
+        bands = MAX_WORD_LETTERS // 5
+        rest = MAX_WORD_LETTERS - 5 * bands
+        w = parse_braid_word(f"a1.4'^{bands} s2^-{rest}", 4)
+        assert len(w) == MAX_WORD_LETTERS
+        for bad in (f"s1^{MAX_WORD_LETTERS + 1}", f"s1 s1^-{MAX_WORD_LETTERS}",
+                    f"a1.4^{bands} s2^{rest + 1}", "s1^1000000000"):
+            with pytest.raises(ValueError, match=f"at most {MAX_WORD_LETTERS} letters"):
                 parse_braid_word(bad, 4)
 
     def test_round_trip(self):

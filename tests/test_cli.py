@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bandgroup.braid import MAX_WORD_LETTERS
 from bandgroup.cli import main
 from bandgroup.coxeter import CoxeterDatum, Partition
+from bandgroup.raag import MAX_SCAN_EXPRESSIONS
 
 
 @pytest.fixture
@@ -49,11 +56,20 @@ class TestEq:
         assert main(["eq", "s1", "s2", "--n", "200"]) == 2
         assert "at most 127 strands" in capsys.readouterr().err
 
-    def test_image_limit_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setattr("bandgroup.braid.MAX_IMAGE_LETTERS", 100)
-        long = " ".join(["a1.3^3 a2.4^3"] * 2)
-        assert main(["eq", long, long + " s1 s1'", "--n", "4"]) == 2
-        assert "exceeds 100 letters" in capsys.readouterr().err
+    def test_words_past_the_image_cap_are_decided(self, capsys):
+        # free images of these words pass 2^24 letters
+        factors = ["a1.3^3", "a2.4^3"] * 5
+        left = " ".join(factors)
+        assert main(["eq", left, " ".join(["a2.4^3", "a1.3^3"] * 5), "--n", "4"]) == 1
+        assert capsys.readouterr().out.strip() == "not equal"
+        factors[3] = "s2' s3^3 s2"
+        assert main(["eq", left, " ".join(factors), "--n", "4"]) == 0
+        assert capsys.readouterr().out.strip() == "equal"
+
+
+    def test_word_past_the_letter_cap_is_usage_error(self, capsys):
+        assert main(["eq", "s1^1000000000", "s2", "--n", "3"]) == 2
+        assert f"at most {MAX_WORD_LETTERS} letters" in capsys.readouterr().err
 
 
 class TestPerm:
@@ -154,6 +170,14 @@ class TestScan:
         path = matrix_file("m.json", CoxeterDatum.constant(3, 1))
         assert main(["scan", "inject", "--matrix", path,
                      "--max-len", "1", "--max-exp", "1"]) == 2
+
+    def test_scan_past_the_budget_is_refused_up_front(self, capsys, matrix_file):
+        # 10 bases, so (10 * 2 * 3)^5 expressions at most
+        path = matrix_file("m.json", CoxeterDatum.constant(5, 3))
+        assert main(["scan", "inject", "--matrix", path,
+                     "--max-len", "5", "--max-exp", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"60^5 expressions exceeds the budget of {MAX_SCAN_EXPRESSIONS}" in err
 
 
 class TestHurwitz:
@@ -258,3 +282,103 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "thm9"])
         assert exc.value.code == 2
+
+
+# -- the exit contract under malformed input ----------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+_MALFORMED = _JSON_VALUES.map(json.dumps) | st.text(max_size=12)
+
+
+@st.composite
+def _matrix_text(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 0]))
+    entries = st.sampled_from(draw(st.sampled_from([[0, 3], [1, 2], [0, 1, 2, 3]])))
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            rows[a][b] = rows[b][a] = draw(entries)
+    payload = draw(st.sampled_from(
+        [{"n": n, "m": rows}] * 4 + [{"n": n + 1, "m": rows}, {"n": "4", "m": rows}, {"n": n}, rows]
+    ))
+    return json.dumps(payload)
+
+
+@st.composite
+def _partition_text(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 0]))
+    if draw(st.booleans()):
+        elements = draw(st.permutations(range(1, n + 1)))
+        cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=2)))
+        bounds = [0, *[c for c in cuts if c < n], n]
+        parts = [list(elements[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
+    else:
+        parts = draw(st.lists(st.lists(st.integers(-1, n + 1), max_size=3), max_size=3))
+    return json.dumps({"n": draw(st.sampled_from([n, n, n, -1, "3"])), "parts": parts})
+
+
+_VALID_TOKENS = ["s1", "s2'", "s3^2", "a1.3", "a2.4'^-2", "s1^-3"]
+_WORD = st.lists(
+    st.sampled_from(_VALID_TOKENS * 3 + ["s0", "a3.2", "s1^^", "q", "s1^99999"]), max_size=5
+).map(" ".join)
+_SMALL_INT = st.sampled_from(["1", "2", "0", "-1", "x", "2.5"])
+_VERIFY_FILES = {
+    "thm1": ["matrix"], "thm2": ["partition"], "combing": ["partition"],
+    "sec4": ["matrix"], "cosets": ["partition"], "block": ["matrix1", "matrix2"],
+    "thm9": ["matrix"],
+}
+
+
+@st.composite
+def _argv(draw):
+    """argv for verify, scan, eq or perm, and the text of each file it names."""
+    command = draw(st.sampled_from(["verify", "scan", "eq", "perm"]))
+    argv = ["--json"] if draw(st.booleans()) else []
+    files = {}
+    if command == "verify":
+        family = draw(st.sampled_from(sorted(_VERIFY_FILES)))
+        argv += ["verify", family]
+        flags = set(_VERIFY_FILES[family])
+        flags ^= draw(st.sets(st.sampled_from(["matrix", "partition", "matrix1"]), max_size=1))
+        for flag in sorted(flags):
+            valid = _matrix_text() if "matrix" in flag else _partition_text()
+            files[flag] = draw(valid | _MALFORMED)
+            argv += [f"--{flag}", flag]
+    elif command == "scan":
+        files["matrix"] = draw(_matrix_text() | _MALFORMED)
+        argv += ["scan", "inject", "--matrix", "matrix",
+                 "--max-len", draw(_SMALL_INT), "--max-exp", draw(_SMALL_INT)]
+    else:
+        words = [draw(_WORD) for _ in range(2 if command == "eq" else 1)]
+        n = draw(st.integers(2, 5).map(str) | st.sampled_from(["-1", "0", "200", "x"]))
+        argv += [command, *words, "--n", n]
+    return argv, files
+
+
+class TestExitContract:
+    @settings(max_examples=150, deadline=None)
+    @given(_argv())
+    def test_malformed_input_never_crashes(self, case):
+        argv, files = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [str(Path(tmp, a)) if a in files else a for a in argv]
+            for name, text in files.items():
+                Path(tmp, name).write_text(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            text = out.getvalue()
+            if "eq" in argv:
+                assert text.strip() in ("not equal", '{"command": "eq", "equal": false}')
+            else:
+                assert "FAIL" in text or '"ok": false' in text
