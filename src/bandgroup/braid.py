@@ -11,11 +11,15 @@ is exact as well and polynomial in the word length.
 The images are built by right-composition, from the last Artin letter
 back: each letter rebuilds only the images of t_k and t_{k+1}, as reduced
 products of images already built, and letters cancel only where two
-factors meet.  Inside that kernel a reduced free word is a `bytes` object,
-t_i as the byte 128 + i and t_i^-1 as 128 - i, so concatenation, slicing
-and inversion run in C; this encoding limits the free action to at most
-127 strands.  At the API boundary free words are `FreeWord`s, tuples of
-signed integers (+i for t_i, -i for its inverse), always freely reduced.
+factors meet.  That rebuild is the Hurwitz move (a, b) -> (a b a^-1, a),
+and one kernel, `_act`, runs it for the free action here, for the Hurwitz
+action on tuples of free or universal Coxeter words, and for the Coxeter
+action of `coxword`.  Inside it a reduced word is a `bytes` object, letter
+i as the byte 128 + i and its inverse as 128 - i for free words, or as
+itself for Coxeter words, so concatenation, slicing and inversion run in C
+and letter indices, hence strands, are limited to 127.  At the API
+boundary free words are `FreeWord`s, tuples of signed integers (+i for
+t_i, -i for its inverse), always freely reduced.
 """
 
 from __future__ import annotations
@@ -102,10 +106,6 @@ class FreeWord:
             raise ValueError("letter index 0 is not allowed")
 
     @staticmethod
-    def generator(i: int) -> FreeWord:
-        return FreeWord((i,))
-
-    @staticmethod
     def from_letters(seq: Iterable[int]) -> FreeWord:
         """Reduce an arbitrary signed-letter sequence."""
         out: list[int] = []
@@ -116,66 +116,19 @@ class FreeWord:
                 out.append(x)
         return FreeWord(tuple(out))
 
-    def inverse(self) -> FreeWord:
-        return FreeWord(tuple(-x for x in reversed(self.letters)))
-
-    def __mul__(self, other: FreeWord) -> FreeWord:
-        return FreeWord.from_letters(self.letters + other.letters)
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """(generator index, sign) view of the letters."""
-        return tuple((abs(x), 1 if x > 0 else -1) for x in self.letters)
-
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def __len__(self) -> int:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class FreeEndo:
-    """Images of the free generators t_1 .. t_n under a braid action."""
+# -- the word kernel ----------------------------------------------------------
 
-    n: int
-    images: tuple[FreeWord, ...]
-
-    @staticmethod
-    def identity(n: int) -> FreeEndo:
-        return FreeEndo(n, tuple(FreeWord.generator(i) for i in range(1, n + 1)))
-
-    def image_of(self, i: int) -> FreeWord:
-        return self.images[i - 1]
-
-    def apply_to(self, word: FreeWord) -> FreeWord:
-        """Substitute the images into a word, reducing as we go."""
-        out: list[int] = []
-        for x in word.letters:
-            img = self.images[abs(x) - 1].letters
-            if x < 0:
-                img = tuple(-y for y in reversed(img))
-            for y in img:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-        return FreeWord(tuple(out))
-
-    def compose(self, later: FreeEndo) -> FreeEndo:
-        """The endomorphism of `self's word followed by later's word`."""
-        if self.n != later.n:
-            raise ValueError("strand counts differ")
-        return FreeEndo(self.n, tuple(later.apply_to(img) for img in self.images))
-
-
-# -- the free action ----------------------------------------------------------
-
+# Letter indices the byte encoding holds, hence strands of the free action.
 MAX_STRANDS = 127
-# Letters allowed in any one free image built by `free_image` and
-# `artin_action_on_free`.  Images grow exponentially with word length.  At
-# one byte per letter an image stays within 16 MiB and a query within about
-# n + 3 images, and a query too long for the action stops early instead of
-# running for minutes.
+# Letters allowed in any one word the kernel builds for `free_image`,
+# `artin_action_on_free` and the Hurwitz action.  Images grow exponentially
+# with word length.  At one byte per letter a word stays within 16 MiB and a
+# query within a few such words, and a word too long for the action stops
+# early instead of running for minutes.
 MAX_IMAGE_LETTERS = 1 << 24
 # Letters a free image may reach inside `braid_equal` before the query is
 # handed to the normal form.  Images of the short words the verifier and
@@ -184,12 +137,18 @@ MAX_IMAGE_LETTERS = 1 << 24
 # grows exponentially.
 _HANDOVER_LETTERS = 1 << 17
 
-# Inverts one encoded letter: 128 + i <-> 128 - i.
+# Letter-inversion tables: free words invert 128 + i <-> 128 - i, and
+# Coxeter words leave every letter as it is.
 _NEG = bytes((256 - b) % 256 for b in range(256))
+_SELF = bytes(range(256))
+# The text of each encoded letter and a space: t_i and t_i^-1, or s_i.
+_INDICES = range(1, MAX_STRANDS + 1)
+_FREE_TOKENS = {128 + i: f"t{i} " for i in _INDICES} | {128 - i: f"t{i}' " for i in _INDICES}
+_COX_TOKENS = {128 + i: f"s{i} " for i in _INDICES}
 
 
 class ImageLimitError(ValueError):
-    """A free image would exceed the letters allowed to it."""
+    """A word built by an action would exceed the letters allowed to it."""
 
 
 def _check_strands(n: int) -> None:
@@ -197,30 +156,44 @@ def _check_strands(n: int) -> None:
         raise ValueError(f"the free action handles at most {MAX_STRANDS} strands, got {n}")
 
 
-def _inverse(x: bytes) -> bytes:
-    return x[::-1].translate(_NEG)
+def _encode(letters: tuple[int, ...]) -> bytes:
+    """A reduced word of signed letter indices in the kernel's encoding."""
+    if letters and max(map(abs, letters)) > MAX_STRANDS:
+        raise ValueError(f"letter indices above {MAX_STRANDS} are not supported")
+    return bytes(128 + x for x in letters)
 
 
-def _mul(x: bytes, y: bytes) -> bytes:
-    """The reduced product of two reduced words.
+def _decode(x: bytes) -> tuple[int, ...]:
+    return tuple(b - 128 for b in x)
 
-    Letters cancel only where x meets y; the number that cancel is found by
-    galloping, then bisecting, over slice comparisons.  A letter and its
-    inverse are the two bytes that sum to 256.  Both words must be
-    non-empty, as every product the kernel forms is the image of a
-    non-trivial element under an automorphism.
+
+def _format(x: bytes, tokens: dict[int, str]) -> str:
+    """An encoded word as text, "1" when it is empty."""
+    return x.decode("latin-1").translate(tokens)[:-1] or "1"
+
+
+def _inverse(x: bytes, neg: bytes) -> bytes:
+    return x[::-1].translate(neg)
+
+
+def _mul(x: bytes, y: bytes, neg: bytes) -> bytes:
+    """The reduced product of two reduced words, either of them possibly empty.
+
+    Letters cancel only where x meets y, a letter b against the letter
+    neg[b]; the number that cancel is found by galloping, then bisecting,
+    over slice comparisons.
     """
-    if x[-1] + y[0] != 256:
+    if not (x and y) or neg[x[-1]] != y[0]:
         return x + y
     lx = len(x)
     limit = min(lx, len(y))
     c, step = 1, 1  # the last c letters of x cancel the first c of y
     while c < limit:
         hi = min(c + step, limit)
-        if x[lx - hi:lx - c][::-1].translate(_NEG) != y[c:hi]:
+        if x[lx - hi:lx - c][::-1].translate(neg) != y[c:hi]:
             while hi - c > 1:
                 mid = (c + hi) // 2
-                if x[lx - mid:lx - c][::-1].translate(_NEG) == y[c:mid]:
+                if x[lx - mid:lx - c][::-1].translate(neg) == y[c:mid]:
                     c = mid
                 else:
                     hi = mid
@@ -230,52 +203,53 @@ def _mul(x: bytes, y: bytes) -> bytes:
     return x[:lx - c] + y[c:]
 
 
+def _act(words: list[bytes], letters, limit: int, neg: bytes) -> list[bytes]:
+    """Apply the Hurwitz move of each Artin letter in turn to a list of words.
+
+    sigma_k replaces the words a, b at positions k, k + 1 by a b a^-1 and
+    a, and sigma_k^-1 by b and b^-1 a b.  The list is changed in place and
+    returned.  A word longer than `limit` letters raises ImageLimitError.
+    """
+    for k, s in letters:
+        a, b = words[k - 1], words[k]
+        if s > 0:
+            new = _mul(_mul(a, b, neg), _inverse(a, neg), neg)
+            words[k - 1], words[k] = new, a
+        else:
+            new = _mul(_mul(_inverse(b, neg), a, neg), b, neg)
+            words[k - 1], words[k] = b, new
+        if len(new) > limit:
+            raise ImageLimitError(f"a word exceeds {limit} letters; the braid word is too long")
+    return words
+
+
 def _free_images(w: ArtinWord, limit: int) -> list[bytes]:
     """Images of t_1 .. t_n under the right action of w, as encoded words.
 
     The action of w = x_1 .. x_m is Psi_1 = phi_m o .. o phi_1, so
     Psi_k = Psi_{k+1} o phi_k, built from the last letter back.  phi_k
-    moves only t_k and t_{k+1}; with a = Psi_{k+1}(t_k) and
-    b = Psi_{k+1}(t_{k+1}), sigma_k sends them to a b a^-1 and a, and
-    sigma_k^-1 to b and b^-1 a b.  An image longer than `limit` letters
-    raises ImageLimitError.
+    moves only t_k and t_{k+1}, and Psi_k moves their images under
+    Psi_{k+1} by the Hurwitz move of `_act`.
 
     >>> w = ArtinWord(3, ((1, 1), (2, -1)))
-    >>> [[x - 128 for x in img] for img in _free_images(w, MAX_IMAGE_LETTERS)]
-    [[1, 3, -1], [1], [-3, 2, 3]]
+    >>> [_decode(img) for img in _free_images(w, MAX_IMAGE_LETTERS)]
+    [(1, 3, -1), (1,), (-3, 2, 3)]
     """
     _check_strands(w.n)
     images = [bytes((128 + i,)) for i in range(1, w.n + 1)]
-    for k, s in reversed(w.letters):
-        a, b = images[k - 1], images[k]
-        if s > 0:
-            new = _mul(_mul(a, b), _inverse(a))
-            images[k - 1], images[k] = new, a
-        else:
-            new = _mul(_mul(_inverse(b), a), b)
-            images[k - 1], images[k] = b, new
-        if len(new) > limit:
-            raise ImageLimitError(
-                f"a free image exceeds {limit} letters; "
-                "the word is too long for the free action"
-            )
-    return images
-
-
-def _decode(x: bytes) -> FreeWord:
-    return FreeWord(tuple(b - 128 for b in x))
+    return _act(images, reversed(w.letters), limit, _NEG)
 
 
 def free_image(w: ArtinWord, i: int) -> FreeWord:
     """Image of the free generator t_i under the right action of w."""
     if not 1 <= i <= w.n:
         raise ValueError(f"free generator index {i} outside 1..{w.n}")
-    return _decode(_free_images(w, MAX_IMAGE_LETTERS)[i - 1])
+    return FreeWord(_decode(_free_images(w, MAX_IMAGE_LETTERS)[i - 1]))
 
 
-def artin_action_on_free(w: ArtinWord) -> FreeEndo:
-    """The right action of w on (t_1, .., t_n)."""
-    return FreeEndo(w.n, tuple(_decode(img) for img in _free_images(w, MAX_IMAGE_LETTERS)))
+def artin_action_on_free(w: ArtinWord) -> tuple[FreeWord, ...]:
+    """The images of (t_1, .., t_n) under the right action of w."""
+    return tuple(FreeWord(_decode(img)) for img in _free_images(w, MAX_IMAGE_LETTERS))
 
 
 def braid_equal(u: ArtinWord, v: ArtinWord) -> bool:
@@ -662,7 +636,11 @@ _FREE_TOKEN = re.compile(r"^t(\d+)('?)(?:\^(-?\d+))?$")
 
 
 def parse_free_word(text: str) -> FreeWord:
-    """Parse tokens like "t1 t2' t3^2" into a reduced free word."""
+    """Parse tokens like "t1 t2' t3^2" into a reduced free word.
+
+    A word of more than MAX_IMAGE_LETTERS letters is refused before any of
+    it is built.
+    """
     letters: list[int] = []
     for token in text.split():
         m = _FREE_TOKEN.match(token)
@@ -673,11 +651,7 @@ def parse_free_word(text: str) -> FreeWord:
         e = int(power) if power is not None else 1
         if e < 0:
             x, e = -x, -e
+        if len(letters) + e > MAX_IMAGE_LETTERS:
+            raise ValueError(f"a free word may have at most {MAX_IMAGE_LETTERS} letters")
         letters.extend([x] * e)
     return FreeWord.from_letters(letters)
-
-
-def format_free_word(w: FreeWord) -> str:
-    if not w.letters:
-        return "1"
-    return " ".join(f"t{abs(x)}" + ("" if x > 0 else "'") for x in w.letters)

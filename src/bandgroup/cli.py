@@ -20,7 +20,6 @@ from pathlib import Path
 from .braid import (
     Permutation,
     braid_equal,
-    format_free_word,
     parse_braid_word,
     parse_free_word,
     permutation_image,
@@ -30,6 +29,7 @@ from .coxeter import (
     CoxeterDatum,
     Partition,
     ScopeError,
+    _is_int,
     matrix_from_json,
     partition_from_json,
     partition_to_matrix,
@@ -44,7 +44,7 @@ from .coxword import (
     jk_factorize,
     parse_cox_word,
 )
-from .hurwitz import GroupContext, GroupTuple, hurwitz_apply
+from .hurwitz import GroupContext, GroupTuple, render_action
 from .present import (
     block_product_check,
     coset_table_check,
@@ -97,11 +97,15 @@ _VERIFY_INPUTS = {
 }
 
 
+def _check_inputs(args: argparse.Namespace, command: str) -> None:
+    for name in _VERIFY_INPUTS.get(args.family, ()):
+        if getattr(args, name) is None:
+            raise ValueError(f"{command} {args.family} needs --{name}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     family = args.family
-    for name in _VERIFY_INPUTS.get(family, ()):
-        if getattr(args, name) is None:
-            raise ValueError(f"verify {family} needs --{name}")
+    _check_inputs(args, "verify")
     if family == "thm1":
         matrix = _load_matrix(args.matrix)
         reports = [verify_relations(relations_thm1(matrix), matrix, tag="thm1")]
@@ -174,27 +178,29 @@ def _build_context(selector: str, n: int) -> GroupContext:
         return GroupContext.coxeter(n)
     if selector.startswith("perm:"):
         data = json.loads(Path(selector[len("perm:"):]).read_text())
-        degree = int(data["degree"])
-        images = tuple(Permutation.parse(s, degree) for s in data["images"])
-        return GroupContext.permutations(images, degree, involutive=bool(data.get("involutive", True)))
+        if not isinstance(data, dict):
+            raise ValueError("realization file must hold a JSON object")
+        degree, images = data.get("degree"), data.get("images")
+        involutive = data.get("involutive", True)
+        if not (_is_int(degree) and degree >= 1 and isinstance(involutive, bool)
+                and isinstance(images, list) and all(isinstance(x, str) for x in images)):
+            raise ValueError("realization file needs an integer 'degree' >= 1, a list of "
+                             "strings 'images' and, optionally, a bool 'involutive'")
+        perms = tuple(Permutation.parse(x, degree) for x in images)
+        return GroupContext.permutations(perms, degree, involutive=involutive)
     raise ValueError(f"unknown context {selector!r}; use free, coxeter, or perm:<file>")
 
 
-def _parse_tuple(ctx: GroupContext, entries: list[str]) -> GroupTuple:
+def _parse_tuple(ctx: GroupContext, entries: list) -> GroupTuple:
+    for i, e in enumerate(entries, start=1):
+        if not isinstance(e, str):
+            raise ValueError(f"tuple entry {i} must be a string, got {e!r}")
     if ctx.kind == "free":
         return GroupTuple(ctx, tuple(parse_free_word(e) for e in entries))
     if ctx.kind == "coxeter":
         return GroupTuple(ctx, tuple(parse_cox_word(e) for e in entries))
     assert ctx.degree is not None
     return GroupTuple(ctx, tuple(Permutation.parse(e, ctx.degree) for e in entries))
-
-
-def _render_entry(entry) -> str:
-    if isinstance(entry, Permutation):
-        return entry.cycle_string()
-    if isinstance(entry, CoxWord):
-        return str(entry)
-    return format_free_word(entry)
 
 
 def cmd_hurwitz(args: argparse.Namespace) -> int:
@@ -213,9 +219,7 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
         ctx = _build_context(args.context, 0)
         tup = ctx.defining_tuple()
     word = parse_braid_word(args.word, ctx.n)
-    result = hurwitz_apply(tup, word)
-    fixed = result.entries == tup.entries
-    rendered = [_render_entry(e) for e in result.entries]
+    rendered, fixed = render_action(tup, word)
     if args.json:
         print(
             json.dumps(
@@ -340,6 +344,7 @@ def cmd_checkprop(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    _check_inputs(args, "export")
     if args.family == "thm1":
         matrix = _load_matrix(args.matrix)
         rels = relations_thm1(matrix)

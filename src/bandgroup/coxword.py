@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .braid import ArtinWord, artin_action_on_free
+from .braid import MAX_IMAGE_LETTERS, ArtinWord, _decode, _free_images
 from .coxeter import BandPair, commutes_in_brn, crossing
 
 
@@ -33,19 +33,8 @@ class CoxWord:
                 raise ValueError("word has two equal adjacent letters")
 
     @staticmethod
-    def empty() -> CoxWord:
-        return CoxWord(())
-
-    @staticmethod
     def single(i: int) -> CoxWord:
         return CoxWord((i,))
-
-    def __mul__(self, other: CoxWord) -> CoxWord:
-        return reduce_cox(self.letters + other.letters)
-
-    def inverse(self) -> CoxWord:
-        """The reversed word; every letter is its own inverse."""
-        return CoxWord(self.letters[::-1])
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -210,11 +199,11 @@ def apply_artin_to_cox(w: CoxWord, braid: ArtinWord) -> CoxWord:
     then reduced.  sigma_k thus substitutes s_k -> s_k s_{k+1} s_k and
     s_{k+1} -> s_k, composing left to right along the braid word.
     """
-    images = artin_action_on_free(braid).images
+    images = _free_images(braid, MAX_IMAGE_LETTERS)
     out: list[int] = []
     for x in w.letters:
         if x <= braid.n:
-            out.extend(abs(y) for y in images[x - 1].letters)
+            out.extend(map(abs, _decode(images[x - 1])))
         else:
             out.append(x)
     return reduce_cox(out)

@@ -6,15 +6,18 @@ permutation realization.  A positive step at position j replaces
 (e_j, e_{j+1}) by (e_j e_{j+1} e_j^-1, e_j) in every group; the negative
 step is the inverse move.
 Applying a braid word means applying its letters left to right, which makes
-the whole thing a right action on tuples.
+the whole thing a right action on tuples.  Free and Coxeter entries run on
+the word kernel of `braid` (`_act`), bounded by MAX_IMAGE_LETTERS letters
+per entry and letter indices up to MAX_STRANDS; permutations form a finite
+group, so they are bounded already.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
-from .braid import ArtinWord, FreeWord, Permutation
+from .braid import _COX_TOKENS, _FREE_TOKENS, _NEG, _SELF, MAX_IMAGE_LETTERS, ArtinWord, FreeWord
+from .braid import Permutation, _act, _decode, _encode, _format
 from .coxword import CoxWord
 
 __all__ = [
@@ -22,14 +25,17 @@ __all__ = [
     "GroupTuple",
     "hurwitz_step",
     "hurwitz_apply",
+    "render_action",
     "stabilizes",
 ]
-
-Entry = Union[FreeWord, CoxWord, Permutation]
 
 FREE = "free"
 COXETER = "coxeter"
 PERMUTATION = "perm"
+
+# Per word context: the entry type, the letter-inversion table of the kernel
+# and the text of each encoded letter.
+_WORDS = {FREE: (FreeWord, _NEG, _FREE_TOKENS), COXETER: (CoxWord, _SELF, _COX_TOKENS)}
 
 
 @dataclass(frozen=True)
@@ -68,24 +74,19 @@ class GroupContext:
 
     def defining_tuple(self) -> GroupTuple:
         """(t_1..t_n), (s_1..s_n), or the designated permutations."""
-        if self.kind == FREE:
-            entries: tuple[Entry, ...] = tuple(
-                FreeWord.generator(i) for i in range(1, self.n + 1)
-            )
-        elif self.kind == COXETER:
-            entries = tuple(CoxWord.single(i) for i in range(1, self.n + 1))
-        elif self.kind == PERMUTATION:
+        if self.kind == PERMUTATION:
             assert self.images is not None
-            entries = self.images
-        else:
+            return GroupTuple(self, self.images)
+        if self.kind not in _WORDS:
             raise ValueError(f"unknown context kind {self.kind!r}")
-        return GroupTuple(self, entries)
+        word_type = _WORDS[self.kind][0]
+        return GroupTuple(self, tuple(word_type((i,)) for i in range(1, self.n + 1)))
 
 
 @dataclass(frozen=True)
 class GroupTuple:
     context: GroupContext
-    entries: tuple[Entry, ...]
+    entries: tuple[FreeWord | CoxWord | Permutation, ...]
 
     def __post_init__(self):
         if len(self.entries) != self.context.n:
@@ -94,11 +95,42 @@ class GroupTuple:
             )
 
 
-def _conjugate(a: Entry, b: Entry) -> Entry:
+def _conjugate(a: Permutation, b: Permutation) -> Permutation:
     """a b a^-1."""
-    if isinstance(a, Permutation):
-        return a.after(b).after(a.inverse())
-    return a * b * a.inverse()
+    return a.after(b).after(a.inverse())
+
+
+def _encoded(tup: GroupTuple) -> list:
+    """The entries as the action takes them: words encoded, permutations as they are."""
+    if tup.context.kind == PERMUTATION:
+        return list(tup.entries)
+    return [_encode(e.letters) for e in tup.entries]
+
+
+def _act_on(tup: GroupTuple, w: ArtinWord) -> list:
+    """The entries of tup acted on by w, in the form `_encoded` gives them."""
+    if w.n != tup.context.n:
+        raise ValueError("braid word and tuple live on different strand counts")
+    entries = _encoded(tup)
+    if tup.context.kind != PERMUTATION:
+        neg = _WORDS[tup.context.kind][1]
+        return _act(entries, w.letters, MAX_IMAGE_LETTERS, neg)
+    for k, sign in w.letters:
+        a, b = entries[k - 1], entries[k]
+        if sign > 0:
+            entries[k - 1], entries[k] = _conjugate(a, b), a
+        else:
+            entries[k - 1], entries[k] = b, _conjugate(b.inverse(), a)
+    return entries
+
+
+def hurwitz_apply(tup: GroupTuple, w: ArtinWord) -> GroupTuple:
+    """Apply a braid word letter by letter; a right action on tuples."""
+    entries = _act_on(tup, w)
+    if tup.context.kind != PERMUTATION:
+        word_type = _WORDS[tup.context.kind][0]
+        entries = [word_type(_decode(x)) for x in entries]
+    return GroupTuple(tup.context, tuple(entries))
 
 
 def hurwitz_step(tup: GroupTuple, j: int, sign: int) -> GroupTuple:
@@ -106,26 +138,24 @@ def hurwitz_step(tup: GroupTuple, j: int, sign: int) -> GroupTuple:
     n = tup.context.n
     if not 1 <= j <= n - 1:
         raise IndexError(f"position {j} outside 1..{n - 1}")
-    entries = list(tup.entries)
-    a, b = entries[j - 1], entries[j]
-    if sign > 0:
-        entries[j - 1] = _conjugate(a, b)
-        entries[j] = a
-    else:
-        entries[j - 1] = b
-        entries[j] = _conjugate(b.inverse(), a)
-    return GroupTuple(tup.context, tuple(entries))
-
-
-def hurwitz_apply(tup: GroupTuple, w: ArtinWord) -> GroupTuple:
-    """Apply a braid word letter by letter; a right action on tuples."""
-    if w.n != tup.context.n:
-        raise ValueError("braid word and tuple live on different strand counts")
-    for k, sign in w.letters:
-        tup = hurwitz_step(tup, k, sign)
-    return tup
+    return hurwitz_apply(tup, ArtinWord(n, ((j, sign),)))
 
 
 def stabilizes(tup: GroupTuple, w: ArtinWord) -> bool:
     """Whether the tuple returns to itself entrywise under the word."""
-    return hurwitz_apply(tup, w).entries == tup.entries
+    return _act_on(tup, w) == _encoded(tup)
+
+
+def render_action(tup: GroupTuple, w: ArtinWord) -> tuple[list[str], bool]:
+    """The entries of tup acted on by w as text, and whether w stabilizes tup.
+
+    A word is its tokens (t2', s3) joined by spaces, or 1 when it is empty,
+    rendered from its encoding, so an entry of millions of letters never
+    becomes a tuple of integers.  A permutation is its cycle string.
+    """
+    entries = _act_on(tup, w)
+    fixed = entries == _encoded(tup)
+    if tup.context.kind == PERMUTATION:
+        return [p.cycle_string() for p in entries], fixed
+    tokens = _WORDS[tup.context.kind][2]
+    return [_format(x, tokens) for x in entries], fixed

@@ -160,3 +160,39 @@ def referee_braid_equal(n: int, u_letters, v_letters) -> bool:
         referee_free_image(u_letters, i) == referee_free_image(v_letters, i)
         for i in range(1, n + 1)
     )
+
+
+def reduce_word(word, involutive: bool = False) -> list[int]:
+    """Cancel adjacent inverse letters on a stack.
+
+    Free letters are signed (-i inverts i); involutive letters are their
+    own inverses.
+    """
+    out: list[int] = []
+    for y in word:
+        if out and out[-1] == (y if involutive else -y):
+            out.pop()
+        else:
+            out.append(y)
+    return out
+
+
+def referee_hurwitz(entries, letters, involutive: bool = False) -> list[tuple[int, ...]]:
+    """The right Hurwitz action of a braid word on a tuple of words, letter by letter.
+
+    sigma_k replaces the entries (a, b) at positions k, k+1 by
+    (a b a^-1, a), and sigma_k^-1 by (b, b^-1 a b); entries are plain
+    lists, each product reduced on a stack.
+    """
+
+    def inverse(a):
+        return [y if involutive else -y for y in reversed(a)]
+
+    tup = [list(e) for e in entries]
+    for k, sign in letters:
+        a, b = tup[k - 1], tup[k]
+        if sign > 0:
+            tup[k - 1], tup[k] = reduce_word(a + b + inverse(a), involutive), a
+        else:
+            tup[k - 1], tup[k] = b, reduce_word(inverse(b) + a + b, involutive)
+    return [tuple(e) for e in tup]

@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bandgroup.braid import (
+    _NEG,
+    _SELF,
     MAX_IMAGE_LETTERS,
     MAX_WORD_LETTERS,
     ArtinWord,
     FreeWord,
     ImageLimitError,
     Permutation,
+    _decode,
+    _encode,
     _free_images,
+    _inverse,
+    _mul,
     artin_action_on_free,
     band_to_artin,
     braid_equal,
@@ -29,7 +35,9 @@ import test_acceptance as acceptance
 from oracles import (
     compose_maps,
     referee_braid_equal,
+    reduce_word,
     referee_free_image,
+    substitute_artin_letter,
     transposition_map,
 )
 
@@ -69,41 +77,46 @@ class TestBandToArtin:
 
 class TestFreeAction:
     def test_single_generator(self):
-        endo = artin_action_on_free(word(2, (1, 1)))
-        assert endo.images[0].letters == (1, 2, -1)
-        assert endo.images[1].letters == (1,)
+        images = artin_action_on_free(word(2, (1, 1)))
+        assert images[0].letters == (1, 2, -1)
+        assert images[1].letters == (1,)
 
     def test_empty_word_is_identity(self):
-        endo = artin_action_on_free(ArtinWord.identity(4))
-        assert [w.letters for w in endo.images] == [(1,), (2,), (3,), (4,)]
+        images = artin_action_on_free(ArtinWord.identity(4))
+        assert [w.letters for w in images] == [(1,), (2,), (3,), (4,)]
 
     def test_two_step_substitution(self):
-        # independent oracle: compose the one-letter endomorphism with itself
-        one = artin_action_on_free(word(2, (1, 1)))
-        expected = one.compose(one)
-        direct = artin_action_on_free(word(2, (1, 1), (1, 1)))
-        assert direct == expected
-        assert direct.images[0].letters == (1, 2, 1, -2, -1)
-        assert direct.images[1].letters == (1, 2, -1)
+        # independent oracle: substitute the one-letter rules twice, letter by letter
+        w = word(2, (1, 1), (1, 1))
+        direct = artin_action_on_free(w)
+        referee = [referee_free_image(w.letters, i) for i in (1, 2)]
+        assert [img.letters for img in direct] == referee
+        assert direct[0].letters == (1, 2, 1, -2, -1)
+        assert direct[1].letters == (1, 2, -1)
 
     def test_inverse_word_gives_identity_endo(self):
+        # the referee's substitution of w^-1 undoes the kernel's image under w
         rng = random.Random(3)
         for _ in range(30):
             n = rng.randint(2, 5)
             w = random_word(rng, n, 10)
-            round_trip = artin_action_on_free(w).compose(
-                artin_action_on_free(w.inverse())
-            )
-            assert round_trip == artin_action_on_free(ArtinWord.identity(n))
+            for i, image in enumerate(artin_action_on_free(w), start=1):
+                round_trip = list(image.letters)
+                for k, sign in w.inverse().letters:
+                    round_trip = substitute_artin_letter(round_trip, k, sign)
+                assert round_trip == [i]
+            assert [img.letters for img in artin_action_on_free(w * w.inverse())] == [
+                (i,) for i in range(1, n + 1)
+            ]
 
     def test_free_image_matches_full_endo(self):
         rng = random.Random(4)
         for _ in range(20):
             n = rng.randint(2, 5)
             w = random_word(rng, n, 12)
-            endo = artin_action_on_free(w)
+            images = artin_action_on_free(w)
             for i in range(1, n + 1):
-                assert free_image(w, i) == endo.images[i - 1]
+                assert free_image(w, i) == images[i - 1]
 
 
 class TestBraidEqual:
@@ -164,9 +177,9 @@ class TestKernelAgainstReferee:
         for n in range(2, 8):
             for _ in range(25):
                 w = random_word(rng, n, 40)
-                endo = artin_action_on_free(w)
+                images = artin_action_on_free(w)
                 for i in range(1, n + 1):
-                    assert endo.images[i - 1].letters == referee_free_image(w.letters, i)
+                    assert images[i - 1].letters == referee_free_image(w.letters, i)
 
     def test_equal_pairs_agree(self):
         rng = random.Random(12)
@@ -400,12 +413,28 @@ class TestSyntax:
             w = random_word(rng, n, 15)
             assert parse_braid_word(format_braid_word(w), n).letters == w.letters
 
-    @given(st.lists(st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0), max_size=30))
-    def test_free_word_always_reduced(self, letters):
-        w = FreeWord.from_letters(letters)
+    @given(
+        st.lists(st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0), max_size=30),
+        st.lists(st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0), max_size=30),
+    )
+    def test_free_word_always_reduced(self, letters, more):
+        w, v = FreeWord.from_letters(letters), FreeWord.from_letters(more)
         assert all(a != -b for a, b in zip(w.letters, w.letters[1:]))
-        assert (w * w.inverse()).is_identity()
+        x, y = _encode(w.letters), _encode(v.letters)
+        assert _mul(x, _inverse(x, _NEG), _NEG) == b""
+        assert _decode(_mul(x, y, _NEG)) == FreeWord.from_letters(letters + more).letters
+        # the same products over involutive letters, each its own inverse
+        cw = reduce_word(map(abs, letters), involutive=True)
+        cv = reduce_word(map(abs, more), involutive=True)
+        cx, cy = _encode(tuple(cw)), _encode(tuple(cv))
+        assert _mul(cx, _inverse(cx, _SELF), _SELF) == b""
+        assert list(_decode(_mul(cx, cy, _SELF))) == reduce_word(cw + cv, involutive=True)
 
     def test_parse_free_word(self):
         assert parse_free_word("t1 t2' t1^2").letters == (1, -2, 1, 1)
-        assert parse_free_word("t1 t1'").is_identity()
+        assert parse_free_word("t1 t1'").letters == ()
+
+    def test_free_word_length_is_bounded_before_building(self):
+        for bad in (f"t1^{MAX_IMAGE_LETTERS + 1}", f"t1 t2'^-{MAX_IMAGE_LETTERS}", "t1^1000000000"):
+            with pytest.raises(ValueError, match=f"at most {MAX_IMAGE_LETTERS} letters"):
+                parse_free_word(bad)

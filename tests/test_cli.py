@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandgroup.braid import MAX_WORD_LETTERS
+from bandgroup.braid import MAX_IMAGE_LETTERS, MAX_STRANDS, MAX_WORD_LETTERS
 from bandgroup.cli import main
 from bandgroup.coxeter import CoxeterDatum, Partition
 from bandgroup.raag import MAX_SCAN_EXPRESSIONS
@@ -206,6 +206,54 @@ class TestHurwitz:
     def test_tuple_required_for_free(self):
         assert main(["hurwitz", "--context", "free", "--word", "s1"]) == 2
 
+    def _run(self, tmp_path, context, entries, word):
+        tup = tmp_path / "t.json"
+        tup.write_text(json.dumps(entries))
+        return main(["hurwitz", "--context", context, "--tuple", str(tup), "--word", word])
+
+    def _usage_error(self, capsys, phrase):
+        err = capsys.readouterr().err
+        assert phrase in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("context, entries", [
+        ("free", ["t1", "t2", "t3"]), ("coxeter", ["s1", "s2", "s3"]),
+    ])
+    def test_growing_entries_are_refused(self, tmp_path, capsys, context, entries):
+        # each s1 s2' multiplies the entries' length by about 2.6
+        assert self._run(tmp_path, context, entries, " ".join(["s1 s2'"] * 20)) == 2
+        self._usage_error(capsys, f"exceeds {MAX_IMAGE_LETTERS} letters")
+        assert self._run(tmp_path, context, entries, " ".join(["s1 s2'"] * 8)) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("moved\n") and len(out) > 10_000
+
+    @pytest.mark.parametrize("context, entry", [("free", "t200"), ("coxeter", "s200")])
+    def test_letter_index_past_the_encoding(self, tmp_path, capsys, context, entry):
+        assert self._run(tmp_path, context, [entry, entry], "s1") == 2
+        self._usage_error(capsys, f"above {MAX_STRANDS}")
+
+    @pytest.mark.parametrize("context", ["free", "coxeter", "perm"])
+    def test_non_string_entry_is_named(self, tmp_path, capsys, context):
+        if context == "perm":
+            ctx = tmp_path / "ctx.json"
+            ctx.write_text(json.dumps({"degree": 3, "images": ["(1 2)", "(2 3)", "()"]}))
+            context = f"perm:{ctx}"
+        assert self._run(tmp_path, context, [5, "t2", "t3"], "s1") == 2
+        self._usage_error(capsys, "tuple entry 1 must be a string, got 5")
+
+    @pytest.mark.parametrize("realization", [
+        [1, 2],
+        {"degree": [3], "images": ["(1 2)"]},
+        {"degree": 3, "images": 5},
+        {"degree": 3, "images": ["(1 2)"], "involutive": "yes"},
+        {"images": ["(1 2)"]},
+    ])
+    def test_malformed_realization(self, tmp_path, capsys, realization):
+        ctx = tmp_path / "ctx.json"
+        ctx.write_text(json.dumps(realization))
+        assert main(["hurwitz", "--context", f"perm:{ctx}", "--word", "s1"]) == 2
+        self._usage_error(capsys, "realization file")
+
 
 class TestFactorize:
     def test_report(self, capsys):
@@ -271,6 +319,14 @@ class TestExport:
                      "-o", str(dest)]) == 0
         assert dest.read_text().startswith("generators:")
 
+    @pytest.mark.parametrize("family, flag", [
+        ("thm1", "--matrix"), ("sec4", "--matrix"), ("thm2", "--partition"),
+    ])
+    def test_missing_input_is_named(self, capsys, family, flag):
+        assert main(["export", "--family", family]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: export {family} needs {flag}"
+
 
 class TestUsage:
     def test_no_command(self):
@@ -333,10 +389,29 @@ _VERIFY_FILES = {
 }
 
 
+_ENTRY = st.sampled_from(
+    ["t1", "t2'", "t1^2 t3", "t1 t1'", "", "t200", "t1^-2", "s1", "s2 s3", "s1 s1",
+     "s200", "s0", "(1 2)", "()", "(1 2 3)", "q"]
+) | st.integers(-2, 3) | st.none()
+
+
+@st.composite
+def _realization_text(draw):
+    images = st.lists(st.sampled_from(["(1 2)", "(2 3)", "(1 2 3)", "()", "(1 5)", "x"]),
+                      max_size=3)
+    payload = {
+        "degree": draw(st.sampled_from([3, 3, 4, 1, 0, -1, "3", [3], True])),
+        "images": draw(images | st.sampled_from([5, "(1 2)", None])),
+    }
+    if draw(st.booleans()):
+        payload["involutive"] = draw(st.sampled_from([True, False, "yes", 1]))
+    return json.dumps(draw(st.sampled_from([payload] * 3 + [[1, 2], payload["images"]])))
+
+
 @st.composite
 def _argv(draw):
-    """argv for verify, scan, eq or perm, and the text of each file it names."""
-    command = draw(st.sampled_from(["verify", "scan", "eq", "perm"]))
+    """argv for verify, scan, eq, perm, hurwitz or export, and the text of each file it names."""
+    command = draw(st.sampled_from(["verify", "scan", "eq", "perm", "hurwitz", "export"]))
     argv = ["--json"] if draw(st.booleans()) else []
     files = {}
     if command == "verify":
@@ -352,11 +427,41 @@ def _argv(draw):
         files["matrix"] = draw(_matrix_text() | _MALFORMED)
         argv += ["scan", "inject", "--matrix", "matrix",
                  "--max-len", draw(_SMALL_INT), "--max-exp", draw(_SMALL_INT)]
+    elif command == "hurwitz":
+        context = draw(st.sampled_from(["free", "coxeter", "perm", "cyclic"]))
+        if context == "perm":
+            files["realization"] = draw(_realization_text() | _MALFORMED)
+            context = "perm:realization"
+        argv += ["hurwitz", "--context", context]
+        if context in ("free", "coxeter") or draw(st.booleans()):
+            generators = [f"{context[0]}{i}" for i in (1, 2, 3)]
+            entries = st.just(generators) | st.lists(_ENTRY, min_size=1, max_size=4)
+            files["tuple"] = draw(entries.map(json.dumps) | _MALFORMED)
+            argv += ["--tuple", "tuple"]
+        # the entries grow about 2.6 times with each s1 s2'
+        k = draw(st.sampled_from([0, 1, 3, 8, 13, 17, 20]))
+        argv += ["--word", " ".join(["s1 s2'"] * k) if draw(st.booleans()) else draw(_WORD)]
+    elif command == "export":
+        family = draw(st.sampled_from(["thm1", "thm2", "sec4"]))
+        argv += ["export", "--family", family]
+        for flag in sorted(draw(st.sets(st.sampled_from(["matrix", "partition"]), max_size=2))):
+            valid = _matrix_text() if flag == "matrix" else _partition_text()
+            files[flag] = draw(valid | _MALFORMED)
+            argv += [f"--{flag}", flag]
+        if draw(st.booleans()):
+            argv += ["--format", "gap-style"]
     else:
         words = [draw(_WORD) for _ in range(2 if command == "eq" else 1)]
         n = draw(st.integers(2, 5).map(str) | st.sampled_from(["-1", "0", "200", "x"]))
         argv += [command, *words, "--n", n]
     return argv, files
+
+
+def _placed(arg, tmp, files):
+    """arg with a file name, alone or after "perm:", made a path in tmp."""
+    prefix = "perm:" if arg.startswith("perm:") else ""
+    name = arg[len(prefix):]
+    return prefix + str(Path(tmp, name)) if name in files else arg
 
 
 class TestExitContract:
@@ -366,7 +471,7 @@ class TestExitContract:
         argv, files = case
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
-            argv = [str(Path(tmp, a)) if a in files else a for a in argv]
+            argv = [_placed(a, tmp, files) for a in argv]
             for name, text in files.items():
                 Path(tmp, name).write_text(text)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -3,12 +3,19 @@ import random
 
 import pytest
 
-from bandgroup.braid import ArtinWord, Permutation, band_to_artin
+from bandgroup.braid import (
+    MAX_STRANDS,
+    ArtinWord,
+    FreeWord,
+    ImageLimitError,
+    Permutation,
+    band_to_artin,
+)
 from bandgroup.coxeter import BandPair, CoxeterDatum, partition_to_matrix, set_partitions
 from bandgroup.coxword import CoxWord, apply_artin_to_cox, band_power_letter_action
 from bandgroup.hurwitz import GroupContext, GroupTuple, hurwitz_apply, hurwitz_step, stabilizes
 
-from oracles import compose_maps, transposition_map
+from oracles import compose_maps, reduce_word, referee_hurwitz, transposition_map
 
 
 def cox_tuple(n):
@@ -122,6 +129,67 @@ class TestApply:
                 lhs = ArtinWord(n, ((j, 1), (j + 1, 1), (j, 1)))
                 rhs = ArtinWord(n, ((j + 1, 1), (j, 1), (j + 1, 1)))
                 assert hurwitz_apply(tup, lhs) == hurwitz_apply(tup, rhs)
+
+
+class TestKernelAgainstReferee:
+    """Free and Coxeter entries on the word kernel against the letterwise referee."""
+
+    def test_seeded_tuples(self):
+        rng = random.Random(5)
+        for trial in range(600):
+            involutive = trial % 2 == 1
+            n = rng.randint(2, 6)
+            entries = []
+            for _ in range(n):
+                raw = [rng.randint(1, n + 1) for _ in range(rng.randint(0, 12))]
+                if not involutive:
+                    raw = [rng.choice((1, -1)) * x for x in raw]
+                entries.append(tuple(reduce_word(raw, involutive)))
+            ctx = GroupContext.coxeter(n) if involutive else GroupContext.free(n)
+            word_type = CoxWord if involutive else FreeWord
+            tup = GroupTuple(ctx, tuple(word_type(e) for e in entries))
+            w = random_word(rng, n, 12)
+            got = [e.letters for e in hurwitz_apply(tup, w).entries]
+            assert got == referee_hurwitz(entries, w.letters, involutive)
+            assert stabilizes(tup, w) == (got == entries)
+
+    def test_trivial_and_non_involutive_entries(self):
+        w = ArtinWord(3, ((1, 1), (2, -1), (1, -1), (2, 1), (1, 1)))
+        for ctx, entries in [
+            (GroupContext.free(3), (FreeWord(()), FreeWord((1, 2, -1)), FreeWord((-3,)))),
+            (GroupContext.coxeter(3), (CoxWord(()), CoxWord((1, 2)), CoxWord((2, 3, 1)))),
+        ]:
+            involutive = ctx.kind == "coxeter"
+            got = hurwitz_apply(GroupTuple(ctx, entries), w)
+            assert [e.letters for e in got.entries] == referee_hurwitz(
+                [e.letters for e in entries], w.letters, involutive
+            )
+
+    def test_entry_limits(self, monkeypatch):
+        for ctx, big in [
+            (GroupContext.free(2), FreeWord((MAX_STRANDS + 1,))),
+            (GroupContext.coxeter(2), CoxWord((MAX_STRANDS + 1,))),
+        ]:
+            tup = GroupTuple(ctx, (big, big))
+            with pytest.raises(ValueError, match=f"above {MAX_STRANDS}"):
+                hurwitz_apply(tup, ArtinWord(2, ((1, 1),)))
+        # (s1 s2')^k makes entries grow exponentially with k
+        w = ArtinWord(3, ((1, 1), (2, -1)) * 8)
+        for ctx in (GroupContext.free(3), GroupContext.coxeter(3)):
+            involutive = ctx.kind == "coxeter"
+            start = [(1,), (2,), (3,)]
+            longest = max(
+                len(e)
+                for j in range(len(w.letters) + 1)
+                for e in referee_hurwitz(start, w.letters[:j], involutive)
+            )
+            monkeypatch.setattr("bandgroup.hurwitz.MAX_IMAGE_LETTERS", longest)
+            assert not stabilizes(ctx.defining_tuple(), w)
+            monkeypatch.setattr("bandgroup.hurwitz.MAX_IMAGE_LETTERS", longest - 1)
+            with pytest.raises(ImageLimitError, match=f"exceeds {longest - 1} letters"):
+                hurwitz_apply(ctx.defining_tuple(), w)
+            with pytest.raises(ImageLimitError, match=f"exceeds {longest - 1} letters"):
+                stabilizes(ctx.defining_tuple(), w)
 
 
 class TestBandPowerLetterAction:
