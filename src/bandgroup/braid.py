@@ -14,16 +14,22 @@ products of images already built, and letters cancel only where two
 factors meet.  That rebuild is the Hurwitz move (a, b) -> (a b a^-1, a),
 and one kernel, `_act`, runs it for the free action here, for the Hurwitz
 action on tuples of free or universal Coxeter words, and for the Coxeter
-action of `coxword`.  Inside it a reduced word is a `bytes` object, letter
-i as the byte 128 + i and its inverse as 128 - i for free words, or as
-itself for Coxeter words, so concatenation, slicing and inversion run in C
-and letter indices, hence strands, are limited to 127.  At the API
+action of `coxword`.  Since the images are built from the back, words
+that end alike share them: `BraidDecider` takes words as tuples of blocks
+(the expansions of band-letter powers, say) and keeps the images of every
+proper block suffix it builds, for as long as it lives; `braid_equal` is
+the same routine on one-block words.  Inside the kernel a reduced word is
+a `bytes` object, letter i as the byte 128 + i and its inverse as 128 - i
+for free words, or as itself for Coxeter words, so concatenation, slicing
+and inversion run in C and letter indices, hence strands, are limited to
+127.  At the API
 boundary free words are `FreeWord`s, tuples of signed integers (+i for
 t_i, -i for its inverse), always freely reduced.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -69,24 +75,33 @@ class ArtinWord:
         return len(self.letters)
 
 
-def band_to_artin(tau: BandPair, n: int) -> ArtinWord:
-    """Expand the band on strands (i, j) into Artin generators.
+def band_power(tau: BandPair, e: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The Artin letters of the band on tau raised to e, in closed form.
 
-    The band is the conjugate sigma_{j-1} ... sigma_{i+1} sigma_i
-    sigma_{i+1}' ... sigma_{j-1}', taking strand i over the intermediate
-    strands.  The choice of conjugating side is pinned down by the relation
-    test suite: with this convention every defining relation of the band
-    presentation holds.
+    The band is the conjugate c sigma_i c^-1 with c = sigma_{j-1} ...
+    sigma_{i+1}, taking strand i over the intermediate strands; its power
+    is c sigma_i^(+-1) c^-1 written out |e| times.  The choice of
+    conjugating side is pinned down by the relation test suite: with this
+    convention every defining relation of the band presentation holds.
 
-    >>> [k * s for k, s in band_to_artin(BandPair(1, 4), 4).letters]
-    [3, 2, 1, -2, -3]
+    >>> [k * s for k, s in band_power(BandPair(1, 4), -1, 4)]
+    [3, 2, -1, -2, -3]
     """
     i, j = tau.i, tau.j
     if j > n:
         raise ValueError(f"band {tau} does not fit on {n} strands")
-    letters = [(t, 1) for t in range(j - 1, i - 1, -1)]
-    letters += [(t, -1) for t in range(i + 1, j)]
-    return ArtinWord(n, tuple(letters))
+    c = tuple((t, 1) for t in range(j - 1, i, -1))
+    c_inv = tuple((t, -1) for t in range(i + 1, j))
+    return (c + ((i, 1 if e >= 0 else -1),) + c_inv) * abs(e)
+
+
+def band_to_artin(tau: BandPair, n: int) -> ArtinWord:
+    """The band on strands (i, j) as a word in the Artin generators.
+
+    >>> [k * s for k, s in band_to_artin(BandPair(1, 4), 4).letters]
+    [3, 2, 1, -2, -3]
+    """
+    return ArtinWord(n, band_power(tau, 1, n))
 
 
 # -- free words ---------------------------------------------------------------
@@ -223,6 +238,10 @@ def _act(words: list[bytes], letters, limit: int, neg: bytes) -> list[bytes]:
     return words
 
 
+def _generators(n: int) -> list[bytes]:
+    return [bytes((128 + i,)) for i in range(1, n + 1)]
+
+
 def _free_images(w: ArtinWord, limit: int) -> list[bytes]:
     """Images of t_1 .. t_n under the right action of w, as encoded words.
 
@@ -236,8 +255,7 @@ def _free_images(w: ArtinWord, limit: int) -> list[bytes]:
     [(1, 3, -1), (1,), (-3, 2, 3)]
     """
     _check_strands(w.n)
-    images = [bytes((128 + i,)) for i in range(1, w.n + 1)]
-    return _act(images, reversed(w.letters), limit, _NEG)
+    return _act(_generators(w.n), reversed(w.letters), limit, _NEG)
 
 
 def free_image(w: ArtinWord, i: int) -> FreeWord:
@@ -252,25 +270,71 @@ def artin_action_on_free(w: ArtinWord) -> tuple[FreeWord, ...]:
     return tuple(FreeWord(_decode(img)) for img in _free_images(w, MAX_IMAGE_LETTERS))
 
 
+class BraidDecider:
+    """Exact equality in the braid group on n strands, for words in blocks.
+
+    A word is a tuple of blocks, each a tuple of Artin letters, such as the
+    expansions of its band-letter powers.  The decider keeps the free
+    images of every proper suffix of blocks it builds, so words that end in
+    the same blocks share that work.  It holds on to them as long as it
+    lives: make one per verification call and let it go with the call.
+    """
+
+    def __init__(self, n: int):
+        _check_strands(n)
+        self.n = n
+        # proper block suffix -> images of t_1 .. t_n under its action
+        self._images: dict[tuple, list[bytes]] = {(): _generators(n)}
+
+    def permutation(self, word: tuple) -> list[int]:
+        """The images of 1 .. n under the permutation of a word in blocks."""
+        return _permutation_list(self.n, itertools.chain.from_iterable(word))
+
+    def equal(self, u: tuple, v: tuple) -> bool:
+        """Whether two words in blocks are the same braid.
+
+        Equal words settle it first and unequal permutations next, as a
+        cheap filter.  Then the induced free-group endomorphisms are
+        compared; the action is faithful, so agreement of all generator
+        images settles equality.  When an image outgrows _HANDOVER_LETTERS,
+        the left normal forms decide.
+        """
+        if u == v:
+            return True
+        if self.permutation(u) != self.permutation(v):
+            return False
+        try:
+            return self._images_of(u) == self._images_of(v)
+        except ImageLimitError:
+            return left_normal_form(self._artin(u)) == left_normal_form(self._artin(v))
+
+    def _artin(self, word: tuple) -> ArtinWord:
+        return ArtinWord(self.n, tuple(itertools.chain.from_iterable(word)))
+
+    def _images_of(self, word: tuple) -> list[bytes]:
+        """The images of the word's action, built on its longest known suffix."""
+        images = self._images
+        k = 0
+        while word[k:] not in images:
+            k += 1
+        out = images[word[k:]]
+        for k in range(k - 1, -1, -1):
+            out = _act(list(out), reversed(word[k]), _HANDOVER_LETTERS, _NEG)
+            # Whole words are kept out: one is seldom a later word's
+            # suffix, and the memo then grows only with what words share.
+            if k:
+                images[word[k:]] = out
+        return out
+
+
 def braid_equal(u: ArtinWord, v: ArtinWord) -> bool:
     """Exact equality in the braid group on u.n strands.
 
-    The underlying permutations are compared first as a cheap filter.
-    Then the induced free-group endomorphisms are compared; the action is
-    faithful, so agreement of all generator images settles equality.  When
-    an image outgrows _HANDOVER_LETTERS, the left normal forms decide.
+    This is `BraidDecider.equal` on one-block words, with nothing kept.
     """
     if u.n != v.n:
         raise ValueError("cannot compare words on different strand counts")
-    _check_strands(u.n)
-    if u.letters == v.letters:
-        return True
-    if _permutation_list(u) != _permutation_list(v):
-        return False
-    try:
-        return _free_images(u, _HANDOVER_LETTERS) == _free_images(v, _HANDOVER_LETTERS)
-    except ImageLimitError:
-        return left_normal_form(u) == left_normal_form(v)
+    return BraidDecider(u.n).equal((u.letters,), (v.letters,))
 
 
 # -- the Garside normal form --------------------------------------------------
@@ -558,9 +622,9 @@ class Permutation:
         return Permutation.from_cycles(degree, cycles)
 
 
-def _permutation_list(w: ArtinWord) -> list[int]:
-    images = list(range(1, w.n + 1))
-    for k, _ in w.letters:
+def _permutation_list(n: int, letters) -> list[int]:
+    images = list(range(1, n + 1))
+    for k, _ in letters:
         images[k - 1], images[k] = images[k], images[k - 1]
     return images
 
@@ -572,7 +636,7 @@ def permutation_image(w: ArtinWord) -> Permutation:
     composed functionally with later letters innermost, so the image of a
     concatenation is the composition of the images.
     """
-    return Permutation(tuple(_permutation_list(w)))
+    return Permutation(tuple(_permutation_list(w.n, w.letters)))
 
 
 # -- textual syntax -----------------------------------------------------------
@@ -595,6 +659,8 @@ def parse_braid_word(text: str, n: int) -> ArtinWord:
     square of the inverse band on strands 1 and 3.  A word of more than
     MAX_WORD_LETTERS letters is refused before any of it is built.
     """
+    if n < 1:
+        raise ValueError(f"a braid needs at least 1 strand, got {n}")
     letters: list[tuple[int, int]] = []
     for token in text.split():
         m = _TOKEN.match(token)
@@ -602,6 +668,8 @@ def parse_braid_word(text: str, n: int) -> ArtinWord:
             raise ValueError(f"cannot parse braid token {token!r}")
         s_idx, band_i, band_j, prime, power = m.groups()
         e = int(power) if power is not None else 1
+        if prime:
+            e = -e
         if s_idx is None:
             band = BandPair(int(band_i), int(band_j))
             size = 2 * (band.j - band.i) - 1
@@ -609,10 +677,10 @@ def parse_braid_word(text: str, n: int) -> ArtinWord:
             size = 1
         if len(letters) + size * abs(e) > MAX_WORD_LETTERS:
             raise ValueError(f"a braid word may have at most {MAX_WORD_LETTERS} letters")
-        atom = band_to_artin(band, n) if s_idx is None else ArtinWord.generator(n, int(s_idx))
-        if prime:
-            atom = atom.inverse()
-        letters += (atom**e).letters
+        if s_idx is None:
+            letters += band_power(band, e, n)
+        else:
+            letters += ArtinWord.generator(n, int(s_idx), 1 if e >= 0 else -1).letters * abs(e)
     return ArtinWord(n, tuple(letters))
 
 

@@ -59,6 +59,18 @@ from .raag import injectivity_scan
 from .report import RunReport, render_reports_json
 
 
+# The largest degree of a permutation realization.  Each letter of a
+# Hurwitz word conjugates permutations of this degree, so a word at the
+# parser's MAX_WORD_LETTERS cap on a realization of this degree takes about
+# 4 s on a 2-core machine (figures in CHANGES.md).
+MAX_DEGREE = 4096
+# The largest --max-len of `checkprop --random`.  The `seven` check redraws
+# every word that has a long subword, which a long word nearly always has,
+# so its cost grows with the square of --max-len: one instance at this cap
+# took at most about 1.3 s over ten seeds on 3 strands.
+MAX_RANDOM_LETTERS = 4096
+
+
 def _load_matrix(path: str) -> CoxeterDatum:
     return matrix_from_json(Path(path).read_text())
 
@@ -186,6 +198,8 @@ def _build_context(selector: str, n: int) -> GroupContext:
                 and isinstance(images, list) and all(isinstance(x, str) for x in images)):
             raise ValueError("realization file needs an integer 'degree' >= 1, a list of "
                              "strings 'images' and, optionally, a bool 'involutive'")
+        if degree > MAX_DEGREE:
+            raise ValueError(f"a realization degree may be at most {MAX_DEGREE}, got {degree}")
         perms = tuple(Permutation.parse(x, degree) for x in images)
         return GroupContext.permutations(perms, degree, involutive=involutive)
     raise ValueError(f"unknown context {selector!r}; use free, coxeter, or perm:<file>")
@@ -315,6 +329,8 @@ def cmd_checkprop(args: argparse.Namespace) -> int:
     for flag, value, least in bounds:
         if value < least:
             raise ValueError(f"--{flag} must be at least {least}, got {value}")
+    if args.max_len > MAX_RANDOM_LETTERS:
+        raise ValueError(f"--max-len must be at most {MAX_RANDOM_LETTERS}, got {args.max_len}")
     rng = random.Random(args.seed)
     report = RunReport(tag=f"checkprop {args.which} random={args.random} seed={args.seed}")
     produced = 0

@@ -19,7 +19,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .braid import ArtinWord, band_to_artin, braid_equal, permutation_image
+from .braid import ArtinWord, BraidDecider, band_power
 from .coxeter import (
     BandPair,
     CoxeterDatum,
@@ -54,15 +54,55 @@ def format_letter_word(word: Word) -> str:
     return " ".join(f"b{p}" if e == 1 else f"b{p}^{e}" for p, e in word)
 
 
+def _expand_letter(letter: Letter, matrix: CoxeterDatum) -> tuple[tuple[int, int], ...]:
+    """The Artin letters of (tau, e): the band on tau raised to e * m_tau."""
+    pair, e = letter
+    m = matrix.entry(pair)
+    if m == 0:
+        raise ValueError(f"letter base {pair} has zero matrix entry")
+    return band_power(pair, e * m, matrix.n)
+
+
 def expand_letter_word(word: Word, matrix: CoxeterDatum) -> ArtinWord:
     """Expand every letter (tau, e) to the band on tau raised to e * m_tau."""
-    letters: list[tuple[int, int]] = []
-    for pair, e in word:
-        m = matrix.entry(pair)
-        if m == 0:
-            raise ValueError(f"letter base {pair} has zero matrix entry")
-        letters += (band_to_artin(pair, matrix.n) ** (e * m)).letters
-    return ArtinWord(matrix.n, tuple(letters))
+    return ArtinWord(
+        matrix.n, tuple(itertools.chain.from_iterable(_expand_letter(x, matrix) for x in word))
+    )
+
+
+class _Expansions(dict):
+    """Band letter -> its Artin letters over one matrix, each expanded once."""
+
+    def __init__(self, matrix: CoxeterDatum):
+        super().__init__()
+        self.matrix = matrix
+
+    def __missing__(self, letter: Letter) -> tuple[tuple[int, int], ...]:
+        block = self[letter] = _expand_letter(letter, self.matrix)
+        return block
+
+
+class BandWordDecider:
+    """Exact equality of words in band letters over one matrix, for one call.
+
+    Each letter is expanded once, and words are decided as words in blocks,
+    one block per letter, so the free images of a common suffix of letters
+    are built once (see `BraidDecider`).  Make one per verification call.
+    """
+
+    def __init__(self, matrix: CoxeterDatum):
+        self._blocks = _Expansions(matrix)
+        self._braids = BraidDecider(matrix.n)
+
+    def _expand(self, word: Word) -> tuple:
+        return tuple(map(self._blocks.__getitem__, word))
+
+    def equal(self, u: Word, v: Word) -> bool:
+        return self._braids.equal(self._expand(u), self._expand(v))
+
+    def permutation(self, word: Word) -> list[int]:
+        """The images of 1 .. n under the permutation of the word's braid."""
+        return self._braids.permutation(self._expand(word))
 
 
 def _rel(label: str, indices: tuple[int, ...], lhs: list[Letter], rhs: list[Letter]) -> Relation:
@@ -457,17 +497,13 @@ def verify_relations(
     """Expand both sides of every relation and decide them exactly."""
     start = time.perf_counter()
     report = RunReport(tag=tag)
+    decider = BandWordDecider(matrix)
     for rel in rels:
-        lhs = expand_letter_word(rel.lhs, matrix)
-        rhs = expand_letter_word(rel.rhs, matrix)
-        report.add(
-            rel.label,
-            rel.indices,
-            braid_equal(lhs, rhs),
-            message="relation fails in the braid group",
-            lhs=format_letter_word(rel.lhs),
-            rhs=format_letter_word(rel.rhs),
-        )
+        if decider.equal(rel.lhs, rel.rhs):
+            report.add(rel.label, rel.indices, True)
+        else:
+            report.add(rel.label, rel.indices, False, "relation fails in the braid group",
+                       format_letter_word(rel.lhs), format_letter_word(rel.rhs))
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -571,27 +607,23 @@ def coset_table_check(p: Partition) -> RunReport:
     report = RunReport(tag=f"cosets {p}")
     reps = sorted(set(p.part_of(n)))
     bands = [BandPair(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
+    decider = BandWordDecider(matrix)
     for g in bands:
         for t in reps:
             t2, tail = coset_rewrite(g, t, p)
-            lhs_word: Word = ((g, 1),) + (((BandPair(t, n), 1),) if t != n else ())
-            rhs_word: Word = (((BandPair(t2, n), 1),) if t2 != n else ()) + tail
-            lhs = expand_letter_word(lhs_word, matrix)
-            rhs = expand_letter_word(rhs_word, matrix)
-            case = _coset_case(g, t, p)
-            equal = braid_equal(lhs, rhs)
-            discriminant = permutation_image(lhs)(n)
-            report.add(
-                f"case.{case}",
-                g.indices() + (t,),
-                equal and discriminant == t2,
-                message=(
-                    f"g={g} t={t}: target {t2}, permutation sends n to {discriminant}"
-                    + ("" if equal else ", braid identity fails")
-                ),
-                lhs=format_letter_word(lhs_word),
-                rhs=format_letter_word(rhs_word),
-            )
+            lhs: Word = ((g, 1),) + (((BandPair(t, n), 1),) if t != n else ())
+            rhs: Word = (((BandPair(t2, n), 1),) if t2 != n else ()) + tail
+            family = f"case.{_coset_case(g, t, p)}"
+            equal = decider.equal(lhs, rhs)
+            discriminant = decider.permutation(lhs)[n - 1]
+            if equal and discriminant == t2:
+                report.add(family, g.indices() + (t,), True)
+            else:
+                message = f"g={g} t={t}: target {t2}, permutation sends n to {discriminant}"
+                if not equal:
+                    message += ", braid identity fails"
+                report.add(family, g.indices() + (t,), False, message,
+                           format_letter_word(lhs), format_letter_word(rhs))
     report.info["cosets"] = len(reps)
     report.wall_time = time.perf_counter() - start
     return report
@@ -617,18 +649,16 @@ def block_product_check(m1: CoxeterDatum, m2: CoxeterDatum) -> RunReport:
     """Every generator from one block commutes with every one from the other."""
     start = time.perf_counter()
     combined = assemble_block_matrix(m1, m2)
-    n = combined.n
     report = RunReport(tag=f"block {m1.n}+{m2.n}")
     left = m1.band_pairs()
     right = [BandPair(tau.i + m1.n, tau.j + m1.n) for tau in m2.band_pairs()]
+    decider = BandWordDecider(combined)
     for tau in left:
         for sigma in right:
-            lhs = expand_letter_word(((tau, 1), (sigma, 1)), combined)
-            rhs = expand_letter_word(((sigma, 1), (tau, 1)), combined)
             report.add(
                 "block",
                 tau.indices() + sigma.indices(),
-                braid_equal(lhs, rhs),
+                decider.equal(((tau, 1), (sigma, 1)), ((sigma, 1), (tau, 1))),
                 message=f"cross-block letters {tau} and {sigma} do not commute",
             )
     report.info["left_generators"] = len(left)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandgroup.braid import MAX_IMAGE_LETTERS, MAX_STRANDS, MAX_WORD_LETTERS
-from bandgroup.cli import main
+from bandgroup.cli import MAX_DEGREE, MAX_RANDOM_LETTERS, main
 from bandgroup.coxeter import CoxeterDatum, Partition
 from bandgroup.raag import MAX_SCAN_EXPRESSIONS
 
@@ -71,6 +71,11 @@ class TestEq:
         assert main(["eq", "s1^1000000000", "s2", "--n", "3"]) == 2
         assert f"at most {MAX_WORD_LETTERS} letters" in capsys.readouterr().err
 
+    def test_no_strands_is_usage_error(self, capsys):
+        assert main(["eq", "", "", "--n", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: a braid needs at least 1 strand, got 0\n"
+
 
 class TestPerm:
     def test_cycle_output(self, capsys):
@@ -80,6 +85,11 @@ class TestPerm:
     def test_pure_word(self, capsys):
         assert main(["perm", "s1 s1", "--n", "3"]) == 0
         assert capsys.readouterr().out.strip() == "()"
+
+    def test_negative_strands_is_usage_error(self, capsys):
+        assert main(["perm", "", "--n", "-5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: a braid needs at least 1 strand, got -5\n"
 
 
 class TestVerify:
@@ -254,6 +264,14 @@ class TestHurwitz:
         assert main(["hurwitz", "--context", f"perm:{ctx}", "--word", "s1"]) == 2
         self._usage_error(capsys, "realization file")
 
+    def test_degree_past_the_cap_is_refused(self, tmp_path, capsys, monkeypatch):
+        # A permutation of the refused degree is never built.
+        monkeypatch.setattr("bandgroup.cli.Permutation", None)
+        ctx = tmp_path / "ctx.json"
+        ctx.write_text(json.dumps({"degree": MAX_DEGREE + 1, "images": ["()", "()"]}))
+        assert main(["hurwitz", "--context", f"perm:{ctx}", "--word", "s1"]) == 2
+        self._usage_error(capsys, f"degree may be at most {MAX_DEGREE}, got {MAX_DEGREE + 1}")
+
 
 class TestFactorize:
     def test_report(self, capsys):
@@ -303,6 +321,13 @@ class TestCheckprop:
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: {flag} must be at least")
         assert "\n" not in err
+
+    def test_max_len_past_the_cap_is_usage_error(self, capsys):
+        options = ["--random", "1", "--max-len", str(MAX_RANDOM_LETTERS + 1)]
+        assert main(["checkprop", "trans", *options]) == 2
+        err = capsys.readouterr().err
+        expected = f"--max-len must be at most {MAX_RANDOM_LETTERS}, got {MAX_RANDOM_LETTERS + 1}"
+        assert err == f"error: {expected}\n"
 
 
 class TestExport:
@@ -452,9 +477,17 @@ def _argv(draw):
             argv += ["--format", "gap-style"]
     else:
         words = [draw(_WORD) for _ in range(2 if command == "eq" else 1)]
-        n = draw(st.integers(2, 5).map(str) | st.sampled_from(["-1", "0", "200", "x"]))
+        n = draw(st.integers(-3, 5).map(str) | st.sampled_from(["200", "x"]))
         argv += [command, *words, "--n", n]
     return argv, files
+
+
+def _strands(argv):
+    """The --n of an eq or perm argv, or 1 when it has none or it is not an integer."""
+    if "--n" not in argv:
+        return 1
+    value = argv[argv.index("--n") + 1]
+    return int(value) if value.lstrip("-").isdigit() else 1
 
 
 def _placed(arg, tmp, files):
@@ -481,6 +514,8 @@ class TestExitContract:
                     code = exc.code
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        if _strands(argv) < 1:
+            assert code == 2
         if code == 1:
             text = out.getvalue()
             if "eq" in argv:

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from bandgroup.braid import ArtinWord, band_to_artin, braid_equal, permutation_image
+from bandgroup.braid import (
+    ArtinWord,
+    band_to_artin,
+    braid_equal,
+    left_normal_form,
+    permutation_image,
+)
 from bandgroup.coxeter import (
     BandPair,
     CoxeterDatum,
@@ -13,6 +19,7 @@ from bandgroup.coxeter import (
     set_partitions,
 )
 from bandgroup.present import (
+    BandWordDecider,
     Relation,
     assemble_block_matrix,
     block_product_check,
@@ -27,6 +34,8 @@ from bandgroup.present import (
     relations_thm2_rederivations,
     verify_relations,
 )
+
+from oracles import referee_braid_equal
 
 
 def bp(a, b):
@@ -160,6 +169,117 @@ class TestVerifyRelations:
                     band = band_to_artin(pair, matrix.n)
                     expected = expected * band ** (e * matrix.entry(pair))
                 assert expand_letter_word(word, matrix) == expected
+
+
+class TestBandWordDecider:
+    """One decider per matrix, its memo shared by a whole batch of pairs."""
+
+    @staticmethod
+    def _pairs(rng, matrix):
+        """Seeded (u, v, equal) band-letter pairs, many ending in a few shared suffixes."""
+        bands = matrix.band_pairs()
+
+        def letters(k):
+            return tuple((rng.choice(bands), rng.choice((1, -1))) for _ in range(k))
+
+        suffixes = [letters(rng.randint(2, 4)) for _ in range(3)] + [()]
+        yield (), (), True
+        tau = rng.choice(bands)
+        yield ((tau, 1), (tau, -1)), (), True
+        yield ((tau, 1), (tau, 1)), ((tau, 2),), True
+        for _ in range(20):
+            suffix = rng.choice(suffixes)
+            prefix = list(letters(rng.randint(0, 2)))
+            # tau^e cancelled by tau^-e: the same braid
+            other = list(prefix)
+            tau, e = rng.choice(bands), rng.choice((1, -1))
+            pos = rng.randint(0, len(other))
+            other[pos:pos] = [(tau, e), (tau, -e)]
+            yield tuple(prefix) + suffix, tuple(other) + suffix, True
+            # a band power with an even number of crossings keeps the
+            # permutation but changes the braid
+            other = list(prefix)
+            tau = rng.choice(bands)
+            e = 1 if matrix.entry(tau) % 2 == 0 else rng.choice((2, -2))
+            pos = rng.randint(0, len(other))
+            other[pos:pos] = [(tau, e)]
+            yield tuple(prefix) + suffix, tuple(other) + suffix, False
+
+    def test_seeded_pairs_match_referee(self):
+        rng = random.Random(31)
+        for n in range(2, 8):
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            matrix = CoxeterDatum.from_entries(n, {pair: rng.choice((1, 2)) for pair in pairs})
+            decider = BandWordDecider(matrix)
+            for u, v, equal in self._pairs(rng, matrix):
+                lhs, rhs = expand_letter_word(u, matrix), expand_letter_word(v, matrix)
+                assert referee_braid_equal(n, lhs.letters, rhs.letters) is equal
+                assert braid_equal(lhs, rhs) is equal
+                assert decider.equal(u, v) is equal
+                assert decider.equal(v, u) is equal
+                if not equal:
+                    assert decider.permutation(u) == decider.permutation(v)
+                for word, artin in ((u, lhs), (v, rhs)):
+                    assert decider.permutation(word) == list(permutation_image(artin).images)
+
+    def test_relations_decided_by_normal_form(self, monkeypatch):
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return left_normal_form(w)
+
+        def reports():
+            """thm2, cosets and combing on up to 5 strands."""
+            for n in range(1, 6):
+                for p in set_partitions(n):
+                    yield verify_relations(relations_thm2(p), partition_to_matrix(p))
+                    yield coset_table_check(p)
+                for p in set_partitions(n - 1) if n > 1 else ():
+                    matrix = partition_to_matrix(p.with_singleton())
+                    yield verify_relations(relations_combing(p, n), matrix)
+
+        by_images = [report.to_dict() for report in reports()]
+        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
+        monkeypatch.setattr("bandgroup.braid.left_normal_form", counted)
+        by_normal_form = list(reports())
+        assert all(report.ok for report in by_normal_form)
+        assert [report.to_dict() for report in by_normal_form] == by_images
+        assert len(calls) > 1000
+
+    def test_failures_carry_witnesses(self, monkeypatch):
+        matrix = CoxeterDatum.constant(3, 3)
+        bogus = Relation("bogus", (1, 2, 1, 3), ((bp(1, 2), 1), (bp(1, 3), 1)),
+                         ((bp(1, 3), 1), (bp(1, 2), 1)))
+        good = Relation("good", (1, 2), ((bp(1, 2), 1),), ((bp(1, 2), 2), (bp(1, 2), -1)))
+
+        def check():
+            report = verify_relations([good, bogus, good], matrix)
+            assert (report.instances, report.passes) == (3, 2)
+            [failure] = report.failures
+            assert failure.to_dict() == {
+                "family": "bogus",
+                "indices": [1, 2, 1, 3],
+                "message": "relation fails in the braid group",
+                "lhs": "b1.2 b1.3",
+                "rhs": "b1.3 b1.2",
+            }
+
+        check()
+        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
+        check()
+
+    def test_coset_failure_carries_witness(self, monkeypatch):
+        def wrong_rewrite(g, t, p):
+            # claims that b1.3 passes the representative b2.3 unchanged
+            return (t, ((g, 1),)) if (g, t) == (bp(1, 3), 2) else coset_rewrite(g, t, p)
+
+        monkeypatch.setattr("bandgroup.present.coset_rewrite", wrong_rewrite)
+        report = coset_table_check(Partition.single_block(3))
+        [failure] = report.failures
+        assert failure.indices == (1, 3, 2)
+        assert failure.message == "g=1.3 t=2: target 2, permutation sends n to 2, braid identity fails"
+        assert (failure.lhs, failure.rhs) == ("b1.3 b2.3", "b2.3 b1.3")
 
 
 class TestCombing:
