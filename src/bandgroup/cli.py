@@ -15,9 +15,12 @@ import argparse
 import json
 import random
 import sys
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 from .braid import (
+    MAX_STRANDS,
     Permutation,
     braid_equal,
     parse_braid_word,
@@ -26,7 +29,6 @@ from .braid import (
 )
 from .coxeter import (
     BandPair,
-    CoxeterDatum,
     Partition,
     ScopeError,
     _is_int,
@@ -38,7 +40,6 @@ from .coxword import (
     CoxWord,
     check_prop7,
     check_prop_trans,
-    has_long_subword,
     is_critical,
     is_long,
     jk_factorize,
@@ -62,21 +63,13 @@ from .report import RunReport, render_reports_json
 # The largest degree of a permutation realization.  Each letter of a
 # Hurwitz word conjugates permutations of this degree, so a word at the
 # parser's MAX_WORD_LETTERS cap on a realization of this degree takes about
-# 4 s on a 2-core machine (figures in CHANGES.md).
+# 1.3 s on a 2-core machine (figures in CHANGES.md).
 MAX_DEGREE = 4096
 # The largest --max-len of `checkprop --random`.  The `seven` check redraws
 # every word that has a long subword, which a long word nearly always has,
 # so its cost grows with the square of --max-len: one instance at this cap
 # took at most about 1.3 s over ten seeds on 3 strands.
 MAX_RANDOM_LETTERS = 4096
-
-
-def _load_matrix(path: str) -> CoxeterDatum:
-    return matrix_from_json(Path(path).read_text())
-
-
-def _load_partition(path: str) -> Partition:
-    return partition_from_json(Path(path).read_text())
 
 
 def _parse_band(text: str) -> BandPair:
@@ -95,64 +88,77 @@ def _emit(reports: list[RunReport], args: argparse.Namespace, command: str) -> i
     return 0 if all(r.ok for r in reports) else 1
 
 
+def _answer(args: argparse.Namespace, payload: dict, lines: Iterable[str]) -> None:
+    """Print a single answer: the JSON payload under --json, else the text lines.
+
+    The lines are printed one at a time, so a lazy iterable never holds a
+    second copy of a long Hurwitz entry.
+    """
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+
+
 # -- subcommands --------------------------------------------------------------
 
 
-# The input files each verify family reads.
-_VERIFY_INPUTS = {
-    "thm1": ("matrix",),
-    "thm2": ("partition",),
-    "combing": ("partition",),
-    "sec4": ("matrix",),
-    "cosets": ("partition",),
-    "block": ("matrix1", "matrix2"),
+def _thm2(partition: Partition):
+    matrix = partition_to_matrix(partition)
+    return relations_thm2(partition), matrix, f"thm2 {partition}"
+
+
+def _combing(p_prime: Partition):
+    n = p_prime.n + 1
+    matrix = partition_to_matrix(p_prime.with_singleton())
+    return relations_combing(p_prime, n), matrix, f"combing {p_prime}+{n}"
+
+
+# Each relation family: the input flags it reads, and a function from the
+# loaded inputs to its relations, matrix and report tag.  Every routine is
+# looked up by name when it is called, so a wrapper set on this module's
+# names (as `bench/spans.py` sets them) sees the call.
+_RELATIONS = {
+    "thm1": (("matrix",), lambda matrix: (relations_thm1(matrix), matrix, "thm1")),
+    "thm2": (("partition",), _thm2),
+    "combing": (("partition",), _combing),
+    "sec4": (("matrix",), lambda matrix: (relations_sec4(matrix), matrix, "sec4")),
 }
+# The families checked by their own routine: the flags, and the routine.
+_CHECKS = {
+    "cosets": (("partition",), lambda partition: coset_table_check(partition)),
+    "block": (("matrix1", "matrix2"), lambda m1, m2: block_product_check(m1, m2)),
+}
+_FAMILIES = {**_RELATIONS, **_CHECKS}
 
 
-def _check_inputs(args: argparse.Namespace, command: str) -> None:
-    for name in _VERIFY_INPUTS.get(args.family, ()):
-        if getattr(args, name) is None:
-            raise ValueError(f"{command} {args.family} needs --{name}")
+def _load(flag: str, path: str):
+    text = Path(path).read_text()
+    return partition_from_json(text) if flag == "partition" else matrix_from_json(text)
+
+
+def _load_inputs(args: argparse.Namespace, command: str) -> list:
+    """The inputs of args.family, loaded in the order of its flags."""
+    flags = _FAMILIES[args.family][0]
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ValueError(f"{command} {args.family} needs --{flag}")
+    return [_load(flag, getattr(args, flag)) for flag in flags]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    family = args.family
-    _check_inputs(args, "verify")
-    if family == "thm1":
-        matrix = _load_matrix(args.matrix)
-        reports = [verify_relations(relations_thm1(matrix), matrix, tag="thm1")]
-    elif family == "thm2":
-        partition = _load_partition(args.partition)
-        matrix = partition_to_matrix(partition)
-        reports = [
-            verify_relations(relations_thm2(partition), matrix, tag=f"thm2 {partition}")
-        ]
-    elif family == "combing":
-        p_prime = _load_partition(args.partition)
-        n = p_prime.n + 1
-        matrix = partition_to_matrix(p_prime.with_singleton())
-        reports = [
-            verify_relations(
-                relations_combing(p_prime, n), matrix, tag=f"combing {p_prime}+{n}"
-            )
-        ]
-    elif family == "sec4":
-        matrix = _load_matrix(args.matrix)
-        reports = [verify_relations(relations_sec4(matrix), matrix, tag="sec4")]
-    elif family == "cosets":
-        partition = _load_partition(args.partition)
-        reports = [coset_table_check(partition)]
-    elif family == "block":
-        m1 = _load_matrix(args.matrix1)
-        m2 = _load_matrix(args.matrix2)
-        reports = [block_product_check(m1, m2)]
+    inputs = _load_inputs(args, "verify")
+    if args.family in _RELATIONS:
+        relations, matrix, tag = _RELATIONS[args.family][1](*inputs)
+        report = verify_relations(relations, matrix, tag=tag)
     else:
-        raise ValueError(f"unknown verify family {family!r}")
-    return _emit(reports, args, f"verify {family}")
+        report = _CHECKS[args.family][1](*inputs)
+    return _emit([report], args, f"verify {args.family}")
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args.matrix)
+    matrix = _load("matrix", args.matrix)
     report = injectivity_scan(matrix, args.max_len, args.max_exp)
     return _emit([report], args, "scan inject")
 
@@ -161,25 +167,15 @@ def cmd_eq(args: argparse.Namespace) -> int:
     u = parse_braid_word(args.left, args.n)
     v = parse_braid_word(args.right, args.n)
     equal = braid_equal(u, v)
-    if args.json:
-        print(json.dumps({"command": "eq", "equal": equal}, sort_keys=True))
-    else:
-        print("equal" if equal else "not equal")
+    _answer(args, {"command": "eq", "equal": equal}, ["equal" if equal else "not equal"])
     return 0 if equal else 1
 
 
 def cmd_perm(args: argparse.Namespace) -> int:
     word = parse_braid_word(args.word, args.n)
     perm = permutation_image(word)
-    if args.json:
-        print(
-            json.dumps(
-                {"command": "perm", "cycles": perm.cycle_string(), "images": list(perm.images)},
-                sort_keys=True,
-            )
-        )
-    else:
-        print(perm.cycle_string())
+    cycles = perm.cycle_string()
+    _answer(args, {"command": "perm", "cycles": cycles, "images": list(perm.images)}, [cycles])
     return 0
 
 
@@ -200,6 +196,9 @@ def _build_context(selector: str, n: int) -> GroupContext:
                              "strings 'images' and, optionally, a bool 'involutive'")
         if degree > MAX_DEGREE:
             raise ValueError(f"a realization degree may be at most {MAX_DEGREE}, got {degree}")
+        if len(images) > MAX_STRANDS:
+            raise ValueError(f"a realization may have at most {MAX_STRANDS} images, "
+                             f"got {len(images)}")
         perms = tuple(Permutation.parse(x, degree) for x in images)
         return GroupContext.permutations(perms, degree, involutive=involutive)
     raise ValueError(f"unknown context {selector!r}; use free, coxeter, or perm:<file>")
@@ -234,17 +233,9 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
         tup = ctx.defining_tuple()
     word = parse_braid_word(args.word, ctx.n)
     rendered, fixed = render_action(tup, word)
-    if args.json:
-        print(
-            json.dumps(
-                {"command": "hurwitz", "result": rendered, "stabilizes": fixed},
-                sort_keys=True,
-            )
-        )
-    else:
-        for i, text in enumerate(rendered, start=1):
-            print(f"{i}: {text}")
-        print("stabilizes" if fixed else "moved")
+    lines = chain((f"{i}: {text}" for i, text in enumerate(rendered, start=1)),
+                  ["stabilizes" if fixed else "moved"])
+    _answer(args, {"command": "hurwitz", "result": rendered, "stabilizes": fixed}, lines)
     return 0
 
 
@@ -265,24 +256,15 @@ def cmd_factorize(args: argparse.Namespace) -> int:
                 "flags": flags,
             }
         )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "factorize",
-                    "j": args.j,
-                    "k": args.k,
-                    "separators": list(f.separators),
-                    "blocks": rows,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        for row in rows:
-            note = f" [{', '.join(row['flags'])}]" if row["flags"] else ""
-            print(f"w{row['block']}: {row['letters']}{note}")
-        print("separators: " + (" ".join(f"s{x}" for x in f.separators) or "-"))
+    payload = {"command": "factorize", "j": args.j, "k": args.k,
+               "separators": list(f.separators), "blocks": rows}
+    lines = [
+        f"w{row['block']}: {row['letters']}"
+        + (f" [{', '.join(row['flags'])}]" if row["flags"] else "")
+        for row in rows
+    ]
+    lines.append("separators: " + (" ".join(f"s{x}" for x in f.separators) or "-"))
+    _answer(args, payload, lines)
     return 0
 
 
@@ -305,22 +287,10 @@ def cmd_checkprop(args: argparse.Namespace) -> int:
             raise ValueError("single mode needs WORD, --band and --m")
         word = parse_cox_word(args.word)
         result = check(word, _parse_band(args.band), args.m)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "command": f"checkprop {args.which}",
-                        "status": result.status,
-                        "detail": result.detail,
-                        "failures": list(result.failures),
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(f"{result.status}: {result.detail}")
-            for failure in result.failures:
-                print(f"  {failure}")
+        payload = {"command": f"checkprop {args.which}", "status": result.status,
+                   "detail": result.detail, "failures": list(result.failures)}
+        lines = [f"{result.status}: {result.detail}", *(f"  {x}" for x in result.failures)]
+        _answer(args, payload, lines)
         if result.status == "precondition-violated":
             return 2
         return 0 if result.passed else 1
@@ -341,15 +311,10 @@ def cmd_checkprop(args: argparse.Namespace) -> int:
         j = rng.randint(i + 1, n)
         band = BandPair(i, j)
         m = rng.choice([3, 4, -3, -4])
-        if args.which == "trans":
-            f = jk_factorize(word, band.i, band.j)
-            if any(len(b) == 2 * abs(m) for b in f.blocks):
-                continue
-        else:
-            if has_long_subword(word, band.i, band.j):
-                continue
-        produced += 1
         result = check(word, band, m)
+        if result.status == "precondition-violated":
+            continue
+        produced += 1
         report.add(
             args.which,
             band.indices() + (m,),
@@ -360,18 +325,8 @@ def cmd_checkprop(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    _check_inputs(args, "export")
-    if args.family == "thm1":
-        matrix = _load_matrix(args.matrix)
-        rels = relations_thm1(matrix)
-    elif args.family == "thm2":
-        partition = _load_partition(args.partition)
-        matrix = partition_to_matrix(partition)
-        rels = relations_thm2(partition)
-    else:
-        matrix = _load_matrix(args.matrix)
-        rels = relations_sec4(matrix)
-    text = export_presentation(rels, matrix, args.format)
+    relations, matrix, _ = _RELATIONS[args.family][1](*_load_inputs(args, "export"))
+    text = export_presentation(relations, matrix, args.format)
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -391,9 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="verify a relation family")
-    p_verify.add_argument(
-        "family", choices=["thm1", "thm2", "combing", "sec4", "cosets", "block"]
-    )
+    p_verify.add_argument("family", choices=list(_FAMILIES))
     p_verify.add_argument("--matrix", help="JSON matrix file")
     p_verify.add_argument("--partition", help="JSON partition file")
     p_verify.add_argument("--matrix1", help="first block (family: block)")

@@ -95,15 +95,25 @@ class GroupTuple:
             )
 
 
-def _conjugate(a: Permutation, b: Permutation) -> Permutation:
-    """a b a^-1."""
-    return a.after(b).after(a.inverse())
+def _conjugate(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of a b a^-1, which sends a(x) to a(b(x)), from those of a and b."""
+    images = [0] * len(a)
+    for ax, bx in zip(a, b):
+        images[ax - 1] = a[bx - 1]
+    return tuple(images)
+
+
+def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    images = [0] * len(a)
+    for x, ax in enumerate(a, start=1):
+        images[ax - 1] = x
+    return tuple(images)
 
 
 def _encoded(tup: GroupTuple) -> list:
-    """The entries as the action takes them: words encoded, permutations as they are."""
+    """The entries as the action takes them: words encoded, permutations as images."""
     if tup.context.kind == PERMUTATION:
-        return list(tup.entries)
+        return [p.images for p in tup.entries]
     return [_encode(e.letters) for e in tup.entries]
 
 
@@ -120,17 +130,17 @@ def _act_on(tup: GroupTuple, w: ArtinWord) -> list:
         if sign > 0:
             entries[k - 1], entries[k] = _conjugate(a, b), a
         else:
-            entries[k - 1], entries[k] = b, _conjugate(b.inverse(), a)
+            entries[k - 1], entries[k] = b, _conjugate(_inverse(b), a)
     return entries
 
 
 def hurwitz_apply(tup: GroupTuple, w: ArtinWord) -> GroupTuple:
     """Apply a braid word letter by letter; a right action on tuples."""
     entries = _act_on(tup, w)
-    if tup.context.kind != PERMUTATION:
-        word_type = _WORDS[tup.context.kind][0]
-        entries = [word_type(_decode(x)) for x in entries]
-    return GroupTuple(tup.context, tuple(entries))
+    if tup.context.kind == PERMUTATION:
+        return GroupTuple(tup.context, tuple(Permutation(x) for x in entries))
+    word_type = _WORDS[tup.context.kind][0]
+    return GroupTuple(tup.context, tuple(word_type(_decode(x)) for x in entries))
 
 
 def hurwitz_step(tup: GroupTuple, j: int, sign: int) -> GroupTuple:
@@ -156,6 +166,6 @@ def render_action(tup: GroupTuple, w: ArtinWord) -> tuple[list[str], bool]:
     entries = _act_on(tup, w)
     fixed = entries == _encoded(tup)
     if tup.context.kind == PERMUTATION:
-        return [p.cycle_string() for p in entries], fixed
+        return [Permutation(x).cycle_string() for x in entries], fixed
     tokens = _WORDS[tup.context.kind][2]
     return [_format(x, tokens) for x in entries], fixed

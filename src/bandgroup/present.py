@@ -655,12 +655,12 @@ def block_product_check(m1: CoxeterDatum, m2: CoxeterDatum) -> RunReport:
     decider = BandWordDecider(combined)
     for tau in left:
         for sigma in right:
-            report.add(
-                "block",
-                tau.indices() + sigma.indices(),
-                decider.equal(((tau, 1), (sigma, 1)), ((sigma, 1), (tau, 1))),
-                message=f"cross-block letters {tau} and {sigma} do not commute",
-            )
+            indices = tau.indices() + sigma.indices()
+            if decider.equal(((tau, 1), (sigma, 1)), ((sigma, 1), (tau, 1))):
+                report.add("block", indices, True)
+            else:
+                report.add("block", indices, False,
+                           f"cross-block letters {tau} and {sigma} do not commute")
     report.info["left_generators"] = len(left)
     report.info["right_generators"] = len(right)
     report.wall_time = time.perf_counter() - start

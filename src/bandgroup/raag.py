@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .braid import ArtinWord
@@ -35,11 +34,6 @@ Factor = tuple[BandPair, int]
 # starts.  The scan takes about 0.25 ms per unit of this count (n = 4 and
 # 5, 2 cores), so an accepted scan ends within about half a minute.
 MAX_SCAN_EXPRESSIONS = 100_000
-
-
-@lru_cache(maxsize=None)
-def _commutes(a: BandPair, b: BandPair) -> bool:
-    return commutes_in_brn(a, b)
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,7 @@ def apply_type2(w: RaagExpression, i: int) -> RaagExpression:
     f = w.factors
     if not 0 <= i < len(f) - 1:
         raise IndexError(f"position {i} has no right neighbour")
-    if not _commutes(f[i][0], f[i + 1][0]):
+    if not commutes_in_brn(f[i][0], f[i + 1][0]):
         raise ValueError(
             f"bases {f[i][0]} and {f[i + 1][0]} do not commute (linked or crossing)"
         )
@@ -115,7 +109,7 @@ def _pile(factors: Iterable[Factor]) -> list[list]:
             if other == base:
                 target = idx
                 break
-            if not _commutes(other, base):
+            if not commutes_in_brn(other, base):
                 break
             idx -= 1
         if target < 0:
@@ -143,7 +137,7 @@ def normalize(w: RaagExpression) -> RaagExpression:
         best = -1
         for idx in range(len(remaining)):
             base = remaining[idx][0]
-            if all(_commutes(remaining[p][0], base) for p in range(idx)):
+            if all(commutes_in_brn(remaining[p][0], base) for p in range(idx)):
                 if best < 0 or base < remaining[best][0]:
                     best = idx
         out.append(remaining.pop(best))
@@ -165,7 +159,7 @@ def ends_in(w: RaagExpression, tau: BandPair) -> bool:
     for idx in range(len(w.factors) - 1, -1, -1):
         if w.factors[idx][0] == tau:
             return all(
-                _commutes(w.factors[later][0], tau)
+                commutes_in_brn(w.factors[later][0], tau)
                 for later in range(idx + 1, len(w.factors))
             )
     return False
@@ -193,7 +187,10 @@ def canonical_expressions(
     """All canonical reduced expressions with the given bounds.
 
     Enumerates by extending canonical prefixes; prefixes of canonical
-    expressions are canonical, so the search tree prunes exactly.
+    expressions are canonical, so the search tree prunes exactly.  Whether
+    an extension by (base, e) is canonical does not depend on e, since
+    merging and the lexicographic order look at bases only, so it is
+    decided once per base.
     """
     exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
 
@@ -203,10 +200,11 @@ def canonical_expressions(
         if len(prefix) == max_len:
             return
         for base in bases:
+            probe = tuple(prefix) + ((base, exponents[0]),)
+            if normalize(RaagExpression(probe)).factors != probe:
+                continue
             for e in exponents:
-                cand = prefix + [(base, e)]
-                if normalize(RaagExpression(tuple(cand))).factors == tuple(cand):
-                    yield from rec(cand)
+                yield from rec(prefix + [(base, e)])
 
     yield from rec([])
 

@@ -272,6 +272,17 @@ class TestHurwitz:
         assert main(["hurwitz", "--context", f"perm:{ctx}", "--word", "s1"]) == 2
         self._usage_error(capsys, f"degree may be at most {MAX_DEGREE}, got {MAX_DEGREE + 1}")
 
+    def test_images_past_the_strand_cap_are_refused(self, tmp_path, capsys, monkeypatch):
+        ctx = tmp_path / "ctx.json"
+        ctx.write_text(json.dumps({"degree": 2, "images": ["()"] * MAX_STRANDS}))
+        assert main(["hurwitz", "--context", f"perm:{ctx}", "--word", "s126"]) == 0
+        assert capsys.readouterr().out.endswith("stabilizes\n")
+        # No permutation of a refused realization is built.
+        monkeypatch.setattr("bandgroup.cli.Permutation", None)
+        ctx.write_text(json.dumps({"degree": 2, "images": ["()"] * (MAX_STRANDS + 1)}))
+        assert main(["hurwitz", "--context", f"perm:{ctx}", "--word", "s1"]) == 2
+        self._usage_error(capsys, f"at most {MAX_STRANDS} images, got {MAX_STRANDS + 1}")
+
 
 class TestFactorize:
     def test_report(self, capsys):

@@ -165,6 +165,34 @@ class TestKernelAgainstReferee:
                 [e.letters for e in entries], w.letters, involutive
             )
 
+    def test_seeded_permutation_tuples(self):
+        def inverse(a):
+            return {y: x for x, y in a.items()}
+
+        def conjugate(a, b):
+            return compose_maps(compose_maps(a, b), inverse(a))
+
+        rng = random.Random(11)
+        for _ in range(200):
+            n, degree = rng.randint(2, 5), rng.randint(1, 7)
+            perms = []
+            for _ in range(n):
+                images = list(range(1, degree + 1))
+                rng.shuffle(images)
+                perms.append(Permutation(tuple(images)))
+            ctx = GroupContext.permutations(tuple(perms), degree, involutive=False)
+            w = random_word(rng, n, 12)
+            maps = [{x: p(x) for x in range(1, degree + 1)} for p in perms]
+            for k, sign in w.letters:
+                a, b = maps[k - 1], maps[k]
+                if sign > 0:
+                    maps[k - 1], maps[k] = conjugate(a, b), a
+                else:
+                    maps[k - 1], maps[k] = b, conjugate(inverse(b), a)
+            got = hurwitz_apply(ctx.defining_tuple(), w).entries
+            assert [{x: p(x) for x in range(1, degree + 1)} for p in got] == maps
+            assert stabilizes(ctx.defining_tuple(), w) == (list(got) == perms)
+
     def test_entry_limits(self, monkeypatch):
         for ctx, big in [
             (GroupContext.free(2), FreeWord((MAX_STRANDS + 1,))),

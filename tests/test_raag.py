@@ -192,6 +192,20 @@ class TestCanonicalEnumeration:
         brute = reduced_class_count([b.indices() for b in bases], 2, 2)
         assert ours == brute
 
+    @pytest.mark.parametrize("max_len, max_exp", [(2, 2), (3, 1)])
+    def test_pruning_matches_filtered_full_enumeration(self, max_len, max_exp):
+        exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
+
+        def every_expression(prefix):
+            yield RaagExpression(prefix)
+            if len(prefix) < max_len:
+                for base in ALL_BASES_4:
+                    for e in exponents:
+                        yield from every_expression(prefix + ((base, e),))
+
+        expected = [w for w in every_expression(()) if normalize(w) == w]
+        assert list(canonical_expressions(ALL_BASES_4, max_len, max_exp)) == expected
+
 
 class TestInjectivityScan:
     def test_small_full_matrix(self):
