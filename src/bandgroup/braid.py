@@ -591,15 +591,21 @@ class Permutation:
 
     @staticmethod
     def from_cycles(d: int, cycles: Iterable[Iterable[int]]) -> Permutation:
-        """Compose cycles functionally, the rightmost cycle acting first."""
-        acc = Permutation.identity(d)
+        """Compose cycles functionally, the rightmost cycle acting first.
+
+        Composing with a cycle on the right changes the images of its own
+        points only (x -> acc(next(x))), so each cycle costs its length.
+
+        >>> Permutation.from_cycles(3, [(1, 2), (2, 3)]).images
+        (2, 3, 1)
+        """
+        images = list(range(1, d + 1))
         for cyc in cycles:
             elems = list(cyc)
-            images = list(range(1, d + 1))
-            for a, b in zip(elems, elems[1:] + elems[:1]):
-                images[a - 1] = b
-            acc = acc.after(Permutation(tuple(images)))
-        return acc
+            moved = [images[b - 1] for b in elems[1:] + elems[:1]]
+            for a, y in zip(elems, moved):
+                images[a - 1] = y
+        return Permutation(tuple(images))
 
     @staticmethod
     def parse(text: str, degree: int) -> Permutation:

@@ -9,9 +9,13 @@ canonical reduced representative by greedy piling followed by picking the
 lexicographically least ordering inside the commutation class.
 
 The injectivity scan enumerates canonical expressions up to a length and
-exponent bound, maps each to a braid, and confirms both that the braid is
-nontrivial and that the last-letter certificate (the designated involutive
-letter moves) detects it.
+exponent bound and checks the last-letter certificates of each: for every
+base the expression ends in, the braid's action on the universal Coxeter
+group must move the base's first letter.  A braid that moves a letter is
+not 1, so a passing certificate also proves the braid nontrivial; the exact
+equality oracle decides only expressions whose certificates all fail.  The
+scan carries each prefix's letter images down the enumeration, so every
+certificate costs one comparison.
 """
 
 from __future__ import annotations
@@ -31,8 +35,11 @@ Factor = tuple[BandPair, int]
 
 # Budget on (bases x 2 x max_exp)^max_len, the raw count of expressions an
 # injectivity scan may enumerate; a scan past it is refused before it
-# starts.  The scan takes about 0.25 ms per unit of this count (n = 4 and
-# 5, 2 cores), so an accepted scan ends within about half a minute.
+# starts.  With entry 3 and max_exp at most 15, the scan takes 7 to 18 us
+# per unit of this count (n = 3 to 6, 2 cores, Python 3.11.7), so such a
+# scan ends within about two seconds.  A letter image grows with
+# exponent x entry, so larger ones cost more per unit: n = 2, L = 1 takes
+# 1.0 s at max_exp 1000 and 10.4 s at 3000.
 MAX_SCAN_EXPRESSIONS = 100_000
 
 
@@ -165,6 +172,15 @@ def ends_in(w: RaagExpression, tau: BandPair) -> bool:
     return False
 
 
+def extend_ends(ends: list[BandPair], base: BandPair) -> list[BandPair]:
+    """The bases w·(base, e) ends in, given the sorted bases w ends in.
+
+    A base other than `base` stays last exactly when it commutes past the
+    new factor; `base` itself is last.  The result is sorted too.
+    """
+    return sorted([base, *(tau for tau in ends if commutes_in_brn(tau, base))])
+
+
 def ends_in_witness(w: RaagExpression, tau: BandPair) -> RaagExpression | None:
     """A type II rearrangement of w ending in tau, or None."""
     if not ends_in(w, tau):
@@ -214,12 +230,23 @@ def injectivity_scan(
 ) -> RunReport:
     """Scan canonical reduced expressions for trivial braid images.
 
-    Requires a large-type matrix.  For each nonempty canonical expression
-    the braid image must be nontrivial (exact equality oracle), and for
-    every base the expression ends in, the image of the corresponding
-    involutive letter under the induced word action must move.  Any
-    violation would exhibit a collapse of the commutation presentation at
-    this scale; none is expected.
+    Requires a large-type matrix.  Every nonempty canonical expression gets
+    one certificate per base tau it ends in: the image of the letter
+    s_{tau.i} under the expression's action on the universal Coxeter group
+    (the band-power action of `act_band_on_cox`, folded left to right) must
+    move.  Any passing certificate shows that the braid image is
+    nontrivial; an expression whose certificates all fail goes to the exact
+    equality oracle.  Any failure would exhibit a collapse of the
+    commutation presentation at this scale; none is expected.
+
+    The walk follows `canonical_expressions`, whose parent of an expression
+    at depth d is the last expression it yielded at depth d - 1.  A stack
+    keeps, per depth, the prefix's letter images and the bases it ends in
+    (see `extend_ends`).  Each band power acts as a bijection, so the
+    image of s_i under p·(beta, e) is s_i exactly when the image under p is
+    the image of s_i under (beta, -e): one comparison per certificate
+    against an image cached per (beta, e).  The images under a prefix are
+    built once, for prefixes shorter than max_len.
     """
     if not matrix.is_large_type():
         raise ScopeError("injectivity scan needs a large-type matrix (entries 0 or >= 3)")
@@ -236,23 +263,38 @@ def injectivity_scan(
     start = time.perf_counter()
     report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
     decider = BandWordDecider(matrix)
+    # stack[d]: the images of s_i under the last expression yielded at
+    # depth d, the bases it ends in and its report indices; that expression
+    # is the parent of everything yielded at depth d + 1 until the next
+    # expression at depth d.
+    stack = [({tau.i: CoxWord.single(tau.i) for tau in bases}, [], ())]
+    # (base, e) -> the images of s_i under the inverse of (base, e)
+    undo: dict[Factor, dict[int, CoxWord]] = {}
     certificates = 0
     for expr in canonical_expressions(bases, max_len, max_exp):
-        if not expr.factors:
+        depth = len(expr.factors)
+        if not depth:
             continue
-        indices = tuple(x for base, p in expr.factors for x in (*base.indices(), p))
-        if decider.equal(expr.factors, ()):
-            report.add("nontrivial", indices, False, f"expression {expr} maps to the trivial braid")
-        else:
+        images, parent_ends, parent_indices = stack[depth - 1]
+        beta, e = last = expr.factors[-1]
+        m = e * matrix.entry(beta)
+        ends = extend_ends(parent_ends, beta)
+        indices = parent_indices + (beta.i, beta.j, e)
+        if depth < max_len:
+            stack[depth:] = [
+                ({i: act_band_on_cox(w, beta, m) for i, w in images.items()}, ends, indices)
+            ]
+        inverse = undo.get(last)
+        if inverse is None:
+            inverse = undo[last] = {i: act_band_on_cox(CoxWord.single(i), beta, -m) for i in images}
+        moved = [(tau, images[tau.i] != inverse[tau.i]) for tau in ends]
+        if any(ok for _, ok in moved) or not decider.equal(expr.factors, ()):
             report.add("nontrivial", indices, True)
-        for tau in bases:
-            if not ends_in(expr, tau):
-                continue
-            certificates += 1
-            image = CoxWord.single(tau.i)
-            for base, p in expr.factors:
-                image = act_band_on_cox(image, base, p * matrix.entry(base))
-            if image != CoxWord.single(tau.i):
+        else:
+            report.add("nontrivial", indices, False, f"expression {expr} maps to the trivial braid")
+        certificates += len(moved)
+        for tau, ok in moved:
+            if ok:
                 report.add("certificate", indices + tau.indices(), True)
             else:
                 report.add("certificate", indices + tau.indices(), False,

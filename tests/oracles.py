@@ -3,12 +3,20 @@
 These deliberately re-derive everything from first principles (raw index
 arithmetic, exhaustive move enumeration) rather than calling the library's
 fast paths, so they can stand as referees for the implementations.
-Expressions are encoded as tuples of (i, j, p) integer triples.
+Expressions are encoded as tuples of (i, j, p) integer triples.  The one
+exception is `referee_injectivity_scan`, the scan's plain procedure built
+from the library's own pieces.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from bandgroup.coxeter import CoxeterDatum
+from bandgroup.coxword import CoxWord, act_band_on_cox
+from bandgroup.present import BandWordDecider
+from bandgroup.raag import canonical_expressions, ends_in
+from bandgroup.report import RunReport
 
 State = tuple[tuple[int, int, int], ...]
 
@@ -196,3 +204,39 @@ def referee_hurwitz(entries, letters, involutive: bool = False) -> list[tuple[in
         else:
             tup[k - 1], tup[k] = b, reduce_word(inverse(b) + a + b, involutive)
     return [tuple(e) for e in tup]
+
+
+def referee_injectivity_scan(matrix: CoxeterDatum, max_len: int, max_exp: int) -> RunReport:
+    """`raag.injectivity_scan` with no shared state between expressions.
+
+    Every expression goes to the exact equality oracle, and every
+    certificate folds the band-power action from s_i through the whole
+    expression.  There is no budget, and the wall time is left at 0.
+    """
+    bases = matrix.band_pairs()
+    report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
+    decider = BandWordDecider(matrix)
+    certificates = 0
+    for expr in canonical_expressions(bases, max_len, max_exp):
+        if not expr.factors:
+            continue
+        indices = tuple(x for base, p in expr.factors for x in (*base.indices(), p))
+        if decider.equal(expr.factors, ()):
+            report.add("nontrivial", indices, False, f"expression {expr} maps to the trivial braid")
+        else:
+            report.add("nontrivial", indices, True)
+        for tau in bases:
+            if not ends_in(expr, tau):
+                continue
+            certificates += 1
+            image = CoxWord.single(tau.i)
+            for base, p in expr.factors:
+                image = act_band_on_cox(image, base, p * matrix.entry(base))
+            if image != CoxWord.single(tau.i):
+                report.add("certificate", indices + tau.indices(), True)
+            else:
+                report.add("certificate", indices + tau.indices(), False,
+                           f"letter s{tau.i} fixed although {expr} ends in {tau}")
+    report.info["expressions"] = report.families.get("nontrivial", [0, 0])[0]
+    report.info["certificates"] = certificates
+    return report

@@ -367,6 +367,20 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation.parse("(1 5)", 4)
 
+    def test_from_cycles_matches_composing_full_permutations(self):
+        # the cycles overlap, so the order of composition matters
+        rng = random.Random(12)
+        for _ in range(60):
+            d = rng.randint(1, 9)
+            cycles = [rng.sample(range(1, d + 1), rng.randint(1, d)) for _ in range(rng.randint(0, 5))]
+            expected = {x: x for x in range(1, d + 1)}
+            for cyc in cycles:
+                one = {x: x for x in range(1, d + 1)}
+                one.update(zip(cyc, cyc[1:] + cyc[:1]))
+                expected = compose_maps(expected, one)
+            got = Permutation.from_cycles(d, cycles)
+            assert got.images == tuple(expected[x] for x in range(1, d + 1))
+
     def test_inverse_and_involution(self):
         p = Permutation.parse("(1 2 3)", 3)
         assert p.after(p.inverse()).is_identity()

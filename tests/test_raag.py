@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+import bandgroup.raag as raag
 from bandgroup.braid import ArtinWord, band_to_artin, braid_equal
 from bandgroup.coxeter import BandPair, CoxeterDatum, commutes_in_brn
-from bandgroup.coxword import CoxWord, act_band_on_cox, long_pairs
+from bandgroup.coxword import CoxWord, act_band_on_cox, apply_artin_to_cox, long_pairs
+from bandgroup.present import BandWordDecider
 from bandgroup.raag import (
     RaagExpression,
     apply_type1,
@@ -14,6 +16,7 @@ from bandgroup.raag import (
     ends_in,
     ends_in_witness,
     expression_to_braid,
+    extend_ends,
     format_expression,
     injectivity_scan,
     is_reduced,
@@ -21,7 +24,14 @@ from bandgroup.raag import (
     parse_expression,
 )
 
-from oracles import bfs_min_length, orbit_end_bases, reduced_class_count, type2_orbit
+import oracles
+from oracles import (
+    bfs_min_length,
+    orbit_end_bases,
+    reduced_class_count,
+    referee_injectivity_scan,
+    type2_orbit,
+)
 
 
 def expr(*factors):
@@ -229,6 +239,132 @@ class TestInjectivityScan:
 
         with pytest.raises(ScopeError):
             injectivity_scan(CoxeterDatum.constant(3, 2), 2, 2)
+
+
+MIXED_LARGE_TYPE = CoxeterDatum.from_entries(
+    4, {(1, 2): 3, (1, 3): 4, (1, 4): 5, (2, 4): 3, (3, 4): 5}
+)
+
+
+def fold(w, i, matrix):
+    image = CoxWord.single(i)
+    for base, p in w.factors:
+        image = act_band_on_cox(image, base, p * matrix.entry(base))
+    return image
+
+
+def same_report(a, b):
+    return (a.tag, a.families, a.failures, a.info) == (b.tag, b.families, b.failures, b.info)
+
+
+class TestIncrementalScan:
+    @pytest.mark.parametrize(
+        "matrix, max_len, max_exp",
+        [
+            (CoxeterDatum.constant(4, 3), 2, 2),
+            (CoxeterDatum.constant(4, 3), 3, 2),
+            (CoxeterDatum.constant(5, 3), 2, 1),
+            (MIXED_LARGE_TYPE, 3, 1),
+        ],
+    )
+    def test_matches_referee(self, matrix, max_len, max_exp):
+        assert same_report(
+            injectivity_scan(matrix, max_len, max_exp),
+            referee_injectivity_scan(matrix, max_len, max_exp),
+        )
+
+    @pytest.mark.parametrize("m, n, max_len, max_exp", [(1, 3, 3, 2), (2, 4, 3, 1)])
+    def test_matches_referee_below_large_type(self, monkeypatch, m, n, max_len, max_exp):
+        # with entries 1 or 2 some certificates fail, so both the failure
+        # entries and the oracle fallback get compared
+        monkeypatch.setattr(CoxeterDatum, "is_large_type", lambda self: True)
+        matrix = CoxeterDatum.constant(n, m)
+        report = injectivity_scan(matrix, max_len, max_exp)
+        assert report.failures
+        assert same_report(report, referee_injectivity_scan(matrix, max_len, max_exp))
+
+    def test_undo_identity(self):
+        # the image under p·(beta, e) is s_i iff the image under p is the
+        # image of s_i under (beta, -e), for any positive entries
+        rng = random.Random(31)
+        holds = 0
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            entries = {
+                pair: rng.choice((0, 1, 2, 3, 4))
+                for pair in itertools.combinations(range(1, n + 1), 2)
+            }
+            matrix = CoxeterDatum.from_entries(n, entries)
+            bases = matrix.band_pairs()
+            if not bases:
+                continue
+            w = random_expression(rng, bases, 4, 2)
+            if not w.factors:
+                continue
+            prefix = RaagExpression(w.factors[:-1])
+            beta, e = w.factors[-1]
+            m = e * matrix.entry(beta)
+            for i in range(1, n + 1):
+                prefix_fold = fold(prefix, i, matrix)
+                undone = act_band_on_cox(CoxWord.single(i), beta, -m)
+                fixed = fold(w, i, matrix) == CoxWord.single(i)
+                assert (prefix_fold == undone) == fixed
+                holds += fixed
+        assert holds > 50
+
+    def test_certificate_fold_is_the_braid_action(self):
+        # so a certificate that moves its letter proves the braid is not 1
+        rng = random.Random(33)
+        for matrix in (CoxeterDatum.constant(4, 3), MIXED_LARGE_TYPE):
+            bases = matrix.band_pairs()
+            for _ in range(40):
+                w = random_expression(rng, bases, 3, 2)
+                braid = expression_to_braid(w, matrix)
+                for i in range(1, 5):
+                    assert fold(w, i, matrix) == apply_artin_to_cox(CoxWord.single(i), braid)
+
+    def test_extend_ends_matches_ends_in(self):
+        rng = random.Random(32)
+        for n in (4, 5, 6):
+            bases = CoxeterDatum.constant(n, 3).band_pairs()
+            for _ in range(100):
+                w = random_expression(rng, bases, 6, 2)
+                ends = []
+                for length, (base, _) in enumerate(w.factors, start=1):
+                    ends = extend_ends(ends, base)
+                    prefix = RaagExpression(w.factors[:length])
+                    assert ends == [tau for tau in bases if ends_in(prefix, tau)]
+
+    def test_passing_scan_never_calls_the_oracle(self, monkeypatch):
+        def refuse(self, u, v):
+            raise AssertionError("oracle called")
+
+        monkeypatch.setattr(BandWordDecider, "equal", refuse)
+        assert injectivity_scan(CoxeterDatum.constant(4, 3), 2, 2).ok
+
+    @pytest.mark.parametrize("trivial", [False, True])
+    def test_oracle_decides_when_every_certificate_fails(self, monkeypatch, trivial):
+        # an action that fixes everything fails every certificate; the
+        # oracle then decides, and its verdict is what the report records
+        calls = []
+
+        def oracle(self, u, v):
+            calls.append(u)
+            return trivial
+
+        def fixes_everything(w, tau, m):
+            return w
+
+        monkeypatch.setattr(BandWordDecider, "equal", oracle)
+        monkeypatch.setattr(raag, "act_band_on_cox", fixes_everything)
+        monkeypatch.setattr(oracles, "act_band_on_cox", fixes_everything)
+        matrix = CoxeterDatum.constant(4, 3)
+        report = injectivity_scan(matrix, 2, 1)
+        expressions = report.info["expressions"]
+        assert len(calls) == expressions
+        assert report.families["certificate"][1] == 0
+        assert report.families["nontrivial"][1] == (0 if trivial else expressions)
+        assert same_report(report, referee_injectivity_scan(matrix, 2, 1))
 
 
 class TestProp9SpotCheck:
