@@ -8,23 +8,26 @@ Images can grow exponentially with word length, so once one outgrows a
 fixed budget the query is handed to the Garside left normal form, which
 is exact as well and polynomial in the word length.
 
-The images are built by right-composition, from the last Artin letter
-back: each letter rebuilds only the images of t_k and t_{k+1}, as reduced
-products of images already built, and letters cancel only where two
-factors meet.  That rebuild is the Hurwitz move (a, b) -> (a b a^-1, a),
-and one kernel, `_act`, runs it for the free action here, for the Hurwitz
+The images are built by right-composition, from the last factor back,
+and the factor is the band syllable (i, j, e), the band power a_ij^e; an
+Artin letter sigma_k^s is the syllable (k, k + 1, s), and a run of one
+letter is one syllable.  A syllable rebuilds only the images of t_i ..
+t_j in one closed-form step, as reduced products of images already built,
+and letters cancel only where two factors meet.  That step is the Hurwitz
+move (a, b) -> (a b a^-1, a) of all the band's Artin letters at once, and
+one kernel, `_act`, runs it for the free action here, for the Hurwitz
 action on tuples of free or universal Coxeter words, and for the Coxeter
 action of `coxword`.  Since the images are built from the back, words
-that end alike share them: `BraidDecider` takes words as tuples of blocks
-(the expansions of band-letter powers, say) and keeps the images of every
-proper block suffix it builds, for as long as it lives; `braid_equal` is
-the same routine on one-block words.  Inside the kernel a reduced word is
-a `bytes` object, letter i as the byte 128 + i and its inverse as 128 - i
+that end alike share them: `BraidDecider` takes words of syllables (the
+band letters of a relation, say) and keeps the images of every proper
+suffix it builds, for as long as it lives; `braid_equal` is the same
+routine on the runs of two Artin words.  Only the normal form expands a
+syllable into Artin letters.  Inside the kernel a reduced word is a
+`bytes` object, letter i as the byte 128 + i and its inverse as 128 - i
 for free words, or as itself for Coxeter words, so concatenation, slicing
 and inversion run in C and letter indices, hence strands, are limited to
-127.  At the API
-boundary free words are `FreeWord`s, tuples of signed integers (+i for
-t_i, -i for its inverse), always freely reduced.
+127.  At the API boundary free words are `FreeWord`s, tuples of signed
+integers (+i for t_i, -i for its inverse), always freely reduced.
 """
 
 from __future__ import annotations
@@ -151,6 +154,9 @@ MAX_IMAGE_LETTERS = 1 << 24
 # past it the free action is slower than the normal form and its memory
 # grows exponentially.
 _HANDOVER_LETTERS = 1 << 17
+# Letters `_cancel` compares in one step, as two integers.  Most junctions
+# cancel fewer; a longer cancellation goes on by galloping.
+_WINDOW = 64
 
 # Letter-inversion tables: free words invert 128 + i <-> 128 - i, and
 # Coxeter words leave every letter as it is.
@@ -191,20 +197,28 @@ def _inverse(x: bytes, neg: bytes) -> bytes:
     return x[::-1].translate(neg)
 
 
-def _mul(x: bytes, y: bytes, neg: bytes) -> bytes:
-    """The reduced product of two reduced words, either of them possibly empty.
+def _cancel(x: bytes, y: bytes, neg: bytes) -> int:
+    """How many letters cancel where the reduced words x and y meet.
 
-    Letters cancel only where x meets y, a letter b against the letter
-    neg[b]; the number that cancel is found by galloping, then bisecting,
-    over slice comparisons.
+    The last c letters of x cancel the first c of y, a letter b against
+    neg[b].  One comparison counts them within a window of _WINDOW letters:
+    the inverted tail of x read as a little-endian integer and the head of
+    y read as a big-endian one pair x[-1] with y[0] in their top bytes, so
+    the leading zero bytes of their XOR are the letters that cancel.  Only
+    a cancellation that fills the window goes on, by galloping, then
+    bisecting, over slice comparisons.
     """
     if not (x and y) or neg[x[-1]] != y[0]:
-        return x + y
-    lx = len(x)
-    limit = min(lx, len(y))
-    c, step = 1, 1  # the last c letters of x cancel the first c of y
+        return 0
+    lx, ly = len(x), len(y)
+    limit = lx if lx < ly else ly
+    c = limit if limit < _WINDOW else _WINDOW
+    diff = int.from_bytes(x[-c:].translate(neg), "little") ^ int.from_bytes(y[:c], "big")
+    if diff:
+        return c - (diff.bit_length() + 7) // 8
+    step = c
     while c < limit:
-        hi = min(c + step, limit)
+        hi = c + step if c + step < limit else limit
         if x[lx - hi:lx - c][::-1].translate(neg) != y[c:hi]:
             while hi - c > 1:
                 mid = (c + hi) // 2
@@ -215,27 +229,114 @@ def _mul(x: bytes, y: bytes, neg: bytes) -> bytes:
             break
         c = hi
         step *= 2
-    return x[:lx - c] + y[c:]
+    return c
 
 
-def _act(words: list[bytes], letters, limit: int, neg: bytes) -> list[bytes]:
-    """Apply the Hurwitz move of each Artin letter in turn to a list of words.
+def _mul(x: bytes, y: bytes, neg: bytes) -> bytes:
+    """The reduced product of two reduced words, either of them possibly empty."""
+    if not (x and y) or neg[x[-1]] != y[0]:
+        return x + y
+    c = _cancel(x, y, neg)
+    return x[:len(x) - c] + y[c:]
 
-    sigma_k replaces the words a, b at positions k, k + 1 by a b a^-1 and
-    a, and sigma_k^-1 by b and b^-1 a b.  The list is changed in place and
-    returned.  A word longer than `limit` letters raises ImageLimitError.
+
+def _conj(g: bytes, x: bytes, neg: bytes) -> bytes:
+    """The reduced word of g x g^-1.
+
+    When what cancels on the left of x and what cancels on its right leave
+    some of x between them, the two junctions are independent and the
+    product is one join of three slices.
     """
-    for k, s in letters:
-        a, b = words[k - 1], words[k]
-        if s > 0:
-            new = _mul(_mul(a, b, neg), _inverse(a, neg), neg)
-            words[k - 1], words[k] = new, a
+    if not (g and x):
+        return x
+    g_inv = g[::-1].translate(neg)
+    left = _cancel(g, x, neg) if g_inv[0] == x[0] else 0
+    right = _cancel(x, g_inv, neg) if x[-1] == g[-1] else 0
+    if left + right < len(x):
+        return g[:len(g) - left] + x[left:len(x) - right] + g_inv[right:]
+    return _mul(_mul(g, x, neg), g_inv, neg)
+
+
+def _power(p: bytes, q: int, limit: int, neg: bytes) -> bytes:
+    """The reduced word of p^q, for a reduced word p and q >= 1.
+
+    p is u c u^-1 with c cyclically reduced, u being what cancels where p
+    meets itself, so p^q = u c^q u^-1 is one join.  In the universal
+    Coxeter group c can be a single letter, its own inverse; then p^2 = 1.
+    A power longer than `limit` letters raises ImageLimitError before it
+    is built.
+    """
+    k = _cancel(p, p, neg)
+    lp = len(p)
+    if 2 * k >= lp:
+        return p if q % 2 else b""
+    if 2 * k + q * (lp - 2 * k) > limit:
+        raise ImageLimitError(f"a word exceeds {limit} letters; the braid word is too long")
+    return p[:k] + p[k:lp - k] * q + p[lp - k:]
+
+
+def _act(words: list[bytes], syllables, limit: int, neg: bytes) -> list[bytes]:
+    """Apply the Hurwitz move of each band syllable in turn to a list of words.
+
+    The syllable (i, j, e) is the band power a_ij^e, and the Artin letter
+    sigma_k^s is the syllable (k, k + 1, s).  With a and b the words at
+    positions i and j, the move keeps P = a b.  Write e = s (2q + r) with
+    s = +-1 and r = 0 or 1: r = 1 is the move of one Artin letter,
+    (a, b) -> (a b a^-1, a) for s = 1 and (b, b^-1 a b) for s = -1, and
+    then both words are conjugated by P^(s q).  Every word strictly between
+    i and j is conjugated by g = z b^-1, z being the new word at j.  This
+    is the move of the band's Artin letters, one at a time and the last
+    letter first:
+
+    >>> x = [bytes((128 + m,)) for m in range(1, 5)]
+    >>> letters = band_power(BandPair(1, 4), -3, 4)[::-1]
+    >>> _act(list(x), [(1, 4, -3)], 99, _NEG) == _act(list(x), _syllables(letters), 99, _NEG)
+    True
+
+    The list is changed in place and returned.  A word longer than `limit`
+    letters raises ImageLimitError.
+    """
+    for i, j, e in syllables:
+        a, b = words[i - 1], words[j - 1]
+        s = 1 if e > 0 else -1
+        q, r = divmod(s * e, 2)
+        if not r:
+            x, z = a, b
+        elif s > 0:
+            x, z = _conj(a, b, neg), a
         else:
-            new = _mul(_mul(_inverse(b, neg), a, neg), b, neg)
-            words[k - 1], words[k] = b, new
-        if len(new) > limit:
+            x, z = b, _conj(_inverse(b, neg), a, neg)
+        if q:
+            power = _mul(a, b, neg) if s > 0 else _mul(_inverse(b, neg), _inverse(a, neg), neg)
+            if q > 1:
+                power = _power(power, q, limit, neg)
+            x, z = _conj(power, x, neg), _conj(power, z, neg)
+        if len(x) > limit or len(z) > limit:
             raise ImageLimitError(f"a word exceeds {limit} letters; the braid word is too long")
+        words[i - 1], words[j - 1] = x, z
+        if j - i > 1:
+            g = _mul(z, _inverse(b, neg), neg)
+            for m in range(i, j - 1):
+                y = words[m] = _conj(g, words[m], neg)
+                if len(y) > limit:
+                    raise ImageLimitError(
+                        f"a word exceeds {limit} letters; the braid word is too long")
     return words
+
+
+def _syllables(letters) -> tuple[tuple[int, int, int], ...]:
+    """Artin letters as band syllables (k, k + 1, e), each run of sigma_k^+-1 as one power."""
+    out: list[tuple[int, int, int]] = []
+    for k, s in letters:
+        if out and out[-1][0] == k:
+            e = out[-1][2] + s
+            if e:
+                out[-1] = (k, k + 1, e)
+            else:
+                out.pop()
+        else:
+            out.append((k, k + 1, s))
+    return tuple(out)
 
 
 def _generators(n: int) -> list[bytes]:
@@ -248,14 +349,15 @@ def _free_images(w: ArtinWord, limit: int) -> list[bytes]:
     The action of w = x_1 .. x_m is Psi_1 = phi_m o .. o phi_1, so
     Psi_k = Psi_{k+1} o phi_k, built from the last letter back.  phi_k
     moves only t_k and t_{k+1}, and Psi_k moves their images under
-    Psi_{k+1} by the Hurwitz move of `_act`.
+    Psi_{k+1} by the Hurwitz move of `_act`, one syllable per run of a
+    letter.
 
     >>> w = ArtinWord(3, ((1, 1), (2, -1)))
     >>> [_decode(img) for img in _free_images(w, MAX_IMAGE_LETTERS)]
     [(1, 3, -1), (1,), (-3, 2, 3)]
     """
     _check_strands(w.n)
-    return _act(_generators(w.n), reversed(w.letters), limit, _NEG)
+    return _act(_generators(w.n), _syllables(reversed(w.letters)), limit, _NEG)
 
 
 def free_image(w: ArtinWord, i: int) -> FreeWord:
@@ -271,27 +373,35 @@ def artin_action_on_free(w: ArtinWord) -> tuple[FreeWord, ...]:
 
 
 class BraidDecider:
-    """Exact equality in the braid group on n strands, for words in blocks.
+    """Exact equality in the braid group on n strands, for words of syllables.
 
-    A word is a tuple of blocks, each a tuple of Artin letters, such as the
-    expansions of its band-letter powers.  The decider keeps the free
-    images of every proper suffix of blocks it builds, so words that end in
-    the same blocks share that work.  It holds on to them as long as it
+    A word is a tuple of band syllables (i, j, e), each the band power
+    a_ij^e, such as the band letters of a relation.  The decider keeps the
+    free images of every proper suffix it builds, so words that end in the
+    same syllables share that work.  It holds on to them as long as it
     lives: make one per verification call and let it go with the call.
     """
 
     def __init__(self, n: int):
         _check_strands(n)
         self.n = n
-        # proper block suffix -> images of t_1 .. t_n under its action
+        # proper suffix -> images of t_1 .. t_n under its action
         self._images: dict[tuple, list[bytes]] = {(): _generators(n)}
 
     def permutation(self, word: tuple) -> list[int]:
-        """The images of 1 .. n under the permutation of a word in blocks."""
-        return _permutation_list(self.n, itertools.chain.from_iterable(word))
+        """The images of 1 .. n under the permutation of a word.
+
+        A band power a_ij^e permutes by the transposition (i j) when e is
+        odd and trivially when it is even.
+        """
+        images = list(range(1, self.n + 1))
+        for i, j, e in word:
+            if e % 2:
+                images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
+        return images
 
     def equal(self, u: tuple, v: tuple) -> bool:
-        """Whether two words in blocks are the same braid.
+        """Whether two words of syllables are the same braid.
 
         Equal words settle it first and unequal permutations next, as a
         cheap filter.  Then the induced free-group endomorphisms are
@@ -309,7 +419,10 @@ class BraidDecider:
             return left_normal_form(self._artin(u)) == left_normal_form(self._artin(v))
 
     def _artin(self, word: tuple) -> ArtinWord:
-        return ArtinWord(self.n, tuple(itertools.chain.from_iterable(word)))
+        """The word in Artin letters, the input of the normal form."""
+        n = self.n
+        return ArtinWord(n, tuple(itertools.chain.from_iterable(
+            band_power(BandPair(i, j), e, n) for i, j, e in word)))
 
     def _images_of(self, word: tuple) -> list[bytes]:
         """The images of the word's action, built on its longest known suffix."""
@@ -319,7 +432,7 @@ class BraidDecider:
             k += 1
         out = images[word[k:]]
         for k in range(k - 1, -1, -1):
-            out = _act(list(out), reversed(word[k]), _HANDOVER_LETTERS, _NEG)
+            out = _act(list(out), word[k:k + 1], _HANDOVER_LETTERS, _NEG)
             # Whole words are kept out: one is seldom a later word's
             # suffix, and the memo then grows only with what words share.
             if k:
@@ -327,14 +440,22 @@ class BraidDecider:
         return out
 
 
+class _OneQuery(BraidDecider):
+    """A decider that keeps nothing, for a single query on long words."""
+
+    def _images_of(self, word: tuple) -> list[bytes]:
+        return _act(_generators(self.n), reversed(word), _HANDOVER_LETTERS, _NEG)
+
+
 def braid_equal(u: ArtinWord, v: ArtinWord) -> bool:
     """Exact equality in the braid group on u.n strands.
 
-    This is `BraidDecider.equal` on one-block words, with nothing kept.
+    This is `BraidDecider.equal` on the words' runs of letters as
+    syllables, with nothing kept.
     """
     if u.n != v.n:
         raise ValueError("cannot compare words on different strand counts")
-    return BraidDecider(u.n).equal((u.letters,), (v.letters,))
+    return _OneQuery(u.n).equal(_syllables(u.letters), _syllables(v.letters))
 
 
 # -- the Garside normal form --------------------------------------------------

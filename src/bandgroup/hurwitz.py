@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import _COX_TOKENS, _FREE_TOKENS, _NEG, _SELF, MAX_IMAGE_LETTERS, ArtinWord, FreeWord
-from .braid import Permutation, _act, _decode, _encode, _format
+from .braid import Permutation, _act, _decode, _encode, _format, _syllables
 from .coxword import CoxWord
 
 __all__ = [
@@ -124,7 +124,7 @@ def _act_on(tup: GroupTuple, w: ArtinWord) -> list:
     entries = _encoded(tup)
     if tup.context.kind != PERMUTATION:
         neg = _WORDS[tup.context.kind][1]
-        return _act(entries, w.letters, MAX_IMAGE_LETTERS, neg)
+        return _act(entries, _syllables(w.letters), MAX_IMAGE_LETTERS, neg)
     for k, sign in w.letters:
         a, b = entries[k - 1], entries[k]
         if sign > 0:

@@ -54,55 +54,45 @@ def format_letter_word(word: Word) -> str:
     return " ".join(f"b{p}" if e == 1 else f"b{p}^{e}" for p, e in word)
 
 
-def _expand_letter(letter: Letter, matrix: CoxeterDatum) -> tuple[tuple[int, int], ...]:
-    """The Artin letters of (tau, e): the band on tau raised to e * m_tau."""
+def _syllable(letter: Letter, matrix: CoxeterDatum) -> tuple[int, int, int]:
+    """The band syllable (i, j, e * m_tau) of the letter (tau, e)."""
     pair, e = letter
     m = matrix.entry(pair)
     if m == 0:
         raise ValueError(f"letter base {pair} has zero matrix entry")
-    return band_power(pair, e * m, matrix.n)
+    return pair.i, pair.j, e * m
 
 
 def expand_letter_word(word: Word, matrix: CoxeterDatum) -> ArtinWord:
     """Expand every letter (tau, e) to the band on tau raised to e * m_tau."""
-    return ArtinWord(
-        matrix.n, tuple(itertools.chain.from_iterable(_expand_letter(x, matrix) for x in word))
-    )
-
-
-class _Expansions(dict):
-    """Band letter -> its Artin letters over one matrix, each expanded once."""
-
-    def __init__(self, matrix: CoxeterDatum):
-        super().__init__()
-        self.matrix = matrix
-
-    def __missing__(self, letter: Letter) -> tuple[tuple[int, int], ...]:
-        block = self[letter] = _expand_letter(letter, self.matrix)
-        return block
+    n = matrix.n
+    return ArtinWord(n, tuple(itertools.chain.from_iterable(
+        band_power(x[0], _syllable(x, matrix)[2], n) for x in word)))
 
 
 class BandWordDecider:
     """Exact equality of words in band letters over one matrix, for one call.
 
-    Each letter is expanded once, and words are decided as words in blocks,
-    one block per letter, so the free images of a common suffix of letters
-    are built once (see `BraidDecider`).  Make one per verification call.
+    The letter (tau, e) is the band syllable (i, j, e m_tau), and words are
+    decided as words of syllables, so the free images of a common suffix
+    of letters are built once (see `BraidDecider`).  Make one per
+    verification call.
     """
 
     def __init__(self, matrix: CoxeterDatum):
-        self._blocks = _Expansions(matrix)
+        self._matrix = matrix
         self._braids = BraidDecider(matrix.n)
 
-    def _expand(self, word: Word) -> tuple:
-        return tuple(map(self._blocks.__getitem__, word))
+    def _syllables(self, word: Word) -> tuple:
+        matrix = self._matrix
+        return tuple(_syllable(x, matrix) for x in word)
 
     def equal(self, u: Word, v: Word) -> bool:
-        return self._braids.equal(self._expand(u), self._expand(v))
+        return self._braids.equal(self._syllables(u), self._syllables(v))
 
     def permutation(self, word: Word) -> list[int]:
         """The images of 1 .. n under the permutation of the word's braid."""
-        return self._braids.permutation(self._expand(word))
+        return self._braids.permutation(self._syllables(word))
 
 
 def _rel(label: str, indices: tuple[int, ...], lhs: list[Letter], rhs: list[Letter]) -> Relation:

@@ -7,17 +7,23 @@ from hypothesis import given, strategies as st
 from bandgroup.braid import (
     _NEG,
     _SELF,
+    _WINDOW,
     MAX_IMAGE_LETTERS,
     MAX_WORD_LETTERS,
     ArtinWord,
+    BraidDecider,
     FreeWord,
     ImageLimitError,
     Permutation,
+    _act,
     _decode,
     _encode,
     _free_images,
     _inverse,
     _mul,
+    _permutation_list,
+    _syllables,
+    band_power,
     artin_action_on_free,
     band_to_artin,
     braid_equal,
@@ -37,6 +43,7 @@ from oracles import (
     referee_braid_equal,
     reduce_word,
     referee_free_image,
+    referee_hurwitz,
     substitute_artin_letter,
     transposition_map,
 )
@@ -233,6 +240,133 @@ class TestKernelAgainstReferee:
         with pytest.raises(ValueError, match="at most 127 strands"):
             braid_equal(ArtinWord.identity(128), ArtinWord.identity(128))
         assert braid_equal(word(127, (126, 1)), word(127, (126, 1), (1, 1), (1, -1)))
+
+
+def letter_loop(words, letters, neg):
+    """The Hurwitz move of each Artin letter in turn, on encoded words."""
+    words = list(words)
+    for k, s in letters:
+        a, b = words[k - 1], words[k]
+        if s > 0:
+            words[k - 1], words[k] = _mul(_mul(a, b, neg), _inverse(a, neg), neg), a
+        else:
+            words[k - 1], words[k] = b, _mul(_mul(_inverse(b, neg), a, neg), b, neg)
+    return words
+
+
+def random_reduced(rng, n, length, involutive):
+    """A random reduced word of the given length over n letters, as signed indices."""
+    out = []
+    while len(out) < length:
+        x = rng.randint(1, n) * (1 if involutive else rng.choice((1, -1)))
+        if not (out and out[-1] == (x if involutive else -x)):
+            out.append(x)
+    return out
+
+
+def entry_tuples(rng, n, involutive):
+    """Tuples of entries: the generators, random words with empty entries,
+    and conjugates u x u^-1, which are not cyclically reduced."""
+    yield [(i,) for i in range(1, n + 1)]
+    for _ in range(2):
+        yield [tuple(random_reduced(rng, n, rng.choice((0, 0, 1, 3, 6)), involutive))
+               for _ in range(n)]
+        tup = []
+        for _ in range(n):
+            u = random_reduced(rng, n, rng.randint(1, 3), involutive)
+            inv = [x if involutive else -x for x in reversed(u)]
+            x = rng.randint(1, n) * (1 if involutive else rng.choice((1, -1)))
+            tup.append(tuple(reduce_word(u + [x] + inv, involutive)))
+        yield tup
+
+
+class TestSyllableStep:
+    """One closed-form step per band power against the letters one by one."""
+
+    @pytest.mark.parametrize("involutive", [False, True], ids=["free", "coxeter"])
+    def test_step_matches_letter_loop_and_referee(self, involutive):
+        neg = _SELF if involutive else _NEG
+        rng = random.Random(31)
+        exponents = [e for m in range(1, 7) for e in (m, -m)]
+        for n in range(2, 9):
+            tuples = list(entry_tuples(rng, n, involutive))
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                for e in exponents:
+                    letters = band_power(BandPair(i, j), e, n)[::-1]
+                    for entries in tuples:
+                        words = [_encode(x) for x in entries]
+                        got = _act(list(words), [(i, j, e)], MAX_IMAGE_LETTERS, neg)
+                        assert got == letter_loop(words, letters, neg)
+                        if n <= 5 or abs(e) <= 2:
+                            assert [_decode(x) for x in got] == referee_hurwitz(
+                                entries, letters, involutive)
+
+    def test_step_gives_the_free_images_of_the_band_power(self):
+        for n in range(2, 9):
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                for e in (1, -2, 3, -5, 6):
+                    letters = band_power(BandPair(i, j), e, n)
+                    images = _act([_encode((m,)) for m in range(1, n + 1)], [(i, j, e)],
+                                  MAX_IMAGE_LETTERS, _NEG)
+                    assert [_decode(x) for x in images] == [
+                        referee_free_image(letters, m) for m in range(1, n + 1)]
+
+    @pytest.mark.parametrize("e", [1001, -1000])
+    def test_large_exponent(self, e):
+        rng = random.Random(32)
+        for involutive in (False, True):
+            neg = _SELF if involutive else _NEG
+            for n, i, j in ((2, 1, 2), (6, 2, 5)):
+                letters = band_power(BandPair(i, j), e, n)[::-1]
+                for entries in entry_tuples(rng, n, involutive):
+                    words = [_encode(x) for x in entries]
+                    got = _act(list(words), [(i, j, e)], MAX_IMAGE_LETTERS, neg)
+                    assert got == letter_loop(words, letters, neg)
+
+    def test_involutive_power_that_squares_to_one(self):
+        # P = s1 s2 s1 is an involution: even powers of P are trivial
+        words = [_encode((1,)), _encode((2, 1))]
+        for e in range(-8, 9):
+            letters = band_power(BandPair(1, 2), e, 2)
+            assert _act(list(words), [(1, 2, e)], MAX_IMAGE_LETTERS, _SELF) == letter_loop(
+                words, letters, _SELF)
+
+    def test_power_is_bounded_before_it_is_built(self):
+        words = [_encode((1,)), _encode((2,))]
+        with pytest.raises(ImageLimitError, match="exceeds 100 letters"):
+            _act(words, [(1, 2, 10 ** 9)], 100, _NEG)
+
+    def test_runs_merge_into_one_syllable(self):
+        letters = ((1, 1), (1, 1), (2, -1), (2, 1), (1, 1), (3, -1))
+        assert _syllables(letters) == ((1, 2, 3), (3, 4, -1))
+        assert _syllables(()) == ()
+
+    def test_parity_permutation_matches_the_letters(self):
+        rng = random.Random(33)
+        for n in range(2, 9):
+            decider = BraidDecider(n)
+            for _ in range(40):
+                word = []
+                for _ in range(rng.randint(0, 6)):
+                    i, j = sorted(rng.sample(range(1, n + 1), 2))
+                    word.append((i, j, rng.choice((1, -1)) * rng.randint(1, 5)))
+                letters = [x for i, j, e in word for x in band_power(BandPair(i, j), e, n)]
+                assert decider.permutation(tuple(word)) == _permutation_list(n, letters)
+
+    @pytest.mark.parametrize("cancel", [0, 1, _WINDOW - 1, _WINDOW, _WINDOW + 1, 200])
+    def test_mul_cancels_across_the_window(self, cancel):
+        rng = random.Random(34 + cancel)
+        for involutive in (False, True):
+            neg = _SELF if involutive else _NEG
+            for _ in range(20):
+                u = random_reduced(rng, 5, cancel, involutive)
+                inv = [x if involutive else -x for x in reversed(u)]
+                head = random_reduced(rng, 5, rng.randint(0, 3), involutive)
+                tail = random_reduced(rng, 5, rng.randint(0, 3), involutive)
+                x = reduce_word(head + u, involutive)
+                y = reduce_word(inv + tail, involutive)
+                assert _decode(_mul(_encode(tuple(x)), _encode(tuple(y)), neg)) == tuple(
+                    reduce_word(x + y, involutive))
 
 
 def equal_rewrite(rng, n, letters):
