@@ -147,8 +147,19 @@ def _load_inputs(args: argparse.Namespace, command: str) -> list:
     return [_load(flag, getattr(args, flag)) for flag in flags]
 
 
+def _strands(family: str, inputs: list) -> int:
+    """The strands of the braids a family decides: combing adds one, block joins two."""
+    if family == "block":
+        return sum(x.n for x in inputs)
+    return inputs[0].n + (family == "combing")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     inputs = _load_inputs(args, "verify")
+    # refused before the relations are generated, which takes O(n^4) time
+    n = _strands(args.family, inputs)
+    if n > MAX_STRANDS:
+        raise ValueError(f"the free action handles at most {MAX_STRANDS} strands, got {n}")
     if args.family in _RELATIONS:
         relations, matrix, tag = _RELATIONS[args.family][1](*inputs)
         report = verify_relations(relations, matrix, tag=tag)

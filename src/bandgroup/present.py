@@ -19,7 +19,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .braid import ArtinWord, BraidDecider, band_power
+from .braid import MAX_WORD_LETTERS, ArtinWord, BraidDecider, band_power
 from .coxeter import (
     BandPair,
     CoxeterDatum,
@@ -68,6 +68,29 @@ def expand_letter_word(word: Word, matrix: CoxeterDatum) -> ArtinWord:
     n = matrix.n
     return ArtinWord(n, tuple(itertools.chain.from_iterable(
         band_power(x[0], _syllable(x, matrix)[2], n) for x in word)))
+
+
+def artin_letters(word: Word, matrix: CoxeterDatum) -> int:
+    """The Artin letters of the word's expansion: |e m_tau| (2(j - i) - 1) per letter."""
+    m = matrix.m
+    return sum(abs(e * m[p.i - 1][p.j - 1]) * (2 * (p.j - p.i) - 1) for p, e in word)
+
+
+def check_letters(label: str, indices: tuple[int, ...], words, matrix: CoxeterDatum) -> None:
+    """Refuse an instance with a word that expands past MAX_WORD_LETTERS Artin letters.
+
+    The oracle hands a query whose free images outgrow their budget to the
+    normal forms of both words in Artin letters, and their cost grows with
+    the letters, about with their square for powers of a band (figures in
+    CHANGES.md).  The cap is the one a parsed braid word has.  Callers
+    check every instance before they decide any.
+    """
+    for word in words:
+        letters = artin_letters(word, matrix)
+        if letters > MAX_WORD_LETTERS:
+            raise ValueError(
+                f"{label} {indices}: a side expands to {letters} Artin letters, more than "
+                f"the {MAX_WORD_LETTERS} the normal form is allowed")
 
 
 class BandWordDecider:
@@ -356,6 +379,10 @@ def relations_sec4(matrix: CoxeterDatum) -> list[Relation]:
             x, y, z = BandPair.of(i, j), BandPair.of(i, k), BandPair.of(j, k)
             mx, my, mz = matrix.entry(x), matrix.entry(y), matrix.entry(z)
             X, Y, Z = (x, 1), (y, 1), (z, 1)
+            if mx == 2 and my == 2 and mz > MAX_WORD_LETTERS:
+                # its words have about mz letters, each of at least two Artin letters
+                raise ValueError(f"sec4.3 words for m[{j}][{k}] = {mz} would expand past "
+                                 f"{MAX_WORD_LETTERS} Artin letters")
             if mx == 2 and my == 2 and mz % 2 == 0:
                 nu = mz // 2
                 first = [X, Y] * (nu - 1) + [Z, X, Y]
@@ -484,7 +511,13 @@ def relations_thm2_rederivations(p: Partition) -> list[Relation]:
 def verify_relations(
     rels: list[Relation], matrix: CoxeterDatum, tag: str = "verify"
 ) -> RunReport:
-    """Expand both sides of every relation and decide them exactly."""
+    """Expand both sides of every relation and decide them exactly.
+
+    A relation with a side past MAX_WORD_LETTERS Artin letters is refused,
+    with ValueError, before any is decided.
+    """
+    for rel in rels:
+        check_letters(rel.label, rel.indices, (rel.lhs, rel.rhs), matrix)
     start = time.perf_counter()
     report = RunReport(tag=tag)
     decider = BandWordDecider(matrix)
@@ -597,23 +630,27 @@ def coset_table_check(p: Partition) -> RunReport:
     report = RunReport(tag=f"cosets {p}")
     reps = sorted(set(p.part_of(n)))
     bands = [BandPair(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
-    decider = BandWordDecider(matrix)
+    cases = []
     for g in bands:
         for t in reps:
             t2, tail = coset_rewrite(g, t, p)
             lhs: Word = ((g, 1),) + (((BandPair(t, n), 1),) if t != n else ())
             rhs: Word = (((BandPair(t2, n), 1),) if t2 != n else ()) + tail
             family = f"case.{_coset_case(g, t, p)}"
-            equal = decider.equal(lhs, rhs)
-            discriminant = decider.permutation(lhs)[n - 1]
-            if equal and discriminant == t2:
-                report.add(family, g.indices() + (t,), True)
-            else:
-                message = f"g={g} t={t}: target {t2}, permutation sends n to {discriminant}"
-                if not equal:
-                    message += ", braid identity fails"
-                report.add(family, g.indices() + (t,), False, message,
-                           format_letter_word(lhs), format_letter_word(rhs))
+            check_letters(family, g.indices() + (t,), (lhs, rhs), matrix)
+            cases.append((g, t, t2, lhs, rhs, family))
+    decider = BandWordDecider(matrix)
+    for g, t, t2, lhs, rhs, family in cases:
+        equal = decider.equal(lhs, rhs)
+        discriminant = decider.permutation(lhs)[n - 1]
+        if equal and discriminant == t2:
+            report.add(family, g.indices() + (t,), True)
+        else:
+            message = f"g={g} t={t}: target {t2}, permutation sends n to {discriminant}"
+            if not equal:
+                message += ", braid identity fails"
+            report.add(family, g.indices() + (t,), False, message,
+                       format_letter_word(lhs), format_letter_word(rhs))
     report.info["cosets"] = len(reps)
     report.wall_time = time.perf_counter() - start
     return report
@@ -642,6 +679,10 @@ def block_product_check(m1: CoxeterDatum, m2: CoxeterDatum) -> RunReport:
     report = RunReport(tag=f"block {m1.n}+{m2.n}")
     left = m1.band_pairs()
     right = [BandPair(tau.i + m1.n, tau.j + m1.n) for tau in m2.band_pairs()]
+    for tau in left:
+        for sigma in right:
+            check_letters("block", tau.indices() + sigma.indices(), (((tau, 1), (sigma, 1)),),
+                          combined)
     decider = BandWordDecider(combined)
     for tau in left:
         for sigma in right:

@@ -156,6 +156,65 @@ class TestVerify:
         self._usage_error(capsys, ["verify", "thm2", "--partition", str(path)],
                           "list of integer lists")
 
+    def test_strands_past_the_cap_are_refused_before_generation(self, capsys, monkeypatch,
+                                                                matrix_file, partition_file):
+        def refuse(*args):
+            raise AssertionError("relations generated past the strand cap")
+
+        for name in ("relations_thm1", "relations_thm2", "relations_combing", "relations_sec4",
+                     "coset_table_check", "block_product_check"):
+            monkeypatch.setattr(f"bandgroup.cli.{name}", refuse)
+        wide = matrix_file("m.json", CoxeterDatum.constant(MAX_STRANDS + 3, 3))
+        half = matrix_file("h.json", CoxeterDatum.constant(MAX_STRANDS // 2 + 1, 3))
+        cases = [
+            (["thm1", "--matrix", wide], MAX_STRANDS + 3),
+            (["sec4", "--matrix", wide], MAX_STRANDS + 3),
+            (["thm2", "--partition", partition_file("p.json", Partition.singletons(130))], 130),
+            (["cosets", "--partition", partition_file("p.json", Partition.singletons(130))], 130),
+            (["combing", "--partition",
+              partition_file("q.json", Partition.singletons(MAX_STRANDS))], MAX_STRANDS + 1),
+            (["block", "--matrix1", half, "--matrix2", half], 2 * (MAX_STRANDS // 2 + 1)),
+        ]
+        for args, strands in cases:
+            self._usage_error(capsys, ["verify", *args],
+                              f"at most {MAX_STRANDS} strands, got {strands}")
+
+    def test_sides_past_the_letter_cap_are_refused_before_deciding(self, capsys, monkeypatch,
+                                                                   matrix_file):
+        def refuse(*args):
+            raise AssertionError("a relation was decided")
+
+        # the longest thm1 side on 4 strands, a_14^m a_23^m, has 5m + m letters
+        m = MAX_WORD_LETTERS // 6
+        assert main(["verify", "thm1", "--matrix",
+                     matrix_file("m.json", CoxeterDatum.constant(4, m))]) == 0
+        monkeypatch.setattr("bandgroup.present.BandWordDecider.equal", refuse)
+        # a_12^m a_34^m, the first relation, has 2m letters
+        for entry, letters in ((m + 1, 6 * (m + 1)), (10 ** 9, 2 * 10 ** 9)):
+            path = matrix_file("m.json", CoxeterDatum.constant(4, entry))
+            self._usage_error(capsys, ["verify", "thm1", "--matrix", path],
+                              f"expands to {letters} Artin letters")
+            self._usage_error(capsys, ["verify", "block", "--matrix1", path, "--matrix2", path],
+                              f"more than the {MAX_WORD_LETTERS} the normal form is allowed")
+
+    def test_coset_sides_past_the_letter_cap_are_refused(self, capsys, monkeypatch,
+                                                         partition_file):
+        def refuse(*args):
+            raise AssertionError("a rewrite was decided")
+
+        monkeypatch.setattr("bandgroup.present.MAX_WORD_LETTERS", 8)
+        monkeypatch.setattr("bandgroup.present.BandWordDecider.equal", refuse)
+        path = partition_file("p.json", Partition.single_block(4))
+        self._usage_error(capsys, ["verify", "cosets", "--partition", path],
+                          "more than the 8 the normal form is allowed")
+
+    def test_long_sec4_words_are_refused_before_they_are_built(self, capsys, matrix_file):
+        path = matrix_file("m.json", CoxeterDatum.from_rows(
+            [[0, 2, 2], [2, 0, 10 ** 9], [2, 10 ** 9, 0]]))
+        for argv in (["verify", "sec4", "--matrix", path],
+                     ["export", "--family", "sec4", "--matrix", path]):
+            self._usage_error(capsys, argv, f"would expand past {MAX_WORD_LETTERS} Artin letters")
+
     def test_json_reports_byte_stable(self, capsys, partition_file):
         path = partition_file("p.json", Partition.singletons(3))
         assert main(["--json", "verify", "thm2", "--partition", path]) == 0
