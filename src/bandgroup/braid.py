@@ -387,6 +387,14 @@ class BraidDecider:
         self.n = n
         # proper suffix -> images of t_1 .. t_n under its action
         self._images: dict[tuple, list[bytes]] = {(): _generators(n)}
+        # what the decider did: syllable steps, normal-form handovers and
+        # the longest image it built
+        self.steps = self.handovers = self.peak_letters = 0
+
+    def counters(self) -> dict[str, int]:
+        """The decider's work so far, for a report's info."""
+        return {"oracle_steps": self.steps, "oracle_handovers": self.handovers,
+                "oracle_peak_letters": self.peak_letters}
 
     def permutation(self, word: tuple) -> list[int]:
         """The images of 1 .. n under the permutation of a word.
@@ -416,6 +424,7 @@ class BraidDecider:
         try:
             return self._images_of(u) == self._images_of(v)
         except ImageLimitError:
+            self.handovers += 1
             return left_normal_form(self._artin(u)) == left_normal_form(self._artin(v))
 
     def _artin(self, word: tuple) -> ArtinWord:
@@ -433,6 +442,8 @@ class BraidDecider:
         out = images[word[k:]]
         for k in range(k - 1, -1, -1):
             out = _act(list(out), word[k:k + 1], _HANDOVER_LETTERS, _NEG)
+            self.steps += 1
+            self.peak_letters = max(self.peak_letters, *map(len, out))
             # Whole words are kept out: one is seldom a later word's
             # suffix, and the memo then grows only with what words share.
             if k:

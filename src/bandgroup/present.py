@@ -117,6 +117,10 @@ class BandWordDecider:
         """The images of 1 .. n under the permutation of the word's braid."""
         return self._braids.permutation(self._syllables(word))
 
+    def counters(self) -> dict[str, int]:
+        """The oracle's work so far: see `BraidDecider.counters`."""
+        return self._braids.counters()
+
 
 def _rel(label: str, indices: tuple[int, ...], lhs: list[Letter], rhs: list[Letter]) -> Relation:
     return Relation(label, indices, tuple(lhs), tuple(rhs))
@@ -527,6 +531,7 @@ def verify_relations(
         else:
             report.add(rel.label, rel.indices, False, "relation fails in the braid group",
                        format_letter_word(rel.lhs), format_letter_word(rel.rhs))
+    report.info.update(decider.counters())
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -652,6 +657,7 @@ def coset_table_check(p: Partition) -> RunReport:
             report.add(family, g.indices() + (t,), False, message,
                        format_letter_word(lhs), format_letter_word(rhs))
     report.info["cosets"] = len(reps)
+    report.info.update(decider.counters())
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -693,6 +699,7 @@ def block_product_check(m1: CoxeterDatum, m2: CoxeterDatum) -> RunReport:
                 report.add("block", indices, False,
                            f"cross-block letters {tau} and {sigma} do not commute")
     report.info["left_generators"] = len(left)
+    report.info.update(decider.counters())
     report.info["right_generators"] = len(right)
     report.wall_time = time.perf_counter() - start
     return report

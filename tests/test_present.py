@@ -35,7 +35,7 @@ from bandgroup.present import (
     verify_relations,
 )
 
-from oracles import referee_braid_equal
+from oracles import referee_braid_equal, referee_free_image
 
 
 def bp(a, b):
@@ -239,13 +239,42 @@ class TestBandWordDecider:
                     matrix = partition_to_matrix(p.with_singleton())
                     yield verify_relations(relations_combing(p, n), matrix)
 
-        by_images = [report.to_dict() for report in reports()]
+        def decisions(report):
+            """The report without the oracle's counters, which tell the two routes apart."""
+            out = report.to_dict()
+            out["info"] = {k: v for k, v in out["info"].items() if not k.startswith("oracle_")}
+            return out
+
+        by_images = list(reports())
+        assert all(report.info["oracle_handovers"] == 0 for report in by_images)
         monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
         monkeypatch.setattr("bandgroup.braid.left_normal_form", counted)
         by_normal_form = list(reports())
         assert all(report.ok for report in by_normal_form)
-        assert [report.to_dict() for report in by_normal_form] == by_images
+        assert list(map(decisions, by_normal_form)) == list(map(decisions, by_images))
         assert len(calls) > 1000
+        # two normal forms per handover
+        assert 2 * sum(report.info["oracle_handovers"] for report in by_normal_form) == len(calls)
+
+    def test_counters_report_the_oracle_work(self):
+        # thm1 on 4 strands: a_12 a_34 = a_34 a_12 and a_14 a_23 = a_23 a_14,
+        # four syllable steps each, as no side ends like another
+        matrix = CoxeterDatum.constant(4, 3)
+        rels = relations_thm1(matrix)
+        report = verify_relations(rels, matrix)
+        peak = 0
+        for rel in rels:
+            for word in (rel.lhs, rel.rhs):
+                for k in range(len(word)):
+                    letters = expand_letter_word(word[k:], matrix).letters
+                    peak = max(peak, *(len(referee_free_image(letters, i)) for i in range(1, 5)))
+        assert report.info == {"oracle_steps": 8, "oracle_handovers": 0,
+                               "oracle_peak_letters": peak}
+        for report in (coset_table_check(Partition.single_block(3)),
+                       block_product_check(CoxeterDatum.constant(2, 3),
+                                           CoxeterDatum.constant(3, 3))):
+            assert report.info["oracle_steps"] > 0
+            assert report.info["oracle_handovers"] == 0
 
     def test_failures_carry_witnesses(self, monkeypatch):
         matrix = CoxeterDatum.constant(3, 3)
