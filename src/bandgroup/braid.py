@@ -172,6 +172,10 @@ class ImageLimitError(ValueError):
     """A word built by an action would exceed the letters allowed to it."""
 
 
+def _too_long(limit: int) -> ImageLimitError:
+    return ImageLimitError(f"a word exceeds {limit} letters; the braid word is too long")
+
+
 def _check_strands(n: int) -> None:
     if n > MAX_STRANDS:
         raise ValueError(f"the free action handles at most {MAX_STRANDS} strands, got {n}")
@@ -191,10 +195,6 @@ def _decode(x: bytes) -> tuple[int, ...]:
 def _format(x: bytes, tokens: dict[int, str]) -> str:
     """An encoded word as text, "1" when it is empty."""
     return x.decode("latin-1").translate(tokens)[:-1] or "1"
-
-
-def _inverse(x: bytes, neg: bytes) -> bytes:
-    return x[::-1].translate(neg)
 
 
 def _cancel(x: bytes, y: bytes, neg: bytes) -> int:
@@ -240,8 +240,8 @@ def _mul(x: bytes, y: bytes, neg: bytes) -> bytes:
     return x[:len(x) - c] + y[c:]
 
 
-def _conj(g: bytes, x: bytes, neg: bytes) -> bytes:
-    """The reduced word of g x g^-1.
+def _conj(g: bytes, g_inv: bytes, x: bytes, neg: bytes) -> bytes:
+    """The reduced word of g x g^-1, given g and its inverse.
 
     When what cancels on the left of x and what cancels on its right leave
     some of x between them, the two junctions are independent and the
@@ -249,7 +249,6 @@ def _conj(g: bytes, x: bytes, neg: bytes) -> bytes:
     """
     if not (g and x):
         return x
-    g_inv = g[::-1].translate(neg)
     left = _cancel(g, x, neg) if g_inv[0] == x[0] else 0
     right = _cancel(x, g_inv, neg) if x[-1] == g[-1] else 0
     if left + right < len(x):
@@ -271,7 +270,7 @@ def _power(p: bytes, q: int, limit: int, neg: bytes) -> bytes:
     if 2 * k >= lp:
         return p if q % 2 else b""
     if 2 * k + q * (lp - 2 * k) > limit:
-        raise ImageLimitError(f"a word exceeds {limit} letters; the braid word is too long")
+        raise _too_long(limit)
     return p[:k] + p[k:lp - k] * q + p[lp - k:]
 
 
@@ -298,29 +297,33 @@ def _act(words: list[bytes], syllables, limit: int, neg: bytes) -> list[bytes]:
     """
     for i, j, e in syllables:
         a, b = words[i - 1], words[j - 1]
+        b_inv = b[::-1].translate(neg)
         s = 1 if e > 0 else -1
         q, r = divmod(s * e, 2)
         if not r:
             x, z = a, b
         elif s > 0:
-            x, z = _conj(a, b, neg), a
+            x, z = _conj(a, a[::-1].translate(neg), b, neg), a
         else:
-            x, z = b, _conj(_inverse(b, neg), a, neg)
+            x, z = b, _conj(b_inv, b, a, neg)
         if q:
-            power = _mul(a, b, neg) if s > 0 else _mul(_inverse(b, neg), _inverse(a, neg), neg)
+            p = _mul(a, b, neg)
+            if s < 0:
+                p = p[::-1].translate(neg)
             if q > 1:
-                power = _power(power, q, limit, neg)
-            x, z = _conj(power, x, neg), _conj(power, z, neg)
+                p = _power(p, q, limit, neg)
+            p_inv = p[::-1].translate(neg)
+            x, z = _conj(p, p_inv, x, neg), _conj(p, p_inv, z, neg)
         if len(x) > limit or len(z) > limit:
-            raise ImageLimitError(f"a word exceeds {limit} letters; the braid word is too long")
+            raise _too_long(limit)
         words[i - 1], words[j - 1] = x, z
         if j - i > 1:
-            g = _mul(z, _inverse(b, neg), neg)
+            g = _mul(z, b_inv, neg)
+            g_inv = g[::-1].translate(neg)
             for m in range(i, j - 1):
-                y = words[m] = _conj(g, words[m], neg)
+                y = words[m] = _conj(g, g_inv, words[m], neg)
                 if len(y) > limit:
-                    raise ImageLimitError(
-                        f"a word exceeds {limit} letters; the braid word is too long")
+                    raise _too_long(limit)
     return words
 
 

@@ -19,7 +19,6 @@ from bandgroup.braid import (
     _decode,
     _encode,
     _free_images,
-    _inverse,
     _mul,
     _permutation_list,
     _syllables,
@@ -47,6 +46,11 @@ from oracles import (
     substitute_artin_letter,
     transposition_map,
 )
+
+
+def _inverse(x, neg):
+    """The inverse of an encoded reduced word."""
+    return x[::-1].translate(neg)
 
 
 def word(n, *letters):
