@@ -70,23 +70,19 @@ def expand_letter_word(word: Word, matrix: CoxeterDatum) -> ArtinWord:
         band_power(x[0], _syllable(x, matrix)[2], n) for x in word)))
 
 
-def artin_letters(word: Word, matrix: CoxeterDatum) -> int:
-    """The Artin letters of the word's expansion: |e m_tau| (2(j - i) - 1) per letter."""
-    m = matrix.m
-    return sum(abs(e * m[p.i - 1][p.j - 1]) * (2 * (p.j - p.i) - 1) for p, e in word)
-
-
-def check_letters(label: str, indices: tuple[int, ...], words, matrix: CoxeterDatum) -> None:
+def _check_letters(label: str, indices: tuple[int, ...], words, matrix: CoxeterDatum) -> None:
     """Refuse an instance with a word that expands past MAX_WORD_LETTERS Artin letters.
 
+    The letter (tau, e) expands to |e m_tau| (2(j - i) - 1) Artin letters.
     The oracle hands a query whose free images outgrow their budget to the
     normal forms of both words in Artin letters, and their cost grows with
     the letters, about with their square for powers of a band (figures in
     CHANGES.md).  The cap is the one a parsed braid word has.  Callers
     check every instance before they decide any.
     """
+    m = matrix.m
     for word in words:
-        letters = artin_letters(word, matrix)
+        letters = sum(abs(e * m[p.i - 1][p.j - 1]) * (2 * (p.j - p.i) - 1) for p, e in word)
         if letters > MAX_WORD_LETTERS:
             raise ValueError(
                 f"{label} {indices}: a side expands to {letters} Artin letters, more than "
@@ -521,7 +517,7 @@ def verify_relations(
     with ValueError, before any is decided.
     """
     for rel in rels:
-        check_letters(rel.label, rel.indices, (rel.lhs, rel.rhs), matrix)
+        _check_letters(rel.label, rel.indices, (rel.lhs, rel.rhs), matrix)
     start = time.perf_counter()
     report = RunReport(tag=tag)
     decider = BandWordDecider(matrix)
@@ -642,7 +638,7 @@ def coset_table_check(p: Partition) -> RunReport:
             lhs: Word = ((g, 1),) + (((BandPair(t, n), 1),) if t != n else ())
             rhs: Word = (((BandPair(t2, n), 1),) if t2 != n else ()) + tail
             family = f"case.{_coset_case(g, t, p)}"
-            check_letters(family, g.indices() + (t,), (lhs, rhs), matrix)
+            _check_letters(family, g.indices() + (t,), (lhs, rhs), matrix)
             cases.append((g, t, t2, lhs, rhs, family))
     decider = BandWordDecider(matrix)
     for g, t, t2, lhs, rhs, family in cases:
@@ -687,7 +683,7 @@ def block_product_check(m1: CoxeterDatum, m2: CoxeterDatum) -> RunReport:
     right = [BandPair(tau.i + m1.n, tau.j + m1.n) for tau in m2.band_pairs()]
     for tau in left:
         for sigma in right:
-            check_letters("block", tau.indices() + sigma.indices(), (((tau, 1), (sigma, 1)),),
+            _check_letters("block", tau.indices() + sigma.indices(), (((tau, 1), (sigma, 1)),),
                           combined)
     decider = BandWordDecider(combined)
     for tau in left:
@@ -699,8 +695,8 @@ def block_product_check(m1: CoxeterDatum, m2: CoxeterDatum) -> RunReport:
                 report.add("block", indices, False,
                            f"cross-block letters {tau} and {sigma} do not commute")
     report.info["left_generators"] = len(left)
-    report.info.update(decider.counters())
     report.info["right_generators"] = len(right)
+    report.info.update(decider.counters())
     report.wall_time = time.perf_counter() - start
     return report
 
