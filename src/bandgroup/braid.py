@@ -455,7 +455,11 @@ class BraidDecider:
 
 
 class _OneQuery(BraidDecider):
-    """A decider that keeps nothing, for a single query on long words."""
+    """A decider that keeps nothing, for a single query.
+
+    The words of one query share no suffixes worth keeping, and the images
+    of every suffix of a long word would fill memory.
+    """
 
     def _images_of(self, word: tuple) -> list[bytes]:
         return _act(_generators(self.n), reversed(word), _HANDOVER_LETTERS, _NEG)
