@@ -8,13 +8,18 @@ expression no sequence of moves can shorten is reduced; `normalize` finds a
 canonical reduced representative by greedy piling followed by picking the
 lexicographically least ordering inside the commutation class.
 
-The injectivity scan enumerates canonical expressions up to a length and
+Canonical expressions, the fixed points of `normalize`, are enumerated by
+a depth-first walk that decides each extension from two bitmasks over the
+bases, carried per depth, without normalizing anything: the bases the
+prefix ends in and the bases the lexicographic order forbids next.
+
+The injectivity scan walks the canonical expressions up to a length and
 exponent bound and checks the last-letter certificates of each: for every
 base the expression ends in, the braid's action on the universal Coxeter
 group must move the base's first letter.  A braid that moves a letter is
 not 1, so a passing certificate also proves the braid nontrivial; the exact
 equality oracle decides only expressions whose certificates all fail.  The
-scan carries each prefix's letter images down the enumeration, so every
+scan carries each prefix's letter images down the walk, so every
 certificate costs one comparison.
 """
 
@@ -35,12 +40,22 @@ Factor = tuple[BandPair, int]
 
 # Budget on (bases x 2 x max_exp)^max_len, the raw count of expressions an
 # injectivity scan may enumerate; a scan past it is refused before it
-# starts.  With entry 3 and max_exp at most 15, the scan takes 7 to 18 us
-# per unit of this count (n = 3 to 6, 2 cores, Python 3.11.7), so such a
-# scan ends within about two seconds.  A letter image grows with
-# exponent x entry, so larger ones cost more per unit: n = 2, L = 1 takes
-# 1.0 s at max_exp 1000 and 10.4 s at 3000.
+# starts.  With entry 3 and max_exp at most 15, the scan takes 2.0 to 6.8 us
+# per unit of this count (n = 3 to 6, counts of 2x10^4 to 10^5, 2 cores,
+# Python 3.11.7), so such a scan ends within about a second.  A letter
+# image grows with exponent x entry, so larger ones cost more per unit;
+# `MAX_SCAN_LETTERS` bounds the images under single factors.
 MAX_SCAN_EXPRESSIONS = 100_000
+
+# Budget on the letters of the scan's undo table (see `_undo_letters`),
+# which it builds in full before the first expression.  They grow with
+# max_exp^2 x entry, so a scan within the expression budget can still hold
+# billions of them: n = 2, L = 1 at max_exp 50000.  With entry 3, n = 2 and
+# L = 1, where the table is all the scan builds, 6 max_exp (max_exp + 1)
+# letters took 0.10 s at max_exp 300, 1.04 s and 66 MB at 1000 (6.0x10^6
+# letters) and 1.38 s and 88 MB at 1181 (8.4x10^6), the last that fits
+# (2 cores, Python 3.11.7), about 0.17 us a letter.
+MAX_SCAN_LETTERS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -172,15 +187,6 @@ def ends_in(w: RaagExpression, tau: BandPair) -> bool:
     return False
 
 
-def extend_ends(ends: list[BandPair], base: BandPair) -> list[BandPair]:
-    """The bases w·(base, e) ends in, given the sorted bases w ends in.
-
-    A base other than `base` stays last exactly when it commutes past the
-    new factor; `base` itself is last.  The result is sorted too.
-    """
-    return sorted([base, *(tau for tau in ends if commutes_in_brn(tau, base))])
-
-
 def ends_in_witness(w: RaagExpression, tau: BandPair) -> RaagExpression | None:
     """A type II rearrangement of w ending in tau, or None."""
     if not ends_in(w, tau):
@@ -197,32 +203,92 @@ def expression_to_braid(w: RaagExpression, matrix: CoxeterDatum) -> ArtinWord:
     return expand_letter_word(w.factors, matrix)
 
 
+def _walk(
+    bases: list[BandPair], max_len: int, max_exp: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """Depth-first walk of the nonempty canonical expressions.
+
+    Yields (depth, k, e, ends) per expression: it is its parent, the last
+    expression yielded at depth - 1 (the empty one at depth 1), followed
+    by the factor (bases[k], e).  `ends` is the mask of the bases it ends
+    in, bit k standing for bases[k].  Parents come before their children,
+    bases in list order and exponents from -max_exp up.
+
+    A canonical expression is the lexicographic normal form of its trace
+    (Anisimov and Knuth, *Inhomogeneous sorting*, 1979), so whether p·beta
+    is canonical follows from two masks carried per depth: E, the bases p
+    ends in (beta in E merges), and F, the bases the lexicographic rule
+    forbids next (those below some factor of p that commute with it and
+    with every later factor, so they could move in front of it).  p·beta
+    is canonical exactly when beta is in neither.  With C[beta] the bases
+    commuting with beta and L[beta] those below it, one step gives
+    E' = {beta} | (E & C[beta]) and F' = C[beta] & (F | L[beta]); neither
+    depends on the exponent.
+    """
+    exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
+    bits = range(len(bases))
+    commuting = [sum(1 << k for k in bits if commutes_in_brn(bases[k], beta)) for beta in bases]
+    below = [sum(1 << k for k in bits if bases[k] < beta) for beta in bases]
+
+    def rec(depth: int, ends: int, forbidden: int) -> Iterator[tuple[int, int, int, int]]:
+        blocked = ends | forbidden
+        for k in bits:
+            if blocked >> k & 1:
+                continue
+            child_ends = 1 << k | ends & commuting[k]
+            child_forbidden = commuting[k] & (forbidden | below[k])
+            for e in exponents:
+                yield depth, k, e, child_ends
+                if depth < max_len:
+                    yield from rec(depth + 1, child_ends, child_forbidden)
+
+    return rec(1, 0, 0) if max_len > 0 else iter(())
+
+
 def canonical_expressions(
     bases: list[BandPair], max_len: int, max_exp: int
 ) -> Iterator[RaagExpression]:
     """All canonical reduced expressions with the given bounds.
 
-    Enumerates by extending canonical prefixes; prefixes of canonical
-    expressions are canonical, so the search tree prunes exactly.  Whether
-    an extension by (base, e) is canonical does not depend on e, since
-    merging and the lexicographic order look at bases only, so it is
-    decided once per base.
+    Those are the fixed points of `normalize`: the empty expression first,
+    then depth first as `_walk` yields them, each followed by its
+    extensions with bases in list order and exponents from -max_exp up.
     """
-    exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
+    factors: list[Factor] = []
+    yield RaagExpression()
+    for depth, k, e, _ in _walk(bases, max_len, max_exp):
+        del factors[depth - 1:]
+        factors.append((bases[k], e))
+        yield RaagExpression(tuple(factors))
 
-    def rec(prefix: list[Factor]) -> Iterator[RaagExpression]:
-        expr = RaagExpression(tuple(prefix))
-        yield expr
-        if len(prefix) == max_len:
-            return
-        for base in bases:
-            probe = tuple(prefix) + ((base, exponents[0]),)
-            if normalize(RaagExpression(probe)).factors != probe:
-                continue
-            for e in exponents:
-                yield from rec(prefix + [(base, e)])
 
-    yield from rec([])
+def _undo_letters(matrix: CoxeterDatum, max_exp: int) -> int:
+    """The letters of the scan's undo table, counted in closed form.
+
+    The table holds the image of s_x, for x the first index of some base,
+    under (beta, -e) for every base beta = (j, k) and every e in
+    +-1 .. +-max_exp.  With m = e times the entry of beta, the image has
+    1 letter for x outside [j, k], 4|m| + 1 for x strictly between, and
+    2|m| + 1 or 2|m| - 1 for x = j or x = k by the sign of m (s_j maps to
+    c s_j and s_k to s_k c^-1 with c = (s_j s_k)^m, see `act_band_on_cox`).
+    Over both signs of e the ends give 4|m| a letter, and the |e| sum to
+    max_exp (max_exp + 1).
+    """
+    bases = matrix.band_pairs()
+    letters = {tau.i for tau in bases}
+    count = 2 * max_exp  # values of e
+    weight = max_exp * (max_exp + 1)  # sum of |e| over them
+    total = 0
+    for beta in bases:
+        entry = matrix.entry(beta)
+        for x in letters:
+            if x < beta.i or x > beta.j:
+                total += count
+            elif x in (beta.i, beta.j):
+                total += 2 * entry * weight
+            else:
+                total += 4 * entry * weight + count
+    return total
 
 
 def injectivity_scan(
@@ -239,14 +305,16 @@ def injectivity_scan(
     equality oracle.  Any failure would exhibit a collapse of the
     commutation presentation at this scale; none is expected.
 
-    The walk follows `canonical_expressions`, whose parent of an expression
-    at depth d is the last expression it yielded at depth d - 1.  A stack
-    keeps, per depth, the prefix's letter images and the bases it ends in
-    (see `extend_ends`).  Each band power acts as a bijection, so the
-    image of s_i under p·(beta, e) is s_i exactly when the image under p is
-    the image of s_i under (beta, -e): one comparison per certificate
-    against an image cached per (beta, e).  The images under a prefix are
-    built once, for prefixes shorter than max_len.
+    The scan consumes `_walk`, which hands over each expression's last
+    factor and the mask of the bases it ends in.  A stack keeps, per depth,
+    the letter images under the current prefix and its report indices.
+    Each band power acts as a bijection, so the image of s_i under
+    p·(beta, e) is s_i exactly when the image under p is the image of s_i
+    under (beta, -e): one comparison per certificate against the undo
+    table, which holds the images of every letter under every inverse
+    factor.  The images under a prefix are built once, for prefixes
+    shorter than max_len.  `info` counts the expressions, the
+    certificates, the oracle fallbacks and the longest image built.
     """
     if not matrix.is_large_type():
         raise ScopeError("injectivity scan needs a large-type matrix (entries 0 or >= 3)")
@@ -260,47 +328,71 @@ def injectivity_scan(
             f"scan of up to {letters}^{max_len} expressions exceeds the budget of "
             f"{MAX_SCAN_EXPRESSIONS}; lower --max-len or --max-exp"
         )
+    undo_letters = _undo_letters(matrix, max_exp)
+    if undo_letters > MAX_SCAN_LETTERS:
+        raise ValueError(
+            f"scan would build {undo_letters} image letters for its undo table, past the "
+            f"budget of {MAX_SCAN_LETTERS}; lower --max-exp or the matrix entries"
+        )
     start = time.perf_counter()
     report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
     decider = BandWordDecider(matrix)
+    entries = [matrix.entry(beta) for beta in bases]
+    root = {tau.i: CoxWord.single(tau.i) for tau in bases}
+    # undo[k][e]: the images of s_i under the inverse of (bases[k], e)
+    undo = [
+        {e: {i: act_band_on_cox(CoxWord.single(i), beta, -e * m) for i in root}
+         for e in range(-max_exp, max_exp + 1) if e != 0}
+        for beta, m in zip(bases, entries)
+    ]
+    peak = max((len(w.letters) for table in undo for images in table.values()
+                for w in images.values()), default=0)
+    # ends mask -> (s_i, tau's indices, tau) for each base tau it holds
+    certified: dict[int, list[tuple[int, tuple[int, int], BandPair]]] = {}
     # stack[d]: the images of s_i under the last expression yielded at
-    # depth d, the bases it ends in and its report indices; that expression
-    # is the parent of everything yielded at depth d + 1 until the next
-    # expression at depth d.
-    stack = [({tau.i: CoxWord.single(tau.i) for tau in bases}, [], ())]
-    # (base, e) -> the images of s_i under the inverse of (base, e)
-    undo: dict[Factor, dict[int, CoxWord]] = {}
-    certificates = 0
-    for expr in canonical_expressions(bases, max_len, max_exp):
-        depth = len(expr.factors)
-        if not depth:
-            continue
-        images, parent_ends, parent_indices = stack[depth - 1]
-        beta, e = last = expr.factors[-1]
-        m = e * matrix.entry(beta)
-        ends = extend_ends(parent_ends, beta)
+    # depth d and its report indices; that expression is the parent of
+    # everything yielded at depth d + 1 until the next one at depth d.
+    stack = [(root, ())]
+    factors: list[Factor] = []
+    certificates = fallbacks = 0
+    for depth, k, e, ends in _walk(bases, max_len, max_exp):
+        images, parent_indices = stack[depth - 1]
+        beta = bases[k]
+        del factors[depth - 1:]
+        factors.append((beta, e))
         indices = parent_indices + (beta.i, beta.j, e)
         if depth < max_len:
-            stack[depth:] = [
-                ({i: act_band_on_cox(w, beta, m) for i, w in images.items()}, ends, indices)
+            m = e * entries[k]
+            child = {i: act_band_on_cox(w, beta, m) for i, w in images.items()}
+            peak = max(peak, *(len(w.letters) for w in child.values()))
+            stack[depth:] = [(child, indices)]
+        inverse = undo[k][e]
+        taus = certified.get(ends)
+        if taus is None:
+            taus = certified[ends] = [
+                (tau.i, tau.indices(), tau) for b, tau in enumerate(bases) if ends >> b & 1
             ]
-        inverse = undo.get(last)
-        if inverse is None:
-            inverse = undo[last] = {i: act_band_on_cox(CoxWord.single(i), beta, -m) for i in images}
-        moved = [(tau, images[tau.i] != inverse[tau.i]) for tau in ends]
-        if any(ok for _, ok in moved) or not decider.equal(expr.factors, ()):
-            report.add("nontrivial", indices, True)
+        moved = [images[i].letters != inverse[i].letters for i, _, _ in taus]
+        trivial = False
+        if not any(moved):
+            fallbacks += 1
+            trivial = decider.equal(tuple(factors), ())
+        if trivial:
+            report.add("nontrivial", indices, False,
+                       f"expression {format_letter_word(factors)} maps to the trivial braid")
         else:
-            report.add("nontrivial", indices, False, f"expression {expr} maps to the trivial braid")
-        certificates += len(moved)
-        for tau, ok in moved:
+            report.add("nontrivial", indices, True)
+        certificates += len(taus)
+        for (i, pair, tau), ok in zip(taus, moved):
             if ok:
-                report.add("certificate", indices + tau.indices(), True)
+                report.add("certificate", indices + pair, True)
             else:
-                report.add("certificate", indices + tau.indices(), False,
-                           f"letter s{tau.i} fixed although {expr} ends in {tau}")
+                report.add("certificate", indices + pair, False,
+                           f"letter s{i} fixed although {format_letter_word(factors)} ends in {tau}")
     report.info["expressions"] = report.families.get("nontrivial", [0, 0])[0]
     report.info["certificates"] = certificates
+    report.info["oracle_fallbacks"] = fallbacks
+    report.info["peak_image_letters"] = peak
     report.wall_time = time.perf_counter() - start
     return report
 

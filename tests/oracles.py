@@ -3,19 +3,20 @@
 These deliberately re-derive everything from first principles (raw index
 arithmetic, exhaustive move enumeration) rather than calling the library's
 fast paths, so they can stand as referees for the implementations.
-Expressions are encoded as tuples of (i, j, p) integer triples.  The one
-exception is `referee_injectivity_scan`, the scan's plain procedure built
-from the library's own pieces.
+Expressions are encoded as tuples of (i, j, p) integer triples.  The
+exceptions are `referee_canonical_expressions` and
+`referee_injectivity_scan`, the enumeration's and the scan's plain
+procedures built from the library's own pieces.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from bandgroup.coxeter import CoxeterDatum
+from bandgroup.coxeter import BandPair, CoxeterDatum
 from bandgroup.coxword import CoxWord, act_band_on_cox
 from bandgroup.present import BandWordDecider
-from bandgroup.raag import canonical_expressions, ends_in
+from bandgroup.raag import RaagExpression, ends_in, normalize
 from bandgroup.report import RunReport
 
 State = tuple[tuple[int, int, int], ...]
@@ -206,37 +207,78 @@ def referee_hurwitz(entries, letters, involutive: bool = False) -> list[tuple[in
     return [tuple(e) for e in tup]
 
 
+def referee_canonical_expressions(bases: list[BandPair], max_len: int, max_exp: int):
+    """`raag.canonical_expressions` by running `normalize` on every extension.
+
+    Prefixes of canonical expressions are canonical, so extending only the
+    canonical ones prunes exactly; an extension by (base, e) is canonical
+    for every e or for none, so the first exponent decides for the base.
+    """
+    exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
+
+    def rec(prefix: tuple):
+        yield RaagExpression(prefix)
+        if len(prefix) == max_len:
+            return
+        for base in bases:
+            probe = prefix + ((base, exponents[0]),)
+            if normalize(RaagExpression(probe)).factors != probe:
+                continue
+            for e in exponents:
+                yield from rec(prefix + ((base, e),))
+
+    yield from rec(())
+
+
 def referee_injectivity_scan(matrix: CoxeterDatum, max_len: int, max_exp: int) -> RunReport:
     """`raag.injectivity_scan` with no shared state between expressions.
 
     Every expression goes to the exact equality oracle, and every
     certificate folds the band-power action from s_i through the whole
-    expression.  There is no budget, and the wall time is left at 0.
+    expression.  The longest image is taken over the same words the scan
+    builds, each folded afresh: the image of every letter s_{tau.i} under
+    every expression shorter than max_len and under every single factor
+    (base, -e).  There is no budget, and the wall time is left at 0.
     """
     bases = matrix.band_pairs()
+    letters = {tau.i for tau in bases}
+    exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
     report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
     decider = BandWordDecider(matrix)
-    certificates = 0
-    for expr in canonical_expressions(bases, max_len, max_exp):
+
+    def fold(i, factors):
+        image = CoxWord.single(i)
+        for base, p in factors:
+            image = act_band_on_cox(image, base, p * matrix.entry(base))
+        return image
+
+    peak = max((len(fold(i, [(base, -e)])) for base in bases for e in exponents for i in letters),
+               default=0)
+    certificates = fallbacks = 0
+    for expr in referee_canonical_expressions(bases, max_len, max_exp):
         if not expr.factors:
             continue
+        if len(expr.factors) < max_len:
+            peak = max(peak, *(len(fold(i, expr.factors)) for i in letters))
         indices = tuple(x for base, p in expr.factors for x in (*base.indices(), p))
         if decider.equal(expr.factors, ()):
             report.add("nontrivial", indices, False, f"expression {expr} maps to the trivial braid")
         else:
             report.add("nontrivial", indices, True)
+        passed = False
         for tau in bases:
             if not ends_in(expr, tau):
                 continue
             certificates += 1
-            image = CoxWord.single(tau.i)
-            for base, p in expr.factors:
-                image = act_band_on_cox(image, base, p * matrix.entry(base))
-            if image != CoxWord.single(tau.i):
+            if fold(tau.i, expr.factors) != CoxWord.single(tau.i):
+                passed = True
                 report.add("certificate", indices + tau.indices(), True)
             else:
                 report.add("certificate", indices + tau.indices(), False,
                            f"letter s{tau.i} fixed although {expr} ends in {tau}")
+        fallbacks += not passed
     report.info["expressions"] = report.families.get("nontrivial", [0, 0])[0]
     report.info["certificates"] = certificates
+    report.info["oracle_fallbacks"] = fallbacks
+    report.info["peak_image_letters"] = peak
     return report

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from bandgroup.braid import MAX_IMAGE_LETTERS, MAX_STRANDS, MAX_WORD_LETTERS
 from bandgroup.cli import MAX_DEGREE, MAX_RANDOM_LETTERS, main
 from bandgroup.coxeter import CoxeterDatum, Partition
-from bandgroup.raag import MAX_SCAN_EXPRESSIONS
+from bandgroup.raag import MAX_SCAN_EXPRESSIONS, MAX_SCAN_LETTERS, _undo_letters
 
 
 @pytest.fixture
@@ -247,6 +248,33 @@ class TestScan:
                      "--max-len", "5", "--max-exp", "3"]) == 2
         err = capsys.readouterr().err
         assert f"60^5 expressions exceeds the budget of {MAX_SCAN_EXPRESSIONS}" in err
+
+    def test_scan_past_the_letter_budget_is_refused_up_front(self, capsys, matrix_file):
+        # 100,000 expressions pass the expression budget, but the undo
+        # table would hold 6 * 50000 * 50001 letters
+        path = matrix_file("m.json", CoxeterDatum.constant(2, 3))
+        started = time.perf_counter()
+        assert main(["scan", "inject", "--matrix", path,
+                     "--max-len", "1", "--max-exp", "50000"]) == 2
+        assert time.perf_counter() - started < 1
+        err = capsys.readouterr().err
+        assert f"15000300000 image letters for its undo table, past the budget of {MAX_SCAN_LETTERS}" in err
+
+    def test_letter_budget_boundary(self, capsys, matrix_file):
+        # 6 B (B + 1) letters on n = 2: B = 1181 fits, B = 1182 does not
+        matrix = CoxeterDatum.constant(2, 3)
+        assert _undo_letters(matrix, 1181) <= MAX_SCAN_LETTERS < _undo_letters(matrix, 1182)
+        path = matrix_file("m.json", matrix)
+        assert main(["scan", "inject", "--matrix", path,
+                     "--max-len", "1", "--max-exp", "1182"]) == 2
+        assert "undo table" in capsys.readouterr().err
+
+    def test_benchmark_and_golden_scans_fit_the_letter_budget(self):
+        # the benchmark scans n = 4, L = 3, B = 2; the golden scans go up to B = 2
+        mixed = CoxeterDatum.from_entries(4, {(1, 2): 3, (1, 3): 4, (3, 4): 3})
+        for matrix, max_exp in [(CoxeterDatum.constant(4, 3), 2),
+                                (CoxeterDatum.constant(3, 3), 1), (mixed, 2)]:
+            assert _undo_letters(matrix, max_exp) <= MAX_SCAN_LETTERS
 
 
 class TestHurwitz:

@@ -16,7 +16,6 @@ from bandgroup.raag import (
     ends_in,
     ends_in_witness,
     expression_to_braid,
-    extend_ends,
     format_expression,
     injectivity_scan,
     is_reduced,
@@ -29,6 +28,7 @@ from oracles import (
     bfs_min_length,
     orbit_end_bases,
     reduced_class_count,
+    referee_canonical_expressions,
     referee_injectivity_scan,
     type2_orbit,
 )
@@ -50,7 +50,29 @@ def random_expression(rng, bases, max_len, max_exp):
     )
 
 
+def every_expression(bases, max_len, max_exp, prefix=()):
+    """Every expression within the bounds, depth first, bases in list order."""
+    yield RaagExpression(prefix)
+    if len(prefix) < max_len:
+        for base in bases:
+            for e in range(-max_exp, max_exp + 1):
+                if e:
+                    yield from every_expression(bases, max_len, max_exp, prefix + ((base, e),))
+
+
 ALL_BASES_4 = [BandPair(i, j) for i, j in itertools.combinations(range(1, 5), 2)]
+
+MIXED_LARGE_TYPE = CoxeterDatum.from_entries(
+    4, {(1, 2): 3, (1, 3): 4, (1, 4): 5, (2, 4): 3, (3, 4): 5}
+)
+
+ZERO_ENTRY = CoxeterDatum.from_entries(4, {(1, 2): 3, (3, 4): 3, (1, 3): 4})
+
+WALKS = [
+    (CoxeterDatum.constant(5, 3), 3, 1),
+    (MIXED_LARGE_TYPE, 3, 1),
+    (ZERO_ENTRY, 3, 2),
+]
 
 
 class TestElementaryMoves:
@@ -204,17 +226,22 @@ class TestCanonicalEnumeration:
 
     @pytest.mark.parametrize("max_len, max_exp", [(2, 2), (3, 1)])
     def test_pruning_matches_filtered_full_enumeration(self, max_len, max_exp):
-        exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
-
-        def every_expression(prefix):
-            yield RaagExpression(prefix)
-            if len(prefix) < max_len:
-                for base in ALL_BASES_4:
-                    for e in exponents:
-                        yield from every_expression(prefix + ((base, e),))
-
-        expected = [w for w in every_expression(()) if normalize(w) == w]
+        expected = [
+            w for w in every_expression(ALL_BASES_4, max_len, max_exp) if normalize(w) == w
+        ]
         assert list(canonical_expressions(ALL_BASES_4, max_len, max_exp)) == expected
+
+    @pytest.mark.parametrize("matrix, max_len, max_exp", WALKS)
+    def test_walk_matches_filtered_full_enumeration(self, matrix, max_len, max_exp):
+        # the walk decides canonicity from its masks, the referee by normalize
+        bases = matrix.band_pairs()
+        expected = [w for w in every_expression(bases, max_len, max_exp) if normalize(w) == w]
+        assert list(canonical_expressions(bases, max_len, max_exp)) == expected
+        assert list(referee_canonical_expressions(bases, max_len, max_exp)) == expected
+
+    def test_zero_bounds(self):
+        assert list(canonical_expressions(ALL_BASES_4, 0, 2)) == [expr()]
+        assert list(canonical_expressions(ALL_BASES_4, 2, 0)) == [expr()]
 
 
 class TestInjectivityScan:
@@ -239,11 +266,6 @@ class TestInjectivityScan:
 
         with pytest.raises(ScopeError):
             injectivity_scan(CoxeterDatum.constant(3, 2), 2, 2)
-
-
-MIXED_LARGE_TYPE = CoxeterDatum.from_entries(
-    4, {(1, 2): 3, (1, 3): 4, (1, 4): 5, (2, 4): 3, (3, 4): 5}
-)
 
 
 def fold(w, i, matrix):
@@ -323,17 +345,49 @@ class TestIncrementalScan:
                 for i in range(1, 5):
                     assert fold(w, i, matrix) == apply_artin_to_cox(CoxWord.single(i), braid)
 
-    def test_extend_ends_matches_ends_in(self):
-        rng = random.Random(32)
-        for n in (4, 5, 6):
-            bases = CoxeterDatum.constant(n, 3).band_pairs()
-            for _ in range(100):
-                w = random_expression(rng, bases, 6, 2)
-                ends = []
-                for length, (base, _) in enumerate(w.factors, start=1):
-                    ends = extend_ends(ends, base)
-                    prefix = RaagExpression(w.factors[:length])
-                    assert ends == [tau for tau in bases if ends_in(prefix, tau)]
+    @pytest.mark.parametrize(
+        "matrix, max_len, max_exp", WALKS + [(CoxeterDatum.constant(6, 3), 2, 1)]
+    )
+    def test_walk_ends_match_ends_in(self, matrix, max_len, max_exp):
+        bases = matrix.band_pairs()
+        factors = []
+        for depth, k, e, ends in raag._walk(bases, max_len, max_exp):
+            del factors[depth - 1:]
+            factors.append((bases[k], e))
+            prefix = RaagExpression(tuple(factors))
+            assert [tau for b, tau in enumerate(bases) if ends >> b & 1] == [
+                tau for tau in bases if ends_in(prefix, tau)
+            ]
+
+    def test_counters(self, monkeypatch):
+        # at L = 1 only the undo table is built; its longest word is s_2
+        # under (1.4)^(+-2) with entry 3: c s_2 c^-1 with c of 12 letters
+        report = injectivity_scan(CoxeterDatum.constant(4, 3), 1, 2)
+        assert report.info["oracle_fallbacks"] == 0
+        assert report.info["peak_image_letters"] == 4 * 2 * 3 + 1
+        monkeypatch.setattr(raag, "act_band_on_cox", lambda w, tau, m: w)
+        monkeypatch.setattr(BandWordDecider, "equal", lambda self, u, v: False)
+        report = injectivity_scan(CoxeterDatum.constant(4, 3), 2, 1)
+        assert report.info["oracle_fallbacks"] == report.info["expressions"]
+        assert report.info["peak_image_letters"] == 1
+
+    def test_undo_letters_closed_form(self):
+        rng = random.Random(34)
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            matrix = CoxeterDatum.from_entries(n, {
+                pair: rng.choice((0, 3, 4, 7))
+                for pair in itertools.combinations(range(1, n + 1), 2)
+            })
+            max_exp = rng.randint(1, 4)
+            bases = matrix.band_pairs()
+            built = sum(
+                len(act_band_on_cox(CoxWord.single(i), beta, -e * matrix.entry(beta)))
+                for beta in bases
+                for e in range(-max_exp, max_exp + 1) if e
+                for i in {tau.i for tau in bases}
+            )
+            assert raag._undo_letters(matrix, max_exp) == built
 
     def test_passing_scan_never_calls_the_oracle(self, monkeypatch):
         def refuse(self, u, v):
