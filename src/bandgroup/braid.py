@@ -21,8 +21,17 @@ action of `coxword`.  Since the images are built from the back, words
 that end alike share them: `BraidDecider` takes words of syllables (the
 band letters of a relation, say) and keeps the images of every proper
 suffix it builds, for as long as it lives; `braid_equal` is the same
-routine on the runs of two Artin words.  Only the normal form expands a
-syllable into Artin letters.  Inside the kernel a reduced word is a
+routine on the runs of two Artin words.  The decider first relabels a pair
+onto the k strands it touches, in their order, and decides each relabelled
+pair once, on k strands.  That is exact: the relations of Birman, Ko and
+Lee (*A new approach to the word and conjugacy problems in the braid
+groups*, Adv. Math. 1998) depend only on the order of the bands'
+endpoints, so a_pq -> a_{s_p s_q} is a homomorphism from B_k to B_n, and
+it is injective, since bands that all pass on one side of the strands
+s_1 < .. < s_k lie in one disk around exactly their punctures.  So a
+relation on four strands out of forty is decided as one on strands
+1 .. 4, and decided once however often it recurs.  Only the normal form
+expands a syllable into Artin letters.  Inside the kernel a reduced word is a
 `bytes` object, letter i as the byte 128 + i and its inverse as 128 - i
 for free words, or as itself for Coxeter words, so concatenation, slicing
 and inversion run in C and letter indices, hence strands, are limited to
@@ -375,94 +384,149 @@ def artin_action_on_free(w: ArtinWord) -> tuple[FreeWord, ...]:
     return tuple(FreeWord(_decode(img)) for img in _free_images(w, MAX_IMAGE_LETTERS))
 
 
+def _relabel(u: tuple, v: tuple) -> tuple[int, tuple, tuple]:
+    """The pair of words of syllables moved onto strands 1 .. k, in order.
+
+    k is the number of strands u and v touch together, and the p-th of
+    them, counted from the left, becomes strand p.
+
+    >>> _relabel(((2, 5, 1), (3, 5, -2)), ((3, 5, -2), (2, 5, 1)))
+    (3, ((1, 3, 1), (2, 3, -2)), ((2, 3, -2), (1, 3, 1)))
+    """
+    if not (u or v):
+        return 0, u, v
+    left, right, _ = zip(*u, *v)
+    strands = sorted(set(left).union(right))
+    k = len(strands)
+    if strands[-1] == k:
+        return k, u, v
+    label = [0] * (strands[-1] + 1)
+    for p, x in enumerate(strands, 1):
+        label[x] = p
+    return (k, tuple([(label[i], label[j], e) for i, j, e in u]),
+            tuple([(label[i], label[j], e) for i, j, e in v]))
+
+
+def _permutation(word: tuple, n: int) -> list[int]:
+    """The images of 1 .. n under the permutation of a word of syllables.
+
+    A band power a_ij^e permutes by the transposition (i j) when e is odd
+    and trivially when it is even.
+    """
+    images = list(range(1, n + 1))
+    for i, j, e in word:
+        if e % 2:
+            images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
+    return images
+
+
 class BraidDecider:
     """Exact equality in the braid group on n strands, for words of syllables.
 
     A word is a tuple of band syllables (i, j, e), each the band power
-    a_ij^e, such as the band letters of a relation.  The decider keeps the
-    free images of every proper suffix it builds, so words that end in the
-    same syllables share that work.  It holds on to them as long as it
-    lives: make one per verification call and let it go with the call.
+    a_ij^e, such as the band letters of a relation.  Each pair is first
+    relabelled onto the k strands it touches, keeping their order, and
+    decided there, once: the verdict is kept, so a relation that recurs on
+    other strands with the same pattern is not decided again.  This is
+    exact.  The map a_pq -> a_{s_p s_q} from B_k to B_n is a homomorphism,
+    as the relations of Birman, Ko and Lee (Adv. Math. 1998) depend only
+    on the order of the bands' endpoints, and it is injective, as every
+    band on the strands s_1 < .. < s_k passes on the same side and so lies
+    in one disk holding exactly their punctures.  The decider also keeps
+    the free images of every proper suffix it builds, so words that end in
+    the same syllables share that work.  It holds on to verdicts and
+    images as long as it lives: make one per verification call and let it
+    go with the call.
     """
 
     def __init__(self, n: int):
         _check_strands(n)
         self.n = n
-        # proper suffix -> images of t_1 .. t_n under its action
-        self._images: dict[tuple, list[bytes]] = {(): _generators(n)}
-        # what the decider did: syllable steps, normal-form handovers and
-        # the longest image it built
+        # strands k -> proper suffix -> images of t_1 .. t_k under its action
+        self._images: dict[int, dict[tuple, list[bytes]]] = {}
+        # relabelled pair -> whether it is one braid
+        self._verdicts: dict[tuple[tuple, tuple], bool] = {}
+        # what the decider did: syllable steps, normal-form handovers, the
+        # longest image it built, the relabelled pairs it decided and those
+        # of them the permutations settled
         self.steps = self.handovers = self.peak_letters = 0
+        self.distinct = self.perm_rejections = 0
 
     def counters(self) -> dict[str, int]:
         """The decider's work so far, for a report's info."""
         return {"oracle_steps": self.steps, "oracle_handovers": self.handovers,
-                "oracle_peak_letters": self.peak_letters}
+                "oracle_peak_letters": self.peak_letters, "oracle_distinct": self.distinct,
+                "oracle_perm_rejections": self.perm_rejections}
 
     def permutation(self, word: tuple) -> list[int]:
-        """The images of 1 .. n under the permutation of a word.
-
-        A band power a_ij^e permutes by the transposition (i j) when e is
-        odd and trivially when it is even.
-        """
-        images = list(range(1, self.n + 1))
-        for i, j, e in word:
-            if e % 2:
-                images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
-        return images
+        """The images of 1 .. n under the permutation of a word."""
+        return _permutation(word, self.n)
 
     def equal(self, u: tuple, v: tuple) -> bool:
         """Whether two words of syllables are the same braid.
 
-        Equal words settle it first and unequal permutations next, as a
-        cheap filter.  Then the induced free-group endomorphisms are
-        compared; the action is faithful, so agreement of all generator
+        The pair is relabelled onto the k strands it touches and looked up
+        among the pairs already decided.  A new pair is decided on k
+        strands: equal words settle it first and unequal permutations
+        next, as a cheap filter.  Then the induced free-group endomorphisms
+        are compared; the action is faithful, so agreement of all generator
         images settles equality.  When an image outgrows _HANDOVER_LETTERS,
         the left normal forms decide.
         """
+        k, u, v = _relabel(u, v)
+        verdict = self._verdicts.get((u, v))
+        if verdict is None:
+            verdict = self._verdicts[u, v] = self._decide(k, u, v)
+            self.distinct += 1
+        return verdict
+
+    def _decide(self, k: int, u: tuple, v: tuple) -> bool:
         if u == v:
             return True
-        if self.permutation(u) != self.permutation(v):
+        if _permutation(u, k) != _permutation(v, k):
+            self.perm_rejections += 1
             return False
         try:
-            return self._images_of(u) == self._images_of(v)
+            return self._images_of(u, k) == self._images_of(v, k)
         except ImageLimitError:
             self.handovers += 1
-            return left_normal_form(self._artin(u)) == left_normal_form(self._artin(v))
+            return left_normal_form(_artin(u, k)) == left_normal_form(_artin(v, k))
 
-    def _artin(self, word: tuple) -> ArtinWord:
-        """The word in Artin letters, the input of the normal form."""
-        n = self.n
-        return ArtinWord(n, tuple(itertools.chain.from_iterable(
-            band_power(BandPair(i, j), e, n) for i, j, e in word)))
-
-    def _images_of(self, word: tuple) -> list[bytes]:
-        """The images of the word's action, built on its longest known suffix."""
-        images = self._images
-        k = 0
-        while word[k:] not in images:
-            k += 1
-        out = images[word[k:]]
-        for k in range(k - 1, -1, -1):
-            out = _act(list(out), word[k:k + 1], _HANDOVER_LETTERS, _NEG)
+    def _images_of(self, word: tuple, k: int) -> list[bytes]:
+        """The images of the word's action on k strands, built on its longest known suffix."""
+        images = self._images.get(k)
+        if images is None:
+            images = self._images[k] = {(): _generators(k)}
+        m = 0
+        while word[m:] not in images:
+            m += 1
+        out = images[word[m:]]
+        for m in range(m - 1, -1, -1):
+            out = _act(list(out), word[m:m + 1], _HANDOVER_LETTERS, _NEG)
             self.steps += 1
             self.peak_letters = max(self.peak_letters, *map(len, out))
             # Whole words are kept out: one is seldom a later word's
             # suffix, and the memo then grows only with what words share.
-            if k:
-                images[word[k:]] = out
+            if m:
+                images[word[m:]] = out
         return out
 
 
+def _artin(word: tuple, n: int) -> ArtinWord:
+    """A word of syllables in Artin letters on n strands, the input of the normal form."""
+    return ArtinWord(n, tuple(itertools.chain.from_iterable(
+        band_power(BandPair(i, j), e, n) for i, j, e in word)))
+
+
 class _OneQuery(BraidDecider):
-    """A decider that keeps nothing, for a single query.
+    """A decider that keeps no images, for a single query.
 
     The words of one query share no suffixes worth keeping, and the images
     of every suffix of a long word would fill memory.
     """
 
-    def _images_of(self, word: tuple) -> list[bytes]:
-        return _act(_generators(self.n), reversed(word), _HANDOVER_LETTERS, _NEG)
+    def _images_of(self, word: tuple, k: int) -> list[bytes]:
+        return _act(_generators(k), reversed(word), _HANDOVER_LETTERS, _NEG)
 
 
 def braid_equal(u: ArtinWord, v: ArtinWord) -> bool:

@@ -54,20 +54,24 @@ def format_letter_word(word: Word) -> str:
     return " ".join(f"b{p}" if e == 1 else f"b{p}^{e}" for p, e in word)
 
 
-def _syllable(letter: Letter, matrix: CoxeterDatum) -> tuple[int, int, int]:
-    """The band syllable (i, j, e * m_tau) of the letter (tau, e)."""
-    pair, e = letter
-    m = matrix.entry(pair)
-    if m == 0:
-        raise ValueError(f"letter base {pair} has zero matrix entry")
-    return pair.i, pair.j, e * m
+def _syllables(word: Word, matrix: CoxeterDatum) -> tuple[tuple[int, int, int], ...]:
+    """The band syllables (i, j, e * m_tau) of the letters (tau, e) of a word."""
+    rows = matrix.m
+    out = []
+    for pair, e in word:
+        i, j = pair.i, pair.j
+        m = rows[i - 1][j - 1]
+        if m == 0:
+            raise ValueError(f"letter base {pair} has zero matrix entry")
+        out.append((i, j, e * m))
+    return tuple(out)
 
 
 def expand_letter_word(word: Word, matrix: CoxeterDatum) -> ArtinWord:
     """Expand every letter (tau, e) to the band on tau raised to e * m_tau."""
     n = matrix.n
     return ArtinWord(n, tuple(itertools.chain.from_iterable(
-        band_power(x[0], _syllable(x, matrix)[2], n) for x in word)))
+        band_power(BandPair(i, j), e, n) for i, j, e in _syllables(word, matrix))))
 
 
 def _check_letters(label: str, indices: tuple[int, ...], words, matrix: CoxeterDatum) -> None:
@@ -102,16 +106,13 @@ class BandWordDecider:
         self._matrix = matrix
         self._braids = BraidDecider(matrix.n)
 
-    def _syllables(self, word: Word) -> tuple:
-        matrix = self._matrix
-        return tuple(_syllable(x, matrix) for x in word)
-
     def equal(self, u: Word, v: Word) -> bool:
-        return self._braids.equal(self._syllables(u), self._syllables(v))
+        matrix = self._matrix
+        return self._braids.equal(_syllables(u, matrix), _syllables(v, matrix))
 
     def permutation(self, word: Word) -> list[int]:
         """The images of 1 .. n under the permutation of the word's braid."""
-        return self._braids.permutation(self._syllables(word))
+        return self._braids.permutation(_syllables(word, self._matrix))
 
     def counters(self) -> dict[str, int]:
         """The oracle's work so far: see `BraidDecider.counters`."""

@@ -314,7 +314,8 @@ def injectivity_scan(
     table, which holds the images of every letter under every inverse
     factor.  The images under a prefix are built once, for prefixes
     shorter than max_len.  `info` counts the expressions, the
-    certificates, the oracle fallbacks and the longest image built.
+    certificates, the oracle fallbacks and the longest image built, and
+    carries the oracle's own counters (see `BraidDecider.counters`).
     """
     if not matrix.is_large_type():
         raise ScopeError("injectivity scan needs a large-type matrix (entries 0 or >= 3)")
@@ -393,6 +394,7 @@ def injectivity_scan(
     report.info["certificates"] = certificates
     report.info["oracle_fallbacks"] = fallbacks
     report.info["peak_image_letters"] = peak
+    report.info.update(decider.counters())
     report.wall_time = time.perf_counter() - start
     return report
 

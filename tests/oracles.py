@@ -238,13 +238,16 @@ def referee_injectivity_scan(matrix: CoxeterDatum, max_len: int, max_exp: int) -
     expression.  The longest image is taken over the same words the scan
     builds, each folded afresh: the image of every letter s_{tau.i} under
     every expression shorter than max_len and under every single factor
-    (base, -e).  There is no budget, and the wall time is left at 0.
+    (base, -e).  The oracle's counters are those of a second decider that
+    sees, in order, only the expressions whose certificates all fail, as
+    the scan's decider does.  There is no budget, and the wall time is
+    left at 0.
     """
     bases = matrix.band_pairs()
     letters = {tau.i for tau in bases}
     exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
     report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
-    decider = BandWordDecider(matrix)
+    decider, fallback = BandWordDecider(matrix), BandWordDecider(matrix)
 
     def fold(i, factors):
         image = CoxWord.single(i)
@@ -276,9 +279,12 @@ def referee_injectivity_scan(matrix: CoxeterDatum, max_len: int, max_exp: int) -
             else:
                 report.add("certificate", indices + tau.indices(), False,
                            f"letter s{tau.i} fixed although {expr} ends in {tau}")
-        fallbacks += not passed
+        if not passed:
+            fallbacks += 1
+            fallback.equal(expr.factors, ())
     report.info["expressions"] = report.families.get("nontrivial", [0, 0])[0]
     report.info["certificates"] = certificates
     report.info["oracle_fallbacks"] = fallbacks
     report.info["peak_image_letters"] = peak
+    report.info.update(fallback.counters())
     return report

@@ -474,6 +474,106 @@ class TestNormalForm:
                 assert (images[0] == images[1]) is equal
 
 
+def _inverse_word(word):
+    return tuple((i, j, -e) for i, j, e in reversed(word))
+
+
+def support_pairs(rng, n, words):
+    """Seeded (u, v, equal) pairs of syllable words, each on a support of n strands that is no interval.
+
+    u is a random word on the bands of the support.  Its equal partners
+    insert a relation of Birman, Ko and Lee, a_st a_rs = a_rt a_st =
+    a_rs a_rt for r < s < t, or x x^-1, or swap two adjacent commuting
+    syllables (or insert the commutator of two commuting bands); its
+    unequal partner inserts the square of a band, which keeps the
+    permutation and changes the braid.  All partners share u, and they
+    may touch strands of the support that u does not.
+    """
+    for _ in range(words):
+        while True:
+            support = sorted(rng.sample(range(1, n + 1), rng.choice((3, 4))))
+            if support[-1] - support[0] >= len(support):
+                break
+        bands = list(itertools.combinations(support, 2))
+
+        def syllable():
+            return (*rng.choice(bands), rng.choice((1, -1, 1, -1, 2, -3)))
+
+        def insert(word, block):
+            pos = rng.randint(0, len(word))
+            return word[:pos] + tuple(block) + word[pos:]
+
+        u = tuple(syllable() for _ in range(rng.randint(0, 3)))
+        r, s, t = sorted(rng.sample(support, 3))
+        products = [((s, t, 1), (r, s, 1)), ((r, t, 1), (s, t, 1)), ((r, s, 1), (r, t, 1))]
+        x, y = rng.sample(products, 2)
+        yield u, insert(u, x + _inverse_word(y)), True
+        i, j, e = syllable()
+        yield u, insert(u, ((i, j, e), (i, j, -e))), True
+        swaps = [m for m in range(len(u) - 1)
+                 if commutes_in_brn(BandPair(*u[m][:2]), BandPair(*u[m + 1][:2]))]
+        if swaps:
+            m = rng.choice(swaps)
+            yield u, u[:m] + (u[m + 1], u[m]) + u[m + 2:], True
+        elif len(support) == 4:
+            a, b, c, d = support
+            x, y = rng.choice((((a, b), (c, d)), ((a, d), (b, c))))
+            yield u, insert(u, ((*x, 1), (*y, 1), (*x, -1), (*y, -1))), True
+        i, j, _ = syllable()
+        yield u, insert(u, ((i, j, rng.choice((2, -2))),)), False
+
+
+class TestRelabelledDecider:
+    """Pairs decided on the strands they touch, against the full-strand referee."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(41)
+        cases = []
+        for n in range(5, 9):
+            pairs = list(support_pairs(rng, n, 25))
+            expansions = [
+                tuple(x for i, j, e in word for x in band_power(BandPair(i, j), e, n))
+                for u, v, _ in pairs for word in (u, v)
+            ]
+            for (u, v, equal), lhs, rhs in zip(pairs, expansions[::2], expansions[1::2]):
+                assert referee_braid_equal(n, lhs, rhs) is equal
+                if not equal:
+                    assert _permutation_list(n, lhs) == _permutation_list(n, rhs)
+            cases.append((n, pairs))
+        return cases
+
+    def test_pairs_match_referee(self, monkeypatch):
+        cases = self._cases()
+        verdicts = [e for _, pairs in cases for _, _, e in pairs]
+        assert verdicts.count(True) >= 200 and verdicts.count(False) >= 50
+        for handover in (False, True):
+            if handover:
+                monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
+            handovers = 0
+            for n, pairs in cases:
+                decider = BraidDecider(n)
+                for u, v, equal in pairs:
+                    assert decider.equal(u, v) is equal
+                    assert decider.equal(v, u) is equal
+                counters = decider.counters()
+                assert counters["oracle_perm_rejections"] == 0
+                handovers += counters["oracle_handovers"]
+                # asked again, every pair is answered from the verdicts kept
+                for u, v, equal in pairs:
+                    assert decider.equal(u, v) is equal
+                assert decider.counters() == counters
+            assert (handovers > 0) is handover
+
+    def test_permutation_filter_is_counted(self):
+        decider = BraidDecider(6)
+        assert not decider.equal(((2, 5, 1),), ((2, 5, -1), (3, 5, 1)))
+        assert not decider.equal(((1, 3, 1),), ((1, 3, -1), (2, 3, 1)))
+        assert decider.counters() == {
+            "oracle_steps": 0, "oracle_handovers": 0, "oracle_peak_letters": 0,
+            "oracle_distinct": 1, "oracle_perm_rejections": 1}
+
+
 class TestPermutation:
     def test_generator_images(self):
         assert permutation_image(word(3, (1, 1))).cycle_string() == "(1 2)"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -269,7 +270,8 @@ class TestBandWordDecider:
                     letters = expand_letter_word(word[k:], matrix).letters
                     peak = max(peak, *(len(referee_free_image(letters, i)) for i in range(1, 5)))
         assert report.info == {"oracle_steps": 8, "oracle_handovers": 0,
-                               "oracle_peak_letters": peak}
+                               "oracle_peak_letters": peak, "oracle_distinct": 2,
+                               "oracle_perm_rejections": 0}
         for report in (coset_table_check(Partition.single_block(3)),
                        block_product_check(CoxeterDatum.constant(2, 3),
                                            CoxeterDatum.constant(3, 3))):
@@ -297,6 +299,36 @@ class TestBandWordDecider:
         check()
         monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
         check()
+
+    def test_failures_on_one_pattern_carry_their_own_witnesses(self):
+        # thm2.v on (1, 2, 4) and (2, 3, 5), its right side reversed so that
+        # it fails: both instances relabel onto strands 1, 2, 3 and share
+        # one decision, and each reports its own indices and words
+        p = Partition.single_block(5)
+        mutated = [
+            dataclasses.replace(rel, rhs=rel.rhs[::-1])
+            for rel in relations_thm2(p)
+            if rel.label == "thm2.v" and rel.indices in ((1, 2, 4), (2, 3, 5))
+            and rel.lhs[0][0] == bp(*rel.indices[:2])
+        ]
+        assert len(mutated) == 2
+        report = verify_relations(mutated, partition_to_matrix(p))
+        assert [failure.to_dict() for failure in report.failures] == [
+            {"family": "thm2.v", "indices": [1, 2, 4], "message": "relation fails in the braid group",
+             "lhs": "b1.2 b1.4", "rhs": "b1.2 b2.4"},
+            {"family": "thm2.v", "indices": [2, 3, 5], "message": "relation fails in the braid group",
+             "lhs": "b2.3 b2.5", "rhs": "b2.3 b3.5"},
+        ]
+        assert report.info["oracle_distinct"] == 1
+
+    def test_counters_are_per_call(self):
+        # the verdicts live only as long as the call that made them
+        p = Partition.of(6, [[1, 4], [2, 5, 6], [3]])
+        rels, matrix = relations_thm2(p), partition_to_matrix(p)
+        first, second = verify_relations(rels, matrix), verify_relations(rels, matrix)
+        assert first.info == second.info
+        assert 0 < first.info["oracle_distinct"] < len(rels)
+        assert coset_table_check(p).info == coset_table_check(p).info
 
     def test_coset_failure_carries_witness(self, monkeypatch):
         def wrong_rewrite(g, t, p):
