@@ -163,6 +163,13 @@ MAX_IMAGE_LETTERS = 1 << 24
 # past it the free action is slower than the normal form and its memory
 # grows exponentially.
 _HANDOVER_LETTERS = 1 << 17
+# Artin letters the normal form may take, per side of a query.  A query
+# handed over with a longer side, counted on the strands the pair touches,
+# is refused with ValueError, and a parsed braid word may have no more.
+# The normal forms of a pair of seeded random words of this length, on 4,
+# 16 or 127 strands, took at most about 5 s on a 2-core machine, and their
+# cost grows about with the square of the letters (figures in CHANGES.md).
+MAX_WORD_LETTERS = 2048
 # Letters `_cancel` compares in one step, as two integers.  Most junctions
 # cancel fewer; a longer cancellation goes on by galloping.
 _WINDOW = 64
@@ -407,6 +414,11 @@ def _relabel(u: tuple, v: tuple) -> tuple[int, tuple, tuple]:
             tuple([(label[i], label[j], e) for i, j, e in v]))
 
 
+def _band_letters(i: int, j: int, e: int) -> int:
+    """The Artin letters of the band power a_ij^e, in closed form."""
+    return abs(e) * (2 * (j - i) - 1)
+
+
 def _permutation(word: tuple, n: int) -> list[int]:
     """The images of 1 .. n under the permutation of a word of syllables.
 
@@ -471,7 +483,9 @@ class BraidDecider:
         next, as a cheap filter.  Then the induced free-group endomorphisms
         are compared; the action is faithful, so agreement of all generator
         images settles equality.  When an image outgrows _HANDOVER_LETTERS,
-        the left normal forms decide.
+        the left normal forms decide, unless a relabelled side has more
+        than MAX_WORD_LETTERS Artin letters: then the query is refused
+        with ValueError before any letter is built.
         """
         k, u, v = _relabel(u, v)
         verdict = self._verdicts.get((u, v))
@@ -489,6 +503,12 @@ class BraidDecider:
         try:
             return self._images_of(u, k) == self._images_of(v, k)
         except ImageLimitError:
+            for word in (u, v):
+                letters = sum(_band_letters(*syllable) for syllable in word)
+                if letters > MAX_WORD_LETTERS:
+                    raise ValueError(
+                        f"a side has {letters} Artin letters on {k} strands, more than the "
+                        f"{MAX_WORD_LETTERS} the normal form is allowed") from None
             self.handovers += 1
             return left_normal_form(_artin(u, k)) == left_normal_form(_artin(v, k))
 
@@ -852,13 +872,6 @@ def permutation_image(w: ArtinWord) -> Permutation:
 
 _TOKEN = re.compile(r"^(?:s(\d+)|a(\d+)\.(\d+))('?)(?:\^(-?\d+))?$")
 
-# Letters allowed in a parsed braid word.  This bounds what one `eq` query
-# can cost: the normal forms of a pair of seeded random words of this
-# length, on 4, 16 or 127 strands, took at most about 5 s on a 2-core
-# machine (figures in CHANGES.md), and the free action hands over before
-# its images pass _HANDOVER_LETTERS.
-MAX_WORD_LETTERS = 2048
-
 
 def parse_braid_word(text: str, n: int) -> ArtinWord:
     """Parse whitespace-separated braid tokens.
@@ -879,17 +892,14 @@ def parse_braid_word(text: str, n: int) -> ArtinWord:
         e = int(power) if power is not None else 1
         if prime:
             e = -e
-        if s_idx is None:
-            band = BandPair(int(band_i), int(band_j))
-            size = 2 * (band.j - band.i) - 1
-        else:
-            size = 1
-        if len(letters) + size * abs(e) > MAX_WORD_LETTERS:
+        band = BandPair(int(band_i), int(band_j)) if s_idx is None else None
+        i, j = band.indices() if band else (int(s_idx), int(s_idx) + 1)
+        if len(letters) + _band_letters(i, j, e) > MAX_WORD_LETTERS:
             raise ValueError(f"a braid word may have at most {MAX_WORD_LETTERS} letters")
-        if s_idx is None:
+        if band:
             letters += band_power(band, e, n)
         else:
-            letters += ArtinWord.generator(n, int(s_idx), 1 if e >= 0 else -1).letters * abs(e)
+            letters += ArtinWord.generator(n, i, 1 if e >= 0 else -1).letters * abs(e)
     return ArtinWord(n, tuple(letters))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .braid import MAX_IMAGE_LETTERS, ArtinWord, _decode, _free_images
+from .braid import MAX_IMAGE_LETTERS, ArtinWord, _decode, _free_images, _too_long
 from .coxeter import BandPair, commutes_in_brn, crossing
 
 
@@ -157,7 +157,7 @@ def band_power_letter_action(i: int, tau: BandPair, m: int) -> CoxWord:
     return act_band_on_cox(CoxWord.single(i), tau, m)
 
 
-def act_band_on_cox(w: CoxWord, tau: BandPair, m: int) -> CoxWord:
+def act_band_on_cox(w: CoxWord, tau: BandPair, m: int, limit: int = MAX_IMAGE_LETTERS) -> CoxWord:
     """Image of a word under the m-th power of the band on tau.
 
     Closed form, letter by letter, with c = (s_j s_k)^m for the band on
@@ -165,7 +165,8 @@ def act_band_on_cox(w: CoxWord, tau: BandPair, m: int) -> CoxWord:
     strictly between to c s_i c^-1, and s_k to s_k c^-1.  Negative m uses
     (s_j s_k)^-1 = s_k s_j.  The images are concatenated and reduced; this
     agrees with pushing the expanded Artin word through the letterwise
-    substitution rules.
+    substitution rules.  An image that passes `limit` letters raises
+    ImageLimitError, at most 4|m| + 1 letters after it does.
 
     >>> act_band_on_cox(CoxWord((2, 4)), BandPair(1, 3), -1).letters
     (3, 1, 2, 1, 3, 4)
@@ -188,6 +189,8 @@ def act_band_on_cox(w: CoxWord, tau: BandPair, m: int) -> CoxWord:
                 out.pop()
             else:
                 out.append(y)
+        if len(out) > limit:
+            raise _too_long(limit)
     return CoxWord(tuple(out))
 
 

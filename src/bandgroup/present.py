@@ -19,7 +19,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .braid import MAX_WORD_LETTERS, ArtinWord, BraidDecider, band_power
+from .braid import MAX_WORD_LETTERS, ArtinWord, BraidDecider, _artin
 from .coxeter import (
     BandPair,
     CoxeterDatum,
@@ -69,28 +69,7 @@ def _syllables(word: Word, matrix: CoxeterDatum) -> tuple[tuple[int, int, int], 
 
 def expand_letter_word(word: Word, matrix: CoxeterDatum) -> ArtinWord:
     """Expand every letter (tau, e) to the band on tau raised to e * m_tau."""
-    n = matrix.n
-    return ArtinWord(n, tuple(itertools.chain.from_iterable(
-        band_power(BandPair(i, j), e, n) for i, j, e in _syllables(word, matrix))))
-
-
-def _check_letters(label: str, indices: tuple[int, ...], words, matrix: CoxeterDatum) -> None:
-    """Refuse an instance with a word that expands past MAX_WORD_LETTERS Artin letters.
-
-    The letter (tau, e) expands to |e m_tau| (2(j - i) - 1) Artin letters.
-    The oracle hands a query whose free images outgrow their budget to the
-    normal forms of both words in Artin letters, and their cost grows with
-    the letters, about with their square for powers of a band (figures in
-    CHANGES.md).  The cap is the one a parsed braid word has.  Callers
-    check every instance before they decide any.
-    """
-    m = matrix.m
-    for word in words:
-        letters = sum(abs(e * m[p.i - 1][p.j - 1]) * (2 * (p.j - p.i) - 1) for p, e in word)
-        if letters > MAX_WORD_LETTERS:
-            raise ValueError(
-                f"{label} {indices}: a side expands to {letters} Artin letters, more than "
-                f"the {MAX_WORD_LETTERS} the normal form is allowed")
+    return _artin(_syllables(word, matrix), matrix.n)
 
 
 class BandWordDecider:
@@ -108,8 +87,13 @@ class BandWordDecider:
         self._braids = BraidDecider(matrix.n)
 
     def equal(self, u: Word, v: Word) -> bool:
+        """Whether two words are the same braid; ValueError names a pair the decider refuses."""
         matrix = self._matrix
-        return self._braids.equal(_syllables(u, matrix), _syllables(v, matrix))
+        x, y = _syllables(u, matrix), _syllables(v, matrix)
+        try:
+            return self._braids.equal(x, y)
+        except ValueError as exc:
+            raise ValueError(f"{format_letter_word(u)} = {format_letter_word(v)}: {exc}") from None
 
     def permutation(self, word: Word) -> list[int]:
         """The images of 1 .. n under the permutation of the word's braid."""
@@ -513,13 +497,12 @@ def relations_thm2_rederivations(p: Partition) -> list[Relation]:
 def verify_relations(
     rels: list[Relation], matrix: CoxeterDatum, tag: str = "verify"
 ) -> RunReport:
-    """Expand both sides of every relation and decide them exactly.
+    """Decide both sides of every relation exactly, as words of band syllables.
 
-    A relation with a side past MAX_WORD_LETTERS Artin letters is refused,
-    with ValueError, before any is decided.
+    A relation that reaches the normal-form handover with a side past
+    MAX_WORD_LETTERS Artin letters, counted on the strands the relation
+    touches, is refused with ValueError naming it (see `BraidDecider`).
     """
-    for rel in rels:
-        _check_letters(rel.label, rel.indices, (rel.lhs, rel.rhs), matrix)
     start = time.perf_counter()
     report = RunReport(tag=tag)
     decider = BandWordDecider(matrix)
@@ -633,27 +616,23 @@ def coset_table_check(p: Partition) -> RunReport:
     report = RunReport(tag=f"cosets {p}")
     reps = sorted(set(p.part_of(n)))
     bands = [BandPair(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
-    cases = []
+    decider = BandWordDecider(matrix)
     for g in bands:
         for t in reps:
             t2, tail = coset_rewrite(g, t, p)
             lhs: Word = ((g, 1),) + (((BandPair(t, n), 1),) if t != n else ())
             rhs: Word = (((BandPair(t2, n), 1),) if t2 != n else ()) + tail
             family = f"case.{_coset_case(g, t, p)}"
-            _check_letters(family, g.indices() + (t,), (lhs, rhs), matrix)
-            cases.append((g, t, t2, lhs, rhs, family))
-    decider = BandWordDecider(matrix)
-    for g, t, t2, lhs, rhs, family in cases:
-        equal = decider.equal(lhs, rhs)
-        discriminant = decider.permutation(lhs)[n - 1]
-        if equal and discriminant == t2:
-            report.add(family, g.indices() + (t,), True)
-        else:
-            message = f"g={g} t={t}: target {t2}, permutation sends n to {discriminant}"
-            if not equal:
-                message += ", braid identity fails"
-            report.add(family, g.indices() + (t,), False, message,
-                       format_letter_word(lhs), format_letter_word(rhs))
+            equal = decider.equal(lhs, rhs)
+            discriminant = decider.permutation(lhs)[n - 1]
+            if equal and discriminant == t2:
+                report.add(family, g.indices() + (t,), True)
+            else:
+                message = f"g={g} t={t}: target {t2}, permutation sends n to {discriminant}"
+                if not equal:
+                    message += ", braid identity fails"
+                report.add(family, g.indices() + (t,), False, message,
+                           format_letter_word(lhs), format_letter_word(rhs))
     report.info["cosets"] = len(reps)
     report.info.update(decider.counters())
     report.wall_time = time.perf_counter() - start
@@ -678,28 +657,13 @@ def assemble_block_matrix(m1: CoxeterDatum, m2: CoxeterDatum) -> CoxeterDatum:
 
 def block_product_check(m1: CoxeterDatum, m2: CoxeterDatum) -> RunReport:
     """Every generator from one block commutes with every one from the other."""
-    start = time.perf_counter()
-    combined = assemble_block_matrix(m1, m2)
-    report = RunReport(tag=f"block {m1.n}+{m2.n}")
     left = m1.band_pairs()
     right = [BandPair(tau.i + m1.n, tau.j + m1.n) for tau in m2.band_pairs()]
-    for tau in left:
-        for sigma in right:
-            _check_letters("block", tau.indices() + sigma.indices(), (((tau, 1), (sigma, 1)),),
-                          combined)
-    decider = BandWordDecider(combined)
-    for tau in left:
-        for sigma in right:
-            indices = tau.indices() + sigma.indices()
-            if decider.equal(((tau, 1), (sigma, 1)), ((sigma, 1), (tau, 1))):
-                report.add("block", indices, True)
-            else:
-                report.add("block", indices, False,
-                           f"cross-block letters {tau} and {sigma} do not commute")
+    rels = [_rel("block", tau.indices() + sigma.indices(), [(tau, 1), (sigma, 1)],
+                 [(sigma, 1), (tau, 1)]) for tau in left for sigma in right]
+    report = verify_relations(rels, assemble_block_matrix(m1, m2), tag=f"block {m1.n}+{m2.n}")
     report.info["left_generators"] = len(left)
     report.info["right_generators"] = len(right)
-    report.info.update(decider.counters())
-    report.wall_time = time.perf_counter() - start
     return report
 
 

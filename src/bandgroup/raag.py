@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .braid import ArtinWord
+from .braid import ArtinWord, ImageLimitError
 from .coxeter import BandPair, CoxeterDatum, ScopeError, commutes_in_brn
 from .coxword import CoxWord, act_band_on_cox
 from .present import BandWordDecider, expand_letter_word, format_letter_word
@@ -44,17 +44,20 @@ Factor = tuple[BandPair, int]
 # per unit of this count (n = 3 to 6, counts of 2x10^4 to 10^5, 2 cores,
 # Python 3.11.7), so such a scan ends within about a second.  A letter
 # image grows with exponent x entry, so larger ones cost more per unit;
-# `MAX_SCAN_LETTERS` bounds the images under single factors.
+# `MAX_SCAN_LETTERS` bounds the images.
 MAX_SCAN_EXPRESSIONS = 100_000
 
-# Budget on the letters of the scan's undo table (see `_undo_letters`),
-# which it builds in full before the first expression.  They grow with
-# max_exp^2 x entry, so a scan within the expression budget can still hold
-# billions of them: n = 2, L = 1 at max_exp 50000.  With entry 3, n = 2 and
-# L = 1, where the table is all the scan builds, 6 max_exp (max_exp + 1)
-# letters took 0.10 s at max_exp 300, 1.04 s and 66 MB at 1000 (6.0x10^6
-# letters) and 1.38 s and 88 MB at 1181 (8.4x10^6), the last that fits
-# (2 cores, Python 3.11.7), about 0.17 us a letter.
+# Budget on the image letters a scan builds: its undo table (see
+# `_undo_letters`), counted in closed form before the first expression,
+# and the images under the walk's prefixes, counted as they are built.
+# The table grows with max_exp^2 x entry, so a scan within the expression
+# budget can still hold billions of letters (n = 2, L = 1 at max_exp
+# 50000), and a prefix image with the product of its factors' powers (on
+# constant 1000 with n = 3, L = 3, B = 1 the walk built 9.6x10^7 letters
+# in 16 s).  Both cost about 0.17 us a letter: with entry 3, n = 2 and
+# L = 1, 6 max_exp (max_exp + 1) letters took 0.10 s at max_exp 300,
+# 1.04 s and 66 MB at 1000 and 1.38 s and 88 MB at 1181 (8.4x10^6), the
+# last that fits (2 cores, Python 3.11.7).
 MAX_SCAN_LETTERS = 1 << 23
 
 
@@ -313,7 +316,10 @@ def injectivity_scan(
     under (beta, -e): one comparison per certificate against the undo
     table, which holds the images of every letter under every inverse
     factor.  The images under a prefix are built once, for prefixes
-    shorter than max_len.  `info` counts the expressions, the
+    shorter than max_len.  The undo table and the prefix images share the
+    budget of MAX_SCAN_LETTERS letters: a scan whose table would pass it is
+    refused with ValueError before it starts, and one whose prefix images
+    pass it as soon as they do.  `info` counts the expressions, the
     certificates, the oracle fallbacks and the longest image built, and
     carries the oracle's own counters (see `BraidDecider.counters`).
     """
@@ -356,6 +362,7 @@ def injectivity_scan(
     stack = [(root, ())]
     factors: list[Factor] = []
     certificates = fallbacks = 0
+    built = undo_letters  # image letters built so far
     for depth, k, e, ends in _walk(bases, max_len, max_exp):
         images, parent_indices = stack[depth - 1]
         beta = bases[k]
@@ -364,8 +371,17 @@ def injectivity_scan(
         indices = parent_indices + (beta.i, beta.j, e)
         if depth < max_len:
             m = e * entries[k]
-            child = {i: act_band_on_cox(w, beta, m) for i, w in images.items()}
-            peak = max(peak, *(len(w.letters) for w in child.values()))
+            child = {}
+            for i, w in images.items():
+                try:
+                    w = child[i] = act_band_on_cox(w, beta, m, MAX_SCAN_LETTERS - built)
+                except ImageLimitError:
+                    raise ValueError(
+                        f"scan would build more than {MAX_SCAN_LETTERS} image letters, "
+                        f"{undo_letters} of them for its undo table and the rest for prefix "
+                        f"images; lower --max-len, --max-exp or the matrix entries") from None
+                built += len(w.letters)
+                peak = max(peak, len(w.letters))
             stack[depth:] = [(child, indices)]
         inverse = undo[k][e]
         taus = certified.get(ends)

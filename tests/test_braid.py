@@ -573,6 +573,28 @@ class TestRelabelledDecider:
             "oracle_steps": 0, "oracle_handovers": 0, "oracle_peak_letters": 0,
             "oracle_distinct": 1, "oracle_perm_rejections": 1}
 
+    def test_handover_past_the_letter_cap_is_refused(self, monkeypatch):
+        # a_37^e has 7|e| Artin letters on 8 strands but |e| on the two
+        # strands it touches, which is what the normal form would take
+        def refuse(word):
+            raise AssertionError("the normal form was called")
+
+        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 64)
+        monkeypatch.setattr("bandgroup.braid.left_normal_form", refuse)
+        e = MAX_WORD_LETTERS + 2
+        decider = BraidDecider(8)
+        with pytest.raises(ValueError, match=f"a side has {e} Artin letters on 2 strands, "
+                                             f"more than the {MAX_WORD_LETTERS}"):
+            decider.equal(((3, 7, e),), ((3, 7, -e),))
+        assert decider.counters()["oracle_handovers"] == 0
+        taken = []
+        monkeypatch.setattr("bandgroup.braid.left_normal_form",
+                            lambda word: taken.append(len(word)) or len(taken))
+        e = MAX_WORD_LETTERS
+        assert not decider.equal(((3, 7, e),), ((3, 7, -e),))
+        assert taken == [MAX_WORD_LETTERS, MAX_WORD_LETTERS]
+        assert decider.counters()["oracle_handovers"] == 1
+
 
 class TestPermutation:
     def test_generator_images(self):

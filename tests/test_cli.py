@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from bandgroup.braid import MAX_IMAGE_LETTERS, MAX_STRANDS, MAX_WORD_LETTERS
 from bandgroup.cli import MAX_DEGREE, MAX_RANDOM_LETTERS, main
 from bandgroup.coxeter import CoxeterDatum, Partition
+from bandgroup import raag
 from bandgroup.raag import MAX_SCAN_EXPRESSIONS, MAX_SCAN_LETTERS, _undo_letters
 
 
@@ -180,31 +181,32 @@ class TestVerify:
             self._usage_error(capsys, ["verify", *args],
                               f"at most {MAX_STRANDS} strands, got {strands}")
 
-    def test_sides_past_the_letter_cap_are_refused_before_deciding(self, capsys, monkeypatch,
-                                                                   matrix_file):
-        def refuse(*args):
-            raise AssertionError("a relation was decided")
-
-        # the longest thm1 side on 4 strands, a_14^m a_23^m, has 5m + m letters
-        m = MAX_WORD_LETTERS // 6
-        assert main(["verify", "thm1", "--matrix",
-                     matrix_file("m.json", CoxeterDatum.constant(4, m))]) == 0
-        monkeypatch.setattr("bandgroup.present.BandWordDecider.equal", refuse)
-        # a_12^m a_34^m, the first relation, has 2m letters
-        for entry, letters in ((m + 1, 6 * (m + 1)), (10 ** 9, 2 * 10 ** 9)):
+    def test_sides_past_the_letter_cap_are_refused_at_the_handover(self, capsys, matrix_file):
+        # thm1 on 4 strands: a_12^m a_34^m and a_14^m a_23^m against their
+        # reverses, 2m and 6m Artin letters a side; the free action decides
+        # both up to m = 10^4 without handing over
+        for entry in (MAX_WORD_LETTERS // 6 + 1, 10 ** 3, 10 ** 4):
             path = matrix_file("m.json", CoxeterDatum.constant(4, entry))
+            assert main(["--json", "verify", "thm1", "--matrix", path]) == 0
+            info = json.loads(capsys.readouterr().out)["reports"][0]["info"]
+            assert info["oracle_handovers"] == 0
+        for entry in (10 ** 5, 10 ** 9):
+            path = matrix_file("m.json", CoxeterDatum.constant(4, entry))
+            started = time.perf_counter()
             self._usage_error(capsys, ["verify", "thm1", "--matrix", path],
-                              f"expands to {letters} Artin letters")
-            self._usage_error(capsys, ["verify", "block", "--matrix1", path, "--matrix2", path],
-                              f"more than the {MAX_WORD_LETTERS} the normal form is allowed")
+                              f"b1.2 b3.4 = b3.4 b1.2: a side has {2 * entry} Artin letters "
+                              f"on 4 strands, more than the {MAX_WORD_LETTERS} the normal form "
+                              f"is allowed")
+            assert time.perf_counter() - started < 1
+        # the blocks' bands a_12 and a_56 are relabelled onto 4 strands
+        self._usage_error(capsys, ["verify", "block", "--matrix1", path, "--matrix2", path],
+                          f"b1.2 b5.6 = b5.6 b1.2: a side has {2 * 10 ** 9} Artin letters on 4 "
+                          f"strands")
 
-    def test_coset_sides_past_the_letter_cap_are_refused(self, capsys, monkeypatch,
-                                                         partition_file):
-        def refuse(*args):
-            raise AssertionError("a rewrite was decided")
-
-        monkeypatch.setattr("bandgroup.present.MAX_WORD_LETTERS", 8)
-        monkeypatch.setattr("bandgroup.present.BandWordDecider.equal", refuse)
+    def test_coset_handovers_past_the_letter_cap_are_refused(self, capsys, monkeypatch,
+                                                             partition_file):
+        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
+        monkeypatch.setattr("bandgroup.braid.MAX_WORD_LETTERS", 8)
         path = partition_file("p.json", Partition.single_block(4))
         self._usage_error(capsys, ["verify", "cosets", "--partition", path],
                           "more than the 8 the normal form is allowed")
@@ -261,20 +263,49 @@ class TestScan:
         assert f"15000300000 image letters for its undo table, past the budget of {MAX_SCAN_LETTERS}" in err
 
     def test_letter_budget_boundary(self, capsys, matrix_file):
-        # 6 B (B + 1) letters on n = 2: B = 1181 fits, B = 1182 does not
+        # 6 B (B + 1) letters on n = 2: B = 1181 fits, B = 1182 does not;
+        # at L = 1 the walk builds no prefix images
         matrix = CoxeterDatum.constant(2, 3)
         assert _undo_letters(matrix, 1181) <= MAX_SCAN_LETTERS < _undo_letters(matrix, 1182)
         path = matrix_file("m.json", matrix)
         assert main(["scan", "inject", "--matrix", path,
+                     "--max-len", "1", "--max-exp", "1181"]) == 0
+        capsys.readouterr()
+        assert main(["scan", "inject", "--matrix", path,
                      "--max-len", "1", "--max-exp", "1182"]) == 2
         assert "undo table" in capsys.readouterr().err
 
-    def test_benchmark_and_golden_scans_fit_the_letter_budget(self):
-        # the benchmark scans n = 4, L = 3, B = 2; the golden scans go up to B = 2
+    def test_prefix_images_past_the_letter_budget_are_refused(self, capsys, matrix_file):
+        # 216 raw expressions and 24,004 undo-table letters, but the images
+        # under prefixes of two factors grow with the product of their powers
+        path = matrix_file("m.json", CoxeterDatum.constant(3, 1000))
+        started = time.perf_counter()
+        assert main(["scan", "inject", "--matrix", path,
+                     "--max-len", "3", "--max-exp", "1"]) == 2
+        assert time.perf_counter() - started < 10
+        err = capsys.readouterr().err
+        assert (f"more than {MAX_SCAN_LETTERS} image letters, 24004 of them for its undo table"
+                in err)
+
+    def test_benchmark_and_golden_scans_fit_the_letter_budget(self, monkeypatch):
+        # the benchmark scans n = 4, L = 3, B = 2; the golden scans go up to
+        # n = 4, L = 3, B = 2; every image the scan builds is counted
+        built = []
+
+        def counted(*args):
+            image = act(*args)
+            built.append(len(image))
+            return image
+
+        act = raag.act_band_on_cox
+        monkeypatch.setattr(raag, "act_band_on_cox", counted)
         mixed = CoxeterDatum.from_entries(4, {(1, 2): 3, (1, 3): 4, (3, 4): 3})
-        for matrix, max_exp in [(CoxeterDatum.constant(4, 3), 2),
-                                (CoxeterDatum.constant(3, 3), 1), (mixed, 2)]:
-            assert _undo_letters(matrix, max_exp) <= MAX_SCAN_LETTERS
+        for matrix, max_len, max_exp in [(CoxeterDatum.constant(4, 3), 3, 2),
+                                          (CoxeterDatum.constant(4, 3), 3, 1),
+                                          (CoxeterDatum.constant(3, 3), 2, 1), (mixed, 3, 2)]:
+            built.clear()
+            assert raag.injectivity_scan(matrix, max_len, max_exp).ok
+            assert _undo_letters(matrix, max_exp) < sum(built) <= MAX_SCAN_LETTERS
 
 
 class TestHurwitz:

@@ -504,6 +504,16 @@ class TestBlockProduct:
         assert report.ok
         assert report.instances == 3  # one left pair times three right pairs
 
+    def test_failures_carry_witnesses(self, monkeypatch):
+        monkeypatch.setattr("bandgroup.present.BandWordDecider.equal", lambda self, u, v: False)
+        report = block_product_check(CoxeterDatum.constant(2, 3), CoxeterDatum.constant(2, 4))
+        assert not report.ok
+        assert [f.to_dict() for f in report.failures] == [
+            {"family": "block", "indices": [1, 2, 3, 4],
+             "message": "relation fails in the braid group",
+             "lhs": "b1.2 b3.4", "rhs": "b3.4 b1.2"}]
+        assert report.info["left_generators"] == report.info["right_generators"] == 1
+
     def test_assembled_matrix_shape(self):
         combined = assemble_block_matrix(
             CoxeterDatum.constant(2, 3), CoxeterDatum.constant(2, 5)

@@ -365,11 +365,21 @@ class TestIncrementalScan:
         report = injectivity_scan(CoxeterDatum.constant(4, 3), 1, 2)
         assert report.info["oracle_fallbacks"] == 0
         assert report.info["peak_image_letters"] == 4 * 2 * 3 + 1
-        monkeypatch.setattr(raag, "act_band_on_cox", lambda w, tau, m: w)
+        monkeypatch.setattr(raag, "act_band_on_cox", lambda w, *_: w)
         monkeypatch.setattr(BandWordDecider, "equal", lambda self, u, v: False)
         report = injectivity_scan(CoxeterDatum.constant(4, 3), 2, 1)
         assert report.info["oracle_fallbacks"] == report.info["expressions"]
         assert report.info["peak_image_letters"] == 1
+
+    def test_oracle_fallbacks_keep_the_letter_cap(self, monkeypatch):
+        # every certificate fails, so the oracle decides b1.2^-1, 4 Artin
+        # letters with entry 4, and refuses to hand it over past a cap of 2
+        monkeypatch.setattr(raag, "act_band_on_cox", lambda w, *_: w)
+        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
+        monkeypatch.setattr("bandgroup.braid.MAX_WORD_LETTERS", 2)
+        with pytest.raises(ValueError, match=r"^b1\.2\^-1 = 1: a side has 4 Artin letters on 2 "
+                                             r"strands, more than the 2 the normal form"):
+            injectivity_scan(CoxeterDatum.constant(4, 4), 1, 1)
 
     def test_undo_letters_closed_form(self):
         rng = random.Random(34)
@@ -406,7 +416,7 @@ class TestIncrementalScan:
             calls.append(u)
             return trivial
 
-        def fixes_everything(w, tau, m):
+        def fixes_everything(w, *_):
             return w
 
         monkeypatch.setattr(BandWordDecider, "equal", oracle)
