@@ -185,7 +185,7 @@ _COX_TOKENS = {128 + i: f"s{i} " for i in _INDICES}
 
 
 class ImageLimitError(ValueError):
-    """A word built by an action would exceed the letters allowed to it."""
+    """A word built by an action, or handed to the normal form, would exceed its letters."""
 
 
 def _too_long(limit: int) -> ImageLimitError:
@@ -485,7 +485,7 @@ class BraidDecider:
         images settles equality.  When an image outgrows _HANDOVER_LETTERS,
         the left normal forms decide, unless a relabelled side has more
         than MAX_WORD_LETTERS Artin letters: then the query is refused
-        with ValueError before any letter is built.
+        with ImageLimitError before any letter is built.
         """
         k, u, v = _relabel(u, v)
         verdict = self._verdicts.get((u, v))
@@ -506,7 +506,7 @@ class BraidDecider:
             for word in (u, v):
                 letters = sum(_band_letters(*syllable) for syllable in word)
                 if letters > MAX_WORD_LETTERS:
-                    raise ValueError(
+                    raise ImageLimitError(
                         f"a side has {letters} Artin letters on {k} strands, more than the "
                         f"{MAX_WORD_LETTERS} the normal form is allowed") from None
             self.handovers += 1

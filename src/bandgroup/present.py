@@ -19,7 +19,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .braid import MAX_WORD_LETTERS, ArtinWord, BraidDecider, _artin
+from .braid import MAX_WORD_LETTERS, ArtinWord, BraidDecider, ImageLimitError, _artin
 from .coxeter import (
     BandPair,
     CoxeterDatum,
@@ -87,13 +87,14 @@ class BandWordDecider:
         self._braids = BraidDecider(matrix.n)
 
     def equal(self, u: Word, v: Word) -> bool:
-        """Whether two words are the same braid; ValueError names a pair the decider refuses."""
+        """Whether two words are the same braid; a pair the decider refuses is named."""
         matrix = self._matrix
         x, y = _syllables(u, matrix), _syllables(v, matrix)
         try:
             return self._braids.equal(x, y)
-        except ValueError as exc:
-            raise ValueError(f"{format_letter_word(u)} = {format_letter_word(v)}: {exc}") from None
+        except ImageLimitError as exc:
+            raise ImageLimitError(
+                f"{format_letter_word(u)} = {format_letter_word(v)}: {exc}") from None
 
     def permutation(self, word: Word) -> list[int]:
         """The images of 1 .. n under the permutation of the word's braid."""
@@ -501,7 +502,7 @@ def verify_relations(
 
     A relation that reaches the normal-form handover with a side past
     MAX_WORD_LETTERS Artin letters, counted on the strands the relation
-    touches, is refused with ValueError naming it (see `BraidDecider`).
+    touches, is refused with ImageLimitError naming it (see `BraidDecider`).
     """
     start = time.perf_counter()
     report = RunReport(tag=tag)

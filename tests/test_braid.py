@@ -583,8 +583,8 @@ class TestRelabelledDecider:
         monkeypatch.setattr("bandgroup.braid.left_normal_form", refuse)
         e = MAX_WORD_LETTERS + 2
         decider = BraidDecider(8)
-        with pytest.raises(ValueError, match=f"a side has {e} Artin letters on 2 strands, "
-                                             f"more than the {MAX_WORD_LETTERS}"):
+        with pytest.raises(ImageLimitError, match=f"a side has {e} Artin letters on 2 "
+                                                  f"strands, more than the {MAX_WORD_LETTERS}"):
             decider.equal(((3, 7, e),), ((3, 7, -e),))
         assert decider.counters()["oracle_handovers"] == 0
         taken = []

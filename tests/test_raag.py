@@ -4,7 +4,7 @@ import random
 import pytest
 
 import bandgroup.raag as raag
-from bandgroup.braid import ArtinWord, band_to_artin, braid_equal
+from bandgroup.braid import ArtinWord, ImageLimitError, band_to_artin, braid_equal
 from bandgroup.coxeter import BandPair, CoxeterDatum, commutes_in_brn
 from bandgroup.coxword import CoxWord, act_band_on_cox, apply_artin_to_cox, long_pairs
 from bandgroup.present import BandWordDecider
@@ -377,8 +377,8 @@ class TestIncrementalScan:
         monkeypatch.setattr(raag, "act_band_on_cox", lambda w, *_: w)
         monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
         monkeypatch.setattr("bandgroup.braid.MAX_WORD_LETTERS", 2)
-        with pytest.raises(ValueError, match=r"^b1\.2\^-1 = 1: a side has 4 Artin letters on 2 "
-                                             r"strands, more than the 2 the normal form"):
+        with pytest.raises(ImageLimitError, match=r"^b1\.2\^-1 = 1: a side has 4 Artin "
+                                                  r"letters on 2 strands, more than the 2 "):
             injectivity_scan(CoxeterDatum.constant(4, 4), 1, 1)
 
     def test_undo_letters_closed_form(self):
