@@ -165,7 +165,7 @@ MAX_IMAGE_LETTERS = 1 << 24
 _HANDOVER_LETTERS = 1 << 17
 # Artin letters the normal form may take, per side of a query.  A query
 # handed over with a longer side, counted on the strands the pair touches,
-# is refused with ValueError, and a parsed braid word may have no more.
+# is refused with ImageLimitError, and a parsed braid word may have no more.
 # The normal forms of a pair of seeded random words of this length, on 4,
 # 16 or 127 strands, took at most about 5 s on a 2-core machine, and their
 # cost grows about with the square of the letters (figures in CHANGES.md).
