@@ -17,17 +17,16 @@ and letters cancel only where two factors meet.  That step is the Hurwitz
 move (a, b) -> (a b a^-1, a) of all the band's Artin letters at once, and
 one kernel, `_act`, runs it for the free action here, for the Hurwitz
 action on tuples of free or universal Coxeter words, and for the Coxeter
-action of `coxword`.  Since the images are built from the back, words
-that end alike share them: `BraidDecider` takes words of syllables (the
-band letters of a relation, say) and keeps the images of every proper
-suffix it builds, for as long as it lives; `braid_equal` is the same
-routine on the runs of two Artin words.  The decider first relabels a pair
-onto the k strands it touches, in their order, and decides each relabelled
-pair once, on k strands.  That is exact: the relations of Birman, Ko and
-Lee (*A new approach to the word and conjugacy problems in the braid
-groups*, Adv. Math. 1998) depend only on the order of the bands'
-endpoints, so a_pq -> a_{s_p s_q} is a homomorphism from B_k to B_n, and
-it is injective, since bands that all pass on one side of the strands
+action of `coxword`.  `BraidDecider` decides words of syllables (the
+band letters of a relation, say), and `braid_equal` is the same routine
+on the runs of two Artin words.  The decider first relabels a pair onto
+the k strands it touches, in their order, and decides each relabelled
+pair once, on k strands, building the images of each relabelled word
+once.  That is exact: the relations of Birman, Ko and Lee (*A new
+approach to the word and conjugacy problems in the braid groups*, Adv.
+Math. 1998) depend only on the order of the bands' endpoints, so
+a_pq -> a_{s_p s_q} is a homomorphism from B_k to B_n, and it is
+injective, since bands that all pass on one side of the strands
 s_1 < .. < s_k lie in one disk around exactly their punctures.  So a
 relation on four strands out of forty is decided as one on strands
 1 .. 4, and decided once however often it recurs.  Only the normal form
@@ -445,17 +444,17 @@ class BraidDecider:
     on the order of the bands' endpoints, and it is injective, as every
     band on the strands s_1 < .. < s_k passes on the same side and so lies
     in one disk holding exactly their punctures.  The decider also keeps
-    the free images of every proper suffix it builds, so words that end in
-    the same syllables share that work.  It holds on to verdicts and
-    images as long as it lives: make one per verification call and let it
-    go with the call.
+    the free images of each relabelled word it builds, one tuple a word,
+    so a side that recurs in another pair is not built again.  It holds on
+    to verdicts and images as long as it lives: make one per verification
+    call and let it go with the call.
     """
 
     def __init__(self, n: int):
         _check_strands(n)
         self.n = n
-        # strands k -> proper suffix -> images of t_1 .. t_k under its action
-        self._images: dict[int, dict[tuple, list[bytes]]] = {}
+        # (strands k, relabelled word) -> images of t_1 .. t_k under its action
+        self._images: dict[tuple[int, tuple], tuple[bytes, ...]] = {}
         # relabelled pair -> whether it is one braid
         self._verdicts: dict[tuple[tuple, tuple], bool] = {}
         # what the decider did: syllable steps, normal-form handovers, the
@@ -512,24 +511,17 @@ class BraidDecider:
             self.handovers += 1
             return left_normal_form(_artin(u, k)) == left_normal_form(_artin(v, k))
 
-    def _images_of(self, word: tuple, k: int) -> list[bytes]:
-        """The images of the word's action on k strands, built on its longest known suffix."""
-        images = self._images.get(k)
+    def _images_of(self, word: tuple, k: int) -> tuple[bytes, ...]:
+        """The images of t_1 .. t_k under the word's action, built once per word."""
+        images = self._images.get((k, word))
         if images is None:
-            images = self._images[k] = {(): _generators(k)}
-        m = 0
-        while word[m:] not in images:
-            m += 1
-        out = images[word[m:]]
-        for m in range(m - 1, -1, -1):
-            out = _act(list(out), word[m:m + 1], _HANDOVER_LETTERS, _NEG)
-            self.steps += 1
-            self.peak_letters = max(self.peak_letters, *map(len, out))
-            # Whole words are kept out: one is seldom a later word's
-            # suffix, and the memo then grows only with what words share.
-            if m:
-                images[word[m:]] = out
-        return out
+            out = _generators(k)
+            for syllable in reversed(word):
+                _act(out, (syllable,), _HANDOVER_LETTERS, _NEG)
+                self.steps += 1
+                self.peak_letters = max(self.peak_letters, *map(len, out))
+            images = self._images[k, word] = tuple(out)
+        return images
 
 
 def _artin(word: tuple, n: int) -> ArtinWord:
@@ -538,26 +530,15 @@ def _artin(word: tuple, n: int) -> ArtinWord:
         band_power(BandPair(i, j), e, n) for i, j, e in word)))
 
 
-class _OneQuery(BraidDecider):
-    """A decider that keeps no images, for a single query.
-
-    The words of one query share no suffixes worth keeping, and the images
-    of every suffix of a long word would fill memory.
-    """
-
-    def _images_of(self, word: tuple, k: int) -> list[bytes]:
-        return _act(_generators(k), reversed(word), _HANDOVER_LETTERS, _NEG)
-
-
 def braid_equal(u: ArtinWord, v: ArtinWord) -> bool:
     """Exact equality in the braid group on u.n strands.
 
     This is `BraidDecider.equal` on the words' runs of letters as
-    syllables, with nothing kept.
+    syllables.
     """
     if u.n != v.n:
         raise ValueError("cannot compare words on different strand counts")
-    return _OneQuery(u.n).equal(_syllables(u.letters), _syllables(v.letters))
+    return BraidDecider(u.n).equal(_syllables(u.letters), _syllables(v.letters))
 
 
 # -- the Garside normal form --------------------------------------------------
@@ -851,21 +832,15 @@ class Permutation:
         return Permutation.from_cycles(degree, cycles)
 
 
-def _permutation_list(n: int, letters) -> list[int]:
-    images = list(range(1, n + 1))
-    for k, _ in letters:
-        images[k - 1], images[k] = images[k], images[k - 1]
-    return images
-
-
 def permutation_image(w: ArtinWord) -> Permutation:
     """The permutation underlying a braid word.
 
     Each generator maps to the adjacent transposition (k, k+1); letters are
     composed functionally with later letters innermost, so the image of a
-    concatenation is the composition of the images.
+    concatenation is the composition of the images.  A run of one letter
+    is one syllable, whose parity is the run's.
     """
-    return Permutation(tuple(_permutation_list(w.n, w.letters)))
+    return Permutation(tuple(_permutation(_syllables(w.letters), w.n)))
 
 
 # -- textual syntax -----------------------------------------------------------

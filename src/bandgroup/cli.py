@@ -22,6 +22,7 @@ from pathlib import Path
 from .braid import (
     MAX_STRANDS,
     Permutation,
+    _check_strands,
     braid_equal,
     parse_braid_word,
     parse_free_word,
@@ -157,9 +158,7 @@ def _strands(family: str, inputs: list) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     inputs = _load_inputs(args, "verify")
     # refused before the relations are generated, which takes O(n^4) time
-    n = _strands(args.family, inputs)
-    if n > MAX_STRANDS:
-        raise ValueError(f"the free action handles at most {MAX_STRANDS} strands, got {n}")
+    _check_strands(_strands(args.family, inputs))
     if args.family in _RELATIONS:
         relations, matrix, tag = _RELATIONS[args.family][1](*inputs)
         report = verify_relations(relations, matrix, tag=tag)
@@ -183,6 +182,8 @@ def cmd_eq(args: argparse.Namespace) -> int:
 
 
 def cmd_perm(args: argparse.Namespace) -> int:
+    # eq's bound: a permutation of degree n costs O(n) whatever the word
+    _check_strands(args.n)
     word = parse_braid_word(args.word, args.n)
     perm = permutation_image(word)
     cycles = perm.cycle_string()

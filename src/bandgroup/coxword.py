@@ -166,12 +166,18 @@ def act_band_on_cox(w: CoxWord, tau: BandPair, m: int, limit: int = MAX_IMAGE_LE
     (s_j s_k)^-1 = s_k s_j.  The images are concatenated and reduced; this
     agrees with pushing the expanded Artin word through the letterwise
     substitution rules.  An image that passes `limit` letters raises
-    ImageLimitError, at most 4|m| + 1 letters after it does.
+    ImageLimitError, at most 4|m| + 1 letters after it does, and before c
+    is built when the image of a letter in [j, k], of 2|m| - 1 letters at
+    least, would pass it; a word with no such letter is then its own image.
 
     >>> act_band_on_cox(CoxWord((2, 4)), BandPair(1, 3), -1).letters
     (3, 1, 2, 1, 3, 4)
     """
     j, k = tau.i, tau.j
+    if 2 * abs(m) - 1 > limit:
+        if len(w) > limit or any(j <= x <= k for x in w.letters):
+            raise _too_long(limit)
+        return w
     c = (j, k) * m if m >= 0 else (k, j) * -m
     c_inv = c[::-1]
     out: list[int] = []

@@ -135,6 +135,14 @@ def transposition_map(d: int, a: int, b: int) -> dict[int, int]:
     return out
 
 
+def referee_permutation(n: int, letters) -> list[int]:
+    """The images of 1 .. n under a braid word's permutation, one transposition per letter."""
+    images = list(range(1, n + 1))
+    for k, _ in letters:
+        images[k - 1], images[k] = images[k], images[k - 1]
+    return images
+
+
 def substitute_artin_letter(word: list[int], k: int, sign: int) -> list[int]:
     """Apply one Artin letter on the right, letter by letter, reducing as it goes.
 

@@ -20,7 +20,6 @@ from bandgroup.braid import (
     _encode,
     _free_images,
     _mul,
-    _permutation_list,
     _syllables,
     band_power,
     artin_action_on_free,
@@ -43,6 +42,7 @@ from oracles import (
     reduce_word,
     referee_free_image,
     referee_hurwitz,
+    referee_permutation,
     substitute_artin_letter,
     transposition_map,
 )
@@ -230,6 +230,20 @@ class TestKernelAgainstReferee:
                 assert not braid_equal(u, v)
                 assert not referee_braid_equal(n, u.letters, v.letters)
 
+    def test_braid_equal_runs_the_decider(self, monkeypatch):
+        built = []
+        images_of = BraidDecider._images_of
+
+        def counted(decider, word, k):
+            built.append(word)
+            return images_of(decider, word, k)
+
+        monkeypatch.setattr(BraidDecider, "_images_of", counted)
+        self.test_equal_pairs_agree()
+        self.test_unequal_pairs_with_equal_permutations_agree()
+        # the 60 unequal pairs keep their permutations, so both sides are built
+        assert len(built) >= 120
+
     def test_image_limit(self, monkeypatch):
         monkeypatch.setattr("bandgroup.braid.MAX_IMAGE_LETTERS", 50)
         w = parse_braid_word("a1.3^3 a2.4^3 a1.3^3", 4)
@@ -355,7 +369,9 @@ class TestSyllableStep:
                     i, j = sorted(rng.sample(range(1, n + 1), 2))
                     word.append((i, j, rng.choice((1, -1)) * rng.randint(1, 5)))
                 letters = [x for i, j, e in word for x in band_power(BandPair(i, j), e, n)]
-                assert decider.permutation(tuple(word)) == _permutation_list(n, letters)
+                assert decider.permutation(tuple(word)) == referee_permutation(n, letters)
+                assert list(permutation_image(ArtinWord(n, letters)).images) == \
+                    referee_permutation(n, letters)
 
     @pytest.mark.parametrize("cancel", [0, 1, _WINDOW - 1, _WINDOW, _WINDOW + 1, 200])
     def test_mul_cancels_across_the_window(self, cancel):
@@ -539,7 +555,7 @@ class TestRelabelledDecider:
             for (u, v, equal), lhs, rhs in zip(pairs, expansions[::2], expansions[1::2]):
                 assert referee_braid_equal(n, lhs, rhs) is equal
                 if not equal:
-                    assert _permutation_list(n, lhs) == _permutation_list(n, rhs)
+                    assert referee_permutation(n, lhs) == referee_permutation(n, rhs)
             cases.append((n, pairs))
         return cases
 
@@ -564,6 +580,16 @@ class TestRelabelledDecider:
                     assert decider.equal(u, v) is equal
                 assert decider.counters() == counters
             assert (handovers > 0) is handover
+
+    def test_images_are_kept_per_strand_count(self):
+        # a_12^2 is built on 3 strands, then is a side on 2 strands: keyed on
+        # the word alone, its 3 images would meet 2 and the pair would differ
+        decider = BraidDecider(3)
+        assert decider.equal(((1, 2, 2),), ((1, 2, 2), (2, 3, 2), (2, 3, -2)))
+        assert decider.equal(((1, 2, 2),), ((1, 2, 1), (1, 2, 1)))
+        assert sorted(decider._images) == [
+            (2, ((1, 2, 1), (1, 2, 1))), (2, ((1, 2, 2),)),
+            (3, ((1, 2, 2),)), (3, ((1, 2, 2), (2, 3, 2), (2, 3, -2)))]
 
     def test_permutation_filter_is_counted(self):
         decider = BraidDecider(6)

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bandgroup
 from bandgroup.braid import MAX_IMAGE_LETTERS, MAX_STRANDS, MAX_WORD_LETTERS
 from bandgroup.cli import MAX_DEGREE, MAX_RANDOM_LETTERS, main
 from bandgroup.coxeter import CoxeterDatum, Partition
@@ -33,6 +37,23 @@ def partition_file(tmp_path):
         return str(path)
 
     return write
+
+
+def _in_child(argv):
+    """Exit code, wall seconds and peak RSS in MB of the command line run as a child.
+
+    A probe process starts the command line and reads its peak RSS through
+    RUSAGE_CHILDREN (kilobytes on Linux), so no earlier child is counted.
+    """
+    probe = ("import resource, subprocess, sys, time; started = time.perf_counter(); "
+             "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode; "
+             "print(code, time.perf_counter() - started, "
+             "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    env = {**os.environ, "PYTHONPATH": str(Path(bandgroup.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe, sys.executable, "-m", "bandgroup.cli",
+                          *argv], capture_output=True, text=True, env=env, check=True).stdout
+    code, seconds, kilobytes = out.split()
+    return int(code), float(seconds), int(kilobytes) / 1024
 
 
 class TestEq:
@@ -92,6 +113,14 @@ class TestPerm:
         assert main(["perm", "", "--n", "-5"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: a braid needs at least 1 strand, got -5\n"
+
+    def test_too_many_strands_is_usage_error(self, capsys):
+        assert main(["perm", "s1", "--n", str(MAX_STRANDS)]) == 0
+        assert capsys.readouterr().out.strip() == "(1 2)"
+        assert main(["perm", "s1", "--n", str(MAX_STRANDS + 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: the free action handles at most {MAX_STRANDS} "
+                                     f"strands, got {MAX_STRANDS + 1}\n")
 
 
 class TestVerify:
@@ -180,6 +209,14 @@ class TestVerify:
         for args, strands in cases:
             self._usage_error(capsys, ["verify", *args],
                               f"at most {MAX_STRANDS} strands, got {strands}")
+
+    def test_sec4_on_a_long_triple_runs_in_flat_memory(self, matrix_file):
+        # the largest (2, 2, m) entry the sec4 guard admits: keeping the
+        # images of every suffix of its words took about 170 MB
+        path = matrix_file("m.json", CoxeterDatum.from_entries(
+            3, {(1, 2): 2, (1, 3): 2, (2, 3): MAX_WORD_LETTERS}))
+        code, _, peak_mb = _in_child(["--json", "verify", "sec4", "--matrix", path])
+        assert code == 0 and peak_mb < 40
 
     def test_sides_past_the_letter_cap_are_refused_at_the_handover(self, capsys, matrix_file):
         # thm1 on 4 strands: a_12^m a_34^m and a_14^m a_23^m against their
@@ -437,6 +474,16 @@ class TestCheckprop:
     def test_single_needs_arguments(self):
         assert main(["checkprop", "trans", "s1 s2"]) == 2
 
+    def test_long_power_is_refused_before_it_is_built(self, capsys):
+        # c = (s_1 s_3)^m alone was 2|m| letters: 933 MB at m = 10^7
+        for m in (10 ** 7, 10 ** 9):
+            code, seconds, peak_mb = _in_child(
+                ["checkprop", "trans", "s2 s1 s3 s1 s2", "--band", "1.3", "--m", str(m)])
+            assert code == 2 and seconds < 1 and peak_mb < 40
+        assert main(["checkprop", "trans", "s2 s1 s3 s1 s2", "--band", "1.3", "--m",
+                     "100000"]) == 0
+        assert capsys.readouterr().out.startswith("pass: ")
+
     @pytest.mark.parametrize(
         "flag, options",
         [
@@ -643,7 +690,7 @@ class TestExitContract:
                     code = exc.code
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
-        if _strands(argv) < 1:
+        if not 1 <= _strands(argv) <= MAX_STRANDS:
             assert code == 2
         if code == 1:
             text = out.getvalue()

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bandgroup.braid import band_to_artin
+from bandgroup.braid import ImageLimitError, band_to_artin
 from bandgroup.cli import random_cox_word
 from bandgroup.coxeter import BandPair
 from bandgroup.coxword import (
@@ -164,6 +164,30 @@ class TestBandAction:
     def test_letter_outside_band_fixed(self):
         for m in range(-4, 5):
             assert act_band_on_cox(w(5), BandPair(2, 4), m).letters == (5,)
+
+    def test_power_past_the_limit_is_refused_before_it_is_built(self):
+        # the image of s_4 under a_24^5 is (s_2 s_4)^4 s_2, 2|m| - 1 letters
+        assert len(act_band_on_cox(w(4), BandPair(2, 4), 5, limit=9)) == 9
+        with pytest.raises(ImageLimitError, match="exceeds 8 letters"):
+            act_band_on_cox(w(4), BandPair(2, 4), 5, limit=8)
+        # c = (s_2 s_4)^m alone would be 2x10^9 letters
+        with pytest.raises(ImageLimitError, match="exceeds 100 letters"):
+            act_band_on_cox(w(5, 3, 1), BandPair(2, 4), -10 ** 9, limit=100)
+        # a word with no letter in the band is fixed, whatever the power
+        assert act_band_on_cox(w(5, 1), BandPair(2, 4), 10 ** 9, limit=2) == w(5, 1)
+        # a limit refuses exactly the words with a prefix whose image passes it
+        rng = random.Random(14)
+        for _ in range(200):
+            word = random_cox_word(rng, 5, 6)
+            tau, m = BandPair(*sorted(rng.sample(range(1, 6), 2))), rng.randint(-4, 4)
+            peak = max((len(act_band_on_cox(CoxWord(word.letters[:t]), tau, m))
+                        for t in range(1, len(word) + 1)), default=0)
+            limit = rng.randint(0, 20)
+            if peak > limit:
+                with pytest.raises(ImageLimitError):
+                    act_band_on_cox(word, tau, m, limit)
+            else:
+                assert act_band_on_cox(word, tau, m, limit) == act_band_on_cox(word, tau, m)
 
     def test_iterated_single_steps(self):
         rng = random.Random(12)
