@@ -22,7 +22,7 @@ band letters of a relation, say), and `braid_equal` is the same routine
 on the runs of two Artin words.  The decider first relabels a pair onto
 the k strands it touches, in their order, and decides each relabelled
 pair once, on k strands, building the images of each relabelled word
-once.  That is exact: the relations of Birman, Ko and Lee (*A new
+once while those it keeps fit in MAX_IMAGE_LETTERS letters.  That is exact: the relations of Birman, Ko and Lee (*A new
 approach to the word and conjugacy problems in the braid groups*, Adv.
 Math. 1998) depend only on the order of the bands' endpoints, so
 a_pq -> a_{s_p s_q} is a homomorphism from B_k to B_n, and it is
@@ -154,7 +154,8 @@ MAX_STRANDS = 127
 # `artin_action_on_free` and the Hurwitz action.  Images grow exponentially
 # with word length.  At one byte per letter a word stays within 16 MiB and a
 # query within a few such words, and a word too long for the action stops
-# early instead of running for minutes.
+# early instead of running for minutes.  A `BraidDecider` keeps no more
+# letters of images for the sides that recur.
 MAX_IMAGE_LETTERS = 1 << 24
 # Letters a free image may reach inside `braid_equal` before the query is
 # handed to the normal form.  Images of the short words the verifier and
@@ -444,17 +445,21 @@ class BraidDecider:
     on the order of the bands' endpoints, and it is injective, as every
     band on the strands s_1 < .. < s_k passes on the same side and so lies
     in one disk holding exactly their punctures.  The decider also keeps
-    the free images of each relabelled word it builds, one tuple a word,
-    so a side that recurs in another pair is not built again.  It holds on
-    to verdicts and images as long as it lives: make one per verification
-    call and let it go with the call.
+    the free images of each relabelled word it builds, one tuple a word
+    and MAX_IMAGE_LETTERS letters in all, so a side that recurs in another
+    pair is not built again: the rotations of a (2, 2, m) triple in `sec4`
+    share their long sides.  It holds on to verdicts and images as long
+    as it lives: make one per verification call and let it go with the
+    call.
     """
 
     def __init__(self, n: int):
         _check_strands(n)
         self.n = n
-        # (strands k, relabelled word) -> images of t_1 .. t_k under its action
+        # (strands k, relabelled word) -> images of t_1 .. t_k under its
+        # action, _kept letters in all
         self._images: dict[tuple[int, tuple], tuple[bytes, ...]] = {}
+        self._kept = 0
         # relabelled pair -> whether it is one braid
         self._verdicts: dict[tuple[tuple, tuple], bool] = {}
         # what the decider did: syllable steps, normal-form handovers, the
@@ -512,7 +517,7 @@ class BraidDecider:
             return left_normal_form(_artin(u, k)) == left_normal_form(_artin(v, k))
 
     def _images_of(self, word: tuple, k: int) -> tuple[bytes, ...]:
-        """The images of t_1 .. t_k under the word's action, built once per word."""
+        """The images of t_1 .. t_k under the word's action, kept while they fit."""
         images = self._images.get((k, word))
         if images is None:
             out = _generators(k)
@@ -520,7 +525,11 @@ class BraidDecider:
                 _act(out, (syllable,), _HANDOVER_LETTERS, _NEG)
                 self.steps += 1
                 self.peak_letters = max(self.peak_letters, *map(len, out))
-            images = self._images[k, word] = tuple(out)
+            images = tuple(out)
+            letters = sum(map(len, images))
+            if self._kept + letters <= MAX_IMAGE_LETTERS:
+                self._kept += letters
+                self._images[k, word] = images
         return images
 
 

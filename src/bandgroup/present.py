@@ -78,8 +78,8 @@ class BandWordDecider:
     The letter (tau, e) is the band syllable (i, j, e m_tau), and words are
     decided as words of syllables, so a relation that recurs on other
     strands with the same pattern is decided once, and the free images of
-    a side are built once (see `BraidDecider`).  Make one per verification
-    call.
+    a side are kept for the pairs it recurs in (see `BraidDecider`).  Make
+    one per verification call.
     """
 
     def __init__(self, matrix: CoxeterDatum):

@@ -586,10 +586,27 @@ class TestRelabelledDecider:
         # the word alone, its 3 images would meet 2 and the pair would differ
         decider = BraidDecider(3)
         assert decider.equal(((1, 2, 2),), ((1, 2, 2), (2, 3, 2), (2, 3, -2)))
+        assert decider.steps == 4
         assert decider.equal(((1, 2, 2),), ((1, 2, 1), (1, 2, 1)))
-        assert sorted(decider._images) == [
-            (2, ((1, 2, 1), (1, 2, 1))), (2, ((1, 2, 2),)),
-            (3, ((1, 2, 2),)), (3, ((1, 2, 2), (2, 3, 2), (2, 3, -2)))]
+        assert decider.steps == 7
+        # a side met before on as many strands is not built again
+        assert not decider.equal(((1, 2, 1), (1, 2, 1)), ((1, 2, -2),))
+        assert decider.steps == 8
+
+    def test_kept_images_are_bounded(self, monkeypatch):
+        # a_12^2 a_13^2 .. on 3 strands, as in the sec4 words of a (2, 2, m)
+        # triple: three pairs, each side in two of them
+        x, y = (1, 2, 2), (1, 3, 2)
+        u, v, w = (x, y) * 4 + (x,), (y, x) * 4 + (y,), (x, y) * 5
+        pairs = [(u, v), (u, w), (v, w)]
+        decider = BraidDecider(3)
+        verdicts = [decider.equal(*pair) for pair in pairs]
+        assert decider.steps == 9 + 9 + 10 and decider._kept > 0
+        # with no room every side is built each time it is met
+        monkeypatch.setattr("bandgroup.braid.MAX_IMAGE_LETTERS", 0)
+        bounded = BraidDecider(3)
+        assert [bounded.equal(*pair) for pair in pairs] == verdicts
+        assert bounded.steps == 2 * (9 + 9 + 10) and bounded._kept == 0
 
     def test_permutation_filter_is_counted(self):
         decider = BraidDecider(6)

@@ -257,17 +257,6 @@ class TestBandWordDecider:
         # two normal forms per handover
         assert 2 * sum(report.info["oracle_handovers"] for report in by_normal_form) == len(calls)
 
-    def test_one_image_tuple_per_side(self):
-        # sec4 on long (2, 2, m) triples: the images of every suffix of
-        # their words took about 450 MB; one tuple per relabelled side stays
-        matrix = CoxeterDatum.from_entries(4, {(1, 2): 2, (1, 3): 2, (1, 4): 2, (2, 3): 2000,
-                                               (2, 4): 1990, (3, 4): 1980})
-        decider = BandWordDecider(matrix)
-        assert all(decider.equal(rel.lhs, rel.rhs) for rel in relations_sec4(matrix))
-        kept = decider._braids._images
-        assert 0 < len(kept) <= 2 * decider.counters()["oracle_distinct"]
-        assert all(isinstance(images, tuple) for images in kept.values())
-
     def test_counters_report_the_oracle_work(self):
         # thm1 on 4 strands: a_12 a_34 = a_34 a_12 and a_14 a_23 = a_23 a_14,
         # four syllable steps each, as no side ends like another
