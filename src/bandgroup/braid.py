@@ -16,19 +16,28 @@ t_j in one closed-form step, as reduced products of images already built,
 and letters cancel only where two factors meet.  That step is the Hurwitz
 move (a, b) -> (a b a^-1, a) of all the band's Artin letters at once, and
 one kernel, `_act`, runs it for the free action here, for the Hurwitz
-action on tuples of free or universal Coxeter words, and for the Coxeter
-action of `coxword`.  `BraidDecider` decides words of syllables (the
-band letters of a relation, say), and `braid_equal` is the same routine
-on the runs of two Artin words.  The decider first relabels a pair onto
-the k strands it touches, in their order, and decides each relabelled
-pair once, on k strands, building the images of each relabelled word
-once while those it keeps fit in MAX_IMAGE_LETTERS letters.  That is exact: the relations of Birman, Ko and Lee (*A new
-approach to the word and conjugacy problems in the braid groups*, Adv.
-Math. 1998) depend only on the order of the bands' endpoints, so
-a_pq -> a_{s_p s_q} is a homomorphism from B_k to B_n, and it is
-injective, since bands that all pass on one side of the strands
-s_1 < .. < s_k lie in one disk around exactly their punctures.  So a
-relation on four strands out of forty is decided as one on strands
+action of `hurwitz` on tuples of free or universal Coxeter words, and,
+through `_free_images`, for `coxword.apply_artin_to_cox`.  The band-power
+action on Coxeter words that the injectivity scan folds,
+`coxword.act_band_on_cox`, is a closed form of its own over letter
+tuples, and it stays one because it is faster there.  Routed through
+`_act` with `_SELF`, it agreed with the closed form on 20,000 random
+(word, band, m) triples, but one `scan inject` on the constant-3 matrix
+(n = 4, L = 3, B = 2) took 57.7-67.1 ms against 44.5-52.0 ms (medians of
+15 scans, three alternating runs, 2 cores, Python 3.11.7).
+
+`BraidDecider` decides words of syllables (the band letters of a
+relation, say), and `braid_equal` is the same routine on the runs of two
+Artin words.  The decider first relabels a pair onto the k strands it
+touches, in their order, and decides each relabelled pair once, on k
+strands, building the images of each relabelled word once while those it
+keeps fit in MAX_IMAGE_LETTERS letters.  That is exact: the relations of
+Birman, Ko and Lee (*A new approach to the word and conjugacy problems
+in the braid groups*, Adv. Math. 1998) depend only on the order of the
+bands' endpoints, so a_pq -> a_{s_p s_q} is a homomorphism from B_k to
+B_n, and it is injective, since bands that all pass on one side of the
+strands s_1 < .. < s_k lie in one disk around exactly their punctures.
+So a relation on four strands out of forty is decided as one on strands
 1 .. 4, and decided once however often it recurs.  Only the normal form
 expands a syllable into Artin letters.  Inside the kernel a reduced word is a
 `bytes` object, letter i as the byte 128 + i and its inverse as 128 - i

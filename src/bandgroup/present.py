@@ -2,12 +2,12 @@
 
 A relation is a pair of abstract words whose letters are (band pair,
 exponent) factors; the letter (tau, e) expands to the band on tau raised
-to e times the matrix entry of tau.  Each generator function below emits
-one family of relations for a class of exponent matrices; verify_relations
-expands both sides and settles every instance with the exact equality
-oracle.  The coset machinery rewrites a generator times a coset
-representative into representative-times-subgroup-word form and certifies
-the rewriting in the braid group.
+to e times the matrix entry of tau.  Each generator below yields one
+family of relations for a class of exponent matrices; verify_relations
+settles every instance, as it comes, with the exact equality oracle.
+The coset machinery rewrites a generator times a coset representative
+into representative-times-subgroup-word form and certifies the rewriting
+in the braid group.
 
 Family tags follow the command-line vocabulary: thm1, thm2.i..v,
 combing.i..iv, combing.derived.1..8, sec4.1, sec4.2, sec4.3a..3e, block.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .braid import MAX_WORD_LETTERS, ArtinWord, BraidDecider, ImageLimitError, _artin
@@ -114,72 +115,48 @@ def _rotations(a: int, b: int, c: int) -> list[tuple[int, int, int]]:
 
 
 # -- generator families -------------------------------------------------------
+#
+# Each family yields its relations one at a time, so a caller that decides
+# them as they come holds one relation whatever n is.  A family checks its
+# input before it yields the first.
 
 
-def relations_thm1(matrix: CoxeterDatum) -> list[Relation]:
+def relations_thm1(matrix: CoxeterDatum) -> Iterator[Relation]:
     """Commutations between non-crossing band letters (large type only)."""
     if not matrix.is_large_type():
         raise ScopeError("thm1 relations need a large-type matrix (entries 0 or >= 3)")
-    rels = []
-    bands = matrix.band_pairs()
-    for tau, sigma in itertools.combinations(bands, 2):
+    for tau, sigma in itertools.combinations(matrix.band_pairs(), 2):
         if commutes_in_brn(tau, sigma):
-            rels.append(
-                _rel(
-                    "thm1",
-                    tau.indices() + sigma.indices(),
-                    [(tau, 1), (sigma, 1)],
-                    [(sigma, 1), (tau, 1)],
-                )
-            )
-    return rels
+            yield _rel("thm1", tau.indices() + sigma.indices(),
+                       [(tau, 1), (sigma, 1)], [(sigma, 1), (tau, 1)])
 
 
-def relations_thm2(p: Partition) -> list[Relation]:
+def relations_thm2(p: Partition) -> Iterator[Relation]:
     """The five relation families of the partition-type presentation."""
     matrix = partition_to_matrix(p)
     n = p.n
-    rels: list[Relation] = []
     for a, b, c, d in itertools.combinations(range(1, n + 1), 4):
         ad, bc = BandPair(a, d), BandPair(b, c)
-        rels.append(_rel("thm2.i", (a, b, c, d), [(ad, 1), (bc, 1)], [(bc, 1), (ad, 1)]))
+        yield _rel("thm2.i", (a, b, c, d), [(ad, 1), (bc, 1)], [(bc, 1), (ad, 1)])
         cd, ab = BandPair(c, d), BandPair(a, b)
-        rels.append(_rel("thm2.i", (c, a, b, d), [(cd, 1), (ab, 1)], [(ab, 1), (cd, 1)]))
+        yield _rel("thm2.i", (c, a, b, d), [(cd, 1), (ab, 1)], [(ab, 1), (cd, 1)])
         # conjugated commutation, with the double band as one letter
         i, j, k, l = a, b, c, d
         kl, jl, ik = BandPair(k, l), BandPair(j, l), BandPair(i, k)
         q = 1 if matrix.entry(kl) == 2 else 2
-        rels.append(
-            _rel(
-                "thm2.ii",
-                (i, j, k, l),
-                [(jl, 1), (kl, q), (ik, 1), (kl, -q)],
-                [(kl, q), (ik, 1), (kl, -q), (jl, 1)],
-            )
-        )
+        yield _rel("thm2.ii", (i, j, k, l), [(jl, 1), (kl, q), (ik, 1), (kl, -q)],
+                   [(kl, q), (ik, 1), (kl, -q), (jl, 1)])
     for a, b, c in itertools.combinations(range(1, n + 1), 3):
         ab, ac, bc = BandPair(a, b), BandPair(a, c), BandPair(b, c)
         ms = (matrix.entry(ab), matrix.entry(ac), matrix.entry(bc))
         if ms == (2, 2, 2):
-            rels.append(
-                _rel(
-                    "thm2.iv",
-                    (a, b, c),
-                    [(ab, 1), (ac, 1), (bc, 1)],
-                    [(bc, 1), (ab, 1), (ac, 1)],
-                )
-            )
-            rels.append(
-                _rel(
-                    "thm2.iv",
-                    (a, b, c),
-                    [(bc, 1), (ab, 1), (ac, 1)],
-                    [(ac, 1), (bc, 1), (ab, 1)],
-                )
-            )
+            yield _rel("thm2.iv", (a, b, c), [(ab, 1), (ac, 1), (bc, 1)],
+                       [(bc, 1), (ab, 1), (ac, 1)])
+            yield _rel("thm2.iv", (a, b, c), [(bc, 1), (ab, 1), (ac, 1)],
+                       [(ac, 1), (bc, 1), (ab, 1)])
         elif ms == (1, 1, 1):
-            rels.append(_rel("thm2.v", (a, b, c), [(ab, 1), (ac, 1)], [(bc, 1), (ab, 1)]))
-            rels.append(_rel("thm2.v", (a, b, c), [(bc, 1), (ab, 1)], [(ac, 1), (bc, 1)]))
+            yield _rel("thm2.v", (a, b, c), [(ab, 1), (ac, 1)], [(bc, 1), (ab, 1)])
+            yield _rel("thm2.v", (a, b, c), [(bc, 1), (ab, 1)], [(ac, 1), (bc, 1)])
         else:
             for i, j, k in _rotations(a, b, c):
                 ij, ik, jk = BandPair.of(i, j), BandPair.of(i, k), BandPair.of(j, k)
@@ -188,21 +165,12 @@ def relations_thm2(p: Partition) -> list[Relation]:
                     and matrix.entry(ik) == 2
                     and matrix.entry(jk) == 2
                 ):
-                    rels.append(
-                        _rel("thm2.iii", (i, j, k), [(ij, 1), (ik, 1)], [(jk, 1), (ij, 1)])
-                    )
-                    rels.append(
-                        _rel(
-                            "thm2.iii",
-                            (i, j, k),
-                            [(ij, 1), (ik, 1), (jk, 1)],
-                            [(ik, 1), (jk, 1), (ij, 1)],
-                        )
-                    )
-    return rels
+                    yield _rel("thm2.iii", (i, j, k), [(ij, 1), (ik, 1)], [(jk, 1), (ij, 1)])
+                    yield _rel("thm2.iii", (i, j, k), [(ij, 1), (ik, 1), (jk, 1)],
+                               [(ik, 1), (jk, 1), (ij, 1)])
 
 
-def relations_combing(p_prime: Partition, n: int) -> list[Relation]:
+def relations_combing(p_prime: Partition, n: int) -> Iterator[Relation]:
     """Relations of the one-strand extension over a smaller partition group.
 
     p_prime partitions {1..n-1}; the extended group on n strands is
@@ -215,120 +183,52 @@ def relations_combing(p_prime: Partition, n: int) -> list[Relation]:
     if n != p_prime.n + 1:
         raise ValueError(f"partition of {{1..{p_prime.n}}} extends to {p_prime.n + 1} strands, not {n}")
     matrix = partition_to_matrix(p_prime.with_singleton())
-    rels: list[Relation] = []
 
     def an(i: int) -> BandPair:
         return BandPair(i, n)
 
     for a, b, c in itertools.combinations(range(1, n), 3):
         # a_i^2 commutes with b_jk when i is outside or right of {j, k}
-        rels.append(
-            _rel("combing.i", (a, b, c), [(an(a), 1), (BandPair(b, c), 1)],
-                 [(BandPair(b, c), 1), (an(a), 1)])
-        )
-        rels.append(
-            _rel("combing.i", (a, b, c), [(an(c), 1), (BandPair(a, b), 1)],
-                 [(BandPair(a, b), 1), (an(c), 1)])
-        )
+        yield _rel("combing.i", (a, b, c), [(an(a), 1), (BandPair(b, c), 1)],
+                   [(BandPair(b, c), 1), (an(a), 1)])
+        yield _rel("combing.i", (a, b, c), [(an(c), 1), (BandPair(a, b), 1)],
+                   [(BandPair(a, b), 1), (an(c), 1)])
         i, j, k = a, b, c
         ik = BandPair(i, k)
-        rels.append(
-            _rel(
-                "combing.ii",
-                (i, j, k),
-                [(an(j), 1), (an(k), 1), (ik, 1), (an(k), -1)],
-                [(an(k), 1), (ik, 1), (an(k), -1), (an(j), 1)],
-            )
-        )
+        yield _rel("combing.ii", (i, j, k), [(an(j), 1), (an(k), 1), (ik, 1), (an(k), -1)],
+                   [(an(k), 1), (ik, 1), (an(k), -1), (an(j), 1)])
         jk = BandPair(j, k)
-        rels.append(
-            _rel("combing.derived.1", (i, j, k), [(jk, 1), (an(i), 1), (jk, -1)], [(an(i), 1)])
-        )
+        yield _rel("combing.derived.1", (i, j, k), [(jk, 1), (an(i), 1), (jk, -1)], [(an(i), 1)])
         ij = BandPair(i, j)
-        rels.append(
-            _rel("combing.derived.2", (i, j, k), [(ij, 1), (an(k), 1), (ij, -1)], [(an(k), 1)])
-        )
+        yield _rel("combing.derived.2", (i, j, k), [(ij, 1), (an(k), 1), (ij, -1)], [(an(k), 1)])
         if matrix.entry(ik) == 1:
-            rels.append(
-                _rel(
-                    "combing.derived.7",
-                    (i, j, k),
-                    [(ik, 1), (an(j), 1), (ik, -1)],
-                    [(an(k), -1), (an(i), 1), (an(j), 1), (an(i), -1), (an(k), 1)],
-                )
-            )
+            yield _rel("combing.derived.7", (i, j, k), [(ik, 1), (an(j), 1), (ik, -1)],
+                       [(an(k), -1), (an(i), 1), (an(j), 1), (an(i), -1), (an(k), 1)])
         else:
-            rels.append(
-                _rel(
-                    "combing.derived.8",
-                    (i, j, k),
-                    [(ik, -1), (an(j), 1), (ik, 1)],
-                    [(an(i), 1), (an(k), 1), (an(i), -1), (an(k), -1), (an(j), 1),
-                     (an(k), 1), (an(i), 1), (an(k), -1), (an(i), -1)],
-                )
-            )
+            yield _rel("combing.derived.8", (i, j, k), [(ik, -1), (an(j), 1), (ik, 1)],
+                       [(an(i), 1), (an(k), 1), (an(i), -1), (an(k), -1), (an(j), 1),
+                        (an(k), 1), (an(i), 1), (an(k), -1), (an(i), -1)])
     for i, j in itertools.combinations(range(1, n), 2):
         ij = BandPair(i, j)
         if matrix.entry(ij) == 1:
-            rels.append(
-                _rel("combing.iii", (i, j), [(ij, 1), (an(i), 1)], [(an(j), 1), (ij, 1)])
-            )
-            rels.append(
-                _rel(
-                    "combing.iii",
-                    (i, j),
-                    [(ij, 1), (an(i), 1), (an(j), 1)],
-                    [(an(i), 1), (an(j), 1), (ij, 1)],
-                )
-            )
-            rels.append(
-                _rel("combing.derived.3", (i, j), [(ij, 1), (an(i), 1), (ij, -1)], [(an(j), 1)])
-            )
-            rels.append(
-                _rel(
-                    "combing.derived.4",
-                    (i, j),
-                    [(ij, 1), (an(j), 1), (ij, -1)],
-                    [(an(j), -1), (an(i), 1), (an(j), 1)],
-                )
-            )
+            yield _rel("combing.iii", (i, j), [(ij, 1), (an(i), 1)], [(an(j), 1), (ij, 1)])
+            yield _rel("combing.iii", (i, j), [(ij, 1), (an(i), 1), (an(j), 1)],
+                       [(an(i), 1), (an(j), 1), (ij, 1)])
+            yield _rel("combing.derived.3", (i, j), [(ij, 1), (an(i), 1), (ij, -1)], [(an(j), 1)])
+            yield _rel("combing.derived.4", (i, j), [(ij, 1), (an(j), 1), (ij, -1)],
+                       [(an(j), -1), (an(i), 1), (an(j), 1)])
         else:
-            rels.append(
-                _rel(
-                    "combing.iv",
-                    (i, j),
-                    [(an(j), 1), (ij, 1), (an(i), 1)],
-                    [(ij, 1), (an(i), 1), (an(j), 1)],
-                )
-            )
-            rels.append(
-                _rel(
-                    "combing.iv",
-                    (i, j),
-                    [(ij, 1), (an(i), 1), (an(j), 1)],
-                    [(an(i), 1), (an(j), 1), (ij, 1)],
-                )
-            )
-            rels.append(
-                _rel(
-                    "combing.derived.5",
-                    (i, j),
-                    [(ij, 1), (an(i), 1), (ij, -1)],
-                    [(an(j), -1), (an(i), 1), (an(j), 1)],
-                )
-            )
-            rels.append(
-                _rel(
-                    "combing.derived.6",
-                    (i, j),
-                    [(ij, 1), (an(j), 1), (ij, -1)],
-                    [(an(j), -1), (an(i), -1), (an(j), 1), (an(i), 1), (an(j), 1)],
-                )
-            )
-    return rels
+            yield _rel("combing.iv", (i, j), [(an(j), 1), (ij, 1), (an(i), 1)],
+                       [(ij, 1), (an(i), 1), (an(j), 1)])
+            yield _rel("combing.iv", (i, j), [(ij, 1), (an(i), 1), (an(j), 1)],
+                       [(an(i), 1), (an(j), 1), (ij, 1)])
+            yield _rel("combing.derived.5", (i, j), [(ij, 1), (an(i), 1), (ij, -1)],
+                       [(an(j), -1), (an(i), 1), (an(j), 1)])
+            yield _rel("combing.derived.6", (i, j), [(ij, 1), (an(j), 1), (ij, -1)],
+                       [(an(j), -1), (an(i), -1), (an(j), 1), (an(i), 1), (an(j), 1)])
 
 
-def relations_sec4(matrix: CoxeterDatum) -> list[Relation]:
+def relations_sec4(matrix: CoxeterDatum) -> Iterator[Relation]:
     """Relation families for matrices with every entry at least 2.
 
     The triple families depend on the exponent pattern in cyclic order.
@@ -343,61 +243,59 @@ def relations_sec4(matrix: CoxeterDatum) -> list[Relation]:
                 raise ScopeError(
                     f"sec4 relations need every entry >= 2, got m[{a}][{b}] = {matrix.entry_at(a, b)}"
                 )
-    rels: list[Relation] = []
+    for j, k in itertools.combinations(range(1, n + 1), 2):
+        m = matrix.entry_at(j, k)
+        if m > MAX_WORD_LETTERS and any(
+            matrix.entry_at(i, j) == matrix.entry_at(i, k) == 2
+            for i in range(1, n + 1) if i not in (j, k)
+        ):
+            # the sec4.3 words of (i, j, k) have about m letters, each of at
+            # least two Artin letters
+            raise ValueError(f"sec4.3 words for m[{j}][{k}] = {m} would expand past "
+                             f"{MAX_WORD_LETTERS} Artin letters")
     for a, b, c, d in itertools.combinations(range(1, n + 1), 4):
         ab, cd = BandPair(a, b), BandPair(c, d)
         ad, bc = BandPair(a, d), BandPair(b, c)
-        rels.append(_rel("sec4.1", (a, b, c, d), [(ab, 1), (cd, 1)], [(cd, 1), (ab, 1)]))
-        rels.append(_rel("sec4.1", (a, b, c, d), [(ad, 1), (bc, 1)], [(bc, 1), (ad, 1)]))
+        yield _rel("sec4.1", (a, b, c, d), [(ab, 1), (cd, 1)], [(cd, 1), (ab, 1)])
+        yield _rel("sec4.1", (a, b, c, d), [(ad, 1), (bc, 1)], [(bc, 1), (ad, 1)])
         i, j, k, l = a, b, c, d
         jk = BandPair(j, k)
         if matrix.entry(jk) == 2:
             ik, jl = BandPair(i, k), BandPair(j, l)
-            rels.append(
-                _rel(
-                    "sec4.2",
-                    (i, j, k, l),
-                    [(ik, 1), (jk, 1), (jl, 1), (jk, -1)],
-                    [(jk, 1), (jl, 1), (jk, -1), (ik, 1)],
-                )
-            )
+            yield _rel("sec4.2", (i, j, k, l), [(ik, 1), (jk, 1), (jl, 1), (jk, -1)],
+                       [(jk, 1), (jl, 1), (jk, -1), (ik, 1)])
     for a, b, c in itertools.combinations(range(1, n + 1), 3):
         for i, j, k in _rotations(a, b, c):
             x, y, z = BandPair.of(i, j), BandPair.of(i, k), BandPair.of(j, k)
             mx, my, mz = matrix.entry(x), matrix.entry(y), matrix.entry(z)
             X, Y, Z = (x, 1), (y, 1), (z, 1)
-            if mx == 2 and my == 2 and mz > MAX_WORD_LETTERS:
-                # its words have about mz letters, each of at least two Artin letters
-                raise ValueError(f"sec4.3 words for m[{j}][{k}] = {mz} would expand past "
-                                 f"{MAX_WORD_LETTERS} Artin letters")
             if mx == 2 and my == 2 and mz % 2 == 0:
                 nu = mz // 2
                 first = [X, Y] * (nu - 1) + [Z, X, Y]
                 second = [Y] + [X, Y] * (nu - 1) + [Z, X]
                 third = [X, Y] * nu + [Z]
                 for lhs, rhs in itertools.combinations((first, second, third), 2):
-                    rels.append(_rel("sec4.3a", (i, j, k), lhs, rhs))
+                    yield _rel("sec4.3a", (i, j, k), lhs, rhs)
             elif mx == 2 and my == 2 and mz % 2 == 1:
                 nu = (mz - 1) // 2
                 first = [Y] + [X, Y] * (nu - 1) + [Z, X, Y]
                 third = [Y] + [X, Y] * nu + [Z]
-                rels.append(_rel("sec4.3b", (i, j, k), first, third))
+                yield _rel("sec4.3b", (i, j, k), first, third)
             if (mx, my, mz) == (2, 3, 3):
                 words = ([X, Z, X, Y, Z], [Z, X, Y, Z, X], [X, Y, Z, X, Y])
                 for lhs, rhs in itertools.combinations(words, 2):
-                    rels.append(_rel("sec4.3c", (i, j, k), lhs, rhs))
+                    yield _rel("sec4.3c", (i, j, k), lhs, rhs)
             elif (mx, my, mz) == (2, 3, 4):
                 words = ([X, Y, Z] * 2, [Y, Z, X] * 2, [Z, X, Y] * 2)
                 for lhs, rhs in itertools.combinations(words, 2):
-                    rels.append(_rel("sec4.3d", (i, j, k), lhs, rhs))
+                    yield _rel("sec4.3d", (i, j, k), lhs, rhs)
             elif (mx, my, mz) == (2, 3, 5):
                 words = ([X, Y, Z] * 3, [Y, Z, X] * 3, [Z, X, Y] * 3)
                 for lhs, rhs in itertools.combinations(words, 2):
-                    rels.append(_rel("sec4.3e", (i, j, k), lhs, rhs))
-    return rels
+                    yield _rel("sec4.3e", (i, j, k), lhs, rhs)
 
 
-def relations_thm2_rederivations(p: Partition) -> list[Relation]:
+def relations_thm2_rederivations(p: Partition) -> Iterator[Relation]:
     """Relation instances supporting the one-strand-extension argument.
 
     These are the statements, in terms of the partition-type generators
@@ -407,98 +305,69 @@ def relations_thm2_rederivations(p: Partition) -> list[Relation]:
     """
     matrix = partition_to_matrix(p)
     n = p.n
-    rels: list[Relation] = []
 
     def bn(i: int) -> BandPair:
         return BandPair(i, n)
 
     for a, b, c in itertools.combinations(range(1, n), 3):
-        rels.append(
-            _rel("thm2proof.1", (a, b, c), [(bn(a), 1), (BandPair(b, c), 1)],
-                 [(BandPair(b, c), 1), (bn(a), 1)])
-        )
-        rels.append(
-            _rel("thm2proof.1", (a, b, c), [(bn(c), 1), (BandPair(a, b), 1)],
-                 [(BandPair(a, b), 1), (bn(c), 1)])
-        )
+        yield _rel("thm2proof.1", (a, b, c), [(bn(a), 1), (BandPair(b, c), 1)],
+                   [(BandPair(b, c), 1), (bn(a), 1)])
+        yield _rel("thm2proof.1", (a, b, c), [(bn(c), 1), (BandPair(a, b), 1)],
+                   [(BandPair(a, b), 1), (bn(c), 1)])
         i, j, k = a, b, c
         ik = BandPair(i, k)
         q = 1 if matrix.entry(bn(k)) == 2 else 2
         sub = "a" if q == 1 else "b"
-        rels.append(
-            _rel(
-                f"thm2proof.2{sub}",
-                (i, j, k),
-                [(bn(j), 1), (bn(k), q), (ik, 1), (bn(k), -q)],
-                [(bn(k), q), (ik, 1), (bn(k), -q), (bn(j), 1)],
-            )
-        )
+        yield _rel(f"thm2proof.2{sub}", (i, j, k), [(bn(j), 1), (bn(k), q), (ik, 1), (bn(k), -q)],
+                   [(bn(k), q), (ik, 1), (bn(k), -q), (bn(j), 1)])
     for i, j in itertools.combinations(range(1, n), 2):
         ij, bi, bj = BandPair(i, j), bn(i), bn(j)
         if matrix.entry(ij) == 1:
             if matrix.entry(bi) == 2:
-                rels.append(_rel("thm2proof.3a", (i, j), [(ij, 1), (bi, 1)], [(bj, 1), (ij, 1)]))
-                rels.append(
-                    _rel("thm2proof.3a", (i, j), [(ij, 1), (bi, 1), (bj, 1)],
-                         [(bi, 1), (bj, 1), (ij, 1)])
-                )
+                yield _rel("thm2proof.3a", (i, j), [(ij, 1), (bi, 1)], [(bj, 1), (ij, 1)])
+                yield _rel("thm2proof.3a", (i, j), [(ij, 1), (bi, 1), (bj, 1)],
+                           [(bi, 1), (bj, 1), (ij, 1)])
             else:
-                rels.append(_rel("thm2proof.3b", (i, j), [(ij, 1), (bi, 1)], [(bi, 1), (bj, 1)]))
-                rels.append(_rel("thm2proof.3b", (i, j), [(bi, 1), (bj, 1)], [(bj, 1), (ij, 1)]))
-                rels.append(_rel("thm2proof.3b", (i, j), [(ij, 1), (bi, 2)], [(bj, 2), (ij, 1)]))
-                rels.append(
-                    _rel("thm2proof.3b", (i, j), [(ij, 1), (bi, 2), (bj, 2)],
-                         [(bi, 2), (bj, 2), (ij, 1)])
-                )
+                yield _rel("thm2proof.3b", (i, j), [(ij, 1), (bi, 1)], [(bi, 1), (bj, 1)])
+                yield _rel("thm2proof.3b", (i, j), [(bi, 1), (bj, 1)], [(bj, 1), (ij, 1)])
+                yield _rel("thm2proof.3b", (i, j), [(ij, 1), (bi, 2)], [(bj, 2), (ij, 1)])
+                yield _rel("thm2proof.3b", (i, j), [(ij, 1), (bi, 2), (bj, 2)],
+                           [(bi, 2), (bj, 2), (ij, 1)])
         else:
             mi, mj = matrix.entry(bi), matrix.entry(bj)
             if (mi, mj) == (2, 2):
-                rels.append(
-                    _rel("thm2proof.4a", (i, j), [(bi, 1), (bj, 1), (ij, 1)],
-                         [(bj, 1), (ij, 1), (bi, 1)])
-                )
-                rels.append(
-                    _rel("thm2proof.4a", (i, j), [(bi, 1), (bj, 1), (ij, 1)],
-                         [(ij, 1), (bi, 1), (bj, 1)])
-                )
+                yield _rel("thm2proof.4a", (i, j), [(bi, 1), (bj, 1), (ij, 1)],
+                           [(bj, 1), (ij, 1), (bi, 1)])
+                yield _rel("thm2proof.4a", (i, j), [(bi, 1), (bj, 1), (ij, 1)],
+                           [(ij, 1), (bi, 1), (bj, 1)])
             elif (mi, mj) == (1, 2):
-                rels.append(
-                    _rel("thm2proof.4b", (i, j), [(bi, 1), (bj, 1), (ij, 1)],
-                         [(bj, 1), (ij, 1), (bi, 1)])
-                )
-                rels.append(_rel("thm2proof.4b", (i, j), [(bi, 1), (bj, 1)], [(ij, 1), (bi, 1)]))
-                rels.append(
-                    _rel("thm2proof.4b", (i, j), [(bi, 2), (bj, 1), (ij, 1)],
-                         [(bj, 1), (ij, 1), (bi, 2)])
-                )
-                rels.append(
-                    _rel("thm2proof.4b", (i, j), [(bi, 2), (bj, 1), (ij, 1)],
-                         [(ij, 1), (bi, 2), (bj, 1)])
-                )
+                yield _rel("thm2proof.4b", (i, j), [(bi, 1), (bj, 1), (ij, 1)],
+                           [(bj, 1), (ij, 1), (bi, 1)])
+                yield _rel("thm2proof.4b", (i, j), [(bi, 1), (bj, 1)], [(ij, 1), (bi, 1)])
+                yield _rel("thm2proof.4b", (i, j), [(bi, 2), (bj, 1), (ij, 1)],
+                           [(bj, 1), (ij, 1), (bi, 2)])
+                yield _rel("thm2proof.4b", (i, j), [(bi, 2), (bj, 1), (ij, 1)],
+                           [(ij, 1), (bi, 2), (bj, 1)])
             else:  # (2, 1)
-                rels.append(
-                    _rel("thm2proof.4c", (i, j), [(bj, 1), (ij, 1), (bi, 1)],
-                         [(ij, 1), (bi, 1), (bj, 1)])
-                )
-                rels.append(_rel("thm2proof.4c", (i, j), [(bj, 1), (ij, 1)], [(bi, 1), (bj, 1)]))
-                rels.append(
-                    _rel("thm2proof.4c", (i, j), [(bj, 2), (ij, 1), (bi, 1)],
-                         [(ij, 1), (bi, 1), (bj, 2)])
-                )
-                rels.append(
-                    _rel("thm2proof.4c", (i, j), [(bj, 2), (ij, 1), (bi, 1)],
-                         [(bi, 1), (bj, 2), (ij, 1)])
-                )
-    return rels
+                yield _rel("thm2proof.4c", (i, j), [(bj, 1), (ij, 1), (bi, 1)],
+                           [(ij, 1), (bi, 1), (bj, 1)])
+                yield _rel("thm2proof.4c", (i, j), [(bj, 1), (ij, 1)], [(bi, 1), (bj, 1)])
+                yield _rel("thm2proof.4c", (i, j), [(bj, 2), (ij, 1), (bi, 1)],
+                           [(ij, 1), (bi, 1), (bj, 2)])
+                yield _rel("thm2proof.4c", (i, j), [(bj, 2), (ij, 1), (bi, 1)],
+                           [(bi, 1), (bj, 2), (ij, 1)])
 
 
 # -- verification -------------------------------------------------------------
 
 
 def verify_relations(
-    rels: list[Relation], matrix: CoxeterDatum, tag: str = "verify"
+    rels: Iterable[Relation], matrix: CoxeterDatum, tag: str = "verify"
 ) -> RunReport:
     """Decide both sides of every relation exactly, as words of band syllables.
+
+    The relations are consumed once, as they come, so a generated family is
+    decided in the memory of one relation plus the decider's and the report's.
 
     A relation that reaches the normal-form handover with a side past
     MAX_WORD_LETTERS Artin letters, counted on the strands the relation
@@ -660,8 +529,8 @@ def block_product_check(m1: CoxeterDatum, m2: CoxeterDatum) -> RunReport:
     """Every generator from one block commutes with every one from the other."""
     left = m1.band_pairs()
     right = [BandPair(tau.i + m1.n, tau.j + m1.n) for tau in m2.band_pairs()]
-    rels = [_rel("block", tau.indices() + sigma.indices(), [(tau, 1), (sigma, 1)],
-                 [(sigma, 1), (tau, 1)]) for tau in left for sigma in right]
+    rels = (_rel("block", tau.indices() + sigma.indices(), [(tau, 1), (sigma, 1)],
+                 [(sigma, 1), (tau, 1)]) for tau in left for sigma in right)
     report = verify_relations(rels, assemble_block_matrix(m1, m2), tag=f"block {m1.n}+{m2.n}")
     report.info["left_generators"] = len(left)
     report.info["right_generators"] = len(right)
@@ -672,7 +541,7 @@ def block_product_check(m1: CoxeterDatum, m2: CoxeterDatum) -> RunReport:
 
 
 def export_presentation(
-    rels: list[Relation], matrix: CoxeterDatum, fmt: str = "plain"
+    rels: Iterable[Relation], matrix: CoxeterDatum, fmt: str = "plain"
 ) -> str:
     """Deterministic text rendering of a presentation.
 

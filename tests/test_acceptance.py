@@ -160,7 +160,7 @@ def test_criterion_7_combing_families_and_derived_identities():
     for n in range(2, 6):
         for p_prime in set_partitions(n - 1):
             matrix = partition_to_matrix(p_prime.with_singleton())
-            rels = relations_combing(p_prime, n)
+            rels = list(relations_combing(p_prime, n))
             report = verify_relations(rels, matrix)
             assert report.ok, f"{p_prime} on {n}: {report.failures[:3]}"
             total += report.instances

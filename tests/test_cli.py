@@ -40,7 +40,7 @@ def partition_file(tmp_path):
 
 
 def _in_child(argv):
-    """Exit code and peak RSS in MB of the command line run as a child.
+    """Exit code, peak RSS in MB and standard error of the command line run as a child.
 
     A probe process starts the command line and reads its peak RSS through
     RUSAGE_CHILDREN (kilobytes on Linux), so no earlier child is counted.
@@ -49,10 +49,10 @@ def _in_child(argv):
              "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode; "
              "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
     env = {**os.environ, "PYTHONPATH": str(Path(bandgroup.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", probe, sys.executable, "-m", "bandgroup.cli",
-                          *argv], capture_output=True, text=True, env=env, check=True).stdout
-    code, kilobytes = out.split()
-    return int(code), int(kilobytes) / 1024
+    done = subprocess.run([sys.executable, "-c", probe, sys.executable, "-m", "bandgroup.cli",
+                           *argv], capture_output=True, text=True, env=env, check=True)
+    code, kilobytes = done.stdout.split()
+    return int(code), int(kilobytes) / 1024, done.stderr
 
 
 class TestEq:
@@ -218,7 +218,18 @@ class TestVerify:
         # keeping the images of every suffix of their words took about 170
         # and 450 MB
         path = matrix_file("m.json", CoxeterDatum.from_entries(n, entries))
-        code, peak_mb = _in_child(["--json", "verify", "sec4", "--matrix", path])
+        code, peak_mb, _ = _in_child(["--json", "verify", "sec4", "--matrix", path])
+        assert code == 0 and peak_mb < 40
+
+    @pytest.mark.parametrize("family, flag, value", [
+        # 460,600 commutations, which took 275 MB as a list
+        ("thm1", "--matrix", CoxeterDatum.constant(50, 3)),
+        # 90,335 relations, which took 94 MB as a list
+        ("thm2", "--partition", Partition.of(30, [list(range(1, 16)), list(range(16, 31))])),
+    ], ids=["thm1-n50", "thm2-15+15"])
+    def test_verify_runs_in_flat_memory(self, matrix_file, family, flag, value):
+        path = matrix_file("input.json", value)
+        code, peak_mb, _ = _in_child(["--json", "verify", family, flag, path])
         assert code == 0 and peak_mb < 40
 
     def test_sides_past_the_letter_cap_are_refused_at_the_handover(self, capsys, matrix_file):
@@ -257,6 +268,17 @@ class TestVerify:
         for argv in (["verify", "sec4", "--matrix", path],
                      ["export", "--family", "sec4", "--matrix", path]):
             self._usage_error(capsys, argv, f"would expand past {MAX_WORD_LETTERS} Artin letters")
+
+    def test_long_sec4_triples_are_refused_before_any_relation(self, matrix_file):
+        # all 2 but m[39][40]: a sec4.1 commutation on the long entry comes
+        # before its triples, and building the whole family took 258 MB
+        entries = {(i, j): 2 for i in range(1, 41) for j in range(i + 1, 41)}
+        entries[39, 40] = 10 ** 9
+        path = matrix_file("m.json", CoxeterDatum.from_entries(40, entries))
+        code, peak_mb, err = _in_child(["verify", "sec4", "--matrix", path])
+        assert code == 2 and peak_mb < 40
+        assert err == (f"error: sec4.3 words for m[39][40] = {10 ** 9} would expand past "
+                       f"{MAX_WORD_LETTERS} Artin letters\n")
 
     def test_json_reports_byte_stable(self, capsys, partition_file):
         path = partition_file("p.json", Partition.singletons(3))
@@ -480,7 +502,7 @@ class TestCheckprop:
     def test_long_power_is_refused_before_it_is_built(self, capsys):
         # c = (s_1 s_3)^m alone was 2|m| letters: 933 MB at m = 10^7
         for m in (10 ** 7, 10 ** 9):
-            code, peak_mb = _in_child(
+            code, peak_mb, _ = _in_child(
                 ["checkprop", "trans", "s2 s1 s3 s1 s2", "--band", "1.3", "--m", str(m)])
             assert code == 2 and peak_mb < 40
         assert main(["checkprop", "trans", "s2 s1 s3 s1 s2", "--band", "1.3", "--m",

@@ -57,20 +57,20 @@ class TestThm1:
         }
 
     def test_three_strands_has_no_relations(self):
-        assert relations_thm1(CoxeterDatum.constant(3, 3)) == []
+        assert list(relations_thm1(CoxeterDatum.constant(3, 3))) == []
 
     def test_zero_entry_removes_generator(self):
         matrix = CoxeterDatum.from_entries(
             4, {(1, 2): 3, (1, 3): 3, (2, 3): 3, (2, 4): 3, (3, 4): 3}
         )
         assert len(matrix.band_pairs()) == 5
-        rels = relations_thm1(matrix)
+        rels = list(relations_thm1(matrix))
         assert len(rels) == 1  # only {12, 34} is left non-crossing
         assert verify_relations(rels, matrix).ok
 
     def test_scope_gate(self):
         with pytest.raises(ScopeError):
-            relations_thm1(CoxeterDatum.constant(3, 2))
+            next(relations_thm1(CoxeterDatum.constant(3, 2)))
 
     def test_all_relations_verify(self):
         for n in (5, 6):
@@ -80,7 +80,7 @@ class TestThm1:
 
 class TestThm2:
     def test_one_pair_merged(self):
-        rels = relations_thm2(Partition.of(3, [[1, 2], [3]]))
+        rels = list(relations_thm2(Partition.of(3, [[1, 2], [3]])))
         assert labels(rels) == {"thm2.iii"}
         words = {(r.lhs, r.rhs) for r in rels}
         assert (
@@ -93,12 +93,12 @@ class TestThm2:
         ) in words
 
     def test_singletons_give_triple_family_only(self):
-        rels = relations_thm2(Partition.singletons(3))
+        rels = list(relations_thm2(Partition.singletons(3)))
         assert labels(rels) == {"thm2.iv"}
         assert len(rels) == 2
 
     def test_single_block_gives_chain_family_only(self):
-        rels = relations_thm2(Partition.single_block(3))
+        rels = list(relations_thm2(Partition.single_block(3)))
         assert labels(rels) == {"thm2.v"}
         words = {(r.lhs, r.rhs) for r in rels}
         assert (
@@ -261,7 +261,7 @@ class TestBandWordDecider:
         # thm1 on 4 strands: a_12 a_34 = a_34 a_12 and a_14 a_23 = a_23 a_14,
         # four syllable steps each, as no side ends like another
         matrix = CoxeterDatum.constant(4, 3)
-        rels = relations_thm1(matrix)
+        rels = list(relations_thm1(matrix))
         report = verify_relations(rels, matrix)
         peak = 0
         for rel in rels:
@@ -324,7 +324,7 @@ class TestBandWordDecider:
     def test_counters_are_per_call(self):
         # the verdicts live only as long as the call that made them
         p = Partition.of(6, [[1, 4], [2, 5, 6], [3]])
-        rels, matrix = relations_thm2(p), partition_to_matrix(p)
+        rels, matrix = list(relations_thm2(p)), partition_to_matrix(p)
         first, second = verify_relations(rels, matrix), verify_relations(rels, matrix)
         assert first.info == second.info
         assert 0 < first.info["oracle_distinct"] < len(rels)
@@ -365,7 +365,7 @@ class TestCombing:
 
     def test_strand_count_checked(self):
         with pytest.raises(ValueError):
-            relations_combing(Partition.singletons(3), 5)
+            next(relations_combing(Partition.singletons(3), 5))
 
     def test_all_partitions_verify_up_to_4_strands(self):
         for n in range(2, 5):
@@ -377,18 +377,18 @@ class TestCombing:
 class TestSec4:
     def test_scope_gate(self):
         with pytest.raises(ScopeError):
-            relations_sec4(partition_to_matrix(Partition.of(3, [[1, 2], [3]])))
+            next(relations_sec4(partition_to_matrix(Partition.of(3, [[1, 2], [3]]))))
         with pytest.raises(ScopeError):
-            relations_sec4(CoxeterDatum.from_entries(3, {(1, 2): 2, (1, 3): 2}))
+            next(relations_sec4(CoxeterDatum.from_entries(3, {(1, 2): 2, (1, 3): 2})))
 
     def test_all_two_triple_matches_partition_presentation(self):
         matrix = CoxeterDatum.constant(3, 2)
-        rels = relations_sec4(matrix)
+        rels = list(relations_sec4(matrix))
         even = [r for r in rels if r.label == "sec4.3a"]
         assert len(even) == 9  # three rotations, three pairwise equalities each
         assert verify_relations(rels, matrix).ok
         # consistency bridge: the three words coincide with the pure-type family
-        thm2 = relations_thm2(Partition.singletons(3))
+        thm2 = list(relations_thm2(Partition.singletons(3)))
         for rel in thm2:
             lhs = expand_letter_word(rel.lhs, matrix)
             rhs = expand_letter_word(rel.rhs, matrix)
@@ -526,7 +526,7 @@ class TestBlockProduct:
 class TestExport:
     def test_pure_braid_presentation_on_three_strands(self):
         p = Partition.singletons(3)
-        rels = relations_thm2(p)
+        rels = list(relations_thm2(p))
         matrix = partition_to_matrix(p)
         text = export_presentation(rels, matrix, "plain")
         lines = text.splitlines()
