@@ -3,8 +3,9 @@
 A relation is a pair of abstract words whose letters are (band pair,
 exponent) factors; the letter (tau, e) expands to the band on tau raised
 to e times the matrix entry of tau.  Each generator below yields one
-family of relations for a class of exponent matrices; verify_relations
-settles every instance, as it comes, with the exact equality oracle.
+family of relations for a class of exponent matrices, and checks its
+input before it yields the first; verify_relations settles every
+instance, as it comes, with the exact equality oracle.
 The coset machinery rewrites a generator times a coset representative
 into representative-times-subgroup-word form and certifies the rewriting
 in the braid group.
@@ -115,10 +116,6 @@ def _rotations(a: int, b: int, c: int) -> list[tuple[int, int, int]]:
 
 
 # -- generator families -------------------------------------------------------
-#
-# Each family yields its relations one at a time, so a caller that decides
-# them as they come holds one relation whatever n is.  A family checks its
-# input before it yields the first.
 
 
 def relations_thm1(matrix: CoxeterDatum) -> Iterator[Relation]:

@@ -190,10 +190,11 @@ def test_criterion_9_general_exponent_families():
     matrix = CoxeterDatum.from_entries(
         4, {(1, 2): 3, (1, 3): 4, (1, 4): 2, (2, 3): 2, (2, 4): 5, (3, 4): 3}
     )
-    rels = relations_sec4(matrix)
+    rels = list(relations_sec4(matrix))
     assert any(r.label == "sec4.2" and r.indices == (1, 2, 3, 4) for r in rels)
     report = verify_relations(rels, matrix)
     assert report.ok, report.failures[:3]
+    assert report.instances == len(rels) > 0
     total += report.instances
 
     # even and odd triple patterns for the first three exponent steps
@@ -254,14 +255,16 @@ def test_criterion_10_normal_form_against_exhaustive_search():
 def test_criterion_11_pure_braid_recovery():
     p = Partition.singletons(4)
     matrix = partition_to_matrix(p)
-    rels = relations_thm2(p)
+    rels = list(relations_thm2(p))
     assert {r.label for r in rels} <= {"thm2.i", "thm2.ii", "thm2.iv"}
     assert len(matrix.band_pairs()) == 6
     report = verify_relations(rels, matrix)
     assert report.ok
+    assert report.instances == len(rels) > 0
     text = export_presentation(rels, matrix, "plain")
     assert text == export_presentation(rels, matrix, "plain")
     assert text.splitlines()[0] == "generators: b1.2 b1.3 b1.4 b2.3 b2.4 b3.4"
+    assert len(text.splitlines()) == 1 + len(rels)
     report_line(11, f"pure-type presentation on 6 generators, {report.instances} relations")
 
 
