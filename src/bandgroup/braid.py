@@ -19,12 +19,13 @@ one kernel, `_act`, runs it for the free action here, for the Hurwitz
 action of `hurwitz` on tuples of free or universal Coxeter words, and,
 through `_free_images`, for `coxword.apply_artin_to_cox`.  The band-power
 action on Coxeter words that the injectivity scan folds,
-`coxword.act_band_on_cox`, is a closed form of its own over letter
-tuples, and it stays one because it is faster there.  Routed through
-`_act` with `_SELF`, it agreed with the closed form on 20,000 random
-(word, band, m) triples, but one `scan inject` on the constant-3 matrix
-(n = 4, L = 3, B = 2) took 57.7-67.1 ms against 44.5-52.0 ms (medians of
-15 scans, three alternating runs, 2 cores, Python 3.11.7).
+`coxword._act_band`, is a closed form of its own on the same encoding:
+each letter's image is a slice of c = (s_j s_k)^m and of c^-1, and the
+images meet through `_cancel`.  Routed through `_act` with `_SELF`, the
+action was slower even than the earlier closed form over letter tuples:
+one `scan inject` on the constant-3 matrix (n = 4, L = 3, B = 2) took
+57.7-67.1 ms against 44.5-52.0 ms (medians of 15 scans, three
+alternating runs, 2 cores, Python 3.11.7).
 
 `BraidDecider` decides words of syllables (the band letters of a
 relation, say), and `braid_equal` is the same routine on the runs of two

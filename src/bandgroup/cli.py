@@ -311,8 +311,10 @@ def cmd_checkprop(args: argparse.Namespace) -> int:
     for flag, value, least in bounds:
         if value < least:
             raise ValueError(f"--{flag} must be at least {least}, got {value}")
-    if args.max_len > MAX_RANDOM_LETTERS:
-        raise ValueError(f"--max-len must be at most {MAX_RANDOM_LETTERS}, got {args.max_len}")
+    caps = (("n", args.n, MAX_STRANDS), ("max-len", args.max_len, MAX_RANDOM_LETTERS))
+    for flag, value, most in caps:
+        if value > most:
+            raise ValueError(f"--{flag} must be at most {most}, got {value}")
     rng = random.Random(args.seed)
     report = RunReport(tag=f"checkprop {args.which} random={args.random} seed={args.seed}")
     produced = 0

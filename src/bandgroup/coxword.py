@@ -7,6 +7,12 @@ form of the action on a single letter, the factorization of a word into
 maximal blocks over a two-letter subalphabet, and the executable checks
 that blocks marked "critical" grow under the action while the block pattern
 is preserved.
+
+The action itself, `_act_band`, runs on the `bytes` encoding of the braid
+kernel, letter s_i as the byte 128 + i and its own inverse, so letter
+indices go up to MAX_STRANDS.  The injectivity scan calls it on encoded
+words directly; `act_band_on_cox` encodes a `CoxWord` for it and checks
+the result back in.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .braid import MAX_IMAGE_LETTERS, ArtinWord, _decode, _free_images, _too_long
+from .braid import _SELF, MAX_IMAGE_LETTERS, MAX_STRANDS, ArtinWord, _cancel, _decode, _encode
+from .braid import _free_images, _too_long
 from .coxeter import BandPair, commutes_in_brn, crossing
 
 
@@ -160,44 +167,68 @@ def band_power_letter_action(i: int, tau: BandPair, m: int) -> CoxWord:
 def act_band_on_cox(w: CoxWord, tau: BandPair, m: int, limit: int = MAX_IMAGE_LETTERS) -> CoxWord:
     """Image of a word under the m-th power of the band on tau.
 
-    Closed form, letter by letter, with c = (s_j s_k)^m for the band on
-    (j, k): letters outside [j, k] are fixed, s_j maps to c s_j, a letter
-    strictly between to c s_i c^-1, and s_k to s_k c^-1.  Negative m uses
-    (s_j s_k)^-1 = s_k s_j.  The images are concatenated and reduced; this
-    agrees with pushing the expanded Artin word through the letterwise
-    substitution rules.  An image that passes `limit` letters raises
-    ImageLimitError, at most 4|m| + 1 letters after it does, and before c
-    is built when the image of a letter in [j, k], of 2|m| - 1 letters at
-    least, would pass it; a word with no such letter is then its own image.
+    Letters outside [j, k] are fixed and the others map to their closed
+    forms (see `_act_band`, which this encodes for).  An image that passes
+    `limit` letters raises ImageLimitError, at most 4|m| + 1 letters after
+    it does, and before c = (s_j s_k)^m is built when the image of a letter
+    in [j, k], of 2|m| - 1 letters at least, would pass it; a word with no
+    such letter is then its own image.  Letter indices go up to MAX_STRANDS.
 
     >>> act_band_on_cox(CoxWord((2, 4)), BandPair(1, 3), -1).letters
     (3, 1, 2, 1, 3, 4)
     """
-    j, k = tau.i, tau.j
-    if 2 * abs(m) - 1 > limit:
-        if len(w) > limit or any(j <= x <= k for x in w.letters):
+    if tau.j > MAX_STRANDS:
+        raise ValueError(f"letter indices above {MAX_STRANDS} are not supported")
+    return CoxWord(_decode(_act_band(_encode(w.letters), tau.i, tau.j, m, limit)))
+
+
+def _act_band(w: bytes, j: int, k: int, m: int, limit: int) -> bytes:
+    """The image of an encoded reduced word under the m-th power of the band on (j, k).
+
+    With c = (s_j s_k)^m, and (s_j s_k)^-1 = s_k s_j for negative m, the
+    letters outside [j, k] are fixed, a letter s_x strictly between maps to
+    c s_x c^-1, s_j to c s_j and s_k to s_k c^-1.  Reduced, those are slices
+    of c and c^-1: s_j maps to c s_j for m > 0 and to c without its last
+    letter for m < 0, s_k to c^-1 without its first letter for m > 0 and to
+    s_k c^-1 for m < 0.  With c = (s_3 s_1)^2 for the band on (1, 3) and
+    m = -2:
+
+    >>> _decode(_act_band(_encode((1,)), 1, 3, -2, 99))
+    (3, 1, 3)
+    >>> _decode(_act_band(_encode((3,)), 1, 3, -2, 99))
+    (3, 1, 3, 1, 3)
+
+    The images are joined left to right and letters cancel only where two
+    of them meet (`braid._cancel`, each letter its own inverse).  Once the
+    image of a prefix of w passes `limit` letters, ImageLimitError is
+    raised; see `act_band_on_cox`.
+    """
+    lo, hi = 128 + j, 128 + k
+    if not m or 2 * abs(m) - 1 > limit:
+        if len(w) > limit or m and any(lo <= x <= hi for x in w):
             raise _too_long(limit)
         return w
-    c = (j, k) * m if m >= 0 else (k, j) * -m
+    c = bytes((lo, hi) if m > 0 else (hi, lo)) * abs(m)
     c_inv = c[::-1]
-    out: list[int] = []
-    for x in w.letters:
-        if x < j or x > k:
-            image: tuple[int, ...] = (x,)
-        elif x == j:
-            image = c + (j,)
-        elif x == k:
-            image = (k,) + c_inv
+    images = {lo: c + bytes((lo,)) if m > 0 else c[:-1],
+              hi: c_inv[1:] if m > 0 else bytes((hi,)) + c_inv}
+    out = bytearray()
+    for x in w:
+        if x < lo or x > hi:
+            out.append(x)
         else:
-            image = c + (x,) + c_inv
-        for y in image:
-            if out and out[-1] == y:
-                out.pop()
+            image = images.get(x)
+            if image is None:
+                image = images[x] = c + bytes((x,)) + c_inv
+            if out and out[-1] == image[0]:
+                n = _cancel(out, image, _SELF)
+                del out[len(out) - n:]
+                out += image[n:]
             else:
-                out.append(y)
+                out += image
         if len(out) > limit:
             raise _too_long(limit)
-    return CoxWord(tuple(out))
+    return bytes(out)
 
 
 def apply_artin_to_cox(w: CoxWord, braid: ArtinWord) -> CoxWord:

@@ -544,14 +544,13 @@ def export_presentation(
 
     "plain" lists generators then one `lhs = rhs` line per relation in the
     b-token syntax; "gap-style" lists one relator word per line with
-    uppercase marking inverses.  Output is byte-stable for fixed input.
+    uppercase marking inverses.  Each relation is rendered as it arrives,
+    and the lines are sorted on (label, indices) alone, so equal keys keep
+    the family's order.  Output is byte-stable for fixed input.
     """
-    gens = matrix.band_pairs()
-    ordered = sorted(rels, key=lambda r: (r.label, r.indices))
-    lines = ["generators: " + " ".join(f"b{g}" for g in gens)]
     if fmt == "plain":
-        for rel in ordered:
-            lines.append(f"{format_letter_word(rel.lhs)} = {format_letter_word(rel.rhs)}")
+        def render(rel: Relation) -> str:
+            return f"{format_letter_word(rel.lhs)} = {format_letter_word(rel.rhs)}"
     elif fmt == "gap-style":
         def tokens(word: Word, invert: bool) -> list[str]:
             src = tuple((pair, -e) for pair, e in reversed(word)) if invert else word
@@ -561,8 +560,11 @@ def export_presentation(
                 out.extend([name] * abs(e))
             return out
 
-        for rel in ordered:
-            lines.append(" ".join(tokens(rel.lhs, False) + tokens(rel.rhs, True)))
+        def render(rel: Relation) -> str:
+            return " ".join(tokens(rel.lhs, False) + tokens(rel.rhs, True))
     else:
         raise ValueError(f"unknown export format {fmt!r}")
-    return "\n".join(lines) + "\n"
+    keyed = [((rel.label, rel.indices), render(rel)) for rel in rels]
+    keyed.sort(key=lambda pair: pair[0])
+    gens = " ".join(f"b{g}" for g in matrix.band_pairs())
+    return "\n".join([f"generators: {gens}", *(line for _, line in keyed)]) + "\n"

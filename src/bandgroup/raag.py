@@ -19,8 +19,8 @@ base the expression ends in, the braid's action on the universal Coxeter
 group must move the base's first letter.  A braid that moves a letter is
 not 1, so a passing certificate also proves the braid nontrivial; the exact
 equality oracle decides only expressions whose certificates all fail.  The
-scan carries each prefix's letter images down the walk, so every
-certificate costs one comparison.
+scan carries each prefix's letter images down the walk as encoded words,
+so every certificate costs one comparison of two byte strings.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 from .braid import ArtinWord, ImageLimitError
 from .coxeter import BandPair, CoxeterDatum, ScopeError, commutes_in_brn
-from .coxword import CoxWord, act_band_on_cox
+from .coxword import _act_band
 from .present import BandWordDecider, expand_letter_word, format_letter_word
 from .report import RunReport
 
@@ -40,11 +40,11 @@ Factor = tuple[BandPair, int]
 
 # Budget on (bases x 2 x max_exp)^max_len, the raw count of expressions an
 # injectivity scan may enumerate; a scan past it is refused before it
-# starts.  With entry 3 and max_exp at most 15, the scan takes 2.0 to 6.8 us
-# per unit of this count (n = 3 to 6, counts of 2x10^4 to 10^5, 2 cores,
-# Python 3.11.7), so such a scan ends within about a second.  A letter
-# image grows with exponent x entry, so larger ones cost more per unit;
-# `MAX_SCAN_LETTERS` bounds the images.
+# starts.  With entry 3 and max_exp at most 15, the scan takes 0.5 to 1.3 us
+# per unit of this count (seven scans, n = 3 to 6, counts of 2.7x10^4 to
+# 9x10^4, 2 cores, Python 3.11.7), so such a scan ends within about a
+# tenth of a second.  A letter image grows with exponent x entry, so
+# larger ones cost more per unit; `MAX_SCAN_LETTERS` bounds the images.
 MAX_SCAN_EXPRESSIONS = 100_000
 
 # Budget on the image letters a scan builds: its undo table (see
@@ -53,11 +53,12 @@ MAX_SCAN_EXPRESSIONS = 100_000
 # The table grows with max_exp^2 x entry, so a scan within the expression
 # budget can still hold billions of letters (n = 2, L = 1 at max_exp
 # 50000), and a prefix image with the product of its factors' powers (on
-# constant 1000 with n = 3, L = 3, B = 1 the walk built 9.6x10^7 letters
-# in 16 s).  Both cost about 0.17 us a letter: with entry 3, n = 2 and
-# L = 1, 6 max_exp (max_exp + 1) letters took 0.10 s at max_exp 300,
-# 1.04 s and 66 MB at 1000 and 1.38 s and 88 MB at 1181 (8.4x10^6), the
-# last that fits (2 cores, Python 3.11.7).
+# constant 1000 with n = 3, L = 3, B = 1 the walk would build 9.6x10^7
+# letters).  A letter is one byte: with entry 3, n = 2 and L = 1, the
+# 6 max_exp (max_exp + 1) letters took 2.9 ms at max_exp 300 and 14.5 ms
+# at 1181 (8.4x10^6 letters, the last that fits) in process, and the
+# scan at 1181 peaked at 25.8 MB as a child process (2 cores, Python
+# 3.11.7).
 MAX_SCAN_LETTERS = 1 << 23
 
 
@@ -273,7 +274,7 @@ def _undo_letters(matrix: CoxeterDatum, max_exp: int) -> int:
     +-1 .. +-max_exp.  With m = e times the entry of beta, the image has
     1 letter for x outside [j, k], 4|m| + 1 for x strictly between, and
     2|m| + 1 or 2|m| - 1 for x = j or x = k by the sign of m (s_j maps to
-    c s_j and s_k to s_k c^-1 with c = (s_j s_k)^m, see `act_band_on_cox`).
+    c s_j and s_k to s_k c^-1 with c = (s_j s_k)^m, see `coxword._act_band`).
     Over both signs of e the ends give 4|m| a letter, and the |e| sum to
     max_exp (max_exp + 1).
     """
@@ -302,7 +303,7 @@ def injectivity_scan(
     Requires a large-type matrix.  Every nonempty canonical expression gets
     one certificate per base tau it ends in: the image of the letter
     s_{tau.i} under the expression's action on the universal Coxeter group
-    (the band-power action of `act_band_on_cox`, folded left to right) must
+    (the band-power action of `coxword._act_band`, folded left to right) must
     move.  Any passing certificate shows that the braid image is
     nontrivial; an expression whose certificates all fail goes to the exact
     equality oracle.  Any failure would exhibit a collapse of the
@@ -310,18 +311,23 @@ def injectivity_scan(
 
     The scan consumes `_walk`, which hands over each expression's last
     factor and the mask of the bases it ends in.  A stack keeps, per depth,
-    the letter images under the current prefix and its report indices.
-    Each band power acts as a bijection, so the image of s_i under
-    p·(beta, e) is s_i exactly when the image under p is the image of s_i
-    under (beta, -e): one comparison per certificate against the undo
-    table, which holds the images of every letter under every inverse
-    factor.  The images under a prefix are built once, for prefixes
-    shorter than max_len.  The undo table and the prefix images share the
-    budget of MAX_SCAN_LETTERS letters: a scan whose table would pass it is
-    refused with ValueError before it starts, and one whose prefix images
-    pass it as soon as they do.  `info` counts the expressions, the
-    certificates, the oracle fallbacks and the longest image built, and
-    carries the oracle's own counters (see `BraidDecider.counters`).
+    the letter images under the current prefix, as words of `coxword`'s
+    byte encoding, and the prefix's last factor.  Each band power acts as
+    a bijection, so the image of s_i under p·(beta, e) is s_i exactly when
+    the image under p is the image of s_i under (beta, -e): one comparison
+    of two byte strings per certificate against the undo table, which
+    holds the images of every letter under every inverse factor.  The
+    images under a prefix are built once, for prefixes shorter than
+    max_len.  Passes are counted and entered once per family at the end;
+    an expression with a failing certificate has its factors read off the
+    stack and its failures entered one by one, in walk order, so the
+    report is the one that entering every instance would give.  The undo
+    table and the prefix images share the budget of MAX_SCAN_LETTERS
+    letters: a scan whose table would pass it is refused with ValueError
+    before it starts, and one whose prefix images pass it as soon as they
+    do.  `info` counts the expressions, the certificates, the oracle
+    fallbacks and the longest image built, and carries the oracle's own
+    counters (see `BraidDecider.counters`).
     """
     if not matrix.is_large_type():
         raise ScopeError("injectivity scan needs a large-type matrix (entries 0 or >= 3)")
@@ -345,68 +351,73 @@ def injectivity_scan(
     report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
     decider = BandWordDecider(matrix)
     entries = [matrix.entry(beta) for beta in bases]
-    root = {tau.i: CoxWord.single(tau.i) for tau in bases}
-    # undo[k][e]: the images of s_i under the inverse of (bases[k], e)
+    # the letters s_i certified, for i the first index of some base, in order
+    slot = {i: s for s, i in enumerate(sorted({tau.i for tau in bases}))}
+    root = [bytes((128 + i,)) for i in slot]
+    # undo[k][e]: the images of the letters under the inverse of (bases[k], e)
     undo = [
-        {e: {i: act_band_on_cox(CoxWord.single(i), beta, -e * m) for i in root}
+        {e: [_act_band(x, beta.i, beta.j, -e * m, MAX_SCAN_LETTERS) for x in root]
          for e in range(-max_exp, max_exp + 1) if e != 0}
         for beta, m in zip(bases, entries)
     ]
-    peak = max((len(w.letters) for table in undo for images in table.values()
-                for w in images.values()), default=0)
-    # ends mask -> (s_i, tau's indices, tau) for each base tau it holds
-    certified: dict[int, list[tuple[int, tuple[int, int], BandPair]]] = {}
-    # stack[d]: the images of s_i under the last expression yielded at
-    # depth d and its report indices; that expression is the parent of
-    # everything yielded at depth d + 1 until the next one at depth d.
-    stack = [(root, ())]
-    factors: list[Factor] = []
-    certificates = fallbacks = 0
+    peak = max((len(x) for table in undo for images in table.values() for x in images),
+               default=0)
+    # ends mask -> the bases tau it holds and the slots of their letters s_{tau.i}
+    certified: dict[int, tuple[list[BandPair], list[int]]] = {}
+    # stack[d]: the images of the letters under the last expression yielded
+    # at depth d, and its last factor (k, e); that expression is the parent
+    # of everything yielded at depth d + 1 until the next one at depth d.
+    stack: list[tuple[list[bytes], int, int]] = [(root, -1, 0)]
+    expressions = certificates = fallbacks = trivial = fixed = 0
     built = undo_letters  # image letters built so far
     for depth, k, e, ends in _walk(bases, max_len, max_exp):
-        images, parent_indices = stack[depth - 1]
-        beta = bases[k]
-        del factors[depth - 1:]
-        factors.append((beta, e))
-        indices = parent_indices + (beta.i, beta.j, e)
+        images = stack[depth - 1][0]
         if depth < max_len:
-            m = e * entries[k]
-            child = {}
-            for i, w in images.items():
+            beta, m = bases[k], e * entries[k]
+            child = []
+            for x in images:
                 try:
-                    w = child[i] = act_band_on_cox(w, beta, m, MAX_SCAN_LETTERS - built)
+                    x = _act_band(x, beta.i, beta.j, m, MAX_SCAN_LETTERS - built)
                 except ImageLimitError:
                     raise ValueError(
                         f"scan would build more than {MAX_SCAN_LETTERS} image letters, "
                         f"{undo_letters} of them for its undo table and the rest for prefix "
                         f"images; lower --max-len, --max-exp or the matrix entries") from None
-                built += len(w.letters)
-                peak = max(peak, len(w.letters))
-            stack[depth:] = [(child, indices)]
+                built += len(x)
+                peak = max(peak, len(x))
+                child.append(x)
+            stack[depth:] = [(child, k, e)]
+        expressions += 1
         inverse = undo[k][e]
-        taus = certified.get(ends)
-        if taus is None:
-            taus = certified[ends] = [
-                (tau.i, tau.indices(), tau) for b, tau in enumerate(bases) if ends >> b & 1
-            ]
-        moved = [images[i].letters != inverse[i].letters for i, _, _ in taus]
-        trivial = False
-        if not any(moved):
-            fallbacks += 1
-            trivial = decider.equal(tuple(factors), ())
-        if trivial:
-            report.add("nontrivial", indices, False,
-                       f"expression {format_letter_word(factors)} maps to the trivial braid")
+        if ends not in certified:
+            taus = [tau for b, tau in enumerate(bases) if ends >> b & 1]
+            certified[ends] = taus, [slot[tau.i] for tau in taus]
+        taus, slots = certified[ends]
+        certificates += len(slots)
+        for s in slots:
+            if images[s] == inverse[s]:
+                break
         else:
-            report.add("nontrivial", indices, True)
-        certificates += len(taus)
-        for (i, pair, tau), ok in zip(taus, moved):
-            if ok:
-                report.add("certificate", indices + pair, True)
-            else:
-                report.add("certificate", indices + pair, False,
-                           f"letter s{i} fixed although {format_letter_word(factors)} ends in {tau}")
-    report.info["expressions"] = report.families.get("nontrivial", [0, 0])[0]
+            continue
+        # some certificate fails: its entries, in walk order
+        moved = [images[s] != inverse[s] for s in slots]
+        factors = tuple((bases[b], p) for _, b, p in stack[1:depth]) + ((bases[k], e),)
+        indices = tuple(x for beta, p in factors for x in (beta.i, beta.j, p))
+        text = format_letter_word(factors)
+        if True not in moved:
+            fallbacks += 1
+            if decider.equal(factors, ()):
+                trivial += 1
+                report.add("nontrivial", indices, False,
+                           f"expression {text} maps to the trivial braid")
+        for tau, ok in zip(taus, moved):
+            if not ok:
+                fixed += 1
+                report.add("certificate", indices + tau.indices(), False,
+                           f"letter s{tau.i} fixed although {text} ends in {tau}")
+    report.add_passes("nontrivial", expressions - trivial)
+    report.add_passes("certificate", certificates - fixed)
+    report.info["expressions"] = expressions
     report.info["certificates"] = certificates
     report.info["oracle_fallbacks"] = fallbacks
     report.info["peak_image_letters"] = peak

@@ -60,6 +60,15 @@ class RunReport:
         else:
             self.failures.append(Failure(family, indices, message, lhs, rhs))
 
+    def add_passes(self, family: str, count: int) -> None:
+        """Record `count` passing instances of `family`, as that many passing `add` calls would."""
+        if count:
+            self.instances += count
+            self.passes += count
+            counts = self.families.setdefault(family, [0, 0])
+            counts[0] += count
+            counts[1] += count
+
     @property
     def ok(self) -> bool:
         return not self.failures

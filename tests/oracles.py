@@ -6,7 +6,9 @@ fast paths, so they can stand as referees for the implementations.
 Expressions are encoded as tuples of (i, j, p) integer triples.  The
 exceptions are `referee_canonical_expressions` and
 `referee_injectivity_scan`, the enumeration's and the scan's plain
-procedures built from the library's own pieces.
+procedures built from the library's own pieces, and
+`referee_act_band_on_cox`, the band-power action's closed form pushed
+letter by letter through a list, which referees `coxword._act_band`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from bandgroup.coxeter import BandPair, CoxeterDatum
-from bandgroup.coxword import CoxWord, act_band_on_cox
+from bandgroup.braid import MAX_IMAGE_LETTERS, _too_long
+from bandgroup.coxword import CoxWord
 from bandgroup.present import BandWordDecider
 from bandgroup.raag import RaagExpression, ends_in, normalize
 from bandgroup.report import RunReport
@@ -238,6 +241,49 @@ def referee_canonical_expressions(bases: list[BandPair], max_len: int, max_exp: 
     yield from rec(())
 
 
+def referee_act_band_on_cox(w: CoxWord, tau: BandPair, m: int, limit: int = MAX_IMAGE_LETTERS) -> CoxWord:
+    """Image of a word under the m-th power of the band on tau.
+
+    Closed form, letter by letter, with c = (s_j s_k)^m for the band on
+    (j, k): letters outside [j, k] are fixed, s_j maps to c s_j, a letter
+    strictly between to c s_i c^-1, and s_k to s_k c^-1.  Negative m uses
+    (s_j s_k)^-1 = s_k s_j.  The images are concatenated and reduced; this
+    agrees with pushing the expanded Artin word through the letterwise
+    substitution rules.  An image that passes `limit` letters raises
+    ImageLimitError, at most 4|m| + 1 letters after it does, and before c
+    is built when the image of a letter in [j, k], of 2|m| - 1 letters at
+    least, would pass it; a word with no such letter is then its own image.
+
+    >>> referee_act_band_on_cox(CoxWord((2, 4)), BandPair(1, 3), -1).letters
+    (3, 1, 2, 1, 3, 4)
+    """
+    j, k = tau.i, tau.j
+    if 2 * abs(m) - 1 > limit:
+        if len(w) > limit or any(j <= x <= k for x in w.letters):
+            raise _too_long(limit)
+        return w
+    c = (j, k) * m if m >= 0 else (k, j) * -m
+    c_inv = c[::-1]
+    out: list[int] = []
+    for x in w.letters:
+        if x < j or x > k:
+            image: tuple[int, ...] = (x,)
+        elif x == j:
+            image = c + (j,)
+        elif x == k:
+            image = (k,) + c_inv
+        else:
+            image = c + (x,) + c_inv
+        for y in image:
+            if out and out[-1] == y:
+                out.pop()
+            else:
+                out.append(y)
+        if len(out) > limit:
+            raise _too_long(limit)
+    return CoxWord(tuple(out))
+
+
 def referee_injectivity_scan(matrix: CoxeterDatum, max_len: int, max_exp: int) -> RunReport:
     """`raag.injectivity_scan` with no shared state between expressions.
 
@@ -260,7 +306,7 @@ def referee_injectivity_scan(matrix: CoxeterDatum, max_len: int, max_exp: int) -
     def fold(i, factors):
         image = CoxWord.single(i)
         for base, p in factors:
-            image = act_band_on_cox(image, base, p * matrix.entry(base))
+            image = referee_act_band_on_cox(image, base, p * matrix.entry(base))
         return image
 
     peak = max((len(fold(i, [(base, -e)])) for base in bases for e in exponents for i in letters),

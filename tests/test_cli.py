@@ -359,8 +359,8 @@ class TestScan:
             built.append(len(image))
             return image
 
-        act = raag.act_band_on_cox
-        monkeypatch.setattr(raag, "act_band_on_cox", counted)
+        act = raag._act_band
+        monkeypatch.setattr(raag, "_act_band", counted)
         mixed = CoxeterDatum.from_entries(4, {(1, 2): 3, (1, 3): 4, (3, 4): 3})
         for matrix, max_len, max_exp in [(CoxeterDatum.constant(4, 3), 3, 2),
                                           (CoxeterDatum.constant(4, 3), 3, 1),
@@ -530,6 +530,13 @@ class TestCheckprop:
         expected = f"--max-len must be at most {MAX_RANDOM_LETTERS}, got {MAX_RANDOM_LETTERS + 1}"
         assert err == f"error: {expected}\n"
 
+    def test_strands_past_the_encoding_are_a_usage_error(self, capsys):
+        # the band action encodes letters as bytes, up to s127
+        assert main(["checkprop", "seven", "--random", "1", "--n", "128"]) == 2
+        assert capsys.readouterr().err == "error: --n must be at most 127, got 128\n"
+        assert main(["checkprop", "trans", "s128 s1", "--band", "1.2", "--m", "3"]) == 2
+        assert "above 127" in capsys.readouterr().err
+
 
 class TestExport:
     def test_stdout(self, capsys, partition_file):
@@ -544,6 +551,13 @@ class TestExport:
         assert main(["export", "--family", "thm1", "--matrix", path,
                      "-o", str(dest)]) == 0
         assert dest.read_text().startswith("generators:")
+
+    def test_lines_are_kept_instead_of_relations(self, matrix_file):
+        # 182,780 commutations on 40 strands; sorting the relations
+        # themselves took about 145 MB
+        path = matrix_file("m.json", CoxeterDatum.constant(40, 3))
+        code, peak_mb, _ = _in_child(["export", "--family", "thm1", "--matrix", path])
+        assert code == 0 and peak_mb < 100
 
     @pytest.mark.parametrize("family, flag", [
         ("thm1", "--matrix"), ("sec4", "--matrix"), ("thm2", "--partition"),

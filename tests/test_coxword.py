@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bandgroup.braid import ImageLimitError, band_to_artin
+from bandgroup.braid import ImageLimitError, _decode, _encode, band_to_artin
 from bandgroup.cli import random_cox_word
 from bandgroup.coxeter import BandPair
 from bandgroup.coxword import (
@@ -21,6 +21,8 @@ from bandgroup.coxword import (
     parse_cox_word,
     reduce_cox,
 )
+from bandgroup.coxword import _act_band
+from oracles import referee_act_band_on_cox
 
 
 def w(*letters):
@@ -188,6 +190,24 @@ class TestBandAction:
                     act_band_on_cox(word, tau, m, limit)
             else:
                 assert act_band_on_cox(word, tau, m, limit) == act_band_on_cox(word, tau, m)
+
+    def test_byte_kernel_matches_the_referee(self):
+        # the closed form over bytes against the one pushed letter by letter
+        rng = random.Random(17)
+        for _ in range(20_000):
+            n = rng.randint(3, 7)
+            word = random_cox_word(rng, n, 12)
+            j, k = sorted(rng.sample(range(1, n + 1), 2))
+            m = rng.choice([-1, 1]) * rng.randint(1, 12)
+            expected = referee_act_band_on_cox(word, BandPair(j, k), m).letters
+            assert _decode(_act_band(_encode(word.letters), j, k, m, 1 << 24)) == expected
+
+    def test_letter_indices_past_the_encoding_are_refused(self):
+        with pytest.raises(ValueError, match="above 127"):
+            act_band_on_cox(w(128), BandPair(1, 2), 3)
+        with pytest.raises(ValueError, match="above 127"):
+            act_band_on_cox(w(1), BandPair(1, 128), 3)
+        assert act_band_on_cox(w(127, 1), BandPair(1, 2), 1) == w(127, 1, 2, 1)
 
     def test_iterated_single_steps(self):
         rng = random.Random(12)

@@ -365,7 +365,7 @@ class TestIncrementalScan:
         report = injectivity_scan(CoxeterDatum.constant(4, 3), 1, 2)
         assert report.info["oracle_fallbacks"] == 0
         assert report.info["peak_image_letters"] == 4 * 2 * 3 + 1
-        monkeypatch.setattr(raag, "act_band_on_cox", lambda w, *_: w)
+        monkeypatch.setattr(raag, "_act_band", lambda w, *_: w)
         monkeypatch.setattr(BandWordDecider, "equal", lambda self, u, v: False)
         report = injectivity_scan(CoxeterDatum.constant(4, 3), 2, 1)
         assert report.info["oracle_fallbacks"] == report.info["expressions"]
@@ -374,7 +374,7 @@ class TestIncrementalScan:
     def test_oracle_fallbacks_keep_the_letter_cap(self, monkeypatch):
         # every certificate fails, so the oracle decides b1.2^-1, 4 Artin
         # letters with entry 4, and refuses to hand it over past a cap of 2
-        monkeypatch.setattr(raag, "act_band_on_cox", lambda w, *_: w)
+        monkeypatch.setattr(raag, "_act_band", lambda w, *_: w)
         monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
         monkeypatch.setattr("bandgroup.braid.MAX_WORD_LETTERS", 2)
         with pytest.raises(ImageLimitError, match=r"^b1\.2\^-1 = 1: a side has 4 Artin "
@@ -420,8 +420,8 @@ class TestIncrementalScan:
             return w
 
         monkeypatch.setattr(BandWordDecider, "equal", oracle)
-        monkeypatch.setattr(raag, "act_band_on_cox", fixes_everything)
-        monkeypatch.setattr(oracles, "act_band_on_cox", fixes_everything)
+        monkeypatch.setattr(raag, "_act_band", fixes_everything)
+        monkeypatch.setattr(oracles, "referee_act_band_on_cox", fixes_everything)
         matrix = CoxeterDatum.constant(4, 3)
         report = injectivity_scan(matrix, 2, 1)
         expressions = report.info["expressions"]
@@ -429,6 +429,27 @@ class TestIncrementalScan:
         assert report.families["certificate"][1] == 0
         assert report.families["nontrivial"][1] == (0 if trivial else expressions)
         assert same_report(report, referee_injectivity_scan(matrix, 2, 1))
+
+    def test_counted_passes_keep_the_failures_in_walk_order(self, monkeypatch):
+        # a kernel that fixes only the images under bases[0] fails some
+        # certificates among passing ones: the passes are counted, the
+        # failures added one by one, and both agree with the referee's
+        matrix = CoxeterDatum.constant(4, 3)
+        first = matrix.band_pairs()[0]
+        kernel, referee = raag._act_band, oracles.referee_act_band_on_cox
+
+        def kernel_fixing_first(w, j, k, *rest):
+            return w if (j, k) == first.indices() else kernel(w, j, k, *rest)
+
+        def referee_fixing_first(w, tau, *rest):
+            return w if tau == first else referee(w, tau, *rest)
+
+        monkeypatch.setattr(raag, "_act_band", kernel_fixing_first)
+        monkeypatch.setattr(oracles, "referee_act_band_on_cox", referee_fixing_first)
+        report = injectivity_scan(matrix, 3, 1)
+        assert report.failures and report.families["certificate"][1]
+        assert 0 < report.info["oracle_fallbacks"] < report.info["expressions"]
+        assert same_report(report, referee_injectivity_scan(matrix, 3, 1))
 
 
 class TestProp9SpotCheck:
