@@ -71,6 +71,11 @@ MAX_DEGREE = 4096
 # so its cost grows with the square of --max-len: one instance at this cap
 # took at most about 1.3 s over ten seeds on 3 strands.
 MAX_RANDOM_LETTERS = 4096
+# Budget on --random x --max-len, refused before the first word is drawn.
+# A `seven` run at the budget took 0.17-0.22 s at --max-len 12 (about 3 us
+# a letter) and 3.1-5.3 s at MAX_RANDOM_LETTERS on 3 strands, where nearly
+# every word is redrawn (seeds 0-4, 2 cores, Python 3.11.7).
+MAX_RANDOM_WORK = 1 << 16
 
 
 def _parse_band(text: str) -> BandPair:
@@ -78,6 +83,17 @@ def _parse_band(text: str) -> BandPair:
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         raise ValueError(f"band must look like 1.3, got {text!r}")
     return BandPair(int(parts[0]), int(parts[1]))
+
+
+def _letter_index(text: str) -> int:
+    """An argparse type: the index of a letter s_i, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a letter index must be at least 1, got {value}")
+    return value
 
 
 def _emit(reports: list[RunReport], args: argparse.Namespace, command: str) -> int:
@@ -315,6 +331,9 @@ def cmd_checkprop(args: argparse.Namespace) -> int:
     for flag, value, most in caps:
         if value > most:
             raise ValueError(f"--{flag} must be at most {most}, got {value}")
+    if args.random * args.max_len > MAX_RANDOM_WORK:
+        raise ValueError(f"--random {args.random} times --max-len {args.max_len} exceeds the "
+                         f"budget of {MAX_RANDOM_WORK} letters; lower either")
     rng = random.Random(args.seed)
     report = RunReport(tag=f"checkprop {args.which} random={args.random} seed={args.seed}")
     produced = 0
@@ -393,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fact = sub.add_parser("factorize", help="two-letter block factorization")
     p_fact.add_argument("word")
-    p_fact.add_argument("--j", type=int, required=True)
-    p_fact.add_argument("--k", type=int, required=True)
+    p_fact.add_argument("--j", type=_letter_index, required=True)
+    p_fact.add_argument("--k", type=_letter_index, required=True)
     p_fact.set_defaults(func=cmd_factorize)
 
     p_check = sub.add_parser("checkprop", help="block growth and classification checks")

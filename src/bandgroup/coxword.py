@@ -182,7 +182,31 @@ def act_band_on_cox(w: CoxWord, tau: BandPair, m: int, limit: int = MAX_IMAGE_LE
     return CoxWord(_decode(_act_band(_encode(w.letters), tau.i, tau.j, m, limit)))
 
 
-def _act_band(w: bytes, j: int, k: int, m: int, limit: int) -> bytes:
+def _band_images(j: int, k: int, m: int, letters: Iterable[int]) -> dict[int, bytes]:
+    """The images of encoded letters in [j, k] under the m-th power of the band on (j, k).
+
+    The closed forms are those of `_act_band`, for m nonzero; c and c^-1
+    are built once for all the letters asked for.
+
+    >>> {x - 128: _decode(w) for x, w in _band_images(1, 3, -2, (129, 130)).items()}
+    {1: (3, 1, 3), 2: (3, 1, 3, 1, 2, 1, 3, 1, 3)}
+    """
+    lo, hi = 128 + j, 128 + k
+    c = bytes((lo, hi) if m > 0 else (hi, lo)) * abs(m)
+    c_inv = c[::-1]
+    images = {}
+    for x in letters:
+        if x == lo:
+            images[x] = c + bytes((lo,)) if m > 0 else c[:-1]
+        elif x == hi:
+            images[x] = c_inv[1:] if m > 0 else bytes((hi,)) + c_inv
+        else:
+            images[x] = c + bytes((x,)) + c_inv
+    return images
+
+
+def _act_band(w: bytes, j: int, k: int, m: int, limit: int,
+              images: dict[int, bytes] | None = None) -> bytes:
     """The image of an encoded reduced word under the m-th power of the band on (j, k).
 
     With c = (s_j s_k)^m, and (s_j s_k)^-1 = s_k s_j for negative m, the
@@ -201,17 +225,17 @@ def _act_band(w: bytes, j: int, k: int, m: int, limit: int) -> bytes:
     The images are joined left to right and letters cancel only where two
     of them meet (`braid._cancel`, each letter its own inverse).  Once the
     image of a prefix of w passes `limit` letters, ImageLimitError is
-    raised; see `act_band_on_cox`.
+    raised; see `act_band_on_cox`.  A caller that applies one nonzero
+    power many times passes its `_band_images` table as `images`;
+    otherwise the image of each letter is built when it is first met.
     """
     lo, hi = 128 + j, 128 + k
-    if not m or 2 * abs(m) - 1 > limit:
-        if len(w) > limit or m and any(lo <= x <= hi for x in w):
-            raise _too_long(limit)
-        return w
-    c = bytes((lo, hi) if m > 0 else (hi, lo)) * abs(m)
-    c_inv = c[::-1]
-    images = {lo: c + bytes((lo,)) if m > 0 else c[:-1],
-              hi: c_inv[1:] if m > 0 else bytes((hi,)) + c_inv}
+    if images is None:
+        if not m or 2 * abs(m) - 1 > limit:
+            if len(w) > limit or m and any(lo <= x <= hi for x in w):
+                raise _too_long(limit)
+            return w
+        images = {}
     out = bytearray()
     for x in w:
         if x < lo or x > hi:
@@ -219,7 +243,7 @@ def _act_band(w: bytes, j: int, k: int, m: int, limit: int) -> bytes:
         else:
             image = images.get(x)
             if image is None:
-                image = images[x] = c + bytes((x,)) + c_inv
+                image = images[x] = _band_images(j, k, m, (x,))[x]
             if out and out[-1] == image[0]:
                 n = _cancel(out, image, _SELF)
                 del out[len(out) - n:]

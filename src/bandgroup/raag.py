@@ -19,8 +19,10 @@ base the expression ends in, the braid's action on the universal Coxeter
 group must move the base's first letter.  A braid that moves a letter is
 not 1, so a passing certificate also proves the braid nontrivial; the exact
 equality oracle decides only expressions whose certificates all fail.  The
-scan carries each prefix's letter images down the walk as encoded words,
-so every certificate costs one comparison of two byte strings.
+scan carries the letter images of each shorter prefix down the walk as
+encoded words and decides the last level per parent: one index lookup per
+letter image finds the parent's extensions with a failing certificate, and
+the rest are counted from the parent's masks.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Iterable, Iterator
 
 from .braid import ArtinWord, ImageLimitError
 from .coxeter import BandPair, CoxeterDatum, ScopeError, commutes_in_brn
-from .coxword import _act_band
+from .coxword import _act_band, _band_images
 from .present import BandWordDecider, expand_letter_word, format_letter_word
 from .report import RunReport
 
@@ -40,17 +42,19 @@ Factor = tuple[BandPair, int]
 
 # Budget on (bases x 2 x max_exp)^max_len, the raw count of expressions an
 # injectivity scan may enumerate; a scan past it is refused before it
-# starts.  With entry 3 and max_exp at most 15, the scan takes 0.5 to 1.3 us
-# per unit of this count (seven scans, n = 3 to 6, counts of 2.7x10^4 to
-# 9x10^4, 2 cores, Python 3.11.7), so such a scan ends within about a
-# tenth of a second.  A letter image grows with exponent x entry, so
-# larger ones cost more per unit; `MAX_SCAN_LETTERS` bounds the images.
+# starts.  With entry 3 and max_exp at most 15, the scan takes 0.07 to
+# 0.34 us per unit of this count (seven scans, n = 3 to 6, L = 2 or 3,
+# counts of 2.7x10^4 to 9x10^4, medians of 7 in process, 2 cores, Python
+# 3.11.7), so such a scan ends within about 35 ms.  A letter image grows
+# with exponent x entry, so larger ones cost more per unit;
+# `MAX_SCAN_LETTERS` bounds the images.
 MAX_SCAN_EXPRESSIONS = 100_000
 
-# Budget on the image letters a scan builds: its undo table (see
-# `_undo_letters`), counted in closed form before the first expression,
-# and the images under the walk's prefixes, counted as they are built.
-# The table grows with max_exp^2 x entry, so a scan within the expression
+# Budget on the image letters a scan builds: its undo table and band
+# tables (see `_undo_letters` and `_table_letters`), counted in closed form
+# before the first expression, and the images under the walk's prefixes,
+# counted as they are built.  A scan of one factor builds no band tables.
+# The tables grow with max_exp^2 x entry, so a scan within the expression
 # budget can still hold billions of letters (n = 2, L = 1 at max_exp
 # 50000), and a prefix image with the product of its factors' powers (on
 # constant 1000 with n = 3, L = 3, B = 1 the walk would build 9.6x10^7
@@ -207,16 +211,24 @@ def expression_to_braid(w: RaagExpression, matrix: CoxeterDatum) -> ArtinWord:
     return expand_letter_word(w.factors, matrix)
 
 
+def _commuting(bases: list[BandPair]) -> list[int]:
+    """Per base, the mask of the bases commuting with it, bit k for bases[k]."""
+    bits = range(len(bases))
+    return [sum(1 << k for k in bits if commutes_in_brn(bases[k], beta)) for beta in bases]
+
+
 def _walk(
     bases: list[BandPair], max_len: int, max_exp: int
-) -> Iterator[tuple[int, int, int, int]]:
+) -> Iterator[tuple[int, int, int, int, int]]:
     """Depth-first walk of the nonempty canonical expressions.
 
-    Yields (depth, k, e, ends) per expression: it is its parent, the last
-    expression yielded at depth - 1 (the empty one at depth 1), followed
-    by the factor (bases[k], e).  `ends` is the mask of the bases it ends
-    in, bit k standing for bases[k].  Parents come before their children,
-    bases in list order and exponents from -max_exp up.
+    Yields (depth, k, e, ends, blocked) per expression: it is its parent,
+    the last expression yielded at depth - 1 (the empty one at depth 1),
+    followed by the factor (bases[k], e).  `ends` is the mask of the bases
+    it ends in, bit k standing for bases[k], and `blocked` the mask of the
+    bases that may not follow it, so a caller that walks to max_len - 1
+    still knows the last level.  Parents come before their children, bases
+    in list order and exponents from -max_exp up.
 
     A canonical expression is the lexicographic normal form of its trace
     (Anisimov and Knuth, *Inhomogeneous sorting*, 1979), so whether p·beta
@@ -224,25 +236,26 @@ def _walk(
     ends in (beta in E merges), and F, the bases the lexicographic rule
     forbids next (those below some factor of p that commute with it and
     with every later factor, so they could move in front of it).  p·beta
-    is canonical exactly when beta is in neither.  With C[beta] the bases
-    commuting with beta and L[beta] those below it, one step gives
-    E' = {beta} | (E & C[beta]) and F' = C[beta] & (F | L[beta]); neither
-    depends on the exponent.
+    is canonical exactly when beta is in neither, so E | F is the blocked
+    mask.  With C[beta] the bases commuting with beta and L[beta] those
+    below it, one step gives E' = {beta} | (E & C[beta]) and
+    F' = C[beta] & (F | L[beta]); neither depends on the exponent.
     """
     exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
     bits = range(len(bases))
-    commuting = [sum(1 << k for k in bits if commutes_in_brn(bases[k], beta)) for beta in bases]
+    commuting = _commuting(bases)
     below = [sum(1 << k for k in bits if bases[k] < beta) for beta in bases]
 
-    def rec(depth: int, ends: int, forbidden: int) -> Iterator[tuple[int, int, int, int]]:
+    def rec(depth: int, ends: int, forbidden: int) -> Iterator[tuple[int, int, int, int, int]]:
         blocked = ends | forbidden
         for k in bits:
             if blocked >> k & 1:
                 continue
             child_ends = 1 << k | ends & commuting[k]
             child_forbidden = commuting[k] & (forbidden | below[k])
+            child_blocked = child_ends | child_forbidden
             for e in exponents:
-                yield depth, k, e, child_ends
+                yield depth, k, e, child_ends, child_blocked
                 if depth < max_len:
                     yield from rec(depth + 1, child_ends, child_forbidden)
 
@@ -260,39 +273,73 @@ def canonical_expressions(
     """
     factors: list[Factor] = []
     yield RaagExpression()
-    for depth, k, e, _ in _walk(bases, max_len, max_exp):
+    for depth, k, e, *_ in _walk(bases, max_len, max_exp):
         del factors[depth - 1:]
         factors.append((bases[k], e))
         yield RaagExpression(tuple(factors))
+
+
+def _image_letters(beta: BandPair, entry: int, x: int, max_exp: int) -> int:
+    """The letters of the images of s_x under (beta, e), over every e in +-1 .. +-max_exp.
+
+    With m = e times the entry of beta = (j, k), the image has 1 letter for
+    x outside [j, k], 4|m| + 1 for x strictly between, and 2|m| + 1 or
+    2|m| - 1 for x = j or x = k by the sign of m (s_j maps to c s_j and s_k
+    to s_k c^-1 with c = (s_j s_k)^m, see `coxword._act_band`).  Over both
+    signs of e the ends give 4|m| a letter, and the |e| sum to
+    max_exp (max_exp + 1).
+    """
+    count = 2 * max_exp  # values of e
+    weight = max_exp * (max_exp + 1)  # sum of |e| over them
+    if x < beta.i or x > beta.j:
+        return count
+    if x in (beta.i, beta.j):
+        return 2 * entry * weight
+    return 4 * entry * weight + count
 
 
 def _undo_letters(matrix: CoxeterDatum, max_exp: int) -> int:
     """The letters of the scan's undo table, counted in closed form.
 
     The table holds the image of s_x, for x the first index of some base,
-    under (beta, -e) for every base beta = (j, k) and every e in
-    +-1 .. +-max_exp.  With m = e times the entry of beta, the image has
-    1 letter for x outside [j, k], 4|m| + 1 for x strictly between, and
-    2|m| + 1 or 2|m| - 1 for x = j or x = k by the sign of m (s_j maps to
-    c s_j and s_k to s_k c^-1 with c = (s_j s_k)^m, see `coxword._act_band`).
-    Over both signs of e the ends give 4|m| a letter, and the |e| sum to
-    max_exp (max_exp + 1).
+    under (beta, -e) for every base beta and every e in +-1 .. +-max_exp.
     """
     bases = matrix.band_pairs()
-    letters = {tau.i for tau in bases}
-    count = 2 * max_exp  # values of e
-    weight = max_exp * (max_exp + 1)  # sum of |e| over them
-    total = 0
-    for beta in bases:
-        entry = matrix.entry(beta)
-        for x in letters:
-            if x < beta.i or x > beta.j:
-                total += count
-            elif x in (beta.i, beta.j):
-                total += 2 * entry * weight
-            else:
-                total += 4 * entry * weight + count
-    return total
+    firsts = {tau.i for tau in bases}
+    return sum(_image_letters(beta, matrix.entry(beta), x, max_exp)
+               for beta in bases for x in firsts)
+
+
+def _table_letters(matrix: CoxeterDatum, max_exp: int) -> int:
+    """The letters of the scan's band tables, counted in closed form.
+
+    The table of (beta, e) holds the image of every letter s_x with x in
+    [beta.i, beta.j] under (beta, e), for every base beta and every e in
+    +-1 .. +-max_exp (see `coxword._band_images`).
+    """
+    return sum(_image_letters(beta, matrix.entry(beta), x, max_exp)
+               for beta in matrix.band_pairs() for x in range(beta.i, beta.j + 1))
+
+
+def _failing_leaves(
+    images: list[bytes], index: list[dict[bytes, list[tuple[int, int]]]], certifies: list[int]
+) -> list[tuple[int, int]]:
+    """The factors (k, e) whose extension of a parent fails a certificate, in walk order.
+
+    `images` are the letter images under the parent, one per slot.  The
+    extension by (bases[k], e) fixes the letter of slot s exactly when its
+    image under the parent is its image under (bases[k], -e); index[s]
+    maps each such undo image to the (k, e) it belongs to.  A hit is a
+    failing certificate only when certifies[k], the mask of the slots the
+    extension by bases[k] certifies (0 for a base that may not follow the
+    parent), holds s.
+    """
+    failing = set()
+    for s, x in enumerate(images):
+        for k, e in index[s].get(x, ()):
+            if certifies[k] >> s & 1:
+                failing.add((k, e))
+    return sorted(failing)
 
 
 def injectivity_scan(
@@ -309,25 +356,32 @@ def injectivity_scan(
     equality oracle.  Any failure would exhibit a collapse of the
     commutation presentation at this scale; none is expected.
 
-    The scan consumes `_walk`, which hands over each expression's last
-    factor and the mask of the bases it ends in.  A stack keeps, per depth,
-    the letter images under the current prefix, as words of `coxword`'s
-    byte encoding, and the prefix's last factor.  Each band power acts as
-    a bijection, so the image of s_i under p·(beta, e) is s_i exactly when
-    the image under p is the image of s_i under (beta, -e): one comparison
-    of two byte strings per certificate against the undo table, which
-    holds the images of every letter under every inverse factor.  The
-    images under a prefix are built once, for prefixes shorter than
-    max_len.  Passes are counted and entered once per family at the end;
-    an expression with a failing certificate has its factors read off the
-    stack and its failures entered one by one, in walk order, so the
-    report is the one that entering every instance would give.  The undo
-    table and the prefix images share the budget of MAX_SCAN_LETTERS
-    letters: a scan whose table would pass it is refused with ValueError
-    before it starts, and one whose prefix images pass it as soon as they
-    do.  `info` counts the expressions, the certificates, the oracle
-    fallbacks and the longest image built, and carries the oracle's own
-    counters (see `BraidDecider.counters`).
+    Each band power acts as a bijection, so the image of s_i under
+    p·(beta, e) is s_i exactly when the image under p is the image of s_i
+    under (beta, -e), which the undo table holds for every letter and
+    factor.  The scan walks the expressions shorter than max_len (`_walk`
+    stopped one level short) and keeps, per depth, the letter images under
+    the current prefix, as words of `coxword`'s byte encoding, and the
+    prefix's last factor; each of those expressions has its certificates
+    compared against the undo table.  The last level is decided per
+    parent: its expressions and certificates are counted from the parent's
+    masks, and its failures are found by looking up each of the parent's
+    letter images in an index of the undo table (`_failing_leaves`), so
+    every certificate is still decided by an equality of byte strings.
+    The band tables (`coxword._band_images`) hold the images of the
+    letters of each band under each of its powers, built once per scan
+    and read by every application of the kernel.  Passes are counted and
+    entered once per family at the end; an expression with a failing
+    certificate has its factors read off the stack and its failures
+    entered one by one, in walk order, so the report is the one that
+    entering every instance would give.  The undo table, the band tables
+    and the prefix images share the budget of MAX_SCAN_LETTERS letters: a
+    scan whose tables would pass it is refused with ValueError before it
+    starts, and one whose prefix images pass it as soon as they do.
+    `info` counts the expressions, the certificates, the oracle fallbacks,
+    the image letters built and the longest image of a letter under a
+    factor or a prefix, and carries the oracle's own counters (see
+    `BraidDecider.counters`).
     """
     if not matrix.is_large_type():
         raise ScopeError("injectivity scan needs a large-type matrix (entries 0 or >= 3)")
@@ -347,59 +401,66 @@ def injectivity_scan(
             f"scan would build {undo_letters} image letters for its undo table, past the "
             f"budget of {MAX_SCAN_LETTERS}; lower --max-exp or the matrix entries"
         )
+    # a scan of one factor builds no prefix images, so it needs no band tables
+    table_letters = _table_letters(matrix, max_exp) if max_len > 1 else 0
+    if undo_letters + table_letters > MAX_SCAN_LETTERS:
+        raise ValueError(
+            f"scan would build {undo_letters + table_letters} image letters for its undo "
+            f"table and band tables, past the budget of {MAX_SCAN_LETTERS}; lower --max-exp "
+            f"or the matrix entries"
+        )
     start = time.perf_counter()
     report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
     decider = BandWordDecider(matrix)
     entries = [matrix.entry(beta) for beta in bases]
+    exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
     # the letters s_i certified, for i the first index of some base, in order
     slot = {i: s for s, i in enumerate(sorted({tau.i for tau in bases}))}
     root = [bytes((128 + i,)) for i in slot]
+    # tables[k][e]: the images of the letters of bases[k] under (bases[k], e),
+    # built when there are prefix images to build
+    tables = [
+        {e: _band_images(beta.i, beta.j, e * m, range(128 + beta.i, 129 + beta.j))
+         for e in exponents} if max_len > 1 else {}
+        for beta, m in zip(bases, entries)
+    ]
     # undo[k][e]: the images of the letters under the inverse of (bases[k], e)
     undo = [
-        {e: [_act_band(x, beta.i, beta.j, -e * m, MAX_SCAN_LETTERS) for x in root]
-         for e in range(-max_exp, max_exp + 1) if e != 0}
-        for beta, m in zip(bases, entries)
+        {e: [_act_band(x, beta.i, beta.j, -e * m, MAX_SCAN_LETTERS, table.get(-e))
+             for x in root]
+         for e in exponents}
+        for beta, m, table in zip(bases, entries, tables)
     ]
     peak = max((len(x) for table in undo for images in table.values() for x in images),
                default=0)
+    # index[s]: each undo image of the letter in slot s, with the factors (k, e) it undoes
+    index: list[dict[bytes, list[tuple[int, int]]]] = [{} for _ in root]
+    for k, table in enumerate(undo):
+        for e, images in table.items():
+            for owners, x in zip(index, images):
+                owners.setdefault(x, []).append((k, e))
+    commuting = _commuting(bases)
     # ends mask -> the bases tau it holds and the slots of their letters s_{tau.i}
     certified: dict[int, tuple[list[BandPair], list[int]]] = {}
+
+    def certify(ends: int) -> tuple[list[BandPair], list[int]]:
+        if ends not in certified:
+            taus = [tau for b, tau in enumerate(bases) if ends >> b & 1]
+            certified[ends] = taus, [slot[tau.i] for tau in taus]
+        return certified[ends]
+
     # stack[d]: the images of the letters under the last expression yielded
     # at depth d, and its last factor (k, e); that expression is the parent
     # of everything yielded at depth d + 1 until the next one at depth d.
     stack: list[tuple[list[bytes], int, int]] = [(root, -1, 0)]
     expressions = certificates = fallbacks = trivial = fixed = 0
-    built = undo_letters  # image letters built so far
-    for depth, k, e, ends in _walk(bases, max_len, max_exp):
-        images = stack[depth - 1][0]
-        if depth < max_len:
-            beta, m = bases[k], e * entries[k]
-            child = []
-            for x in images:
-                try:
-                    x = _act_band(x, beta.i, beta.j, m, MAX_SCAN_LETTERS - built)
-                except ImageLimitError:
-                    raise ValueError(
-                        f"scan would build more than {MAX_SCAN_LETTERS} image letters, "
-                        f"{undo_letters} of them for its undo table and the rest for prefix "
-                        f"images; lower --max-len, --max-exp or the matrix entries") from None
-                built += len(x)
-                peak = max(peak, len(x))
-                child.append(x)
-            stack[depth:] = [(child, k, e)]
-        expressions += 1
+    built = undo_letters + table_letters  # image letters built so far
+
+    def enter(depth: int, k: int, e: int, ends: int, images: list[bytes]) -> None:
+        """Enter the failures of an expression with some failing certificate."""
+        nonlocal fallbacks, trivial, fixed
         inverse = undo[k][e]
-        if ends not in certified:
-            taus = [tau for b, tau in enumerate(bases) if ends >> b & 1]
-            certified[ends] = taus, [slot[tau.i] for tau in taus]
-        taus, slots = certified[ends]
-        certificates += len(slots)
-        for s in slots:
-            if images[s] == inverse[s]:
-                break
-        else:
-            continue
-        # some certificate fails: its entries, in walk order
+        taus, slots = certify(ends)
         moved = [images[s] != inverse[s] for s in slots]
         factors = tuple((bases[b], p) for _, b, p in stack[1:depth]) + ((bases[k], e),)
         indices = tuple(x for beta, p in factors for x in (beta.i, beta.j, p))
@@ -415,11 +476,63 @@ def injectivity_scan(
                 fixed += 1
                 report.add("certificate", indices + tau.indices(), False,
                            f"letter s{tau.i} fixed although {text} ends in {tau}")
+
+    # (ends, blocked) of a parent -> the bases its extensions may take, their
+    # certificates per exponent, and per base the mask of the bases the
+    # extension ends in and the mask of the slots it certifies (0 if blocked)
+    last_levels: dict[tuple[int, int], tuple[int, int, list[int], list[int]]] = {}
+
+    def decide_last_level(images: list[bytes], ends: int, blocked: int) -> None:
+        """Count the extensions of a parent of the last level and enter their failures."""
+        nonlocal expressions, certificates
+        if (ends, blocked) not in last_levels:
+            leaf_ends = [0 if blocked >> k & 1 else 1 << k | ends & commuting[k]
+                         for k in range(len(bases))]
+            certifies = [sum(1 << s for s in certify(x)[1]) for x in leaf_ends]
+            last_levels[ends, blocked] = (sum(x != 0 for x in leaf_ends),
+                                          sum(x.bit_count() for x in leaf_ends),
+                                          leaf_ends, certifies)
+        count, certs, leaf_ends, certifies = last_levels[ends, blocked]
+        expressions += count * len(exponents)
+        certificates += certs * len(exponents)
+        for k, e in _failing_leaves(images, index, certifies):
+            enter(max_len, k, e, leaf_ends[k], images)
+
+    if max_len == 1:
+        decide_last_level(root, 0, 0)
+    for depth, k, e, ends, blocked in _walk(bases, max_len - 1, max_exp):
+        images = stack[depth - 1][0]
+        beta, m = bases[k], e * entries[k]
+        child = []
+        for x in images:
+            try:
+                x = _act_band(x, beta.i, beta.j, m, MAX_SCAN_LETTERS - built, tables[k][e])
+            except ImageLimitError:
+                raise ValueError(
+                    f"scan would build more than {MAX_SCAN_LETTERS} image letters, "
+                    f"{undo_letters} of them for its undo table, {table_letters} for its "
+                    f"band tables and the rest for prefix images; lower --max-len, "
+                    f"--max-exp or the matrix entries") from None
+            built += len(x)
+            peak = max(peak, len(x))
+            child.append(x)
+        stack[depth:] = [(child, k, e)]
+        expressions += 1
+        inverse = undo[k][e]
+        slots = certify(ends)[1]
+        certificates += len(slots)
+        for s in slots:
+            if images[s] == inverse[s]:
+                enter(depth, k, e, ends, images)
+                break
+        if depth == max_len - 1:
+            decide_last_level(child, ends, blocked)
     report.add_passes("nontrivial", expressions - trivial)
     report.add_passes("certificate", certificates - fixed)
     report.info["expressions"] = expressions
     report.info["certificates"] = certificates
     report.info["oracle_fallbacks"] = fallbacks
+    report.info["image_letters"] = built
     report.info["peak_image_letters"] = peak
     report.info.update(decider.counters())
     report.wall_time = time.perf_counter() - start

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import bandgroup
 from bandgroup.braid import MAX_IMAGE_LETTERS, MAX_STRANDS, MAX_WORD_LETTERS
-from bandgroup.cli import MAX_DEGREE, MAX_RANDOM_LETTERS, main
+from bandgroup.cli import MAX_DEGREE, MAX_RANDOM_LETTERS, MAX_RANDOM_WORK, main
 from bandgroup.coxeter import CoxeterDatum, Partition
 from bandgroup import raag
 from bandgroup.raag import MAX_SCAN_EXPRESSIONS, MAX_SCAN_LETTERS, _undo_letters
@@ -475,6 +475,13 @@ class TestFactorize:
         assert main(["factorize", "s2 s1 s3 s1 s2", "--j", "1", "--k", "3"]) == 0
         assert "critical" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("j, k", [("0", "2"), ("1", "0"), ("-1", "2")])
+    def test_letters_below_1_are_usage_errors(self, capsys, j, k):
+        with pytest.raises(SystemExit) as exc:
+            main(["factorize", "s1 s2", "--j", j, "--k", k])
+        assert exc.value.code == 2
+        assert "a letter index must be at least 1" in capsys.readouterr().err
+
 
 class TestCheckprop:
     def test_single_pass(self, capsys):
@@ -529,6 +536,21 @@ class TestCheckprop:
         err = capsys.readouterr().err
         expected = f"--max-len must be at most {MAX_RANDOM_LETTERS}, got {MAX_RANDOM_LETTERS + 1}"
         assert err == f"error: {expected}\n"
+
+    def test_random_work_past_the_budget_is_refused_up_front(self, capsys):
+        started = time.perf_counter()
+        assert main(["checkprop", "seven", "--random", str(10 ** 9)]) == 2
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr().err == (
+            f"error: --random {10 ** 9} times --max-len 12 exceeds the budget of "
+            f"{MAX_RANDOM_WORK} letters; lower either\n")
+
+    def test_random_work_budget_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr("bandgroup.cli.MAX_RANDOM_WORK", 120)
+        assert main(["checkprop", "seven", "--random", "12", "--max-len", "10"]) == 0
+        capsys.readouterr()
+        assert main(["checkprop", "seven", "--random", "13", "--max-len", "10"]) == 2
+        assert "exceeds the budget of 120 letters" in capsys.readouterr().err
 
     def test_strands_past_the_encoding_are_a_usage_error(self, capsys):
         # the band action encodes letters as bytes, up to s127

@@ -351,7 +351,7 @@ class TestIncrementalScan:
     def test_walk_ends_match_ends_in(self, matrix, max_len, max_exp):
         bases = matrix.band_pairs()
         factors = []
-        for depth, k, e, ends in raag._walk(bases, max_len, max_exp):
+        for depth, k, e, ends, _ in raag._walk(bases, max_len, max_exp):
             del factors[depth - 1:]
             factors.append((bases[k], e))
             prefix = RaagExpression(tuple(factors))
@@ -450,6 +450,103 @@ class TestIncrementalScan:
         assert report.failures and report.families["certificate"][1]
         assert 0 < report.info["oracle_fallbacks"] < report.info["expressions"]
         assert same_report(report, referee_injectivity_scan(matrix, 3, 1))
+
+
+class TestLastLevel:
+    @pytest.mark.parametrize("matrix, max_exp", [(MIXED_LARGE_TYPE, 1), (ZERO_ENTRY, 2)])
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+    def test_counts_match_brute_force(self, matrix, max_len, max_exp):
+        # the last level is counted from its parents' masks; at L = 1 the
+        # root is its only parent
+        bases = matrix.band_pairs()
+        expressions = [w for w in canonical_expressions(bases, max_len, max_exp) if w.factors]
+        certificates = sum(ends_in(w, tau) for w in expressions for tau in bases)
+        report = injectivity_scan(matrix, max_len, max_exp)
+        assert report.ok
+        assert report.info["expressions"] == len(expressions)
+        assert report.info["certificates"] == certificates
+
+    def test_hits_outside_the_certified_slots_enter_nothing(self):
+        # base 0 may not follow the parent, base 1 certifies the slots its mask holds
+        images = [b"\x81", b"\x82"]
+        index = [{b"\x81": [(0, 1), (1, -1)], b"\x83": [(1, 2)]}, {b"\x82": [(0, -1), (1, 1)]}]
+        assert raag._failing_leaves(images, index, [0, 0b11]) == [(1, -1), (1, 1)]
+        assert raag._failing_leaves(images, index, [0, 0b10]) == [(1, 1)]
+        assert raag._failing_leaves(images, index, [0, 0b01]) == [(1, -1)]
+        assert raag._failing_leaves(images, index, [0, 0]) == []
+        assert raag._failing_leaves(images, index, [0b11, 0]) == [(0, -1), (0, 1)]
+
+    def test_scan_hits_enter_no_failure(self, monkeypatch):
+        # on the letters of beta, a parent p = (beta, e) has the undo images
+        # of (beta, -e), and beta may not follow p; a letter p fixes is its
+        # own undo image under every base that fixes it, and no extension
+        # certifies it: the scan meets such hits and passes
+        hits = []
+        failing_leaves = raag._failing_leaves
+
+        def counted(images, index, certifies):
+            hits.extend(owner for s, x in enumerate(images) for owner in index[s].get(x, ()))
+            return failing_leaves(images, index, certifies)
+
+        monkeypatch.setattr(raag, "_failing_leaves", counted)
+        report = injectivity_scan(CoxeterDatum.constant(4, 3), 2, 1)
+        assert report.ok and not report.failures
+        assert len(hits) > 50
+
+    def test_table_letters_closed_form(self):
+        rng = random.Random(35)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            matrix = CoxeterDatum.from_entries(n, {
+                pair: rng.choice((0, 3, 4, 7))
+                for pair in itertools.combinations(range(1, n + 1), 2)
+            })
+            max_exp = rng.randint(1, 4)
+            built = sum(
+                len(image)
+                for beta in matrix.band_pairs()
+                for e in range(-max_exp, max_exp + 1) if e
+                for image in raag._band_images(beta.i, beta.j, e * matrix.entry(beta),
+                                               range(128 + beta.i, 129 + beta.j)).values()
+            )
+            assert raag._table_letters(matrix, max_exp) == built
+
+    def test_tables_past_the_letter_budget_are_refused(self):
+        # the undo table's 2 * 100 * 158 * 159 letters fit, but the tables add twice as many
+        matrix = CoxeterDatum.constant(2, 100)
+        assert raag._undo_letters(matrix, 158) <= raag.MAX_SCAN_LETTERS
+        with pytest.raises(ValueError, match="for its undo table and band tables, past the budget"):
+            injectivity_scan(matrix, 2, 158)
+        assert injectivity_scan(matrix, 1, 158).info["image_letters"] == raag._undo_letters(matrix, 158)
+
+    def test_failures_only_at_the_last_level_match_the_referee(self, monkeypatch):
+        # a kernel under which the band on (1, 3) acts as the inverse of the
+        # band on (1, 2), so it fixes s_3: it is still an action, every
+        # single factor moves the letter it certifies, and the expressions
+        # (1.2)^e (1.3)^e and (1.3)^e (1.2)^e act trivially
+        kernel, referee = raag._act_band, oracles.referee_act_band_on_cox
+        linked = BandPair(1, 3)
+
+        def kernel_fixing_s3(w, j, k, m, limit, images=None):
+            if (j, k) == linked.indices():
+                return kernel(w, 1, 2, -m, limit)
+            return kernel(w, j, k, m, limit, images)
+
+        def referee_fixing_s3(w, tau, m, *rest):
+            if tau == linked:
+                return referee(w, BandPair(1, 2), -m, *rest)
+            return referee(w, tau, m, *rest)
+
+        monkeypatch.setattr(raag, "_act_band", kernel_fixing_s3)
+        monkeypatch.setattr(oracles, "referee_act_band_on_cox", referee_fixing_s3)
+        matrix = CoxeterDatum.constant(4, 3)
+        report = injectivity_scan(matrix, 2, 2)
+        assert report.failures
+        assert {f.family for f in report.failures} == {"certificate"}
+        # two factors of three indices each, then the base certified
+        assert {len(f.indices) for f in report.failures} == {2 * 3 + 2}
+        assert report.info["oracle_fallbacks"] == 8
+        assert same_report(report, referee_injectivity_scan(matrix, 2, 2))
 
 
 class TestProp9SpotCheck:
