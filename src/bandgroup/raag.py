@@ -20,8 +20,8 @@ group must move the base's first letter.  A braid that moves a letter is
 not 1, so a passing certificate also proves the braid nontrivial; the exact
 equality oracle decides only expressions whose certificates all fail.  The
 scan carries the letter images of each shorter prefix down the walk as
-encoded words and decides the last level per parent: one index lookup per
-letter image finds the parent's extensions with a failing certificate, and
+encoded words and decides every level per parent: one index lookup per
+letter image finds the parent's children with a failing certificate, and
 the rest are counted from the parent's masks.
 """
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .braid import ArtinWord, ImageLimitError
 from .coxeter import BandPair, CoxeterDatum, ScopeError, commutes_in_brn
@@ -50,18 +50,19 @@ Factor = tuple[BandPair, int]
 # `MAX_SCAN_LETTERS` bounds the images.
 MAX_SCAN_EXPRESSIONS = 100_000
 
-# Budget on the image letters a scan builds: its undo table and band
-# tables (see `_undo_letters` and `_table_letters`), counted in closed form
-# before the first expression, and the images under the walk's prefixes,
-# counted as they are built.  A scan of one factor builds no band tables.
-# The tables grow with max_exp^2 x entry, so a scan within the expression
-# budget can still hold billions of letters (n = 2, L = 1 at max_exp
-# 50000), and a prefix image with the product of its factors' powers (on
-# constant 1000 with n = 3, L = 3, B = 1 the walk would build 9.6x10^7
-# letters).  A letter is one byte: with entry 3, n = 2 and L = 1, the
-# 6 max_exp (max_exp + 1) letters took 2.9 ms at max_exp 300 and 14.5 ms
-# at 1181 (8.4x10^6 letters, the last that fits) in process, and the
-# scan at 1181 peaked at 25.8 MB as a child process (2 cores, Python
+# Budget on the image letters a scan builds: its band tables (see
+# `_table_letters`), counted in closed form before the first expression,
+# and the images under the walk's prefixes, counted as they are built.  A
+# scan of one factor builds no prefix images, and its tables hold only the
+# certified letters.  The tables grow with max_exp^2 x entry, so a scan
+# within the expression budget can still hold billions of letters (n = 2,
+# L = 1 at max_exp 50000), and a prefix image with the product of its
+# factors' powers (on constant 1000 with n = 3, L = 3, B = 1 the walk
+# would build 9.6x10^7 letters).  A letter is one byte: with entry 3,
+# n = 2 and L = 1, the scan of the 6 max_exp (max_exp + 1) letters took
+# 1.7 to 3.0 ms at max_exp 300 and 16 to 29 ms at 1181 (8.4x10^6 letters,
+# the last that fits; medians of 15 to 30 in process, six runs), and the
+# scan at 1181 peaked at 26.5 MB as a child process (2 cores, Python
 # 3.11.7).
 MAX_SCAN_LETTERS = 1 << 23
 
@@ -279,67 +280,50 @@ def canonical_expressions(
         yield RaagExpression(tuple(factors))
 
 
-def _image_letters(beta: BandPair, entry: int, x: int, max_exp: int) -> int:
-    """The letters of the images of s_x under (beta, e), over every e in +-1 .. +-max_exp.
-
-    With m = e times the entry of beta = (j, k), the image has 1 letter for
-    x outside [j, k], 4|m| + 1 for x strictly between, and 2|m| + 1 or
-    2|m| - 1 for x = j or x = k by the sign of m (s_j maps to c s_j and s_k
-    to s_k c^-1 with c = (s_j s_k)^m, see `coxword._act_band`).  Over both
-    signs of e the ends give 4|m| a letter, and the |e| sum to
-    max_exp (max_exp + 1).
-    """
-    count = 2 * max_exp  # values of e
-    weight = max_exp * (max_exp + 1)  # sum of |e| over them
-    if x < beta.i or x > beta.j:
-        return count
-    if x in (beta.i, beta.j):
-        return 2 * entry * weight
-    return 4 * entry * weight + count
-
-
-def _undo_letters(matrix: CoxeterDatum, max_exp: int) -> int:
-    """The letters of the scan's undo table, counted in closed form.
-
-    The table holds the image of s_x, for x the first index of some base,
-    under (beta, -e) for every base beta and every e in +-1 .. +-max_exp.
-    """
-    bases = matrix.band_pairs()
-    firsts = {tau.i for tau in bases}
-    return sum(_image_letters(beta, matrix.entry(beta), x, max_exp)
-               for beta in bases for x in firsts)
-
-
-def _table_letters(matrix: CoxeterDatum, max_exp: int) -> int:
+def _table_letters(matrix: CoxeterDatum, max_exp: int, held: Sequence[int]) -> int:
     """The letters of the scan's band tables, counted in closed form.
 
-    The table of (beta, e) holds the image of every letter s_x with x in
+    The table of (beta, e) holds the image of each held letter s_x in
     [beta.i, beta.j] under (beta, e), for every base beta and every e in
-    +-1 .. +-max_exp (see `coxword._band_images`).
+    +-1 .. +-max_exp (see `coxword._band_images`).  With m = e times the
+    entry of beta, the image has 4|m| + 1 letters for x strictly between,
+    and 2|m| + 1 or 2|m| - 1 for x = beta.i or x = beta.j by the sign of m
+    (s_j maps to c s_j and s_k to s_k c^-1 with c = (s_j s_k)^m, see
+    `coxword._act_band`).  Over both signs of e the ends give 4|m| a
+    letter, and the |e| sum to max_exp (max_exp + 1).
     """
-    return sum(_image_letters(beta, matrix.entry(beta), x, max_exp)
-               for beta in matrix.band_pairs() for x in range(beta.i, beta.j + 1))
+    weight = max_exp * (max_exp + 1)  # sum of |e| over the values of e
+    total = 0
+    for beta in matrix.band_pairs():
+        entry = matrix.entry(beta)
+        for x in held:
+            if x in (beta.i, beta.j):
+                total += 2 * entry * weight
+            elif beta.i < x < beta.j:
+                total += 4 * entry * weight + 2 * max_exp
+    return total
 
 
 def _failing_leaves(
     images: list[bytes], index: list[dict[bytes, list[tuple[int, int]]]], certifies: list[int]
-) -> list[tuple[int, int]]:
-    """The factors (k, e) whose extension of a parent fails a certificate, in walk order.
+) -> dict[tuple[int, int], int]:
+    """The children (k, e) of a parent with a failing certificate, in walk order.
 
     `images` are the letter images under the parent, one per slot.  The
-    extension by (bases[k], e) fixes the letter of slot s exactly when its
+    child by (bases[k], e) fixes the letter of slot s exactly when its
     image under the parent is its image under (bases[k], -e); index[s]
-    maps each such undo image to the (k, e) it belongs to.  A hit is a
-    failing certificate only when certifies[k], the mask of the slots the
-    extension by bases[k] certifies (0 for a base that may not follow the
-    parent), holds s.
+    maps each such image to the (k, e) it belongs to.  A hit is a failing
+    certificate only when certifies[k], the mask of the slots the child
+    by bases[k] certifies (0 for a base that may not follow the parent),
+    holds s.  Each failing child maps to the mask of the certified slots
+    it fixes.
     """
-    failing = set()
+    failing: dict[tuple[int, int], int] = {}
     for s, x in enumerate(images):
         for k, e in index[s].get(x, ()):
             if certifies[k] >> s & 1:
-                failing.add((k, e))
-    return sorted(failing)
+                failing[k, e] = failing.get((k, e), 0) | 1 << s
+    return dict(sorted(failing.items()))
 
 
 def injectivity_scan(
@@ -358,29 +342,31 @@ def injectivity_scan(
 
     Each band power acts as a bijection, so the image of s_i under
     p·(beta, e) is s_i exactly when the image under p is the image of s_i
-    under (beta, -e), which the undo table holds for every letter and
-    factor.  The scan walks the expressions shorter than max_len (`_walk`
-    stopped one level short) and keeps, per depth, the letter images under
-    the current prefix, as words of `coxword`'s byte encoding, and the
-    prefix's last factor; each of those expressions has its certificates
-    compared against the undo table.  The last level is decided per
-    parent: its expressions and certificates are counted from the parent's
-    masks, and its failures are found by looking up each of the parent's
-    letter images in an index of the undo table (`_failing_leaves`), so
-    every certificate is still decided by an equality of byte strings.
-    The band tables (`coxword._band_images`) hold the images of the
-    letters of each band under each of its powers, built once per scan
-    and read by every application of the kernel.  Passes are counted and
-    entered once per family at the end; an expression with a failing
-    certificate has its factors read off the stack and its failures
-    entered one by one, in walk order, so the report is the one that
-    entering every instance would give.  The undo table, the band tables
-    and the prefix images share the budget of MAX_SCAN_LETTERS letters: a
-    scan whose tables would pass it is refused with ValueError before it
+    under (beta, -e).  The band tables (`coxword._band_images`) hold the
+    images of the letters of each band under each of its powers, built
+    once per scan: every letter of the band when the walk builds prefix
+    images, only the certified letters otherwise.  An index maps each
+    image of a certified letter under a single factor, read from the
+    tables (the letter itself outside the band), to the factors it
+    undoes.  The scan walks the expressions shorter than max_len (`_walk`
+    stopped one level short) and keeps, per depth, the letter images
+    under the current prefix, as words of `coxword`'s byte encoding, and
+    the prefix's last factor.  Every level is decided per parent, the
+    root and each walked expression: its children and their certificates
+    are counted from its masks, and its failing children are found by
+    looking up each of its letter images in the index (`_failing_leaves`),
+    so every certificate is still decided by an equality of byte strings.
+    Passes are counted and entered once per family at the end; a child
+    with a failing certificate has its factors read off the stack and its
+    failures entered one by one, at once at the last level and when the
+    walk reaches it otherwise, so the report is the one that entering
+    every instance in walk order would give.  The band tables and the
+    prefix images share the budget of MAX_SCAN_LETTERS letters: a scan
+    whose tables would pass it is refused with ValueError before it
     starts, and one whose prefix images pass it as soon as they do.
     `info` counts the expressions, the certificates, the oracle fallbacks,
-    the image letters built and the longest image of a letter under a
-    factor or a prefix, and carries the oracle's own counters (see
+    the image letters built and the longest image of a certified letter
+    under a factor or a prefix, and carries the oracle's own counters (see
     `BraidDecider.counters`).
     """
     if not matrix.is_large_type():
@@ -395,50 +381,36 @@ def injectivity_scan(
             f"scan of up to {letters}^{max_len} expressions exceeds the budget of "
             f"{MAX_SCAN_EXPRESSIONS}; lower --max-len or --max-exp"
         )
-    undo_letters = _undo_letters(matrix, max_exp)
-    if undo_letters > MAX_SCAN_LETTERS:
+    # the letters s_i certified, for i the first index of some base, in order
+    slot = {i: s for s, i in enumerate(sorted({tau.i for tau in bases}))}
+    # the letters the tables hold: prefix images need every one, the index the certified
+    held = range(1, matrix.n + 1) if max_len > 1 else list(slot)
+    table_letters = _table_letters(matrix, max_exp, held)
+    if table_letters > MAX_SCAN_LETTERS:
         raise ValueError(
-            f"scan would build {undo_letters} image letters for its undo table, past the "
+            f"scan would build {table_letters} image letters for its band tables, past the "
             f"budget of {MAX_SCAN_LETTERS}; lower --max-exp or the matrix entries"
-        )
-    # a scan of one factor builds no prefix images, so it needs no band tables
-    table_letters = _table_letters(matrix, max_exp) if max_len > 1 else 0
-    if undo_letters + table_letters > MAX_SCAN_LETTERS:
-        raise ValueError(
-            f"scan would build {undo_letters + table_letters} image letters for its undo "
-            f"table and band tables, past the budget of {MAX_SCAN_LETTERS}; lower --max-exp "
-            f"or the matrix entries"
         )
     start = time.perf_counter()
     report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
     decider = BandWordDecider(matrix)
     entries = [matrix.entry(beta) for beta in bases]
     exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
-    # the letters s_i certified, for i the first index of some base, in order
-    slot = {i: s for s, i in enumerate(sorted({tau.i for tau in bases}))}
     root = [bytes((128 + i,)) for i in slot]
-    # tables[k][e]: the images of the letters of bases[k] under (bases[k], e),
-    # built when there are prefix images to build
+    # tables[k][e]: the images of the held letters of bases[k] under (bases[k], e)
     tables = [
-        {e: _band_images(beta.i, beta.j, e * m, range(128 + beta.i, 129 + beta.j))
-         for e in exponents} if max_len > 1 else {}
+        {e: _band_images(beta.i, beta.j, e * m, [128 + x for x in held if beta.i <= x <= beta.j])
+         for e in exponents}
         for beta, m in zip(bases, entries)
     ]
-    # undo[k][e]: the images of the letters under the inverse of (bases[k], e)
-    undo = [
-        {e: [_act_band(x, beta.i, beta.j, -e * m, MAX_SCAN_LETTERS, table.get(-e))
-             for x in root]
-         for e in exponents}
-        for beta, m, table in zip(bases, entries, tables)
-    ]
-    peak = max((len(x) for table in undo for images in table.values() for x in images),
-               default=0)
-    # index[s]: each undo image of the letter in slot s, with the factors (k, e) it undoes
+    # index[s]: each image of the letter in slot s under a factor (bases[k], -e),
+    # with the factors (k, e) it undoes
     index: list[dict[bytes, list[tuple[int, int]]]] = [{} for _ in root]
-    for k, table in enumerate(undo):
-        for e, images in table.items():
-            for owners, x in zip(index, images):
-                owners.setdefault(x, []).append((k, e))
+    for k, table in enumerate(tables):
+        for e in exponents:
+            for owners, x in zip(index, root):
+                owners.setdefault(table[-e].get(x[0], x), []).append((k, e))
+    peak = max((len(x) for owners in index for x in owners), default=0)
     commuting = _commuting(bases)
     # ends mask -> the bases tau it holds and the slots of their letters s_{tau.i}
     certified: dict[int, tuple[list[BandPair], list[int]]] = {}
@@ -454,52 +426,60 @@ def injectivity_scan(
     # of everything yielded at depth d + 1 until the next one at depth d.
     stack: list[tuple[list[bytes], int, int]] = [(root, -1, 0)]
     expressions = certificates = fallbacks = trivial = fixed = 0
-    built = undo_letters + table_letters  # image letters built so far
+    built = table_letters  # image letters built so far
 
-    def enter(depth: int, k: int, e: int, ends: int, images: list[bytes]) -> None:
-        """Enter the failures of an expression with some failing certificate."""
+    def enter(depth: int, k: int, e: int, ends: int, fixes: int) -> None:
+        """Enter the failures of the child (k, e) of stack[depth - 1], given the slots it fixes."""
         nonlocal fallbacks, trivial, fixed
-        inverse = undo[k][e]
         taus, slots = certify(ends)
-        moved = [images[s] != inverse[s] for s in slots]
         factors = tuple((bases[b], p) for _, b, p in stack[1:depth]) + ((bases[k], e),)
         indices = tuple(x for beta, p in factors for x in (beta.i, beta.j, p))
         text = format_letter_word(factors)
-        if True not in moved:
+        if all(fixes >> s & 1 for s in slots):
             fallbacks += 1
             if decider.equal(factors, ()):
                 trivial += 1
                 report.add("nontrivial", indices, False,
                            f"expression {text} maps to the trivial braid")
-        for tau, ok in zip(taus, moved):
-            if not ok:
+        for tau, s in zip(taus, slots):
+            if fixes >> s & 1:
                 fixed += 1
                 report.add("certificate", indices + tau.indices(), False,
                            f"letter s{tau.i} fixed although {text} ends in {tau}")
 
-    # (ends, blocked) of a parent -> the bases its extensions may take, their
+    # (ends, blocked) of a parent -> the bases its children may take, their
     # certificates per exponent, and per base the mask of the bases the
-    # extension ends in and the mask of the slots it certifies (0 if blocked)
-    last_levels: dict[tuple[int, int], tuple[int, int, list[int], list[int]]] = {}
+    # child ends in and the mask of the slots it certifies (0 if blocked)
+    children: dict[tuple[int, int], tuple[int, int, list[int], list[int]]] = {}
 
-    def decide_last_level(images: list[bytes], ends: int, blocked: int) -> None:
-        """Count the extensions of a parent of the last level and enter their failures."""
+    def decide(depth: int, images: list[bytes], ends: int,
+               blocked: int) -> dict[tuple[int, int], int]:
+        """Count the children of the parent at stack[depth] and find the failing ones.
+
+        Those at the last level are entered at once; the others are
+        returned, to be entered when the walk reaches them.
+        """
         nonlocal expressions, certificates
-        if (ends, blocked) not in last_levels:
-            leaf_ends = [0 if blocked >> k & 1 else 1 << k | ends & commuting[k]
-                         for k in range(len(bases))]
-            certifies = [sum(1 << s for s in certify(x)[1]) for x in leaf_ends]
-            last_levels[ends, blocked] = (sum(x != 0 for x in leaf_ends),
-                                          sum(x.bit_count() for x in leaf_ends),
-                                          leaf_ends, certifies)
-        count, certs, leaf_ends, certifies = last_levels[ends, blocked]
+        if (ends, blocked) not in children:
+            child_ends = [0 if blocked >> k & 1 else 1 << k | ends & commuting[k]
+                          for k in range(len(bases))]
+            certifies = [sum(1 << s for s in certify(x)[1]) for x in child_ends]
+            children[ends, blocked] = (sum(x != 0 for x in child_ends),
+                                       sum(x.bit_count() for x in child_ends),
+                                       child_ends, certifies)
+        count, certs, child_ends, certifies = children[ends, blocked]
         expressions += count * len(exponents)
         certificates += certs * len(exponents)
-        for k, e in _failing_leaves(images, index, certifies):
-            enter(max_len, k, e, leaf_ends[k], images)
+        failing = _failing_leaves(images, index, certifies)
+        if depth < max_len - 1:
+            return failing
+        for (k, e), fixes in failing.items():
+            enter(max_len, k, e, child_ends[k], fixes)
+        return {}
 
-    if max_len == 1:
-        decide_last_level(root, 0, 0)
+    # failing[d]: the children of stack[d] with a failing certificate, each
+    # with the mask of the certified slots it fixes, if the walk reaches them
+    failing = [decide(0, root, 0, 0)]
     for depth, k, e, ends, blocked in _walk(bases, max_len - 1, max_exp):
         images = stack[depth - 1][0]
         beta, m = bases[k], e * entries[k]
@@ -510,23 +490,17 @@ def injectivity_scan(
             except ImageLimitError:
                 raise ValueError(
                     f"scan would build more than {MAX_SCAN_LETTERS} image letters, "
-                    f"{undo_letters} of them for its undo table, {table_letters} for its "
-                    f"band tables and the rest for prefix images; lower --max-len, "
-                    f"--max-exp or the matrix entries") from None
+                    f"{table_letters} of them for its band tables and the rest for prefix "
+                    f"images; lower --max-len, --max-exp or the matrix entries") from None
             built += len(x)
             peak = max(peak, len(x))
             child.append(x)
+        # the child goes on the stack before its own children are entered
         stack[depth:] = [(child, k, e)]
-        expressions += 1
-        inverse = undo[k][e]
-        slots = certify(ends)[1]
-        certificates += len(slots)
-        for s in slots:
-            if images[s] == inverse[s]:
-                enter(depth, k, e, ends, images)
-                break
-        if depth == max_len - 1:
-            decide_last_level(child, ends, blocked)
+        fixes = failing[depth - 1].get((k, e))
+        if fixes:
+            enter(depth, k, e, ends, fixes)
+        failing[depth:] = [decide(depth, child, ends, blocked)]
     report.add_passes("nontrivial", expressions - trivial)
     report.add_passes("certificate", certificates - fixed)
     report.info["expressions"] = expressions

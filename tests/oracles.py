@@ -19,7 +19,7 @@ from bandgroup.coxeter import BandPair, CoxeterDatum
 from bandgroup.braid import MAX_IMAGE_LETTERS, _too_long
 from bandgroup.coxword import CoxWord
 from bandgroup.present import BandWordDecider
-from bandgroup.raag import RaagExpression, _table_letters, _undo_letters, ends_in, normalize
+from bandgroup.raag import RaagExpression, _table_letters, ends_in, normalize
 from bandgroup.report import RunReport
 
 State = tuple[tuple[int, int, int], ...]
@@ -292,13 +292,15 @@ def referee_injectivity_scan(matrix: CoxeterDatum, max_len: int, max_exp: int) -
     expression.  The longest image is taken over the same words the scan
     builds, each folded afresh: the image of every letter s_{tau.i} under
     every expression shorter than max_len and under every single factor
-    (base, -e).  The image letters are the undo table and the band tables,
-    taken from their closed forms (which tests check against the built
-    words), and the images of those letters under every expression shorter
-    than max_len, folded afresh.  The oracle's counters are those of a
-    second decider that sees, in order, only the expressions whose
-    certificates all fail, as the scan's decider does.  There is no budget,
-    and the wall time is left at 0.
+    (base, -e).  The image letters are the band tables, taken from their
+    closed form (which tests check against the built words): the images of
+    every letter of each band under each of its powers, of only the
+    certified letters when max_len is 1.  To them come the images of the
+    certified letters under every expression shorter than max_len, folded
+    afresh.  The oracle's counters are those of a second decider that
+    sees, in order, only the expressions whose certificates all fail, as
+    the scan's decider does.  There is no budget, and the wall time is
+    left at 0.
     """
     bases = matrix.band_pairs()
     letters = {tau.i for tau in bases}
@@ -314,7 +316,8 @@ def referee_injectivity_scan(matrix: CoxeterDatum, max_len: int, max_exp: int) -
 
     peak = max((len(fold(i, [(base, -e)])) for base in bases for e in exponents for i in letters),
                default=0)
-    built = _undo_letters(matrix, max_exp) + (_table_letters(matrix, max_exp) if max_len > 1 else 0)
+    held = range(1, matrix.n + 1) if max_len > 1 else sorted(letters)
+    built = _table_letters(matrix, max_exp, held)
     certificates = fallbacks = 0
     for expr in referee_canonical_expressions(bases, max_len, max_exp):
         if not expr.factors:

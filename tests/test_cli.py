@@ -16,7 +16,7 @@ from bandgroup.braid import MAX_IMAGE_LETTERS, MAX_STRANDS, MAX_WORD_LETTERS
 from bandgroup.cli import MAX_DEGREE, MAX_RANDOM_LETTERS, MAX_RANDOM_WORK, main
 from bandgroup.coxeter import CoxeterDatum, Partition
 from bandgroup import raag
-from bandgroup.raag import MAX_SCAN_EXPRESSIONS, MAX_SCAN_LETTERS, _undo_letters
+from bandgroup.raag import MAX_SCAN_EXPRESSIONS, MAX_SCAN_LETTERS, _table_letters
 
 
 @pytest.fixture
@@ -314,31 +314,33 @@ class TestScan:
         assert f"60^5 expressions exceeds the budget of {MAX_SCAN_EXPRESSIONS}" in err
 
     def test_scan_past_the_letter_budget_is_refused_up_front(self, capsys, matrix_file):
-        # 100,000 expressions pass the expression budget, but the undo
-        # table would hold 6 * 50000 * 50001 letters
+        # 100,000 expressions pass the expression budget, but the band
+        # tables would hold 6 * 50000 * 50001 letters
         path = matrix_file("m.json", CoxeterDatum.constant(2, 3))
         started = time.perf_counter()
         assert main(["scan", "inject", "--matrix", path,
                      "--max-len", "1", "--max-exp", "50000"]) == 2
         assert time.perf_counter() - started < 1
         err = capsys.readouterr().err
-        assert f"15000300000 image letters for its undo table, past the budget of {MAX_SCAN_LETTERS}" in err
+        assert (f"15000300000 image letters for its band tables, past the budget of "
+                f"{MAX_SCAN_LETTERS}") in err
 
     def test_letter_budget_boundary(self, capsys, matrix_file):
         # 6 B (B + 1) letters on n = 2: B = 1181 fits, B = 1182 does not;
-        # at L = 1 the walk builds no prefix images
+        # at L = 1 the tables hold s_1 alone and the walk builds no prefix images
         matrix = CoxeterDatum.constant(2, 3)
-        assert _undo_letters(matrix, 1181) <= MAX_SCAN_LETTERS < _undo_letters(matrix, 1182)
+        assert (_table_letters(matrix, 1181, [1]) <= MAX_SCAN_LETTERS
+                < _table_letters(matrix, 1182, [1]))
         path = matrix_file("m.json", matrix)
         assert main(["scan", "inject", "--matrix", path,
                      "--max-len", "1", "--max-exp", "1181"]) == 0
         capsys.readouterr()
         assert main(["scan", "inject", "--matrix", path,
                      "--max-len", "1", "--max-exp", "1182"]) == 2
-        assert "undo table" in capsys.readouterr().err
+        assert "band tables" in capsys.readouterr().err
 
     def test_prefix_images_past_the_letter_budget_are_refused(self, capsys, matrix_file):
-        # 216 raw expressions and 24,004 undo-table letters, but the images
+        # 216 raw expressions and 32,002 band-table letters, but the images
         # under prefixes of two factors grow with the product of their powers
         path = matrix_file("m.json", CoxeterDatum.constant(3, 1000))
         started = time.perf_counter()
@@ -346,28 +348,37 @@ class TestScan:
                      "--max-len", "3", "--max-exp", "1"]) == 2
         assert time.perf_counter() - started < 10
         err = capsys.readouterr().err
-        assert (f"more than {MAX_SCAN_LETTERS} image letters, 24004 of them for its undo table"
+        assert (f"more than {MAX_SCAN_LETTERS} image letters, 32002 of them for its band tables"
                 in err)
 
     def test_benchmark_and_golden_scans_fit_the_letter_budget(self, monkeypatch):
         # the benchmark scans n = 4, L = 3, B = 2; the golden scans go up to
-        # n = 4, L = 3, B = 2; every image the scan builds is counted
+        # n = 4, L = 3, B = 2.  The scan builds words only in its band tables
+        # and its prefix images, and counts every letter of them once
         built = []
 
-        def counted(*args):
+        def counted_tables(*args):
+            table = band_images(*args)
+            built.extend(map(len, table.values()))
+            return table
+
+        def counted_images(*args):
             image = act(*args)
             built.append(len(image))
             return image
 
-        act = raag._act_band
-        monkeypatch.setattr(raag, "_act_band", counted)
+        band_images, act = raag._band_images, raag._act_band
+        monkeypatch.setattr(raag, "_band_images", counted_tables)
+        monkeypatch.setattr(raag, "_act_band", counted_images)
         mixed = CoxeterDatum.from_entries(4, {(1, 2): 3, (1, 3): 4, (3, 4): 3})
         for matrix, max_len, max_exp in [(CoxeterDatum.constant(4, 3), 3, 2),
                                           (CoxeterDatum.constant(4, 3), 3, 1),
-                                          (CoxeterDatum.constant(3, 3), 2, 1), (mixed, 3, 2)]:
+                                          (CoxeterDatum.constant(3, 3), 2, 1),
+                                          (CoxeterDatum.constant(3, 3), 1, 2), (mixed, 3, 2)]:
             built.clear()
-            assert raag.injectivity_scan(matrix, max_len, max_exp).ok
-            assert _undo_letters(matrix, max_exp) < sum(built) <= MAX_SCAN_LETTERS
+            report = raag.injectivity_scan(matrix, max_len, max_exp)
+            assert report.ok
+            assert sum(built) == report.info["image_letters"] <= MAX_SCAN_LETTERS
 
 
 class TestHurwitz:

@@ -279,6 +279,11 @@ def same_report(a, b):
     return (a.tag, a.families, a.failures, a.info) == (b.tag, b.families, b.failures, b.info)
 
 
+def fixing_tables(j, k, m, letters):
+    """Band tables under which every band power fixes every letter."""
+    return {x: bytes((x,)) for x in letters}
+
+
 class TestIncrementalScan:
     @pytest.mark.parametrize(
         "matrix, max_len, max_exp",
@@ -360,12 +365,12 @@ class TestIncrementalScan:
             ]
 
     def test_counters(self, monkeypatch):
-        # at L = 1 only the undo table is built; its longest word is s_2
-        # under (1.4)^(+-2) with entry 3: c s_2 c^-1 with c of 12 letters
+        # at L = 1 the tables hold only the certified letters; the longest
+        # is s_2 under (1.4)^(+-2) with entry 3: c s_2 c^-1 with c of 12 letters
         report = injectivity_scan(CoxeterDatum.constant(4, 3), 1, 2)
         assert report.info["oracle_fallbacks"] == 0
         assert report.info["peak_image_letters"] == 4 * 2 * 3 + 1
-        monkeypatch.setattr(raag, "_act_band", lambda w, *_: w)
+        monkeypatch.setattr(raag, "_band_images", fixing_tables)
         monkeypatch.setattr(BandWordDecider, "equal", lambda self, u, v: False)
         report = injectivity_scan(CoxeterDatum.constant(4, 3), 2, 1)
         assert report.info["oracle_fallbacks"] == report.info["expressions"]
@@ -374,30 +379,12 @@ class TestIncrementalScan:
     def test_oracle_fallbacks_keep_the_letter_cap(self, monkeypatch):
         # every certificate fails, so the oracle decides b1.2^-1, 4 Artin
         # letters with entry 4, and refuses to hand it over past a cap of 2
-        monkeypatch.setattr(raag, "_act_band", lambda w, *_: w)
+        monkeypatch.setattr(raag, "_band_images", fixing_tables)
         monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
         monkeypatch.setattr("bandgroup.braid.MAX_WORD_LETTERS", 2)
         with pytest.raises(ImageLimitError, match=r"^b1\.2\^-1 = 1: a side has 4 Artin "
                                                   r"letters on 2 strands, more than the 2 "):
             injectivity_scan(CoxeterDatum.constant(4, 4), 1, 1)
-
-    def test_undo_letters_closed_form(self):
-        rng = random.Random(34)
-        for _ in range(60):
-            n = rng.randint(2, 6)
-            matrix = CoxeterDatum.from_entries(n, {
-                pair: rng.choice((0, 3, 4, 7))
-                for pair in itertools.combinations(range(1, n + 1), 2)
-            })
-            max_exp = rng.randint(1, 4)
-            bases = matrix.band_pairs()
-            built = sum(
-                len(act_band_on_cox(CoxWord.single(i), beta, -e * matrix.entry(beta)))
-                for beta in bases
-                for e in range(-max_exp, max_exp + 1) if e
-                for i in {tau.i for tau in bases}
-            )
-            assert raag._undo_letters(matrix, max_exp) == built
 
     def test_passing_scan_never_calls_the_oracle(self, monkeypatch):
         def refuse(self, u, v):
@@ -420,7 +407,7 @@ class TestIncrementalScan:
             return w
 
         monkeypatch.setattr(BandWordDecider, "equal", oracle)
-        monkeypatch.setattr(raag, "_act_band", fixes_everything)
+        monkeypatch.setattr(raag, "_band_images", fixing_tables)
         monkeypatch.setattr(oracles, "referee_act_band_on_cox", fixes_everything)
         matrix = CoxeterDatum.constant(4, 3)
         report = injectivity_scan(matrix, 2, 1)
@@ -436,15 +423,15 @@ class TestIncrementalScan:
         # failures added one by one, and both agree with the referee's
         matrix = CoxeterDatum.constant(4, 3)
         first = matrix.band_pairs()[0]
-        kernel, referee = raag._act_band, oracles.referee_act_band_on_cox
+        tables, referee = raag._band_images, oracles.referee_act_band_on_cox
 
-        def kernel_fixing_first(w, j, k, *rest):
-            return w if (j, k) == first.indices() else kernel(w, j, k, *rest)
+        def tables_fixing_first(j, k, m, letters):
+            return (fixing_tables if (j, k) == first.indices() else tables)(j, k, m, letters)
 
         def referee_fixing_first(w, tau, *rest):
             return w if tau == first else referee(w, tau, *rest)
 
-        monkeypatch.setattr(raag, "_act_band", kernel_fixing_first)
+        monkeypatch.setattr(raag, "_band_images", tables_fixing_first)
         monkeypatch.setattr(oracles, "referee_act_band_on_cox", referee_fixing_first)
         report = injectivity_scan(matrix, 3, 1)
         assert report.failures and report.families["certificate"][1]
@@ -467,20 +454,25 @@ class TestLastLevel:
         assert report.info["certificates"] == certificates
 
     def test_hits_outside_the_certified_slots_enter_nothing(self):
-        # base 0 may not follow the parent, base 1 certifies the slots its mask holds
+        # base 0 may not follow the parent, base 1 certifies the slots its
+        # mask holds; each failing child carries the certified slots it fixes
         images = [b"\x81", b"\x82"]
-        index = [{b"\x81": [(0, 1), (1, -1)], b"\x83": [(1, 2)]}, {b"\x82": [(0, -1), (1, 1)]}]
-        assert raag._failing_leaves(images, index, [0, 0b11]) == [(1, -1), (1, 1)]
-        assert raag._failing_leaves(images, index, [0, 0b10]) == [(1, 1)]
-        assert raag._failing_leaves(images, index, [0, 0b01]) == [(1, -1)]
-        assert raag._failing_leaves(images, index, [0, 0]) == []
-        assert raag._failing_leaves(images, index, [0b11, 0]) == [(0, -1), (0, 1)]
+        index = [{b"\x81": [(0, 1), (1, -1), (1, 1)], b"\x83": [(1, 2)]},
+                 {b"\x82": [(0, -1), (1, 1)]}]
+        failing = raag._failing_leaves(images, index, [0, 0b11])
+        assert list(failing.items()) == [((1, -1), 0b01), ((1, 1), 0b11)]
+        assert raag._failing_leaves(images, index, [0, 0b10]) == {(1, 1): 0b10}
+        assert raag._failing_leaves(images, index, [0, 0b01]) == {(1, -1): 0b01, (1, 1): 0b01}
+        assert raag._failing_leaves(images, index, [0, 0]) == {}
+        failing = raag._failing_leaves(images, index, [0b11, 0])
+        assert list(failing.items()) == [((0, -1), 0b10), ((0, 1), 0b01)]
 
     def test_scan_hits_enter_no_failure(self, monkeypatch):
-        # on the letters of beta, a parent p = (beta, e) has the undo images
-        # of (beta, -e), and beta may not follow p; a letter p fixes is its
-        # own undo image under every base that fixes it, and no extension
-        # certifies it: the scan meets such hits and passes
+        # on the letters of beta, a parent p = (beta, e) has the images under
+        # (beta, e) that the index holds for the child (beta, -e), and beta
+        # may not follow p; a letter p fixes is its own image under every
+        # base that fixes it, and no child certifies it: the scan meets such
+        # hits and passes
         hits = []
         failing_leaves = raag._failing_leaves
 
@@ -493,7 +485,11 @@ class TestLastLevel:
         assert report.ok and not report.failures
         assert len(hits) > 50
 
-    def test_table_letters_closed_form(self):
+    @pytest.mark.parametrize("certified_only", [False, True],
+                             ids=["all_letters", "certified_letters"])
+    def test_table_letters_closed_form(self, certified_only):
+        # the tables hold every letter of each band when the scan builds
+        # prefix images, and only the certified letters at L = 1
         rng = random.Random(35)
         for _ in range(40):
             n = rng.randint(2, 6)
@@ -502,51 +498,61 @@ class TestLastLevel:
                 for pair in itertools.combinations(range(1, n + 1), 2)
             })
             max_exp = rng.randint(1, 4)
+            bases = matrix.band_pairs()
+            held = sorted({tau.i for tau in bases}) if certified_only else range(1, n + 1)
             built = sum(
                 len(image)
-                for beta in matrix.band_pairs()
+                for beta in bases
                 for e in range(-max_exp, max_exp + 1) if e
-                for image in raag._band_images(beta.i, beta.j, e * matrix.entry(beta),
-                                               range(128 + beta.i, 129 + beta.j)).values()
+                for image in raag._band_images(
+                    beta.i, beta.j, e * matrix.entry(beta),
+                    [128 + x for x in held if beta.i <= x <= beta.j]).values()
             )
-            assert raag._table_letters(matrix, max_exp) == built
+            assert raag._table_letters(matrix, max_exp, held) == built
 
     def test_tables_past_the_letter_budget_are_refused(self):
-        # the undo table's 2 * 100 * 158 * 159 letters fit, but the tables add twice as many
+        # at L = 1 the tables hold s_1 alone, 2 * 100 * 158 * 159 letters,
+        # which fit; at L = 2 they hold s_2 too, and twice as many do not
         matrix = CoxeterDatum.constant(2, 100)
-        assert raag._undo_letters(matrix, 158) <= raag.MAX_SCAN_LETTERS
-        with pytest.raises(ValueError, match="for its undo table and band tables, past the budget"):
+        assert raag._table_letters(matrix, 158, [1]) <= raag.MAX_SCAN_LETTERS
+        with pytest.raises(ValueError, match="for its band tables, past the budget"):
             injectivity_scan(matrix, 2, 158)
-        assert injectivity_scan(matrix, 1, 158).info["image_letters"] == raag._undo_letters(matrix, 158)
+        assert (injectivity_scan(matrix, 1, 158).info["image_letters"]
+                == raag._table_letters(matrix, 158, [1]))
 
-    def test_failures_only_at_the_last_level_match_the_referee(self, monkeypatch):
-        # a kernel under which the band on (1, 3) acts as the inverse of the
+    @pytest.mark.parametrize("max_len", [2, 3])
+    def test_failures_found_by_a_parents_lookup_match_the_referee(self, monkeypatch, max_len):
+        # tables under which the band on (1, 3) acts as the inverse of the
         # band on (1, 2), so it fixes s_3: it is still an action, every
         # single factor moves the letter it certifies, and the expressions
-        # (1.2)^e (1.3)^e and (1.3)^e (1.2)^e act trivially
-        kernel, referee = raag._act_band, oracles.referee_act_band_on_cox
+        # (1.2)^e (1.3)^e and (1.3)^e (1.2)^e act trivially.  At L = 2 they
+        # fail at the last level; at L = 3 they are walked, and their
+        # parent's lookup finds them, while longer failures sit below them
+        tables, referee = raag._band_images, oracles.referee_act_band_on_cox
         linked = BandPair(1, 3)
 
-        def kernel_fixing_s3(w, j, k, m, limit, images=None):
-            if (j, k) == linked.indices():
-                return kernel(w, 1, 2, -m, limit)
-            return kernel(w, j, k, m, limit, images)
+        def tables_fixing_s3(j, k, m, letters):
+            if (j, k) != linked.indices():
+                return tables(j, k, m, letters)
+            inverse = tables(1, 2, -m, [x for x in letters if x <= 128 + 2])
+            return {x: inverse.get(x, bytes((x,))) for x in letters}
 
         def referee_fixing_s3(w, tau, m, *rest):
             if tau == linked:
                 return referee(w, BandPair(1, 2), -m, *rest)
             return referee(w, tau, m, *rest)
 
-        monkeypatch.setattr(raag, "_act_band", kernel_fixing_s3)
+        monkeypatch.setattr(raag, "_band_images", tables_fixing_s3)
         monkeypatch.setattr(oracles, "referee_act_band_on_cox", referee_fixing_s3)
         matrix = CoxeterDatum.constant(4, 3)
-        report = injectivity_scan(matrix, 2, 2)
+        report = injectivity_scan(matrix, max_len, 2)
         assert report.failures
         assert {f.family for f in report.failures} == {"certificate"}
-        # two factors of three indices each, then the base certified
-        assert {len(f.indices) for f in report.failures} == {2 * 3 + 2}
-        assert report.info["oracle_fallbacks"] == 8
-        assert same_report(report, referee_injectivity_scan(matrix, 2, 2))
+        # two or more factors of three indices each, then the base certified
+        lengths = {len(f.indices) for f in report.failures}
+        assert lengths == {3 * d + 2 for d in range(2, max_len + 1)}
+        assert report.info["oracle_fallbacks"] == {2: 8, 3: 148}[max_len]
+        assert same_report(report, referee_injectivity_scan(matrix, max_len, 2))
 
 
 class TestProp9SpotCheck:
