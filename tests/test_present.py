@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from bandgroup.braid import (
     left_normal_form,
     permutation_image,
 )
+from bandgroup.cli import _combing
 from bandgroup.coxeter import (
     BandPair,
     CoxeterDatum,
@@ -28,6 +30,7 @@ from bandgroup.present import (
     coset_table_check,
     expand_letter_word,
     export_presentation,
+    format_letter_word,
     relations_combing,
     relations_sec4,
     relations_thm1,
@@ -557,3 +560,63 @@ class TestExport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             export_presentation([], CoxeterDatum.constant(3, 3), "latex")
+
+
+class TestStreamDigests:
+    """sha256 digests of the thm2, rederivation, combing, sec4 and coset streams.
+
+    Each family's relations are rendered one line each, in the order the
+    generator yields them, and hashed per strand count; sec4 runs over 200
+    seeded matrices with every entry in 2..6.  The coset table is read off
+    its failure list, with every braid identity forced to fail, so each
+    (generator, coset) line carries its case, target and tail in the order
+    the table visits them.
+    """
+
+    PINNED = {
+        "thm2 1": "e3b0c44298fc1c14", "thm2 2": "e3b0c44298fc1c14",
+        "thm2 3": "4ce659a4fd22bbf4", "thm2 4": "cb60bf1d8b1bdfc3",
+        "thm2 5": "6ebcfb274c48742a", "thm2 6": "c34bc3d7ed88ff8a",
+        "rederivations 1": "e3b0c44298fc1c14", "rederivations 2": "e3b0c44298fc1c14",
+        "rederivations 3": "bc2e09c79524d6a8", "rederivations 4": "e020c43603ab704c",
+        "rederivations 5": "dec3f7c4f39ac2d3", "rederivations 6": "ffd8408bff5ea877",
+        "combing 1+1": "e3b0c44298fc1c14", "combing 2+1": "a41d51494df2a089",
+        "combing 3+1": "7aebda02262cc8d2", "combing 4+1": "5f3f82a66356f7ef",
+        "sec4": "3fc20455b9aecf00",
+        "cosets 1": "e3b0c44298fc1c14", "cosets 2": "323b8ba127693545",
+        "cosets 3": "e2c8110cb07ea1f2", "cosets 4": "d133aea9b8c4a461",
+        "cosets 5": "2e4a1367def4a40e", "cosets 6": "6371c19b57bf16ba",
+    }
+
+    @staticmethod
+    def _digest(rels):
+        text = "".join(f"{r.label} {r.indices} {format_letter_word(r.lhs)} = "
+                       f"{format_letter_word(r.rhs)}\n" for r in rels)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    @staticmethod
+    def _sec4_matrices():
+        rng = random.Random(4)
+        for _ in range(200):
+            n = rng.randint(3, 5)
+            yield CoxeterDatum.from_entries(n, {
+                (a, b): rng.choice((2, 2, 3, 4, 5, 6))
+                for a, b in itertools.combinations(range(1, n + 1), 2)})
+
+    def test_streams_are_pinned(self, monkeypatch):
+        digest = self._digest
+        out = {}
+        for n in range(1, 7):
+            parts = list(set_partitions(n))
+            out[f"thm2 {n}"] = digest(r for p in parts for r in relations_thm2(p))
+            out[f"rederivations {n}"] = digest(
+                r for p in parts for r in relations_thm2_rederivations(p))
+            if n < 5:
+                out[f"combing {n}+1"] = digest(r for p in parts for r in _combing(p)[0])
+        out["sec4"] = digest(r for m in self._sec4_matrices() for r in relations_sec4(m))
+        monkeypatch.setattr(BandWordDecider, "equal", lambda self, u, v: False)
+        for n in range(1, 7):
+            lines = [f"{f.family} {f.indices} {f.message} {f.lhs} = {f.rhs}\n"
+                     for p in set_partitions(n) for f in coset_table_check(p).failures]
+            out[f"cosets {n}"] = hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
+        assert out == self.PINNED
