@@ -127,9 +127,8 @@ def _thm2(partition: Partition):
 
 
 def _combing(p_prime: Partition):
-    n = p_prime.n + 1
     matrix = partition_to_matrix(p_prime.with_singleton())
-    return relations_combing(p_prime, n), matrix, f"combing {p_prime}+{n}"
+    return relations_combing(p_prime), matrix, f"combing {p_prime}+{matrix.n}"
 
 
 # Each relation family: the input flags it reads, and a function from the

@@ -6,6 +6,10 @@ to e times the matrix entry of tau.  Each generator below yields one
 family of relations for a class of exponent matrices, and checks its
 input before it yields the first; verify_relations settles every
 instance, as it comes, with the exact equality oracle.
+The thm2, combing, rederivation and sec4 families read the matrix only
+through `_tuples`, which hands them one tuple of strands at a time with
+the entries on it, so each relation depends only on the matrix restricted
+to its strands (past sec4's input checks, which read every entry).
 The coset machinery rewrites a generator times a coset representative
 into representative-times-subgroup-word form and certifies the rewriting
 in the braid group.
@@ -115,6 +119,22 @@ def _rotations(a: int, b: int, c: int) -> list[tuple[int, int, int]]:
     return [(a, b, c), (b, c, a), (c, a, b)]
 
 
+def _tuples(
+    matrix: CoxeterDatum, size: int, last: bool = False
+) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+    """Each increasing tuple s of `size` strands, with m the matrix on s.
+
+    m[p][q] is the entry on strands s[p], s[q], so a relation built from s
+    and m depends on the matrix only through its restriction to s.  With
+    `last`, the strands come from 1..n-1 and strand n is appended to s.
+    """
+    n, rows = matrix.n, matrix.m
+    tail = (n,) if last else ()
+    for s in itertools.combinations(range(1, n + 1 - last), size):
+        s += tail
+        yield s, [[rows[x - 1][y - 1] for y in s] for x in s]
+
+
 # -- generator families -------------------------------------------------------
 
 
@@ -131,8 +151,7 @@ def relations_thm1(matrix: CoxeterDatum) -> Iterator[Relation]:
 def relations_thm2(p: Partition) -> Iterator[Relation]:
     """The five relation families of the partition-type presentation."""
     matrix = partition_to_matrix(p)
-    n = p.n
-    for a, b, c, d in itertools.combinations(range(1, n + 1), 4):
+    for (a, b, c, d), m in _tuples(matrix, 4):
         ad, bc = BandPair(a, d), BandPair(b, c)
         yield _rel("thm2.i", (a, b, c, d), [(ad, 1), (bc, 1)], [(bc, 1), (ad, 1)])
         cd, ab = BandPair(c, d), BandPair(a, b)
@@ -140,12 +159,13 @@ def relations_thm2(p: Partition) -> Iterator[Relation]:
         # conjugated commutation, with the double band as one letter
         i, j, k, l = a, b, c, d
         kl, jl, ik = BandPair(k, l), BandPair(j, l), BandPair(i, k)
-        q = 1 if matrix.entry(kl) == 2 else 2
+        q = 1 if m[2][3] == 2 else 2
         yield _rel("thm2.ii", (i, j, k, l), [(jl, 1), (kl, q), (ik, 1), (kl, -q)],
                    [(kl, q), (ik, 1), (kl, -q), (jl, 1)])
-    for a, b, c in itertools.combinations(range(1, n + 1), 3):
+    for s, m in _tuples(matrix, 3):
+        a, b, c = s
         ab, ac, bc = BandPair(a, b), BandPair(a, c), BandPair(b, c)
-        ms = (matrix.entry(ab), matrix.entry(ac), matrix.entry(bc))
+        ms = (m[0][1], m[0][2], m[1][2])
         if ms == (2, 2, 2):
             yield _rel("thm2.iv", (a, b, c), [(ab, 1), (ac, 1), (bc, 1)],
                        [(bc, 1), (ab, 1), (ac, 1)])
@@ -155,19 +175,16 @@ def relations_thm2(p: Partition) -> Iterator[Relation]:
             yield _rel("thm2.v", (a, b, c), [(ab, 1), (ac, 1)], [(bc, 1), (ab, 1)])
             yield _rel("thm2.v", (a, b, c), [(bc, 1), (ab, 1)], [(ac, 1), (bc, 1)])
         else:
-            for i, j, k in _rotations(a, b, c):
-                ij, ik, jk = BandPair.of(i, j), BandPair.of(i, k), BandPair.of(j, k)
-                if (
-                    matrix.entry(ij) == 1
-                    and matrix.entry(ik) == 2
-                    and matrix.entry(jk) == 2
-                ):
+            for x, y, z in _rotations(0, 1, 2):
+                if m[x][y] == 1 and m[x][z] == 2 and m[y][z] == 2:
+                    i, j, k = s[x], s[y], s[z]
+                    ij, ik, jk = BandPair.of(i, j), BandPair.of(i, k), BandPair.of(j, k)
                     yield _rel("thm2.iii", (i, j, k), [(ij, 1), (ik, 1)], [(jk, 1), (ij, 1)])
                     yield _rel("thm2.iii", (i, j, k), [(ij, 1), (ik, 1), (jk, 1)],
                                [(ik, 1), (jk, 1), (ij, 1)])
 
 
-def relations_combing(p_prime: Partition, n: int) -> Iterator[Relation]:
+def relations_combing(p_prime: Partition) -> Iterator[Relation]:
     """Relations of the one-strand extension over a smaller partition group.
 
     p_prime partitions {1..n-1}; the extended group on n strands is
@@ -177,52 +194,42 @@ def relations_combing(p_prime: Partition, n: int) -> Iterator[Relation]:
     (i, n) have exponent interpreted through the extended matrix, where
     every m_in is 2.
     """
-    if n != p_prime.n + 1:
-        raise ValueError(f"partition of {{1..{p_prime.n}}} extends to {p_prime.n + 1} strands, not {n}")
     matrix = partition_to_matrix(p_prime.with_singleton())
-
-    def an(i: int) -> BandPair:
-        return BandPair(i, n)
-
-    for a, b, c in itertools.combinations(range(1, n), 3):
+    for (i, j, k, n), m in _tuples(matrix, 3, last=True):
+        ai, aj, ak = BandPair(i, n), BandPair(j, n), BandPair(k, n)
+        ij, ik, jk = BandPair(i, j), BandPair(i, k), BandPair(j, k)
         # a_i^2 commutes with b_jk when i is outside or right of {j, k}
-        yield _rel("combing.i", (a, b, c), [(an(a), 1), (BandPair(b, c), 1)],
-                   [(BandPair(b, c), 1), (an(a), 1)])
-        yield _rel("combing.i", (a, b, c), [(an(c), 1), (BandPair(a, b), 1)],
-                   [(BandPair(a, b), 1), (an(c), 1)])
-        i, j, k = a, b, c
-        ik = BandPair(i, k)
-        yield _rel("combing.ii", (i, j, k), [(an(j), 1), (an(k), 1), (ik, 1), (an(k), -1)],
-                   [(an(k), 1), (ik, 1), (an(k), -1), (an(j), 1)])
-        jk = BandPair(j, k)
-        yield _rel("combing.derived.1", (i, j, k), [(jk, 1), (an(i), 1), (jk, -1)], [(an(i), 1)])
-        ij = BandPair(i, j)
-        yield _rel("combing.derived.2", (i, j, k), [(ij, 1), (an(k), 1), (ij, -1)], [(an(k), 1)])
-        if matrix.entry(ik) == 1:
-            yield _rel("combing.derived.7", (i, j, k), [(ik, 1), (an(j), 1), (ik, -1)],
-                       [(an(k), -1), (an(i), 1), (an(j), 1), (an(i), -1), (an(k), 1)])
+        yield _rel("combing.i", (i, j, k), [(ai, 1), (jk, 1)], [(jk, 1), (ai, 1)])
+        yield _rel("combing.i", (i, j, k), [(ak, 1), (ij, 1)], [(ij, 1), (ak, 1)])
+        yield _rel("combing.ii", (i, j, k), [(aj, 1), (ak, 1), (ik, 1), (ak, -1)],
+                   [(ak, 1), (ik, 1), (ak, -1), (aj, 1)])
+        yield _rel("combing.derived.1", (i, j, k), [(jk, 1), (ai, 1), (jk, -1)], [(ai, 1)])
+        yield _rel("combing.derived.2", (i, j, k), [(ij, 1), (ak, 1), (ij, -1)], [(ak, 1)])
+        if m[0][2] == 1:
+            yield _rel("combing.derived.7", (i, j, k), [(ik, 1), (aj, 1), (ik, -1)],
+                       [(ak, -1), (ai, 1), (aj, 1), (ai, -1), (ak, 1)])
         else:
-            yield _rel("combing.derived.8", (i, j, k), [(ik, -1), (an(j), 1), (ik, 1)],
-                       [(an(i), 1), (an(k), 1), (an(i), -1), (an(k), -1), (an(j), 1),
-                        (an(k), 1), (an(i), 1), (an(k), -1), (an(i), -1)])
-    for i, j in itertools.combinations(range(1, n), 2):
-        ij = BandPair(i, j)
-        if matrix.entry(ij) == 1:
-            yield _rel("combing.iii", (i, j), [(ij, 1), (an(i), 1)], [(an(j), 1), (ij, 1)])
-            yield _rel("combing.iii", (i, j), [(ij, 1), (an(i), 1), (an(j), 1)],
-                       [(an(i), 1), (an(j), 1), (ij, 1)])
-            yield _rel("combing.derived.3", (i, j), [(ij, 1), (an(i), 1), (ij, -1)], [(an(j), 1)])
-            yield _rel("combing.derived.4", (i, j), [(ij, 1), (an(j), 1), (ij, -1)],
-                       [(an(j), -1), (an(i), 1), (an(j), 1)])
+            yield _rel("combing.derived.8", (i, j, k), [(ik, -1), (aj, 1), (ik, 1)],
+                       [(ai, 1), (ak, 1), (ai, -1), (ak, -1), (aj, 1),
+                        (ak, 1), (ai, 1), (ak, -1), (ai, -1)])
+    for (i, j, n), m in _tuples(matrix, 2, last=True):
+        ij, ai, aj = BandPair(i, j), BandPair(i, n), BandPair(j, n)
+        if m[0][1] == 1:
+            yield _rel("combing.iii", (i, j), [(ij, 1), (ai, 1)], [(aj, 1), (ij, 1)])
+            yield _rel("combing.iii", (i, j), [(ij, 1), (ai, 1), (aj, 1)],
+                       [(ai, 1), (aj, 1), (ij, 1)])
+            yield _rel("combing.derived.3", (i, j), [(ij, 1), (ai, 1), (ij, -1)], [(aj, 1)])
+            yield _rel("combing.derived.4", (i, j), [(ij, 1), (aj, 1), (ij, -1)],
+                       [(aj, -1), (ai, 1), (aj, 1)])
         else:
-            yield _rel("combing.iv", (i, j), [(an(j), 1), (ij, 1), (an(i), 1)],
-                       [(ij, 1), (an(i), 1), (an(j), 1)])
-            yield _rel("combing.iv", (i, j), [(ij, 1), (an(i), 1), (an(j), 1)],
-                       [(an(i), 1), (an(j), 1), (ij, 1)])
-            yield _rel("combing.derived.5", (i, j), [(ij, 1), (an(i), 1), (ij, -1)],
-                       [(an(j), -1), (an(i), 1), (an(j), 1)])
-            yield _rel("combing.derived.6", (i, j), [(ij, 1), (an(j), 1), (ij, -1)],
-                       [(an(j), -1), (an(i), -1), (an(j), 1), (an(i), 1), (an(j), 1)])
+            yield _rel("combing.iv", (i, j), [(aj, 1), (ij, 1), (ai, 1)],
+                       [(ij, 1), (ai, 1), (aj, 1)])
+            yield _rel("combing.iv", (i, j), [(ij, 1), (ai, 1), (aj, 1)],
+                       [(ai, 1), (aj, 1), (ij, 1)])
+            yield _rel("combing.derived.5", (i, j), [(ij, 1), (ai, 1), (ij, -1)],
+                       [(aj, -1), (ai, 1), (aj, 1)])
+            yield _rel("combing.derived.6", (i, j), [(ij, 1), (aj, 1), (ij, -1)],
+                       [(aj, -1), (ai, -1), (aj, 1), (ai, 1), (aj, 1)])
 
 
 def relations_sec4(matrix: CoxeterDatum) -> Iterator[Relation]:
@@ -250,21 +257,22 @@ def relations_sec4(matrix: CoxeterDatum) -> Iterator[Relation]:
             # least two Artin letters
             raise ValueError(f"sec4.3 words for m[{j}][{k}] = {m} would expand past "
                              f"{MAX_WORD_LETTERS} Artin letters")
-    for a, b, c, d in itertools.combinations(range(1, n + 1), 4):
+    for (a, b, c, d), m in _tuples(matrix, 4):
         ab, cd = BandPair(a, b), BandPair(c, d)
         ad, bc = BandPair(a, d), BandPair(b, c)
         yield _rel("sec4.1", (a, b, c, d), [(ab, 1), (cd, 1)], [(cd, 1), (ab, 1)])
         yield _rel("sec4.1", (a, b, c, d), [(ad, 1), (bc, 1)], [(bc, 1), (ad, 1)])
         i, j, k, l = a, b, c, d
         jk = BandPair(j, k)
-        if matrix.entry(jk) == 2:
+        if m[1][2] == 2:
             ik, jl = BandPair(i, k), BandPair(j, l)
             yield _rel("sec4.2", (i, j, k, l), [(ik, 1), (jk, 1), (jl, 1), (jk, -1)],
                        [(jk, 1), (jl, 1), (jk, -1), (ik, 1)])
-    for a, b, c in itertools.combinations(range(1, n + 1), 3):
-        for i, j, k in _rotations(a, b, c):
+    for s, m in _tuples(matrix, 3):
+        for p, q, r in _rotations(0, 1, 2):
+            i, j, k = s[p], s[q], s[r]
             x, y, z = BandPair.of(i, j), BandPair.of(i, k), BandPair.of(j, k)
-            mx, my, mz = matrix.entry(x), matrix.entry(y), matrix.entry(z)
+            mx, my, mz = m[p][q], m[p][r], m[q][r]
             X, Y, Z = (x, 1), (y, 1), (z, 1)
             if mx == 2 and my == 2 and mz % 2 == 0:
                 nu = mz // 2
@@ -301,26 +309,19 @@ def relations_thm2_rederivations(p: Partition) -> Iterator[Relation]:
     Sub-case letters record which membership pattern applies.
     """
     matrix = partition_to_matrix(p)
-    n = p.n
-
-    def bn(i: int) -> BandPair:
-        return BandPair(i, n)
-
-    for a, b, c in itertools.combinations(range(1, n), 3):
-        yield _rel("thm2proof.1", (a, b, c), [(bn(a), 1), (BandPair(b, c), 1)],
-                   [(BandPair(b, c), 1), (bn(a), 1)])
-        yield _rel("thm2proof.1", (a, b, c), [(bn(c), 1), (BandPair(a, b), 1)],
-                   [(BandPair(a, b), 1), (bn(c), 1)])
-        i, j, k = a, b, c
-        ik = BandPair(i, k)
-        q = 1 if matrix.entry(bn(k)) == 2 else 2
+    for (i, j, k, n), m in _tuples(matrix, 3, last=True):
+        bi, bk, ij, jk = BandPair(i, n), BandPair(k, n), BandPair(i, j), BandPair(j, k)
+        yield _rel("thm2proof.1", (i, j, k), [(bi, 1), (jk, 1)], [(jk, 1), (bi, 1)])
+        yield _rel("thm2proof.1", (i, j, k), [(bk, 1), (ij, 1)], [(ij, 1), (bk, 1)])
+        bj, ik = BandPair(j, n), BandPair(i, k)
+        q = 1 if m[2][3] == 2 else 2
         sub = "a" if q == 1 else "b"
-        yield _rel(f"thm2proof.2{sub}", (i, j, k), [(bn(j), 1), (bn(k), q), (ik, 1), (bn(k), -q)],
-                   [(bn(k), q), (ik, 1), (bn(k), -q), (bn(j), 1)])
-    for i, j in itertools.combinations(range(1, n), 2):
-        ij, bi, bj = BandPair(i, j), bn(i), bn(j)
-        if matrix.entry(ij) == 1:
-            if matrix.entry(bi) == 2:
+        yield _rel(f"thm2proof.2{sub}", (i, j, k), [(bj, 1), (bk, q), (ik, 1), (bk, -q)],
+                   [(bk, q), (ik, 1), (bk, -q), (bj, 1)])
+    for (i, j, n), m in _tuples(matrix, 2, last=True):
+        ij, bi, bj = BandPair(i, j), BandPair(i, n), BandPair(j, n)
+        if m[0][1] == 1:
+            if m[0][2] == 2:
                 yield _rel("thm2proof.3a", (i, j), [(ij, 1), (bi, 1)], [(bj, 1), (ij, 1)])
                 yield _rel("thm2proof.3a", (i, j), [(ij, 1), (bi, 1), (bj, 1)],
                            [(bi, 1), (bj, 1), (ij, 1)])
@@ -331,7 +332,7 @@ def relations_thm2_rederivations(p: Partition) -> Iterator[Relation]:
                 yield _rel("thm2proof.3b", (i, j), [(ij, 1), (bi, 2), (bj, 2)],
                            [(bi, 2), (bj, 2), (ij, 1)])
         else:
-            mi, mj = matrix.entry(bi), matrix.entry(bj)
+            mi, mj = m[0][2], m[1][2]
             if (mi, mj) == (2, 2):
                 yield _rel("thm2proof.4a", (i, j), [(bi, 1), (bj, 1), (ij, 1)],
                            [(bj, 1), (ij, 1), (bi, 1)])
@@ -387,39 +388,10 @@ def verify_relations(
 # -- coset rewriting ----------------------------------------------------------
 
 
-def _coset_case(g: BandPair, t: int, p: Partition) -> str:
-    n = p.n
-    in_i = set(p.part_of(n))
-    if t == n:
-        return "trivial"
-    a, b = g.i, g.j
-    if b == n:
-        if a in in_i:
-            return "1a" if a < t else ("1b" if a == t else "1c")
-        return "2a" if a < t else "2c"
-    if b < t or t < a:
-        return "3a"
-    if a == t:
-        return "3b" if b in in_i else "3d"
-    if b == t:
-        return "3c" if a in in_i else "3e"
-    if a in in_i and b not in in_i:
-        return "4a"
-    if a not in in_i and b in in_i:
-        return "4c"
-    if a in in_i and b in in_i:
-        return "4e"
-    return "4d" if p.same_part(a, b) else "4b"
+def _coset_rewrite(g: BandPair, t: int, p: Partition) -> tuple[str, int, Word]:
+    """`coset_rewrite`'s t' and tail, after the case of the analysis that gives them.
 
-
-def coset_rewrite(g: BandPair, t: int, p: Partition) -> tuple[int, Word]:
-    """Rewrite g times the coset representative for t.
-
-    The representative for t in the class of n is the band letter on
-    (t, n), with t = n naming the trivial coset.  Returns the target
-    representative index t' and an explicit word `tail` over the subgroup
-    generators (pairs below n, pairs (i, n) outside the class of n, and
-    squares of pairs (i, n) inside it) with g . rep(t) = rep(t') . tail.
+    The cases name the families of `coset_table_check`.
     """
     n = p.n
     in_i = set(p.part_of(n))
@@ -433,41 +405,54 @@ def coset_rewrite(g: BandPair, t: int, p: Partition) -> tuple[int, Word]:
 
     if t == n:
         if g.j == n and g.i in in_i:
-            return g.i, ()
-        return n, ((g, 1),)
+            return "trivial", g.i, ()
+        return "trivial", n, ((g, 1),)
 
     if g.j == n:
         i = g.i
         if i == t:
-            return n, ((BandPair(t, n), 2),)
+            return "1b", n, ((BandPair(t, n), 2),)
         if i < t:
-            return t, ((BandPair(i, t), 1),)
+            return ("1a" if i in in_i else "2a"), t, ((BandPair(i, t), 1),)
         if i in in_i:
-            return t, ((BandPair(t, n), -2), (BandPair(t, i), 1), (BandPair(t, n), 2))
-        return t, ((BandPair(i, n), 1), (BandPair(t, i), 1), (BandPair(i, n), -1))
+            return "1c", t, ((BandPair(t, n), -2), (BandPair(t, i), 1), (BandPair(t, n), 2))
+        return "2c", t, ((BandPair(i, n), 1), (BandPair(t, i), 1), (BandPair(i, n), -1))
 
     a, b = g.i, g.j
     if b < t or t < a:
-        return t, ((g, 1),)
+        return "3a", t, ((g, 1),)
     if a == t:
         if b in in_i:
-            return b, ((g, 1),)
-        return t, ((BandPair(b, n), 1),)
+            return "3b", b, ((g, 1),)
+        return "3d", t, ((BandPair(b, n), 1),)
     if b == t:
         if a in in_i:
-            return a, ((BandPair(t, n), 2), (g, -1))
-        return t, ((g, 1), (BandPair(a, n), 1), (g, -1))
+            return "3c", a, ((BandPair(t, n), 2), (g, -1))
+        return "3e", t, ((g, 1), (BandPair(a, n), 1), (g, -1))
 
     # a < t < b < n: conjugate the generator clear of the representative
     if b in in_i:
+        case = "4e" if a in in_i else "4c"
         conjugator: Word = ((BandPair(b, n), 2),)
         h1: Word = ((BandPair(t, n), -2), (BandPair(t, b), 1), (BandPair(t, n), 2))
         shift: Word = h1 + h1
     else:
+        case = "4a" if a in in_i else "4d" if p.same_part(a, b) else "4b"
         conjugator = ((BandPair(b, n), 1),)
         shift = ((BandPair(b, n), 1), (BandPair(t, b), 1), (BandPair(b, n), -1))
-    tail = inv(shift) + conjugator + ((g, 1),) + inv(conjugator) + shift
-    return t, tail
+    return case, t, inv(shift) + conjugator + ((g, 1),) + inv(conjugator) + shift
+
+
+def coset_rewrite(g: BandPair, t: int, p: Partition) -> tuple[int, Word]:
+    """Rewrite g times the coset representative for t.
+
+    The representative for t in the class of n is the band letter on
+    (t, n), with t = n naming the trivial coset.  Returns the target
+    representative index t' and an explicit word `tail` over the subgroup
+    generators (pairs below n, pairs (i, n) outside the class of n, and
+    squares of pairs (i, n) inside it) with g . rep(t) = rep(t') . tail.
+    """
+    return _coset_rewrite(g, t, p)[1:]
 
 
 def coset_table_check(p: Partition) -> RunReport:
@@ -486,10 +471,10 @@ def coset_table_check(p: Partition) -> RunReport:
     decider = BandWordDecider(matrix)
     for g in bands:
         for t in reps:
-            t2, tail = coset_rewrite(g, t, p)
+            case, t2, tail = _coset_rewrite(g, t, p)
             lhs: Word = ((g, 1),) + (((BandPair(t, n), 1),) if t != n else ())
             rhs: Word = (((BandPair(t2, n), 1),) if t2 != n else ()) + tail
-            family = f"case.{_coset_case(g, t, p)}"
+            family = f"case.{case}"
             equal = decider.equal(lhs, rhs)
             discriminant = decider.permutation(lhs)[n - 1]
             if equal and discriminant == t2:

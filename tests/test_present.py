@@ -7,6 +7,7 @@ import pytest
 
 from bandgroup.braid import (
     ArtinWord,
+    _relabel,
     band_to_artin,
     braid_equal,
     left_normal_form,
@@ -24,6 +25,8 @@ from bandgroup.coxeter import (
 from bandgroup.present import (
     BandWordDecider,
     Relation,
+    _coset_rewrite,
+    _syllables,
     assemble_block_matrix,
     block_product_check,
     coset_rewrite,
@@ -241,7 +244,7 @@ class TestBandWordDecider:
                     yield coset_table_check(p)
                 for p in set_partitions(n - 1) if n > 1 else ():
                     matrix = partition_to_matrix(p.with_singleton())
-                    yield verify_relations(relations_combing(p, n), matrix)
+                    yield verify_relations(relations_combing(p), matrix)
 
         def decisions(report):
             """The report without the oracle's counters, which tell the two routes apart."""
@@ -335,10 +338,11 @@ class TestBandWordDecider:
 
     def test_coset_failure_carries_witness(self, monkeypatch):
         def wrong_rewrite(g, t, p):
+            case, t2, tail = _coset_rewrite(g, t, p)
             # claims that b1.3 passes the representative b2.3 unchanged
-            return (t, ((g, 1),)) if (g, t) == (bp(1, 3), 2) else coset_rewrite(g, t, p)
+            return (case, t, ((g, 1),)) if (g, t) == (bp(1, 3), 2) else (case, t2, tail)
 
-        monkeypatch.setattr("bandgroup.present.coset_rewrite", wrong_rewrite)
+        monkeypatch.setattr("bandgroup.present._coset_rewrite", wrong_rewrite)
         report = coset_table_check(Partition.single_block(3))
         [failure] = report.failures
         assert failure.indices == (1, 3, 2)
@@ -348,7 +352,7 @@ class TestBandWordDecider:
 
 class TestCombing:
     def test_instance_shapes(self):
-        rels = relations_combing(Partition.singletons(3), 4)
+        rels = relations_combing(Partition.singletons(3))
         by_label = {}
         for r in rels:
             by_label.setdefault(r.label, []).append(r)
@@ -363,18 +367,14 @@ class TestCombing:
         assert "combing.derived.7" not in by_label
 
     def test_case7_fires_with_merged_outer_pair(self):
-        rels = relations_combing(Partition.of(3, [[1, 3], [2]]), 4)
+        rels = relations_combing(Partition.of(3, [[1, 3], [2]]))
         assert "combing.derived.7" in labels(rels)
-
-    def test_strand_count_checked(self):
-        with pytest.raises(ValueError):
-            next(relations_combing(Partition.singletons(3), 5))
 
     def test_all_partitions_verify_up_to_4_strands(self):
         for n in range(2, 5):
             for p_prime in set_partitions(n - 1):
                 matrix = partition_to_matrix(p_prime.with_singleton())
-                assert verify_relations(relations_combing(p_prime, n), matrix).ok
+                assert verify_relations(relations_combing(p_prime), matrix).ok
 
 
 class TestSec4:
@@ -620,3 +620,47 @@ class TestStreamDigests:
                      for p in set_partitions(n) for f in coset_table_check(p).failures]
             out[f"cosets {n}"] = hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
         assert out == self.PINNED
+
+
+class TestLocality:
+    """A partition-type relation depends only on the partition on its strands.
+
+    Keyed on its pair of syllable words relabelled onto the strands it
+    touches (`braid._relabel`), each family's set of relations stops growing
+    at four strands (combing: at three points under the new strand).
+    """
+
+    @staticmethod
+    def _keys(rels, matrix):
+        return {_relabel(_syllables(r.lhs, matrix), _syllables(r.rhs, matrix)) for r in rels}
+
+    def test_relabelled_keys_stop_growing(self):
+        families = {
+            "thm2": (relations_thm2, lambda p: p, (10, 22, 22, 22)),
+            "rederivations": (relations_thm2_rederivations, lambda p: p, (12, 24, 24, 24)),
+            "combing": (relations_combing, Partition.with_singleton, (20, 20, 20, 20)),
+        }
+        for name, (family, extended, counts) in families.items():
+            keys = {}
+            for n in range(3, 7):
+                keys[n] = set()
+                for p in set_partitions(n):
+                    keys[n] |= self._keys(family(p), partition_to_matrix(extended(p)))
+            assert tuple(len(keys[n]) for n in range(3, 7)) == counts, name
+            assert keys[5] == keys[4] and keys[6] == keys[4], name
+
+    def test_coset_rewrite_reads_only_its_strands(self):
+        # every strand outside {g.i, g.j, t, n} made a singleton changes nothing
+        cases = 0
+        for n in range(1, 7):
+            for p in set_partitions(n):
+                for i, j in itertools.combinations(range(1, n + 1), 2):
+                    for t in p.part_of(n):
+                        keep = {i, j, t, n}
+                        kept = [[x for x in part if x in keep] for part in p.parts]
+                        local = Partition.of(n, [part for part in kept if part]
+                                             + [[x] for x in range(1, n + 1) if x not in keep])
+                        g = bp(i, j)
+                        assert _coset_rewrite(g, t, local) == _coset_rewrite(g, t, p), (p, g, t)
+                        cases += 1
+        assert cases == 8275
