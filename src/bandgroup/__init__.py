@@ -14,7 +14,6 @@ from .coxeter import (
     ScopeError,
     commutes_in_brn,
     crossing,
-    matrix_to_partition,
     partition_to_matrix,
     set_partitions,
 )
@@ -23,11 +22,9 @@ from .braid import (
     FreeWord,
     ImageLimitError,
     Permutation,
-    artin_action_on_free,
     band_to_artin,
     braid_equal,
     free_image,
-    format_braid_word,
     left_normal_form,
     parse_braid_word,
     permutation_image,
@@ -36,8 +33,6 @@ from .coxword import (
     CoxWord,
     JkFactorization,
     act_band_on_cox,
-    apply_artin_to_cox,
-    band_power_letter_action,
     check_prop7,
     check_prop_trans,
     has_long_subword,
@@ -46,24 +41,18 @@ from .coxword import (
     jk_factorize,
     reduce_cox,
 )
-from .hurwitz import GroupContext, GroupTuple, hurwitz_apply, hurwitz_step, stabilizes
+from .hurwitz import GroupContext, GroupTuple, hurwitz_apply
 from .raag import (
     RaagExpression,
-    apply_type1,
-    apply_type2,
     canonical_expressions,
     ends_in,
-    ends_in_witness,
     expression_to_braid,
     injectivity_scan,
-    is_reduced,
     normalize,
-    parse_expression,
 )
 from .present import (
     Relation,
     block_product_check,
-    coset_rewrite,
     coset_table_check,
     export_presentation,
     relations_combing,
@@ -92,11 +81,6 @@ __all__ = [
     "RunReport",
     "ScopeError",
     "act_band_on_cox",
-    "apply_artin_to_cox",
-    "apply_type1",
-    "apply_type2",
-    "artin_action_on_free",
-    "band_power_letter_action",
     "band_to_artin",
     "block_product_check",
     "braid_equal",
@@ -104,28 +88,21 @@ __all__ = [
     "check_prop7",
     "check_prop_trans",
     "commutes_in_brn",
-    "coset_rewrite",
     "coset_table_check",
     "crossing",
     "ends_in",
-    "ends_in_witness",
     "export_presentation",
     "expression_to_braid",
-    "format_braid_word",
     "free_image",
     "has_long_subword",
     "hurwitz_apply",
-    "hurwitz_step",
     "injectivity_scan",
     "is_critical",
     "is_long",
-    "is_reduced",
     "jk_factorize",
     "left_normal_form",
-    "matrix_to_partition",
     "normalize",
     "parse_braid_word",
-    "parse_expression",
     "partition_to_matrix",
     "permutation_image",
     "reduce_cox",
@@ -135,6 +112,5 @@ __all__ = [
     "relations_thm2",
     "relations_thm2_rederivations",
     "set_partitions",
-    "stabilizes",
     "verify_relations",
 ]

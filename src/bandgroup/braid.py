@@ -15,10 +15,9 @@ letter is one syllable.  A syllable rebuilds only the images of t_i ..
 t_j in one closed-form step, as reduced products of images already built,
 and letters cancel only where two factors meet.  That step is the Hurwitz
 move (a, b) -> (a b a^-1, a) of all the band's Artin letters at once, and
-one kernel, `_act`, runs it for the free action here, for the Hurwitz
-action of `hurwitz` on tuples of free or universal Coxeter words, and,
-through `_free_images`, for `coxword.apply_artin_to_cox`.  The band-power
-action on Coxeter words that the injectivity scan folds,
+one kernel, `_act`, runs it for the free action here and for the Hurwitz
+action of `hurwitz` on tuples of free or universal Coxeter words.  The
+band-power action on Coxeter words that the injectivity scan folds,
 `coxword._act_band`, is a closed form of its own on the same encoding:
 each letter's image is a slice of c = (s_j s_k)^m and of c^-1, and the
 images meet through `_cancel`.  Routed through `_act` with `_SELF`, the
@@ -160,12 +159,12 @@ class FreeWord:
 
 # Letter indices the byte encoding holds, hence strands of the free action.
 MAX_STRANDS = 127
-# Letters allowed in any one word the kernel builds for `free_image`,
-# `artin_action_on_free` and the Hurwitz action.  Images grow exponentially
-# with word length.  At one byte per letter a word stays within 16 MiB and a
-# query within a few such words, and a word too long for the action stops
-# early instead of running for minutes.  A `BraidDecider` keeps no more
-# letters of images for the sides that recur.
+# Letters allowed in any one word the kernel builds for `free_image` and the
+# Hurwitz action.  Images grow exponentially with word length.  At one byte
+# per letter a word stays within 16 MiB and a query within a few such words,
+# and a word too long for the action stops early instead of running for
+# minutes.  A `BraidDecider` keeps no more letters of images for the sides
+# that recur.
 MAX_IMAGE_LETTERS = 1 << 24
 # Letters a free image may reach inside `braid_equal` before the query is
 # handed to the normal form.  Images of the short words the verifier and
@@ -394,11 +393,6 @@ def free_image(w: ArtinWord, i: int) -> FreeWord:
     if not 1 <= i <= w.n:
         raise ValueError(f"free generator index {i} outside 1..{w.n}")
     return FreeWord(_decode(_free_images(w, MAX_IMAGE_LETTERS)[i - 1]))
-
-
-def artin_action_on_free(w: ArtinWord) -> tuple[FreeWord, ...]:
-    """The images of (t_1, .., t_n) under the right action of w."""
-    return tuple(FreeWord(_decode(img)) for img in _free_images(w, MAX_IMAGE_LETTERS))
 
 
 def _relabel(u: tuple, v: tuple) -> tuple[int, tuple, tuple]:
@@ -895,22 +889,6 @@ def parse_braid_word(text: str, n: int) -> ArtinWord:
         else:
             letters += ArtinWord.generator(n, i, 1 if e >= 0 else -1).letters * abs(e)
     return ArtinWord(n, tuple(letters))
-
-
-def format_braid_word(w: ArtinWord) -> str:
-    """Render as s-tokens, collapsing runs of one letter into powers."""
-    parts: list[str] = []
-    idx = 0
-    letters = w.letters
-    while idx < len(letters):
-        k, s = letters[idx]
-        run = 1
-        while idx + run < len(letters) and letters[idx + run] == (k, s):
-            run += 1
-        token = f"s{k}" + ("'" if s < 0 else "")
-        parts.append(token if run == 1 else f"{token}^{run}")
-        idx += run
-    return " ".join(parts)
 
 
 _FREE_TOKEN = re.compile(r"^t(\d+)('?)(?:\^(-?\d+))?$")

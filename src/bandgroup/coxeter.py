@@ -8,7 +8,6 @@ the Coxeter-group literature.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -132,14 +131,6 @@ class CoxeterDatum:
             for b in range(a + 1, self.n)
         )
 
-    def is_partition_type(self) -> bool:
-        """Entries all 1 or 2, with the 1-entries forming a transitive relation."""
-        try:
-            matrix_to_partition(self)
-        except ValueError:
-            return False
-        return True
-
     def band_pairs(self) -> list[BandPair]:
         """All pairs with a nonzero exponent, in lexicographic order."""
         return [
@@ -248,42 +239,6 @@ def partition_to_matrix(p: Partition) -> CoxeterDatum:
         for a in range(p.n)
     ]
     return CoxeterDatum.from_rows(rows)
-
-
-def matrix_to_partition(m: CoxeterDatum) -> Partition:
-    """Recover the partition whose classes are linked by entries equal to 1.
-
-    Inverse of partition_to_matrix.  Rejects matrices with entries outside
-    {1, 2} or whose 1-entries are not transitive, naming the witness.
-    """
-    n = m.n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if m.m[a][b] not in (1, 2):
-                raise ValueError(
-                    f"entry m[{a + 1}][{b + 1}] = {m.m[a][b]} is not 1 or 2"
-                )
-    for i, j, k in itertools.combinations(range(n), 3):
-        trips = [(i, j, k), (j, k, i), (k, i, j)]
-        for a, b, c in trips:
-            if m.m[a][b] == 1 and m.m[b][c] == 1 and m.m[a][c] == 2:
-                raise ValueError(
-                    f"transitivity fails: m[{a + 1}][{b + 1}] = m[{b + 1}][{c + 1}] = 1 "
-                    f"but m[{a + 1}][{c + 1}] = 2"
-                )
-    parts: list[list[int]] = []
-    assigned: dict[int, int] = {}
-    for x in range(1, n + 1):
-        if x in assigned:
-            continue
-        block = [x]
-        assigned[x] = len(parts)
-        for y in range(x + 1, n + 1):
-            if m.entry_at(x, y) == 1:
-                block.append(y)
-                assigned[y] = len(parts)
-        parts.append(block)
-    return Partition.of(n, parts)
 
 
 # -- JSON file formats consumed by the command line tool ---------------------

@@ -3,16 +3,17 @@
 Elements of the universal Coxeter group (involutive generators, no other
 relations) are represented by words with no two equal adjacent letters.
 Everything here is about how powers of a band act on such words: the closed
-form of the action on a single letter, the factorization of a word into
-maximal blocks over a two-letter subalphabet, and the executable checks
-that blocks marked "critical" grow under the action while the block pattern
-is preserved.
+form of the action, the factorization of a word into maximal blocks over a
+two-letter subalphabet, and the executable checks that blocks marked
+"critical" grow under the action while the block pattern is preserved.
 
 The action itself, `_act_band`, runs on the `bytes` encoding of the braid
 kernel, letter s_i as the byte 128 + i and its own inverse, so letter
 indices go up to MAX_STRANDS.  The injectivity scan calls it on encoded
 words directly; `act_band_on_cox` encodes a `CoxWord` for it and checks
-the result back in.
+the result back in.  It is the one implementation of the action: the
+braid's free action pushed through the quotient t_i -> s_i, the route it
+is a closed form of, serves only as the tests' referee.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .braid import _SELF, MAX_IMAGE_LETTERS, MAX_STRANDS, ArtinWord, _cancel, _decode, _encode
-from .braid import _free_images, _too_long
+from .braid import _SELF, MAX_IMAGE_LETTERS, MAX_STRANDS, _cancel, _decode, _encode, _too_long
 from .coxeter import BandPair, commutes_in_brn, crossing
 
 
@@ -159,11 +159,6 @@ def is_critical(f: JkFactorization, nu: int) -> bool:
     return crossing(BandPair.of(left, right), BandPair.of(f.j, f.k))
 
 
-def band_power_letter_action(i: int, tau: BandPair, m: int) -> CoxWord:
-    """Image of the letter s_i under the m-th band power; see act_band_on_cox."""
-    return act_band_on_cox(CoxWord.single(i), tau, m)
-
-
 def act_band_on_cox(w: CoxWord, tau: BandPair, m: int, limit: int = MAX_IMAGE_LETTERS) -> CoxWord:
     """Image of a word under the m-th power of the band on tau.
 
@@ -253,24 +248,6 @@ def _act_band(w: bytes, j: int, k: int, m: int, limit: int,
         if len(out) > limit:
             raise _too_long(limit)
     return bytes(out)
-
-
-def apply_artin_to_cox(w: CoxWord, braid: ArtinWord) -> CoxWord:
-    """Act on a word through the free action and the quotient t_i -> s_i.
-
-    A letter s_x with x <= braid.n goes to the free image of t_x with its
-    signs dropped; letters above braid.n are fixed.  The concatenation is
-    then reduced.  sigma_k thus substitutes s_k -> s_k s_{k+1} s_k and
-    s_{k+1} -> s_k, composing left to right along the braid word.
-    """
-    images = _free_images(braid, MAX_IMAGE_LETTERS)
-    out: list[int] = []
-    for x in w.letters:
-        if x <= braid.n:
-            out.extend(map(abs, _decode(images[x - 1])))
-        else:
-            out.append(x)
-    return reduce_cox(out)
 
 
 def has_long_subword(w: CoxWord, j: int, k: int) -> bool:

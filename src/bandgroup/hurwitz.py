@@ -23,10 +23,8 @@ from .coxword import CoxWord
 __all__ = [
     "GroupContext",
     "GroupTuple",
-    "hurwitz_step",
     "hurwitz_apply",
     "render_action",
-    "stabilizes",
 ]
 
 FREE = "free"
@@ -141,19 +139,6 @@ def hurwitz_apply(tup: GroupTuple, w: ArtinWord) -> GroupTuple:
         return GroupTuple(tup.context, tuple(Permutation(x) for x in entries))
     word_type = _WORDS[tup.context.kind][0]
     return GroupTuple(tup.context, tuple(word_type(_decode(x)) for x in entries))
-
-
-def hurwitz_step(tup: GroupTuple, j: int, sign: int) -> GroupTuple:
-    """One elementary twist at position j (1 <= j <= n-1)."""
-    n = tup.context.n
-    if not 1 <= j <= n - 1:
-        raise IndexError(f"position {j} outside 1..{n - 1}")
-    return hurwitz_apply(tup, ArtinWord(n, ((j, sign),)))
-
-
-def stabilizes(tup: GroupTuple, w: ArtinWord) -> bool:
-    """Whether the tuple returns to itself entrywise under the word."""
-    return _act_on(tup, w) == _encoded(tup)
 
 
 def render_action(tup: GroupTuple, w: ArtinWord) -> tuple[list[str], bool]:

@@ -389,9 +389,14 @@ def verify_relations(
 
 
 def _coset_rewrite(g: BandPair, t: int, p: Partition) -> tuple[str, int, Word]:
-    """`coset_rewrite`'s t' and tail, after the case of the analysis that gives them.
+    """Rewrite g times the coset representative for t, naming the case used.
 
-    The cases name the families of `coset_table_check`.
+    The representative for t in the class of n is the band letter on
+    (t, n), with t = n naming the trivial coset.  Returns the case of the
+    analysis, which names a family of `coset_table_check`, the target
+    representative index t' and an explicit word `tail` over the subgroup
+    generators (pairs below n, pairs (i, n) outside the class of n, and
+    squares of pairs (i, n) inside it) with g . rep(t) = rep(t') . tail.
     """
     n = p.n
     in_i = set(p.part_of(n))
@@ -441,18 +446,6 @@ def _coset_rewrite(g: BandPair, t: int, p: Partition) -> tuple[str, int, Word]:
         conjugator = ((BandPair(b, n), 1),)
         shift = ((BandPair(b, n), 1), (BandPair(t, b), 1), (BandPair(b, n), -1))
     return case, t, inv(shift) + conjugator + ((g, 1),) + inv(conjugator) + shift
-
-
-def coset_rewrite(g: BandPair, t: int, p: Partition) -> tuple[int, Word]:
-    """Rewrite g times the coset representative for t.
-
-    The representative for t in the class of n is the band letter on
-    (t, n), with t = n naming the trivial coset.  Returns the target
-    representative index t' and an explicit word `tail` over the subgroup
-    generators (pairs below n, pairs (i, n) outside the class of n, and
-    squares of pairs (i, n) inside it) with g . rep(t) = rep(t') . tail.
-    """
-    return _coset_rewrite(g, t, p)[1:]
 
 
 def coset_table_check(p: Partition) -> RunReport:

@@ -27,7 +27,6 @@ the rest are counted from the parent's masks.
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -95,34 +94,6 @@ class RaagExpression:
         return format_expression(self)
 
 
-def apply_type1(w: RaagExpression, i: int) -> RaagExpression:
-    """Merge factors i and i+1 (0-based), which must share their base.
-
-    The exponents add; a zero sum deletes both factors.
-    """
-    f = w.factors
-    if not 0 <= i < len(f) - 1:
-        raise IndexError(f"position {i} has no right neighbour")
-    (base_a, pa), (base_b, pb) = f[i], f[i + 1]
-    if base_a != base_b:
-        raise ValueError(f"bases {base_a} and {base_b} differ at position {i}")
-    if pa + pb == 0:
-        return RaagExpression(f[:i] + f[i + 2:])
-    return RaagExpression(f[:i] + ((base_a, pa + pb),) + f[i + 2:])
-
-
-def apply_type2(w: RaagExpression, i: int) -> RaagExpression:
-    """Swap factors i and i+1 (0-based), whose bases must commute."""
-    f = w.factors
-    if not 0 <= i < len(f) - 1:
-        raise IndexError(f"position {i} has no right neighbour")
-    if not commutes_in_brn(f[i][0], f[i + 1][0]):
-        raise ValueError(
-            f"bases {f[i][0]} and {f[i + 1][0]} do not commute (linked or crossing)"
-        )
-    return RaagExpression(f[:i] + (f[i + 1], f[i]) + f[i + 2:])
-
-
 def _pile(factors: Iterable[Factor]) -> list[list]:
     """Greedy left piling: push each factor past commuting ones and merge.
 
@@ -175,11 +146,6 @@ def normalize(w: RaagExpression) -> RaagExpression:
     return RaagExpression(tuple(out))
 
 
-def is_reduced(w: RaagExpression) -> bool:
-    """Whether no sequence of elementary moves shortens the expression."""
-    return len(normalize(w)) == len(w)
-
-
 def ends_in(w: RaagExpression, tau: BandPair) -> bool:
     """Whether type II moves alone can put a factor with base tau last.
 
@@ -194,17 +160,6 @@ def ends_in(w: RaagExpression, tau: BandPair) -> bool:
                 for later in range(idx + 1, len(w.factors))
             )
     return False
-
-
-def ends_in_witness(w: RaagExpression, tau: BandPair) -> RaagExpression | None:
-    """A type II rearrangement of w ending in tau, or None."""
-    if not ends_in(w, tau):
-        return None
-    for idx in range(len(w.factors) - 1, -1, -1):
-        if w.factors[idx][0] == tau:
-            f = w.factors
-            return RaagExpression(f[:idx] + f[idx + 1:] + (f[idx],))
-    return None
 
 
 def expression_to_braid(w: RaagExpression, matrix: CoxeterDatum) -> ArtinWord:
@@ -514,20 +469,6 @@ def injectivity_scan(
 
 
 # -- textual syntax -----------------------------------------------------------
-
-_EXPR_TOKEN = re.compile(r"^b(\d+)\.(\d+)(?:\^(-?\d+))?$")
-
-
-def parse_expression(text: str) -> RaagExpression:
-    """Parse whitespace-separated `b<i>.<j>^<p>` tokens (power defaults to 1)."""
-    factors: list[Factor] = []
-    for token in text.split():
-        m = _EXPR_TOKEN.match(token)
-        if not m:
-            raise ValueError(f"cannot parse expression token {token!r}")
-        i, j, p = m.groups()
-        factors.append((BandPair(int(i), int(j)), int(p) if p is not None else 1))
-    return RaagExpression(tuple(factors))
 
 
 def format_expression(w: RaagExpression) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from bandgroup.coxeter import BandPair, CoxeterDatum
-from bandgroup.braid import MAX_IMAGE_LETTERS, _too_long
+from bandgroup.braid import MAX_IMAGE_LETTERS, ArtinWord, _too_long
 from bandgroup.coxword import CoxWord
 from bandgroup.present import BandWordDecider
 from bandgroup.raag import RaagExpression, _table_letters, ends_in, normalize
@@ -173,6 +173,25 @@ def referee_free_image(letters, i: int) -> tuple[int, ...]:
     for k, sign in letters:
         word = substitute_artin_letter(word, k, sign)
     return tuple(word)
+
+
+def referee_apply_artin_to_cox(w: CoxWord, braid: ArtinWord) -> CoxWord:
+    """Act on a word through the free action and the quotient t_i -> s_i.
+
+    A letter s_x with x <= braid.n goes to the free image of t_x, built
+    letter by letter, with its signs dropped; letters above braid.n are
+    fixed.  The concatenation is then reduced.  sigma_k thus substitutes
+    s_k -> s_k s_{k+1} s_k and s_{k+1} -> s_k, composing left to right
+    along the braid word.  This is the route `coxword.act_band_on_cox` is
+    a closed form of.
+    """
+    out: list[int] = []
+    for x in w.letters:
+        if x <= braid.n:
+            out.extend(map(abs, referee_free_image(braid.letters, x)))
+        else:
+            out.append(x)
+    return CoxWord(tuple(reduce_word(out, involutive=True)))
 
 
 def referee_braid_equal(n: int, u_letters, v_letters) -> bool:

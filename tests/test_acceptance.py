@@ -23,8 +23,7 @@ from bandgroup.coxeter import (
 )
 from bandgroup.coxword import (
     CoxWord,
-    apply_artin_to_cox,
-    band_power_letter_action,
+    act_band_on_cox,
     check_prop7,
     check_prop_trans,
     has_long_subword,
@@ -85,8 +84,8 @@ def test_criterion_2_closed_form_matches_letterwise_action():
             for m in range(-4, 5):
                 power = band ** m
                 for letter in range(1, n + 1):
-                    closed = band_power_letter_action(letter, tau, m)
-                    letterwise = apply_artin_to_cox(CoxWord.single(letter), power)
+                    closed = act_band_on_cox(CoxWord.single(letter), tau, m)
+                    letterwise = oracles.referee_apply_artin_to_cox(CoxWord.single(letter), power)
                     assert closed == letterwise
                     instances += 1
     report_line(2, f"closed-form letter action agrees on {instances} instances")

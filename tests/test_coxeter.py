@@ -10,11 +10,18 @@ from bandgroup.coxeter import (
     commutes_in_brn,
     crossing,
     matrix_from_json,
-    matrix_to_partition,
     partition_from_json,
     partition_to_matrix,
     set_partitions,
 )
+
+
+def parts_joined_by_one(m):
+    """The strands of m grouped by entries equal to 1, a part per strand."""
+    return {
+        tuple(b for b in range(1, m.n + 1) if b == a or m.entry_at(a, b) == 1)
+        for a in range(1, m.n + 1)
+    }
 
 
 def bp(a, b):
@@ -132,27 +139,11 @@ class TestPartitionMatrixBijection:
             full.entry_at(i, j) == 1 for i, j in itertools.combinations(range(1, 4), 2)
         )
 
-    def test_matrix_to_partition_examples(self):
-        m = CoxeterDatum.from_entries(3, {(1, 2): 1, (1, 3): 2, (2, 3): 2})
-        assert matrix_to_partition(m) == Partition.of(3, [[1, 2], [3]])
-        assert matrix_to_partition(CoxeterDatum.constant(3, 2)) == Partition.singletons(3)
-
-    def test_transitivity_violation_reported(self):
-        bad = CoxeterDatum.from_entries(3, {(1, 2): 1, (2, 3): 1, (1, 3): 2})
-        with pytest.raises(ValueError, match="transitivity"):
-            matrix_to_partition(bad)
-
-    def test_entry_out_of_range_reported(self):
-        bad = CoxeterDatum.constant(3, 3)
-        with pytest.raises(ValueError, match="not 1 or 2"):
-            matrix_to_partition(bad)
-
     def test_round_trips_all_partitions_up_to_5(self):
+        # the matrix keeps the whole partition: its 1-entries give the parts back
         for n in range(1, 6):
             for p in set_partitions(n):
-                m = partition_to_matrix(p)
-                assert m.is_partition_type()
-                assert matrix_to_partition(m) == p
+                assert Partition.of(n, parts_joined_by_one(partition_to_matrix(p))) == p
 
     @given(st.integers(min_value=1, max_value=6), st.data())
     def test_matrix_round_trip_random(self, n, data):
@@ -163,4 +154,4 @@ class TestPartitionMatrixBijection:
         for idx, b in enumerate(code):
             blocks.setdefault(b, []).append(idx + 1)
         p = Partition.of(n, blocks.values())
-        assert matrix_to_partition(partition_to_matrix(p)) == p
+        assert Partition.of(n, parts_joined_by_one(partition_to_matrix(p))) == p

@@ -6,21 +6,16 @@ import pytest
 import bandgroup.raag as raag
 from bandgroup.braid import ArtinWord, ImageLimitError, band_to_artin, braid_equal
 from bandgroup.coxeter import BandPair, CoxeterDatum, commutes_in_brn
-from bandgroup.coxword import CoxWord, act_band_on_cox, apply_artin_to_cox, long_pairs
+from bandgroup.coxword import CoxWord, act_band_on_cox, long_pairs
 from bandgroup.present import BandWordDecider
 from bandgroup.raag import (
     RaagExpression,
-    apply_type1,
-    apply_type2,
     canonical_expressions,
     ends_in,
-    ends_in_witness,
     expression_to_braid,
     format_expression,
     injectivity_scan,
-    is_reduced,
     normalize,
-    parse_expression,
 )
 
 import oracles
@@ -28,9 +23,11 @@ from oracles import (
     bfs_min_length,
     orbit_end_bases,
     reduced_class_count,
+    referee_apply_artin_to_cox,
     referee_canonical_expressions,
     referee_injectivity_scan,
-    type2_orbit,
+    type1_moves,
+    type2_moves,
 )
 
 
@@ -40,6 +37,10 @@ def expr(*factors):
 
 def encode(w):
     return tuple((base.i, base.j, p) for base, p in w.factors)
+
+
+def decode(state):
+    return RaagExpression(tuple((BandPair(i, j), p) for i, j, p in state))
 
 
 def random_expression(rng, bases, max_len, max_exp):
@@ -76,32 +77,31 @@ WALKS = [
 
 
 class TestElementaryMoves:
+    """The referee's moves, which the type II invariance property below applies."""
+
     def test_type1_cancel(self):
-        assert apply_type1(expr(((1, 2), 2), ((1, 2), -2)), 0) == expr()
+        assert type1_moves(encode(expr(((1, 2), 2), ((1, 2), -2)))) == [()]
 
     def test_type1_merge(self):
-        assert apply_type1(expr(((1, 2), 1), ((1, 2), 1)), 0) == expr(((1, 2), 2))
+        assert type1_moves(encode(expr(((1, 2), 1), ((1, 2), 1)))) == [encode(expr(((1, 2), 2)))]
 
     def test_type1_needs_equal_bases(self):
-        with pytest.raises(ValueError):
-            apply_type1(expr(((1, 2), 1), ((1, 3), 1)), 0)
+        assert type1_moves(encode(expr(((1, 2), 1), ((1, 3), 1)))) == []
 
     def test_type2_swap(self):
-        assert apply_type2(expr(((1, 2), 1), ((3, 4), 1)), 0) == expr(
-            ((3, 4), 1), ((1, 2), 1)
-        )
+        assert type2_moves(encode(expr(((1, 2), 1), ((3, 4), 1)))) == [
+            encode(expr(((3, 4), 1), ((1, 2), 1)))
+        ]
 
     def test_type2_rejects_crossing(self):
-        with pytest.raises(ValueError):
-            apply_type2(expr(((1, 3), 1), ((2, 4), 1)), 0)
+        assert type2_moves(encode(expr(((1, 3), 1), ((2, 4), 1)))) == []
 
     def test_type2_rejects_linked(self):
-        with pytest.raises(ValueError):
-            apply_type2(expr(((1, 2), 1), ((1, 3), 1)), 0)
+        assert type2_moves(encode(expr(((1, 2), 1), ((1, 3), 1)))) == []
 
     def test_position_bounds(self):
-        with pytest.raises(IndexError):
-            apply_type1(expr(((1, 2), 1)), 0)
+        one = encode(expr(((1, 2), 1)))
+        assert type1_moves(one) == [] and type2_moves(one) == []
 
     def test_zero_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -126,15 +126,11 @@ class TestNormalize:
         done = 0
         while done < 60:
             w = random_expression(rng, ALL_BASES_4, 5, 2)
-            spots = [
-                i
-                for i in range(len(w) - 1)
-                if commutes_in_brn(w.factors[i][0], w.factors[i + 1][0])
-            ]
-            if not spots:
+            swaps = type2_moves(encode(w))
+            if not swaps:
                 continue
             done += 1
-            assert normalize(apply_type2(w, rng.choice(spots))) == normalize(w)
+            assert normalize(decode(rng.choice(swaps))) == normalize(w)
 
     def test_minimal_length_small_range(self):
         bases = [BandPair(i, j) for i, j in itertools.combinations(range(1, 4), 2)]
@@ -143,10 +139,6 @@ class TestNormalize:
         ):
             w = RaagExpression(tuple(state))
             assert len(normalize(w)) == bfs_min_length(encode(w))
-
-    def test_is_reduced(self):
-        assert is_reduced(expr(((1, 2), 1), ((1, 3), 1)))
-        assert not is_reduced(expr(((1, 2), 1), ((1, 2), -1)))
 
 
 class TestEndsIn:
@@ -168,13 +160,6 @@ class TestEndsIn:
             expected = orbit_end_bases(encode(w))
             for tau in ALL_BASES_4:
                 assert ends_in(w, tau) == (tau.indices() in expected)
-
-    def test_witness(self):
-        w = expr(((1, 2), 1), ((3, 4), 2))
-        witness = ends_in_witness(w, BandPair(1, 2))
-        assert witness.factors[-1][0] == BandPair(1, 2)
-        assert encode(witness) in type2_orbit(encode(w))
-        assert ends_in_witness(w, BandPair(1, 3)) is None
 
 
 class TestExpressionToBraid:
@@ -348,7 +333,8 @@ class TestIncrementalScan:
                 w = random_expression(rng, bases, 3, 2)
                 braid = expression_to_braid(w, matrix)
                 for i in range(1, 5):
-                    assert fold(w, i, matrix) == apply_artin_to_cox(CoxWord.single(i), braid)
+                    letterwise = referee_apply_artin_to_cox(CoxWord.single(i), braid)
+                    assert fold(w, i, matrix) == letterwise
 
     @pytest.mark.parametrize(
         "matrix, max_len, max_exp", WALKS + [(CoxeterDatum.constant(6, 3), 2, 1)]
@@ -577,13 +563,7 @@ class TestProp9SpotCheck:
 
 
 class TestSyntax:
-    def test_parse_and_format(self):
-        w = parse_expression("b1.2 b3.4^-2 b1.3^1")
-        assert w == expr(((1, 2), 1), ((3, 4), -2), ((1, 3), 1))
+    def test_format(self):
+        w = expr(((1, 2), 1), ((3, 4), -2), ((1, 3), 1))
         assert format_expression(w) == "b1.2 b3.4^-2 b1.3"
-        assert parse_expression(format_expression(w)) == w
         assert format_expression(expr()) == "1"
-
-    def test_parse_rejects_zero_power(self):
-        with pytest.raises(ValueError):
-            parse_expression("b1.2^0")
