@@ -72,10 +72,6 @@ class ArtinWord:
                 raise ValueError(f"sign must be +1 or -1, got {s}")
 
     @staticmethod
-    def identity(n: int) -> ArtinWord:
-        return ArtinWord(n, ())
-
-    @staticmethod
     def generator(n: int, k: int, sign: int = 1) -> ArtinWord:
         return ArtinWord(n, ((k, sign),))
 
@@ -478,10 +474,6 @@ class BraidDecider:
                 "oracle_peak_letters": self.peak_letters, "oracle_distinct": self.distinct,
                 "oracle_perm_rejections": self.perm_rejections}
 
-    def permutation(self, word: tuple) -> list[int]:
-        """The images of 1 .. n under the permutation of a word."""
-        return _permutation(word, self.n)
-
     def equal(self, u: tuple, v: tuple) -> bool:
         """Whether two words of syllables are the same braid.
 
@@ -751,33 +743,12 @@ class Permutation:
     def identity(d: int) -> Permutation:
         return Permutation(tuple(range(1, d + 1)))
 
-    @staticmethod
-    def transposition(d: int, a: int, b: int) -> Permutation:
-        images = list(range(1, d + 1))
-        images[a - 1], images[b - 1] = b, a
-        return Permutation(tuple(images))
-
     @property
     def degree(self) -> int:
         return len(self.images)
 
     def __call__(self, x: int) -> int:
         return self.images[x - 1]
-
-    def after(self, inner: Permutation) -> Permutation:
-        """Functional composition: (self.after(inner))(x) = self(inner(x))."""
-        if self.degree != inner.degree:
-            raise ValueError("degrees differ")
-        return Permutation(tuple(self.images[y - 1] for y in inner.images))
-
-    def inverse(self) -> Permutation:
-        images = [0] * self.degree
-        for x, y in enumerate(self.images, start=1):
-            images[y - 1] = x
-        return Permutation(tuple(images))
-
-    def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.images, start=1))
 
     def is_involution(self) -> bool:
         return all(self.images[y - 1] == x for x, y in enumerate(self.images, start=1))

@@ -8,6 +8,7 @@ the Coxeter-group literature.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -140,9 +141,6 @@ class CoxeterDatum:
             if self.m[a][b] != 0
         ]
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "m": [list(row) for row in self.m]}
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -164,9 +162,14 @@ class Partition:
                 if x in seen:
                     raise ValueError(f"element {x} appears in two parts")
                 seen.add(x)
-        if len(seen) != self.n:
-            missing = sorted(set(range(1, self.n + 1)) - seen)
-            raise ValueError(f"elements {missing} not covered")
+        missing = self.n - len(seen)
+        if missing:
+            # counted up from 1, so a huge n costs no more than the parts
+            first = list(itertools.islice(
+                (x for x in itertools.count(1) if x not in seen), min(missing, 10)))
+            if missing > 10:
+                raise ValueError(f"{missing} elements not covered, the first ten {first}")
+            raise ValueError(f"elements {first} not covered")
         if list(self.parts) != sorted(self.parts, key=lambda p: p[0]):
             raise ValueError("parts must be sorted by least element")
 
@@ -181,10 +184,6 @@ class Partition:
     def singletons(n: int) -> Partition:
         return Partition(n, tuple((k,) for k in range(1, n + 1)))
 
-    @staticmethod
-    def single_block(n: int) -> Partition:
-        return Partition(n, (tuple(range(1, n + 1)),))
-
     def part_of(self, x: int) -> tuple[int, ...]:
         for part in self.parts:
             if x in part:
@@ -194,19 +193,9 @@ class Partition:
     def same_part(self, a: int, b: int) -> bool:
         return b in self.part_of(a)
 
-    def induced(self) -> Partition:
-        """The partition of {1..n-1} obtained by deleting the element n."""
-        if self.n < 2:
-            raise ValueError("cannot delete from a partition of a single element")
-        parts = [tuple(x for x in part if x != self.n) for part in self.parts]
-        return Partition.of(self.n - 1, [p for p in parts if p])
-
     def with_singleton(self) -> Partition:
         """Extend to a partition of {1..n+1} where n+1 forms its own part."""
         return Partition(self.n + 1, self.parts + ((self.n + 1,),))
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "parts": [list(p) for p in self.parts]}
 
     def __str__(self) -> str:
         return "|".join(",".join(str(x) for x in p) for p in self.parts)

@@ -108,13 +108,6 @@ class JkFactorization:
         """Number of separators."""
         return len(self.separators)
 
-    def flatten(self) -> tuple[int, ...]:
-        out: list[int] = list(self.blocks[0])
-        for sep, block in zip(self.separators, self.blocks[1:]):
-            out.append(sep)
-            out.extend(block)
-        return tuple(out)
-
 
 def jk_factorize(w: CoxWord, j: int, k: int) -> JkFactorization:
     """Split w into maximal {j, k}-blocks separated by the other letters."""

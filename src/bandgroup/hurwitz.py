@@ -20,13 +20,6 @@ from .braid import _COX_TOKENS, _FREE_TOKENS, _NEG, _SELF, MAX_IMAGE_LETTERS, Ar
 from .braid import Permutation, _act, _decode, _encode, _format, _syllables
 from .coxword import CoxWord
 
-__all__ = [
-    "GroupContext",
-    "GroupTuple",
-    "hurwitz_apply",
-    "render_action",
-]
-
 FREE = "free"
 COXETER = "coxeter"
 PERMUTATION = "perm"

@@ -25,7 +25,7 @@ import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .braid import MAX_WORD_LETTERS, ArtinWord, BraidDecider, ImageLimitError, _artin
+from .braid import MAX_WORD_LETTERS, ArtinWord, BraidDecider, ImageLimitError, _artin, _permutation
 from .coxeter import (
     BandPair,
     CoxeterDatum,
@@ -104,11 +104,15 @@ class BandWordDecider:
 
     def permutation(self, word: Word) -> list[int]:
         """The images of 1 .. n under the permutation of the word's braid."""
-        return self._braids.permutation(_syllables(word, self._matrix))
+        return _permutation(_syllables(word, self._matrix), self._matrix.n)
 
     def counters(self) -> dict[str, int]:
         """The oracle's work so far: see `BraidDecider.counters`."""
         return self._braids.counters()
+
+
+def _inverse(word: Word) -> Word:
+    return tuple((pair, -e) for pair, e in reversed(word))
 
 
 def _rel(label: str, indices: tuple[int, ...], lhs: list[Letter], rhs: list[Letter]) -> Relation:
@@ -405,9 +409,6 @@ def _coset_rewrite(g: BandPair, t: int, p: Partition) -> tuple[str, int, Word]:
     if g.j > n:
         raise ValueError(f"generator {g} does not fit on {n} strands")
 
-    def inv(word: Word) -> Word:
-        return tuple((pair, -e) for pair, e in reversed(word))
-
     if t == n:
         if g.j == n and g.i in in_i:
             return "trivial", g.i, ()
@@ -445,7 +446,7 @@ def _coset_rewrite(g: BandPair, t: int, p: Partition) -> tuple[str, int, Word]:
         case = "4a" if a in in_i else "4d" if p.same_part(a, b) else "4b"
         conjugator = ((BandPair(b, n), 1),)
         shift = ((BandPair(b, n), 1), (BandPair(t, b), 1), (BandPair(b, n), -1))
-    return case, t, inv(shift) + conjugator + ((g, 1),) + inv(conjugator) + shift
+    return case, t, _inverse(shift) + conjugator + ((g, 1),) + _inverse(conjugator) + shift
 
 
 def coset_table_check(p: Partition) -> RunReport:
@@ -530,16 +531,15 @@ def export_presentation(
         def render(rel: Relation) -> str:
             return f"{format_letter_word(rel.lhs)} = {format_letter_word(rel.rhs)}"
     elif fmt == "gap-style":
-        def tokens(word: Word, invert: bool) -> list[str]:
-            src = tuple((pair, -e) for pair, e in reversed(word)) if invert else word
+        def tokens(word: Word) -> list[str]:
             out = []
-            for pair, e in src:
+            for pair, e in word:
                 name = f"B{pair}" if e < 0 else f"b{pair}"
                 out.extend([name] * abs(e))
             return out
 
         def render(rel: Relation) -> str:
-            return " ".join(tokens(rel.lhs, False) + tokens(rel.rhs, True))
+            return " ".join(tokens(rel.lhs) + tokens(_inverse(rel.rhs)))
     else:
         raise ValueError(f"unknown export format {fmt!r}")
     keyed = [((rel.label, rel.indices), render(rel)) for rel in rels]

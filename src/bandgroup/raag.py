@@ -77,18 +77,8 @@ class RaagExpression:
             if p == 0:
                 raise ValueError("exponents must be nonzero")
 
-    @staticmethod
-    def of(*factors: tuple[tuple[int, int], int]) -> RaagExpression:
-        """Convenience builder from ((i, j), p) pairs."""
-        return RaagExpression(
-            tuple((BandPair(i, j), p) for (i, j), p in factors)
-        )
-
     def __len__(self) -> int:
         return len(self.factors)
-
-    def bases(self) -> tuple[BandPair, ...]:
-        return tuple(base for base, _ in self.factors)
 
     def __str__(self) -> str:
         return format_expression(self)

@@ -30,13 +30,13 @@ class Failure:
 class RunReport:
     """Aggregated outcome of one verification or scan command.
 
-    Wall time is tracked for the human rendering but deliberately left out
-    of the JSON rendering so that identical runs produce identical bytes.
+    `families` maps each family to its [instances, passes]; the report's
+    totals are their sums.  Wall time is tracked for the human rendering
+    but deliberately left out of the JSON rendering so that identical runs
+    produce identical bytes.
     """
 
     tag: str
-    instances: int = 0
-    passes: int = 0
     failures: list[Failure] = field(default_factory=list)
     families: dict[str, list[int]] = field(default_factory=dict)
     info: dict[str, int] = field(default_factory=dict)
@@ -51,11 +51,9 @@ class RunReport:
         lhs: str = "",
         rhs: str = "",
     ) -> None:
-        self.instances += 1
         counts = self.families.setdefault(family, [0, 0])
         counts[0] += 1
         if ok:
-            self.passes += 1
             counts[1] += 1
         else:
             self.failures.append(Failure(family, indices, message, lhs, rhs))
@@ -63,11 +61,17 @@ class RunReport:
     def add_passes(self, family: str, count: int) -> None:
         """Record `count` passing instances of `family`, as that many passing `add` calls would."""
         if count:
-            self.instances += count
-            self.passes += count
             counts = self.families.setdefault(family, [0, 0])
             counts[0] += count
             counts[1] += count
+
+    @property
+    def instances(self) -> int:
+        return sum(c[0] for c in self.families.values())
+
+    @property
+    def passes(self) -> int:
+        return sum(c[1] for c in self.families.values())
 
     @property
     def ok(self) -> bool:

@@ -13,8 +13,6 @@ letter by letter through a list, which referees `coxword._act_band`.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from bandgroup.coxeter import BandPair, CoxeterDatum
 from bandgroup.braid import MAX_IMAGE_LETTERS, ArtinWord, _too_long
 from bandgroup.coxword import CoxWord

@@ -5,16 +5,27 @@
 or class in `src/bandgroup/` (the command line aside) must be called from
 somewhere else in `src/`, outside its own definition, so a helper that
 loses its last caller fails here instead of lingering as a second route.
+
+Methods are held to the same rule: every public method or property of a
+top-level class outside the command line must be read as an attribute
+somewhere in `src/` or in the acceptance criteria, outside its own
+definition.  The check goes by attribute name alone, so a method escapes
+it when a method of another class with the same name is called.
+`ArtinWord.identity`, `Permutation.inverse` and `RaagExpression.of` were
+such escapes (`Permutation.identity`, `ArtinWord.inverse` and
+`Partition.of` are called) and were deleted by hand.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import bandgroup
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bandgroup"
+CRITERIA = ROOT / "tests" / "test_acceptance.py"
 
 
 def _readme_api():
@@ -66,4 +77,28 @@ def test_every_public_definition_is_exported_or_called():
                 for name, other in trees.items()
             ):
                 unused.append(f"{module}: {node.name}")
+    assert not unused, unused
+
+
+def _attributes(node):
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def test_every_public_method_is_called():
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    read = _attributes(ast.parse(CRITERIA.read_text()))
+    for tree in trees.values():
+        read += _attributes(tree)
+    unused = []
+    for module, tree in trees.items():
+        if module == "cli.py":
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                if read[node.name] == _attributes(node)[node.name]:
+                    unused.append(f"{module}: {cls.name}.{node.name}")
     assert not unused, unused

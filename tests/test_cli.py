@@ -19,11 +19,18 @@ from bandgroup import raag
 from bandgroup.raag import MAX_SCAN_EXPRESSIONS, MAX_SCAN_LETTERS, _table_letters
 
 
+def _input_text(value):
+    """The JSON input file of a matrix or a partition."""
+    if isinstance(value, Partition):
+        return json.dumps({"n": value.n, "parts": [list(p) for p in value.parts]})
+    return json.dumps({"n": value.n, "m": [list(row) for row in value.m]})
+
+
 @pytest.fixture
 def matrix_file(tmp_path):
     def write(name, matrix):
         path = tmp_path / name
-        path.write_text(json.dumps(matrix.to_json_dict()))
+        path.write_text(_input_text(matrix))
         return str(path)
 
     return write
@@ -33,7 +40,7 @@ def matrix_file(tmp_path):
 def partition_file(tmp_path):
     def write(name, partition):
         path = tmp_path / name
-        path.write_text(json.dumps(partition.to_json_dict()))
+        path.write_text(_input_text(partition))
         return str(path)
 
     return write
@@ -137,12 +144,27 @@ class TestVerify:
         path = matrix_file("m.json", CoxeterDatum.constant(4, 3))
         assert main(["verify", "thm1", "--matrix", path]) == 0
 
+    def test_partition_missing_most_of_a_huge_n_is_refused_briefly(self, capsys, tmp_path):
+        # every missing element used to be listed: 7.9 MB of stderr at n = 10^6
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 10 ** 6, "parts": [[1]]}))
+        assert main(["verify", "thm2", "--partition", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert err == ("error: 999999 elements not covered, the first ten "
+                       "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11]\n")
+        path.write_text(json.dumps({"n": 10 ** 9, "parts": [[1]]}))
+        started = time.perf_counter()
+        assert main(["verify", "thm2", "--partition", str(path)]) == 2
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr().err.startswith("error: 999999999 elements not covered")
+
     def test_combing(self, partition_file):
         path = partition_file("p.json", Partition.of(2, [[1, 2]]))
         assert main(["verify", "combing", "--partition", path]) == 0
 
     def test_cosets(self, partition_file):
-        path = partition_file("p.json", Partition.single_block(3))
+        path = partition_file("p.json", Partition.of(3, [range(1, 4)]))
         assert main(["verify", "cosets", "--partition", path]) == 0
 
     def test_sec4(self, matrix_file):
@@ -258,7 +280,7 @@ class TestVerify:
                                                              partition_file):
         monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
         monkeypatch.setattr("bandgroup.braid.MAX_WORD_LETTERS", 8)
-        path = partition_file("p.json", Partition.single_block(4))
+        path = partition_file("p.json", Partition.of(4, [range(1, 5)]))
         self._usage_error(capsys, ["verify", "cosets", "--partition", path],
                           "more than the 8 the normal form is allowed")
 
@@ -647,7 +669,8 @@ def _partition_text(draw):
         parts = [list(elements[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
     else:
         parts = draw(st.lists(st.lists(st.integers(-1, n + 1), max_size=3), max_size=3))
-    return json.dumps({"n": draw(st.sampled_from([n, n, n, -1, "3"])), "parts": parts})
+    n = draw(st.sampled_from([n, n, n, -1, "3", 10 ** 9]))
+    return json.dumps({"n": n, "parts": parts})
 
 
 _VALID_TOKENS = ["s1", "s2'", "s3^2", "a1.3", "a2.4'^-2", "s1^-3"]
@@ -655,6 +678,9 @@ _WORD = st.lists(
     st.sampled_from(_VALID_TOKENS * 3 + ["s0", "a3.2", "s1^^", "q", "s1^99999"]), max_size=5
 ).map(" ".join)
 _SMALL_INT = st.sampled_from(["1", "2", "0", "-1", "x", "2.5"])
+_COX_WORD = st.lists(
+    st.sampled_from(["s1", "s2", "s3", "s4"] * 3 + ["s0", "s²", "q", "s200"]), max_size=8
+).map(" ".join)
 _VERIFY_FILES = {
     "thm1": ["matrix"], "thm2": ["partition"], "combing": ["partition"],
     "sec4": ["matrix"], "cosets": ["partition"], "block": ["matrix1", "matrix2"],
@@ -683,8 +709,9 @@ def _realization_text(draw):
 
 @st.composite
 def _argv(draw):
-    """argv for verify, scan, eq, perm, hurwitz or export, and the text of each file it names."""
-    command = draw(st.sampled_from(["verify", "scan", "eq", "perm", "hurwitz", "export"]))
+    """argv for one command of the command line, and the text of each file it names."""
+    command = draw(st.sampled_from(
+        ["verify", "scan", "eq", "perm", "hurwitz", "export", "factorize", "checkprop"]))
     argv = ["--json"] if draw(st.booleans()) else []
     files = {}
     if command == "verify":
@@ -723,6 +750,30 @@ def _argv(draw):
             argv += [f"--{flag}", flag]
         if draw(st.booleans()):
             argv += ["--format", "gap-style"]
+    elif command == "factorize":
+        letter = _SMALL_INT | st.sampled_from(["3", "200"])
+        argv += ["factorize", draw(_COX_WORD), "--j", draw(letter), "--k", draw(letter)]
+    elif command == "checkprop":
+        argv += ["checkprop", draw(st.sampled_from(["trans", "seven"]))]
+        options = {
+            "--band": ["1.3", "2.4", "1.2", "2.1", "0.1", "1.200", "x"],
+            "--m": ["3", "4", "-3", "2", "0", str(10 ** 9)],
+            "--seed": ["0", "1", "x"],
+        }
+        if draw(st.booleans()):
+            # single mode; a missing WORD, --band or --m is a usage error
+            if draw(st.integers(0, 4)):
+                argv.append(draw(_COX_WORD))
+        else:
+            # random mode, at most 3 instances so each case stays fast
+            options.update({
+                "--random": ["1", "3", "0", "-1"],
+                "--n": ["3", "6", "2", "127", "128"],
+                "--max-len": ["0", "5", "12", "4097"],
+            })
+        for flag, values in options.items():
+            if flag == "--random" or draw(st.integers(0, 4)):
+                argv += [flag, draw(st.sampled_from(values))]
     else:
         words = [draw(_WORD) for _ in range(2 if command == "eq" else 1)]
         n = draw(st.integers(-3, 5).map(str) | st.sampled_from(["200", "x"]))
@@ -766,7 +817,10 @@ class TestExitContract:
             assert code == 2
         if code == 1:
             text = out.getvalue()
+            assert "factorize" not in argv
             if "eq" in argv:
                 assert text.strip() in ("not equal", '{"command": "eq", "equal": false}')
+            elif "checkprop" in argv and "--random" not in argv:
+                assert text.startswith("fail: ") or '"status": "fail"' in text
             else:
                 assert "FAIL" in text or '"ok": false' in text

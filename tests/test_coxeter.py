@@ -87,7 +87,7 @@ class TestCoxeterDatum:
         m = CoxeterDatum.constant(3, 2)
         import json
 
-        again = matrix_from_json(json.dumps(m.to_json_dict()))
+        again = matrix_from_json(json.dumps({"n": m.n, "m": [list(row) for row in m.m]}))
         assert again == m
 
 
@@ -100,9 +100,16 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition.of(3, [[1, 2], [3], []])
 
+    def test_missing_elements_are_named_up_to_ten(self):
+        with pytest.raises(ValueError, match=r"^elements \[2, 4\] not covered$"):
+            Partition.of(4, [[1, 3]])
+        with pytest.raises(ValueError, match=r"^elements \[2, 3, .*, 11\] not covered$"):
+            Partition.of(11, [[1]])
+        first_ten = r"the first ten \[2, 3, .*, 11\]$"
+        with pytest.raises(ValueError, match=r"^11 elements not covered, " + first_ten):
+            Partition.of(12, [[1]])
+
     def test_induced_and_extension(self):
-        p = Partition.of(4, [[1, 4], [2, 3]])
-        assert p.induced() == Partition.of(3, [[1], [2, 3]])
         assert Partition.of(3, [[1], [2, 3]]).with_singleton() == Partition.of(
             4, [[1], [2, 3], [4]]
         )
@@ -111,7 +118,8 @@ class TestPartition:
         import json
 
         p = Partition.of(5, [[1, 3], [2], [4, 5]])
-        assert partition_from_json(json.dumps(p.to_json_dict())) == p
+        text = json.dumps({"n": p.n, "parts": [list(part) for part in p.parts]})
+        assert partition_from_json(text) == p
 
 
 class TestSetPartitions:
@@ -134,7 +142,7 @@ class TestPartitionMatrixBijection:
             pure.entry_at(i, j) == 2 for i, j in itertools.combinations(range(1, 5), 2)
         )
 
-        full = partition_to_matrix(Partition.single_block(3))
+        full = partition_to_matrix(Partition.of(3, [range(1, 4)]))
         assert all(
             full.entry_at(i, j) == 1 for i, j in itertools.combinations(range(1, 4), 2)
         )

@@ -78,7 +78,10 @@ class TestFactorization:
     def test_flatten_round_trip(self, raw):
         word = reduce_cox(raw)
         f = jk_factorize(word, 1, 3)
-        assert f.flatten() == word.letters
+        flat = list(f.blocks[0])
+        for sep, block in zip(f.separators, f.blocks[1:]):
+            flat += [sep, *block]
+        assert tuple(flat) == word.letters
 
 
 class TestLongAndCritical:

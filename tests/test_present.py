@@ -103,7 +103,7 @@ class TestThm2:
         assert len(rels) == 2
 
     def test_single_block_gives_chain_family_only(self):
-        rels = list(relations_thm2(Partition.single_block(3)))
+        rels = list(relations_thm2(Partition.of(3, [range(1, 4)])))
         assert labels(rels) == {"thm2.v"}
         words = {(r.lhs, r.rhs) for r in rels}
         assert (
@@ -170,7 +170,7 @@ class TestVerifyRelations:
                     (rng.choice(bands), rng.choice((-2, -1, 1, 2)))
                     for _ in range(rng.randint(0, 6))
                 )
-                expected = ArtinWord.identity(matrix.n)
+                expected = ArtinWord(matrix.n)
                 for pair, e in word:
                     band = band_to_artin(pair, matrix.n)
                     expected = expected * band ** (e * matrix.entry(pair))
@@ -277,7 +277,7 @@ class TestBandWordDecider:
         assert report.info == {"oracle_steps": 8, "oracle_handovers": 0,
                                "oracle_peak_letters": peak, "oracle_distinct": 2,
                                "oracle_perm_rejections": 0}
-        for report in (coset_table_check(Partition.single_block(3)),
+        for report in (coset_table_check(Partition.of(3, [range(1, 4)])),
                        block_product_check(CoxeterDatum.constant(2, 3),
                                            CoxeterDatum.constant(3, 3))):
             assert report.info["oracle_steps"] > 0
@@ -309,7 +309,7 @@ class TestBandWordDecider:
         # thm2.v on (1, 2, 4) and (2, 3, 5), its right side reversed so that
         # it fails: both instances relabel onto strands 1, 2, 3 and share
         # one decision, and each reports its own indices and words
-        p = Partition.single_block(5)
+        p = Partition.of(5, [range(1, 6)])
         mutated = [
             dataclasses.replace(rel, rhs=rel.rhs[::-1])
             for rel in relations_thm2(p)
@@ -342,7 +342,7 @@ class TestBandWordDecider:
             return (case, t, ((g, 1),)) if (g, t) == (bp(1, 3), 2) else (case, t2, tail)
 
         monkeypatch.setattr("bandgroup.present._coset_rewrite", wrong_rewrite)
-        report = coset_table_check(Partition.single_block(3))
+        report = coset_table_check(Partition.of(3, [range(1, 4)]))
         [failure] = report.failures
         assert failure.indices == (1, 3, 2)
         assert failure.message == "g=1.3 t=2: target 2, permutation sends n to 2, braid identity fails"
@@ -443,7 +443,7 @@ class TestRederivations:
 
 class TestCosets:
     def test_rewrite_examples(self):
-        p = Partition.single_block(3)  # everything in the class of 3
+        p = Partition.of(3, [range(1, 4)])  # everything in the class of 3
         # smaller class member passes through and deposits the merged pair
         assert _coset_rewrite(bp(1, 3), 2, p)[1:] == (
             2,
@@ -463,7 +463,7 @@ class TestCosets:
             _coset_rewrite(bp(1, 2), 2, p)
 
     def test_full_block_table(self):
-        report = coset_table_check(Partition.single_block(3))
+        report = coset_table_check(Partition.of(3, [range(1, 4)]))
         assert report.ok
         assert report.info["cosets"] == 3
 

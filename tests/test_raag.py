@@ -32,7 +32,7 @@ from oracles import (
 
 
 def expr(*factors):
-    return RaagExpression.of(*factors)
+    return RaagExpression(tuple((BandPair(i, j), p) for (i, j), p in factors))
 
 
 def encode(w):
