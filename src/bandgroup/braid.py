@@ -71,10 +71,6 @@ class ArtinWord:
             if s not in (1, -1):
                 raise ValueError(f"sign must be +1 or -1, got {s}")
 
-    @staticmethod
-    def generator(n: int, k: int, sign: int = 1) -> ArtinWord:
-        return ArtinWord(n, ((k, sign),))
-
     def __mul__(self, other: ArtinWord) -> ArtinWord:
         if self.n != other.n:
             raise ValueError("cannot concatenate words on different strand counts")
@@ -739,10 +735,6 @@ class Permutation:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}")
 
-    @staticmethod
-    def identity(d: int) -> Permutation:
-        return Permutation(tuple(range(1, d + 1)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -800,7 +792,7 @@ class Permutation:
         """Parse one-line cycle notation such as "(1 2)(3 4)" or "()"."""
         s = text.strip()
         if s in ("()", "id", ""):
-            return Permutation.identity(degree)
+            return Permutation.from_cycles(degree, ())
         if not re.fullmatch(r"(\(\s*\d+(?:[\s,]+\d+)*\s*\))+", s):
             raise ValueError(f"cannot parse permutation {text!r}")
         cycles = [
@@ -858,7 +850,7 @@ def parse_braid_word(text: str, n: int) -> ArtinWord:
         if band:
             letters += band_power(band, e, n)
         else:
-            letters += ArtinWord.generator(n, i, 1 if e >= 0 else -1).letters * abs(e)
+            letters += ArtinWord(n, ((i, 1 if e >= 0 else -1),)).letters * abs(e)
     return ArtinWord(n, tuple(letters))
 
 

@@ -66,15 +66,15 @@ from .report import RunReport, render_reports_json
 # parser's MAX_WORD_LETTERS cap on a realization of this degree takes about
 # 1.3 s on a 2-core machine (figures in CHANGES.md).
 MAX_DEGREE = 4096
-# The largest --max-len of `checkprop --random`.  The `seven` check redraws
-# every word that has a long subword, which a long word nearly always has,
-# so its cost grows with the square of --max-len: one instance at this cap
-# took at most about 1.3 s over ten seeds on 3 strands.
+# The largest --max-len of `checkprop --random`.  On 3 strands the `seven`
+# check redraws every word that has a long {i, l}-block, which a long word
+# nearly always has, so its cost grows with the square of --max-len: one
+# instance at this cap took at most 1.1 s over seeds 0-9 (0.17 s on 127).
 MAX_RANDOM_LETTERS = 4096
 # Budget on --random x --max-len, refused before the first word is drawn.
-# A `seven` run at the budget took 0.17-0.22 s at --max-len 12 (about 3 us
-# a letter) and 3.1-5.3 s at MAX_RANDOM_LETTERS on 3 strands, where nearly
-# every word is redrawn (seeds 0-4, 2 cores, Python 3.11.7).
+# A `seven` run at the budget took 0.25-0.47 s at --max-len 12; at this cap,
+# 0.16-0.26 s on 127 strands and 3.9-7.5 s on 3, the worst case, where
+# nearly every word is redrawn (seeds 0-4, 2 cores, Python 3.11.7).
 MAX_RANDOM_WORK = 1 << 16
 
 

@@ -118,9 +118,6 @@ class CoxeterDatum:
             rows[j - 1][i - 1] = v
         return CoxeterDatum.from_rows(rows)
 
-    def entry(self, pair: BandPair) -> int:
-        return self.m[pair.i - 1][pair.j - 1]
-
     def entry_at(self, i: int, j: int) -> int:
         return self.m[i - 1][j - 1]
 

@@ -127,9 +127,12 @@ def jk_factorize(w: CoxWord, j: int, k: int) -> JkFactorization:
     return JkFactorization(j, k, tuple(blocks), tuple(separators))
 
 
+LONG_BLOCK = 4  # a {j, k}-block of this many letters or more is long
+
+
 def is_long(block: Sequence[int]) -> bool:
-    """A block is long when it has at least four letters."""
-    return len(block) >= 4
+    """A block is long when it has at least LONG_BLOCK letters."""
+    return len(block) >= LONG_BLOCK
 
 
 def is_critical(f: JkFactorization, nu: int) -> bool:
@@ -243,29 +246,30 @@ def _act_band(w: bytes, j: int, k: int, m: int, limit: int,
     return bytes(out)
 
 
-def has_long_subword(w: CoxWord, j: int, k: int) -> bool:
-    """Whether some maximal {j, k}-block of w has length at least four."""
+def long_pairs(w: CoxWord) -> set[BandPair]:
+    """All letter pairs {j, k} for which w has a long block, in one pass.
+
+    In a reduced word a {j, k}-block of two letters or more alternates j
+    and k, so it is a maximal stretch in which each letter repeats the one
+    two places back; a stretch that reaches LONG_BLOCK letters adds its pair.
+    """
+    found = set()
+    before = last = None
     run = 0
     for x in w.letters:
-        if x == j or x == k:
+        if x == before:
             run += 1
-            if run >= 4:
-                return True
+            if run == LONG_BLOCK:
+                found.add((last, x))
         else:
-            run = 0
-    return False
+            run = 2
+        before, last = last, x
+    return {BandPair.of(j, k) for j, k in found}
 
 
-def long_pairs(w: CoxWord) -> set[BandPair]:
-    """All letter pairs {j, k} for which w has a long block."""
-    present = sorted(set(w.letters))
-    found: set[BandPair] = set()
-    for a_idx in range(len(present)):
-        for b_idx in range(a_idx + 1, len(present)):
-            j, k = present[a_idx], present[b_idx]
-            if has_long_subword(w, j, k):
-                found.add(BandPair(j, k))
-    return found
+def has_long_subword(w: CoxWord, j: int, k: int) -> bool:
+    """Whether some maximal {j, k}-block of w is long."""
+    return any({pair.i, pair.j} == {j, k} for pair in long_pairs(w))
 
 
 # -- executable checks --------------------------------------------------------
@@ -338,7 +342,8 @@ def check_prop7(w: CoxWord, il: BandPair, m: int) -> PropCheckReport:
     """
     if abs(m) < 3:
         return PropCheckReport("seven", "precondition-violated", f"|m| = {abs(m)} < 3")
-    if has_long_subword(w, il.i, il.j):
+    source = long_pairs(w)
+    if il in source:
         return PropCheckReport(
             "seven", "precondition-violated", f"source has a long {il} block"
         )
@@ -347,7 +352,7 @@ def check_prop7(w: CoxWord, il: BandPair, m: int) -> PropCheckReport:
     for pair in sorted(long_pairs(image)):
         if pair == il:
             continue
-        if commutes_in_brn(il, pair) and has_long_subword(w, pair.i, pair.j):
+        if commutes_in_brn(il, pair) and pair in source:
             continue
         failures.append(f"long {pair} block in image unexplained")
     if failures:

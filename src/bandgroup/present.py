@@ -119,8 +119,7 @@ def _rel(label: str, indices: tuple[int, ...], lhs: list[Letter], rhs: list[Lett
     return Relation(label, indices, tuple(lhs), tuple(rhs))
 
 
-def _rotations(a: int, b: int, c: int) -> list[tuple[int, int, int]]:
-    return [(a, b, c), (b, c, a), (c, a, b)]
+_ROTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # the cyclic orders of a triple
 
 
 def _tuples(
@@ -179,7 +178,7 @@ def relations_thm2(p: Partition) -> Iterator[Relation]:
             yield _rel("thm2.v", (a, b, c), [(ab, 1), (ac, 1)], [(bc, 1), (ab, 1)])
             yield _rel("thm2.v", (a, b, c), [(bc, 1), (ab, 1)], [(ac, 1), (bc, 1)])
         else:
-            for x, y, z in _rotations(0, 1, 2):
+            for x, y, z in _ROTATIONS:
                 if m[x][y] == 1 and m[x][z] == 2 and m[y][z] == 2:
                     i, j, k = s[x], s[y], s[z]
                     ij, ik, jk = BandPair.of(i, j), BandPair.of(i, k), BandPair.of(j, k)
@@ -273,7 +272,7 @@ def relations_sec4(matrix: CoxeterDatum) -> Iterator[Relation]:
             yield _rel("sec4.2", (i, j, k, l), [(ik, 1), (jk, 1), (jl, 1), (jk, -1)],
                        [(jk, 1), (jl, 1), (jk, -1), (ik, 1)])
     for s, m in _tuples(matrix, 3):
-        for p, q, r in _rotations(0, 1, 2):
+        for p, q, r in _ROTATIONS:
             i, j, k = s[p], s[q], s[r]
             x, y, z = BandPair.of(i, j), BandPair.of(i, k), BandPair.of(j, k)
             mx, my, mz = m[p][q], m[p][r], m[q][r]
@@ -290,18 +289,13 @@ def relations_sec4(matrix: CoxeterDatum) -> Iterator[Relation]:
                 first = [Y] + [X, Y] * (nu - 1) + [Z, X, Y]
                 third = [Y] + [X, Y] * nu + [Z]
                 yield _rel("sec4.3b", (i, j, k), first, third)
-            if (mx, my, mz) == (2, 3, 3):
-                words = ([X, Z, X, Y, Z], [Z, X, Y, Z, X], [X, Y, Z, X, Y])
+            if (mx, my) == (2, 3) and 3 <= mz <= 5:
+                if mz == 3:
+                    words = ([X, Z, X, Y, Z], [Z, X, Y, Z, X], [X, Y, Z, X, Y])
+                else:
+                    words = ([X, Y, Z] * (mz - 2), [Y, Z, X] * (mz - 2), [Z, X, Y] * (mz - 2))
                 for lhs, rhs in itertools.combinations(words, 2):
-                    yield _rel("sec4.3c", (i, j, k), lhs, rhs)
-            elif (mx, my, mz) == (2, 3, 4):
-                words = ([X, Y, Z] * 2, [Y, Z, X] * 2, [Z, X, Y] * 2)
-                for lhs, rhs in itertools.combinations(words, 2):
-                    yield _rel("sec4.3d", (i, j, k), lhs, rhs)
-            elif (mx, my, mz) == (2, 3, 5):
-                words = ([X, Y, Z] * 3, [Y, Z, X] * 3, [Z, X, Y] * 3)
-                for lhs, rhs in itertools.combinations(words, 2):
-                    yield _rel("sec4.3e", (i, j, k), lhs, rhs)
+                    yield _rel(f"sec4.3{'cde'[mz - 3]}", (i, j, k), lhs, rhs)
 
 
 def relations_thm2_rederivations(p: Partition) -> Iterator[Relation]:

@@ -34,10 +34,8 @@ from typing import Iterable, Iterator, Sequence
 from .braid import ArtinWord, ImageLimitError
 from .coxeter import BandPair, CoxeterDatum, ScopeError, commutes_in_brn
 from .coxword import _act_band, _band_images
-from .present import BandWordDecider, expand_letter_word, format_letter_word
+from .present import BandWordDecider, Letter, expand_letter_word, format_letter_word
 from .report import RunReport
-
-Factor = tuple[BandPair, int]
 
 # Budget on (bases x 2 x max_exp)^max_len, the raw count of expressions an
 # injectivity scan may enumerate; a scan past it is refused before it
@@ -70,7 +68,7 @@ MAX_SCAN_LETTERS = 1 << 23
 class RaagExpression:
     """A sequence of band-letter powers with nonzero exponents."""
 
-    factors: tuple[Factor, ...] = ()
+    factors: tuple[Letter, ...] = ()
 
     def __post_init__(self):
         for _, p in self.factors:
@@ -81,10 +79,10 @@ class RaagExpression:
         return len(self.factors)
 
     def __str__(self) -> str:
-        return format_expression(self)
+        return format_letter_word(self.factors)
 
 
-def _pile(factors: Iterable[Factor]) -> list[list]:
+def _pile(factors: Iterable[Letter]) -> list[list]:
     """Greedy left piling: push each factor past commuting ones and merge.
 
     Scanning stops at the first non-commuting base or at a matching base;
@@ -124,7 +122,7 @@ def normalize(w: RaagExpression) -> RaagExpression:
     """
     pile = _pile(w.factors)
     remaining = [(base, exp) for base, exp in pile]
-    out: list[Factor] = []
+    out: list[Letter] = []
     while remaining:
         best = -1
         for idx in range(len(remaining)):
@@ -217,7 +215,7 @@ def canonical_expressions(
     then depth first as `_walk` yields them, each followed by its
     extensions with bases in list order and exponents from -max_exp up.
     """
-    factors: list[Factor] = []
+    factors: list[Letter] = []
     yield RaagExpression()
     for depth, k, e, *_ in _walk(bases, max_len, max_exp):
         del factors[depth - 1:]
@@ -240,7 +238,7 @@ def _table_letters(matrix: CoxeterDatum, max_exp: int, held: Sequence[int]) -> i
     weight = max_exp * (max_exp + 1)  # sum of |e| over the values of e
     total = 0
     for beta in matrix.band_pairs():
-        entry = matrix.entry(beta)
+        entry = matrix.entry_at(beta.i, beta.j)
         for x in held:
             if x in (beta.i, beta.j):
                 total += 2 * entry * weight
@@ -339,7 +337,7 @@ def injectivity_scan(
     start = time.perf_counter()
     report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
     decider = BandWordDecider(matrix)
-    entries = [matrix.entry(beta) for beta in bases]
+    entries = [matrix.entry_at(beta.i, beta.j) for beta in bases]
     exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
     root = [bytes((128 + i,)) for i in slot]
     # tables[k][e]: the images of the held letters of bases[k] under (bases[k], e)
@@ -456,10 +454,3 @@ def injectivity_scan(
     report.info.update(decider.counters())
     report.wall_time = time.perf_counter() - start
     return report
-
-
-# -- textual syntax -----------------------------------------------------------
-
-
-def format_expression(w: RaagExpression) -> str:
-    return format_letter_word(w.factors)

@@ -8,7 +8,9 @@ exceptions are `referee_canonical_expressions` and
 `referee_injectivity_scan`, the enumeration's and the scan's plain
 procedures built from the library's own pieces, and
 `referee_act_band_on_cox`, the band-power action's closed form pushed
-letter by letter through a list, which referees `coxword._act_band`.
+letter by letter through a list, which referees `coxword._act_band`, and
+`referee_long_pairs`, one run count per pair of letters, which referees
+`coxword.long_pairs`.
 """
 
 from __future__ import annotations
@@ -301,6 +303,29 @@ def referee_act_band_on_cox(w: CoxWord, tau: BandPair, m: int, limit: int = MAX_
     return CoxWord(tuple(out))
 
 
+def referee_long_pairs(w: CoxWord) -> set[BandPair]:
+    """All letter pairs {j, k} for which w has a maximal {j, k}-block of four letters or more.
+
+    One scan per pair of letters the word uses, counting the letters of
+    each run inside {j, k}.
+    """
+    present = sorted(set(w.letters))
+    found: set[BandPair] = set()
+    for a_idx in range(len(present)):
+        for b_idx in range(a_idx + 1, len(present)):
+            j, k = present[a_idx], present[b_idx]
+            run = 0
+            for x in w.letters:
+                if x == j or x == k:
+                    run += 1
+                    if run >= 4:
+                        found.add(BandPair(j, k))
+                        break
+                else:
+                    run = 0
+    return found
+
+
 def referee_injectivity_scan(matrix: CoxeterDatum, max_len: int, max_exp: int) -> RunReport:
     """`raag.injectivity_scan` with no shared state between expressions.
 
@@ -328,7 +353,7 @@ def referee_injectivity_scan(matrix: CoxeterDatum, max_len: int, max_exp: int) -
     def fold(i, factors):
         image = CoxWord.single(i)
         for base, p in factors:
-            image = referee_act_band_on_cox(image, base, p * matrix.entry(base))
+            image = referee_act_band_on_cox(image, base, p * matrix.entry_at(base.i, base.j))
         return image
 
     peak = max((len(fold(i, [(base, -e)])) for base in bases for e in exponents for i in letters),

@@ -11,7 +11,7 @@ import itertools
 import random
 import time
 
-from bandgroup.braid import ArtinWord, band_to_artin, braid_equal
+from bandgroup.braid import band_to_artin, braid_equal
 from bandgroup.cli import random_cox_word
 from bandgroup.coxeter import (
     BandPair,

@@ -12,8 +12,8 @@ somewhere in `src/` or in the acceptance criteria, outside its own
 definition.  The check goes by attribute name alone, so a method escapes
 it when a method of another class with the same name is called.
 `ArtinWord.identity`, `Permutation.inverse` and `RaagExpression.of` were
-such escapes (`Permutation.identity`, `ArtinWord.inverse` and
-`Partition.of` are called) and were deleted by hand.
+such escapes (`Permutation.identity`, since deleted, `ArtinWord.inverse`
+and `Partition.of` were called) and were deleted by hand.
 """
 
 import ast

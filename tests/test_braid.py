@@ -645,7 +645,7 @@ class TestRelabelledDecider:
 class TestPermutation:
     def test_generator_images(self):
         assert permutation_image(word(3, (1, 1))).cycle_string() == "(1 2)"
-        assert permutation_image(word(3, (1, 1), (1, 1))) == Permutation.identity(3)
+        assert permutation_image(word(3, (1, 1), (1, 1))) == Permutation((1, 2, 3))
 
     def test_band_permutation_via_composition_oracle(self):
         # (2 3) then (1 2) then (2 3), composed as functions
@@ -668,7 +668,7 @@ class TestPermutation:
     def test_parse_cycles(self):
         p = Permutation.parse("(1 2)(3 4)", 4)
         assert p.images == (2, 1, 4, 3)
-        assert Permutation.parse("()", 3) == Permutation.identity(3)
+        assert Permutation.parse("()", 3) == Permutation((1, 2, 3))
         with pytest.raises(ValueError):
             Permutation.parse("(1 5)", 4)
 

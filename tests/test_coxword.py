@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -21,7 +20,7 @@ from bandgroup.coxword import (
     reduce_cox,
 )
 from bandgroup.coxword import _act_band
-from oracles import referee_act_band_on_cox, referee_apply_artin_to_cox
+from oracles import referee_act_band_on_cox, referee_apply_artin_to_cox, referee_long_pairs
 
 
 def w(*letters):
@@ -121,12 +120,48 @@ class TestLongAndCritical:
         rng = random.Random(11)
         for _ in range(50):
             word = random_cox_word(rng, 6, 14)
-            expected = {
-                BandPair(j, k)
-                for j, k in itertools.combinations(range(1, 7), 2)
-                if has_long_subword(word, j, k)
-            }
+            assert long_pairs(word) == referee_long_pairs(word)
+
+    def test_single_pass_matches_referee(self):
+        """Seeded words on up to 127 letters and up to 4096 letters long, and band images.
+
+        Most words are runs of alternating pairs drawn from a few letters
+        of 1 .. 127, so blocks of every length occur and the referee's scan
+        per pair stays cheap; the rest are uniform words on up to 127
+        letters.  has_long_subword must agree in both orders of a pair, and
+        answer False on j == k and on index 0.
+        """
+        rng = random.Random(23)
+        words = []
+        for _ in range(40):
+            alphabet = rng.sample(range(1, 128), rng.randint(2, 8))
+            length = rng.choice((16, 256, 4096))
+            letters: list[int] = []
+            while len(letters) < length:
+                a, b = rng.sample(alphabet, 2)
+                letters += alternating(a, b, rng.randint(1, 6))
+            words.append(reduce_cox(letters[:length]))
+        for _ in range(10):
+            words.append(random_cox_word(rng, rng.randint(3, 127), 300))
+        for _ in range(40):
+            n = rng.randint(3, 127)
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            m = rng.choice((3, 4, 5, -3, -4, -5))
+            words.append(act_band_on_cox(random_cox_word(rng, n, 12), BandPair(i, j), m))
+        assert any(len(word) > 2048 for word in words)
+        for word in words:
+            expected = referee_long_pairs(word)
             assert long_pairs(word) == expected
+            used = sorted(set(word.letters)) or [1]
+            pairs = {(p.i, p.j) for p in expected}
+            pairs |= {tuple(rng.sample(used, 2)) for _ in range(5) if len(used) > 1}
+            for j, k in pairs:
+                found = BandPair.of(j, k) in expected
+                assert has_long_subword(word, j, k) == has_long_subword(word, k, j) == found
+            x = rng.choice(used)
+            assert not has_long_subword(word, x, x)
+            assert not has_long_subword(word, 0, x)
+            assert not has_long_subword(word, x, 0)
 
 
 class TestBandAction:

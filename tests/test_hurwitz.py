@@ -282,7 +282,7 @@ class TestStabilizes:
             maps = [{x: p(x) for x in range(1, degree + 1)} for p in images]
             identity = {x: x for x in range(1, degree + 1)}
             for tau in matrix.band_pairs():
-                m = matrix.entry(tau)
+                m = matrix.entry_at(tau.i, tau.j)
                 prod = compose_maps(maps[tau.i - 1], maps[tau.j - 1])
                 power = identity
                 for _ in range(m):

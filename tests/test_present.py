@@ -173,7 +173,7 @@ class TestVerifyRelations:
                 expected = ArtinWord(matrix.n)
                 for pair, e in word:
                     band = band_to_artin(pair, matrix.n)
-                    expected = expected * band ** (e * matrix.entry(pair))
+                    expected = expected * band ** (e * matrix.entry_at(pair.i, pair.j))
                 assert expand_letter_word(word, matrix) == expected
 
 
@@ -206,7 +206,7 @@ class TestBandWordDecider:
             # permutation but changes the braid
             other = list(prefix)
             tau = rng.choice(bands)
-            e = 1 if matrix.entry(tau) % 2 == 0 else rng.choice((2, -2))
+            e = 1 if matrix.entry_at(tau.i, tau.j) % 2 == 0 else rng.choice((2, -2))
             pos = rng.randint(0, len(other))
             other[pos:pos] = [(tau, e)]
             yield tuple(prefix) + suffix, tuple(other) + suffix, False
