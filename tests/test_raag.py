@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -538,6 +540,51 @@ class TestLastLevel:
         assert lengths == {3 * d + 2 for d in range(2, max_len + 1)}
         assert report.info["oracle_fallbacks"] == {2: 8, 3: 148}[max_len]
         assert same_report(report, referee_injectivity_scan(matrix, max_len, 2))
+
+
+class TestScanDigests:
+    """sha256 digests of injectivity scan reports over 150 seeded matrices.
+
+    Each scan's JSON report, or its refusal message, is one line, in the
+    order the matrices are drawn: n in 2..5, entries in {0, 3, 4, 5}, L in
+    1..3 and B in 1..2.  The stubbed run fixes the letters of the band on
+    (1, 2) and has the oracle call an expression trivial when its exponents
+    sum to an odd number, so certificate failures, oracle fallbacks and
+    nontrivial failures are entered in walk order.
+    """
+
+    PINNED = {"clean": "03e311f3d12a940b", "stubbed": "52404f7431769b9f"}
+
+    @staticmethod
+    def _digest():
+        rng = random.Random(24)
+        lines = []
+        for _ in range(150):
+            n = rng.randint(2, 5)
+            matrix = CoxeterDatum.from_entries(n, {
+                pair: rng.choice((0, 3, 4, 5))
+                for pair in itertools.combinations(range(1, n + 1), 2)})
+            max_len, max_exp = rng.randint(1, 3), rng.randint(1, 2)
+            try:
+                line = json.dumps(injectivity_scan(matrix, max_len, max_exp).to_dict(),
+                                  sort_keys=True)
+            except ValueError as exc:
+                line = str(exc)
+            lines.append(line + "\n")
+        return hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
+
+    def test_reports_are_pinned(self, monkeypatch):
+        out = {"clean": self._digest()}
+        tables = raag._band_images
+
+        def tables_fixing_12(j, k, m, letters):
+            return (fixing_tables if (j, k) == (1, 2) else tables)(j, k, m, letters)
+
+        monkeypatch.setattr(raag, "_band_images", tables_fixing_12)
+        monkeypatch.setattr(BandWordDecider, "equal",
+                            lambda self, u, v: sum(p for _, p in u) % 2 == 1)
+        out["stubbed"] = self._digest()
+        assert out == self.PINNED
 
 
 class TestProp9SpotCheck:
