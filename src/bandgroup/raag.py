@@ -9,9 +9,9 @@ canonical reduced representative by greedy piling followed by picking the
 lexicographically least ordering inside the commutation class.
 
 Canonical expressions, the fixed points of `normalize`, are enumerated by
-a depth-first walk that decides each extension from two bitmasks over the
-bases, carried per depth, without normalizing anything: the bases the
-prefix ends in and the bases the lexicographic order forbids next.
+a depth-first recursion that decides each extension from two bitmasks over
+the bases, without normalizing anything: the bases the prefix ends in and
+the bases the lexicographic order forbids next.
 
 The injectivity scan walks the canonical expressions up to a length and
 exponent bound and checks the last-letter certificates of each: for every
@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate
+from operator import or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .braid import ArtinWord, ImageLimitError
 from .coxeter import BandPair, CoxeterDatum, ScopeError, commutes_in_brn
@@ -39,12 +41,15 @@ from .report import RunReport
 
 # Budget on (bases x 2 x max_exp)^max_len, the raw count of expressions an
 # injectivity scan may enumerate; a scan past it is refused before it
-# starts.  With entry 3 and max_exp at most 15, the scan takes 0.07 to
-# 0.34 us per unit of this count (seven scans, n = 3 to 6, L = 2 or 3,
+# starts.  With entry 3 and max_exp at most 15, the scan takes 0.06 to
+# 0.43 us per unit of this count (seven scans, n = 3 to 6, L = 2 or 3,
 # counts of 2.7x10^4 to 9x10^4, medians of 7 in process, 2 cores, Python
-# 3.11.7), so such a scan ends within about 35 ms.  A letter image grows
-# with exponent x entry, so larger ones cost more per unit;
-# `MAX_SCAN_LETTERS` bounds the images.
+# 3.11.7), so such a scan ends within about 45 ms.  The count does not
+# bound the set-up, which grows with n^3 at L = 1: 0.9 s at n = 90 and
+# 2.7 s at n = 124 (count 15,252, the most strands the letter budget
+# admits with entry 3; medians of 3).  A letter image grows with
+# exponent x entry, so larger ones cost more per unit; `MAX_SCAN_LETTERS`
+# bounds the images.
 MAX_SCAN_EXPRESSIONS = 100_000
 
 # Budget on the image letters a scan builds: its band tables (see
@@ -156,54 +161,49 @@ def expression_to_braid(w: RaagExpression, matrix: CoxeterDatum) -> ArtinWord:
 
 
 def _commuting(bases: list[BandPair]) -> list[int]:
-    """Per base, the mask of the bases commuting with it, bit k for bases[k]."""
-    bits = range(len(bases))
-    return [sum(1 << k for k in bits if commutes_in_brn(bases[k], beta)) for beta in bases]
+    """Per base, the mask of the bases commuting with it, bit k for bases[k].
 
-
-def _walk(
-    bases: list[BandPair], max_len: int, max_exp: int
-) -> Iterator[tuple[int, int, int, int, int]]:
-    """Depth-first walk of the nonempty canonical expressions.
-
-    Yields (depth, k, e, ends, blocked) per expression: it is its parent,
-    the last expression yielded at depth - 1 (the empty one at depth 1),
-    followed by the factor (bases[k], e).  `ends` is the mask of the bases
-    it ends in, bit k standing for bases[k], and `blocked` the mask of the
-    bases that may not follow it, so a caller that walks to max_len - 1
-    still knows the last level.  Parents come before their children, bases
-    in list order and exponents from -max_exp up.
-
-    A canonical expression is the lexicographic normal form of its trace
-    (Anisimov and Knuth, *Inhomogeneous sorting*, 1979), so whether p·beta
-    is canonical follows from two masks carried per depth: E, the bases p
-    ends in (beta in E merges), and F, the bases the lexicographic rule
-    forbids next (those below some factor of p that commute with it and
-    with every later factor, so they could move in front of it).  p·beta
-    is canonical exactly when beta is in neither, so E | F is the blocked
-    mask.  With C[beta] the bases commuting with beta and L[beta] those
-    below it, one step gives E' = {beta} | (E & C[beta]) and
-    F' = C[beta] & (F | L[beta]); neither depends on the exponent.
+    A base commutes with (i, j) when it lies left of i, right of j,
+    strictly inside or strictly around it, so each mask is four unions of
+    prefix or suffix ORs over the bases grouped by left and by right end.
     """
-    exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
-    bits = range(len(bases))
+    n = max((beta.j for beta in bases), default=0)
+    lefts, rights = [0] * (n + 2), [0] * (n + 2)
+    for k, beta in enumerate(bases):
+        lefts[beta.i] |= 1 << k
+        rights[beta.j] |= 1 << k
+    # upto[x]: the bases with that end at most x; down[x]: at least x
+    upto_i, upto_j = list(accumulate(lefts, or_)), list(accumulate(rights, or_))
+    down_i, down_j = (list(accumulate(ends[::-1], or_))[::-1] for ends in (lefts, rights))
+    return [upto_j[i - 1] | down_i[j + 1] | down_i[i + 1] & upto_j[j - 1]
+            | upto_i[i - 1] & down_j[j + 1] for i, j in map(BandPair.indices, bases)]
+
+
+def _extensions(bases: list[BandPair]) -> Callable[[int, int], list[tuple[int, int, int]]]:
+    """The extension rule of the canonical expressions over distinct `bases`.
+
+    extend(ends, forbidden) lists (k, ends', forbidden') for each base
+    bases[k] that may follow an expression, in list order.  A canonical
+    expression is the lexicographic normal form of its trace (Anisimov and
+    Knuth, *Inhomogeneous sorting*, 1979), so p·beta is canonical exactly
+    when beta is in neither of two masks over the bases, bit k standing for
+    bases[k]: E, the bases p ends in (beta in E merges), and F, those the
+    lexicographic rule forbids next (below some factor of p that commutes
+    with them and with every later factor, so they could move in front of
+    it).  With C[beta] the bases commuting with beta and L[beta] those below
+    it, E' = {beta} | (E & C[beta]) and F' = C[beta] & (F | L[beta]).
+    """
     commuting = _commuting(bases)
-    below = [sum(1 << k for k in bits if bases[k] < beta) for beta in bases]
+    below, smaller = [0] * len(bases), 0
+    for k in sorted(range(len(bases)), key=bases.__getitem__):
+        below[k], smaller = smaller, smaller | 1 << k
 
-    def rec(depth: int, ends: int, forbidden: int) -> Iterator[tuple[int, int, int, int, int]]:
+    def extend(ends: int, forbidden: int) -> list[tuple[int, int, int]]:
         blocked = ends | forbidden
-        for k in bits:
-            if blocked >> k & 1:
-                continue
-            child_ends = 1 << k | ends & commuting[k]
-            child_forbidden = commuting[k] & (forbidden | below[k])
-            child_blocked = child_ends | child_forbidden
-            for e in exponents:
-                yield depth, k, e, child_ends, child_blocked
-                if depth < max_len:
-                    yield from rec(depth + 1, child_ends, child_forbidden)
+        return [(k, 1 << k | ends & commuting[k], commuting[k] & (forbidden | below[k]))
+                for k in range(len(bases)) if not blocked >> k & 1]
 
-    return rec(1, 0, 0) if max_len > 0 else iter(())
+    return extend
 
 
 def canonical_expressions(
@@ -212,15 +212,21 @@ def canonical_expressions(
     """All canonical reduced expressions with the given bounds.
 
     Those are the fixed points of `normalize`: the empty expression first,
-    then depth first as `_walk` yields them, each followed by its
-    extensions with bases in list order and exponents from -max_exp up.
+    then depth first, each followed by its extensions by `_extensions`,
+    bases in list order and exponents from -max_exp up.
     """
-    factors: list[Letter] = []
-    yield RaagExpression()
-    for depth, k, e, *_ in _walk(bases, max_len, max_exp):
-        del factors[depth - 1:]
-        factors.append((bases[k], e))
-        yield RaagExpression(tuple(factors))
+    exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
+    extend = _extensions(bases)
+
+    def visit(factors: tuple[Letter, ...], ends: int,
+              forbidden: int) -> Iterator[RaagExpression]:
+        yield RaagExpression(factors)
+        if len(factors) < max_len:
+            for k, child_ends, child_forbidden in extend(ends, forbidden):
+                for e in exponents:
+                    yield from visit(factors + ((bases[k], e),), child_ends, child_forbidden)
+
+    return visit((), 0, 0)
 
 
 def _table_letters(matrix: CoxeterDatum, max_exp: int, held: Sequence[int]) -> int:
@@ -291,19 +297,13 @@ def injectivity_scan(
     images, only the certified letters otherwise.  An index maps each
     image of a certified letter under a single factor, read from the
     tables (the letter itself outside the band), to the factors it
-    undoes.  The scan walks the expressions shorter than max_len (`_walk`
-    stopped one level short) and keeps, per depth, the letter images
-    under the current prefix, as words of `coxword`'s byte encoding, and
-    the prefix's last factor.  Every level is decided per parent, the
-    root and each walked expression: its children and their certificates
-    are counted from its masks, and its failing children are found by
-    looking up each of its letter images in the index (`_failing_leaves`),
-    so every certificate is still decided by an equality of byte strings.
-    Passes are counted and entered once per family at the end; a child
-    with a failing certificate has its factors read off the stack and its
-    failures entered one by one, at once at the last level and when the
-    walk reaches it otherwise, so the report is the one that entering
-    every instance in walk order would give.  The band tables and the
+    undoes.  The scan visits the expressions shorter than max_len, the
+    root first, each with its letter images as words of `coxword`'s byte
+    encoding: their children and certificates are counted from the masks
+    of `_extensions`, and the failing children found by looking up each
+    letter image in the index (`_failing_leaves`).  Passes are entered
+    once per family at the end, and failures one by one in walk order.
+    The band tables and the
     prefix images share the budget of MAX_SCAN_LETTERS letters: a scan
     whose tables would pass it is refused with ValueError before it
     starts, and one whose prefix images pass it as soon as they do.
@@ -354,96 +354,86 @@ def injectivity_scan(
             for owners, x in zip(index, root):
                 owners.setdefault(table[-e].get(x[0], x), []).append((k, e))
     peak = max((len(x) for owners in index for x in owners), default=0)
-    commuting = _commuting(bases)
-    # ends mask -> the bases tau it holds and the slots of their letters s_{tau.i}
-    certified: dict[int, tuple[list[BandPair], list[int]]] = {}
-
-    def certify(ends: int) -> tuple[list[BandPair], list[int]]:
-        if ends not in certified:
-            taus = [tau for b, tau in enumerate(bases) if ends >> b & 1]
-            certified[ends] = taus, [slot[tau.i] for tau in taus]
-        return certified[ends]
-
-    # stack[d]: the images of the letters under the last expression yielded
-    # at depth d, and its last factor (k, e); that expression is the parent
-    # of everything yielded at depth d + 1 until the next one at depth d.
-    stack: list[tuple[list[bytes], int, int]] = [(root, -1, 0)]
     expressions = certificates = fallbacks = trivial = fixed = 0
     built = table_letters  # image letters built so far
+    extend = _extensions(bases)
 
-    def enter(depth: int, k: int, e: int, ends: int, fixes: int) -> None:
-        """Enter the failures of the child (k, e) of stack[depth - 1], given the slots it fixes."""
+    def certified(ends: int) -> list[BandPair]:
+        """The bases an ends mask holds, in list order."""
+        taus = []
+        while ends:
+            low = ends & -ends
+            taus.append(bases[low.bit_length() - 1])
+            ends ^= low
+        return taus
+
+    def enter(factors: tuple[Letter, ...], ends: int, fixes: int) -> None:
+        """Enter the failures of an expression, given its ends and the slots it fixes."""
         nonlocal fallbacks, trivial, fixed
-        taus, slots = certify(ends)
-        factors = tuple((bases[b], p) for _, b, p in stack[1:depth]) + ((bases[k], e),)
+        taus = certified(ends)
         indices = tuple(x for beta, p in factors for x in (beta.i, beta.j, p))
         text = format_letter_word(factors)
-        if all(fixes >> s & 1 for s in slots):
+        if all(fixes >> slot[tau.i] & 1 for tau in taus):
             fallbacks += 1
             if decider.equal(factors, ()):
                 trivial += 1
                 report.add("nontrivial", indices, False,
                            f"expression {text} maps to the trivial braid")
-        for tau, s in zip(taus, slots):
-            if fixes >> s & 1:
+        for tau in taus:
+            if fixes >> slot[tau.i] & 1:
                 fixed += 1
                 report.add("certificate", indices + tau.indices(), False,
                            f"letter s{tau.i} fixed although {text} ends in {tau}")
 
-    # (ends, blocked) of a parent -> the bases its children may take, their
-    # certificates per exponent, and per base the mask of the bases the
-    # child ends in and the mask of the slots it certifies (0 if blocked)
-    children: dict[tuple[int, int], tuple[int, int, list[int], list[int]]] = {}
+    # (ends, forbidden) of a parent -> the extensions of its children, their
+    # certificates per exponent, and per base the mask of the bases the child
+    # ends in and the mask of the slots it certifies (0 if it may not follow)
+    children: dict[tuple[int, int], tuple[list, int, list[int], list[int]]] = {}
 
-    def decide(depth: int, images: list[bytes], ends: int,
-               blocked: int) -> dict[tuple[int, int], int]:
-        """Count the children of the parent at stack[depth] and find the failing ones.
-
-        Those at the last level are entered at once; the others are
-        returned, to be entered when the walk reaches them.
-        """
-        nonlocal expressions, certificates
-        if (ends, blocked) not in children:
-            child_ends = [0 if blocked >> k & 1 else 1 << k | ends & commuting[k]
-                          for k in range(len(bases))]
-            certifies = [sum(1 << s for s in certify(x)[1]) for x in child_ends]
-            children[ends, blocked] = (sum(x != 0 for x in child_ends),
-                                       sum(x.bit_count() for x in child_ends),
-                                       child_ends, certifies)
-        count, certs, child_ends, certifies = children[ends, blocked]
-        expressions += count * len(exponents)
+    def visit(depth: int, images: list[bytes], ends: int, forbidden: int,
+              factors: tuple[Letter, ...]) -> None:
+        """Count the children of an expression of `depth` factors, enter their failures
+        and, below the last level, visit each child after entering its failures."""
+        nonlocal expressions, certificates, built, peak
+        if (ends, forbidden) not in children:
+            extensions = extend(ends, forbidden)
+            child_ends, certifies = [0] * len(bases), [0] * len(bases)
+            for k, x, _ in extensions:
+                child_ends[k] = x
+                certifies[k] = sum(1 << slot[tau.i] for tau in certified(x))
+            children[ends, forbidden] = (extensions, sum(x.bit_count() for x in child_ends),
+                                         child_ends, certifies)
+        extensions, certs, child_ends, certifies = children[ends, forbidden]
+        expressions += len(extensions) * len(exponents)
         certificates += certs * len(exponents)
         failing = _failing_leaves(images, index, certifies)
-        if depth < max_len - 1:
-            return failing
-        for (k, e), fixes in failing.items():
-            enter(max_len, k, e, child_ends[k], fixes)
-        return {}
+        if depth == max_len - 1:
+            for (k, e), fixes in failing.items():
+                enter(factors + ((bases[k], e),), child_ends[k], fixes)
+            return
+        for k, x_ends, x_forbidden in extensions:
+            beta = bases[k]
+            for e in exponents:
+                child = []
+                for x in images:
+                    try:
+                        x = _act_band(x, beta.i, beta.j, e * entries[k],
+                                      MAX_SCAN_LETTERS - built, tables[k][e])
+                    except ImageLimitError:
+                        raise ValueError(f"scan would build more than {MAX_SCAN_LETTERS} image "
+                                         f"letters, {table_letters} of them for its band tables "
+                                         f"and the rest for prefix images; lower --max-len, "
+                                         f"--max-exp or the matrix entries") from None
+                    built += len(x)
+                    peak = max(peak, len(x))
+                    child.append(x)
+                child_factors = factors + ((beta, e),)
+                fixes = failing.get((k, e))
+                if fixes:
+                    enter(child_factors, x_ends, fixes)
+                visit(depth + 1, child, x_ends, x_forbidden, child_factors)
 
-    # failing[d]: the children of stack[d] with a failing certificate, each
-    # with the mask of the certified slots it fixes, if the walk reaches them
-    failing = [decide(0, root, 0, 0)]
-    for depth, k, e, ends, blocked in _walk(bases, max_len - 1, max_exp):
-        images = stack[depth - 1][0]
-        beta, m = bases[k], e * entries[k]
-        child = []
-        for x in images:
-            try:
-                x = _act_band(x, beta.i, beta.j, m, MAX_SCAN_LETTERS - built, tables[k][e])
-            except ImageLimitError:
-                raise ValueError(
-                    f"scan would build more than {MAX_SCAN_LETTERS} image letters, "
-                    f"{table_letters} of them for its band tables and the rest for prefix "
-                    f"images; lower --max-len, --max-exp or the matrix entries") from None
-            built += len(x)
-            peak = max(peak, len(x))
-            child.append(x)
-        # the child goes on the stack before its own children are entered
-        stack[depth:] = [(child, k, e)]
-        fixes = failing[depth - 1].get((k, e))
-        if fixes:
-            enter(depth, k, e, ends, fixes)
-        failing[depth:] = [decide(depth, child, ends, blocked)]
+    visit(0, root, 0, 0, ())
     report.add_passes("nontrivial", expressions - trivial)
     report.add_passes("certificate", certificates - fixed)
     report.info["expressions"] = expressions

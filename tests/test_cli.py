@@ -373,6 +373,18 @@ class TestScan:
         assert (f"more than {MAX_SCAN_LETTERS} image letters, 32002 of them for its band tables"
                 in err)
 
+    def test_scan_of_the_most_strands_the_table_budget_admits(self, matrix_file):
+        # n = 124 gives 7,626 bases and 15,252 expressions of one factor; the
+        # set-up builds the masks of the bases in sorted passes, not pairwise
+        matrix = CoxeterDatum.constant(124, 3)
+        assert _table_letters(CoxeterDatum.constant(125, 3), 1, range(1, 125)) > MAX_SCAN_LETTERS
+        path = matrix_file("m.json", matrix)
+        started = time.perf_counter()
+        code, _, err = _in_child(["scan", "inject", "--matrix", path,
+                                  "--max-len", "1", "--max-exp", "1"])
+        assert (code, err) == (0, "")
+        assert time.perf_counter() - started < 10
+
     def test_benchmark_and_golden_scans_fit_the_letter_budget(self, monkeypatch):
         # the benchmark scans n = 4, L = 3, B = 2; the golden scans go up to
         # n = 4, L = 3, B = 2.  The scan builds words only in its band tables

@@ -225,6 +225,24 @@ class TestCanonicalEnumeration:
         assert list(canonical_expressions(bases, max_len, max_exp)) == expected
         assert list(referee_canonical_expressions(bases, max_len, max_exp)) == expected
 
+    def test_shuffled_bases_match_filtered_full_enumeration(self):
+        # the masks follow the list's order, the lexicographic rule the pairs'
+        bases = random.Random(24).sample(ALL_BASES_4, len(ALL_BASES_4))
+        expected = [w for w in every_expression(bases, 2, 2) if normalize(w) == w]
+        assert list(canonical_expressions(bases, 2, 2)) == expected
+
+    def test_commuting_masks_match_commutes_in_brn(self):
+        # shuffled lists of pairs on strands with gaps between them
+        rng = random.Random(24)
+        for _ in range(500):
+            strands = sorted(rng.sample(range(1, 13), rng.randint(2, 8)))
+            pairs = [BandPair(i, j) for i, j in itertools.combinations(strands, 2)]
+            bases = rng.sample(pairs, rng.randint(0, len(pairs)))
+            assert raag._commuting(bases) == [
+                sum(1 << k for k, tau in enumerate(bases) if commutes_in_brn(tau, beta))
+                for beta in bases
+            ]
+
     def test_zero_bounds(self):
         assert list(canonical_expressions(ALL_BASES_4, 0, 2)) == [expr()]
         assert list(canonical_expressions(ALL_BASES_4, 2, 0)) == [expr()]
@@ -342,14 +360,24 @@ class TestIncrementalScan:
     )
     def test_walk_ends_match_ends_in(self, matrix, max_len, max_exp):
         bases = matrix.band_pairs()
-        factors = []
-        for depth, k, e, ends, _ in raag._walk(bases, max_len, max_exp):
-            del factors[depth - 1:]
-            factors.append((bases[k], e))
-            prefix = RaagExpression(tuple(factors))
-            assert [tau for b, tau in enumerate(bases) if ends >> b & 1] == [
-                tau for tau in bases if ends_in(prefix, tau)
-            ]
+        extend = raag._extensions(bases)
+        walked = []
+
+        def walk(factors, ends, forbidden):
+            for k, child_ends, child_forbidden in extend(ends, forbidden):
+                for e in range(-max_exp, max_exp + 1):
+                    if not e:
+                        continue
+                    prefix = RaagExpression(factors + ((bases[k], e),))
+                    walked.append(prefix)
+                    assert [tau for b, tau in enumerate(bases) if child_ends >> b & 1] == [
+                        tau for tau in bases if ends_in(prefix, tau)
+                    ]
+                    if len(prefix) < max_len:
+                        walk(prefix.factors, child_ends, child_forbidden)
+
+        walk((), 0, 0)
+        assert walked == list(canonical_expressions(bases, max_len, max_exp))[1:]
 
     def test_counters(self, monkeypatch):
         # at L = 1 the tables hold only the certified letters; the longest
@@ -545,9 +573,9 @@ class TestLastLevel:
 class TestScanDigests:
     """sha256 digests of injectivity scan reports over 150 seeded matrices.
 
-    Each scan's JSON report, or its refusal message, is one line, in the
-    order the matrices are drawn: n in 2..5, entries in {0, 3, 4, 5}, L in
-    1..3 and B in 1..2.  The stubbed run fixes the letters of the band on
+    Each scan's JSON report is one line, in the order the matrices are
+    drawn: n in 2..5, entries in {0, 3, 4, 5}, L in 1..3 and B in 1..2, all
+    within both budgets.  The stubbed run fixes the letters of the band on
     (1, 2) and has the oracle call an expression trivial when its exponents
     sum to an odd number, so certificate failures, oracle fallbacks and
     nontrivial failures are entered in walk order.
@@ -565,12 +593,8 @@ class TestScanDigests:
                 pair: rng.choice((0, 3, 4, 5))
                 for pair in itertools.combinations(range(1, n + 1), 2)})
             max_len, max_exp = rng.randint(1, 3), rng.randint(1, 2)
-            try:
-                line = json.dumps(injectivity_scan(matrix, max_len, max_exp).to_dict(),
-                                  sort_keys=True)
-            except ValueError as exc:
-                line = str(exc)
-            lines.append(line + "\n")
+            report = injectivity_scan(matrix, max_len, max_exp)
+            lines.append(json.dumps(report.to_dict(), sort_keys=True) + "\n")
         return hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
 
     def test_reports_are_pinned(self, monkeypatch):
