@@ -857,11 +857,11 @@ def parse_braid_word(text: str, n: int) -> ArtinWord:
 _FREE_TOKEN = re.compile(r"^t(\d+)('?)(?:\^(-?\d+))?$")
 
 
-def parse_free_word(text: str) -> FreeWord:
+def parse_free_word(text: str, limit: int = MAX_IMAGE_LETTERS) -> FreeWord:
     """Parse tokens like "t1 t2' t3^2" into a reduced free word.
 
-    A word of more than MAX_IMAGE_LETTERS letters is refused before any of
-    it is built.
+    A word of more than `limit` letters is refused at the first token past
+    it, before that token's letters are built.
     """
     letters: list[int] = []
     for token in text.split():
@@ -873,7 +873,7 @@ def parse_free_word(text: str) -> FreeWord:
         e = int(power) if power is not None else 1
         if e < 0:
             x, e = -x, -e
-        if len(letters) + e > MAX_IMAGE_LETTERS:
-            raise ValueError(f"a free word may have at most {MAX_IMAGE_LETTERS} letters")
+        if len(letters) + e > limit:
+            raise ValueError(f"a free word may have at most {limit} letters")
         letters.extend([x] * e)
     return FreeWord.from_letters(letters)

@@ -25,7 +25,6 @@ from .braid import (
     _check_strands,
     braid_equal,
     parse_braid_word,
-    parse_free_word,
     permutation_image,
 )
 from .coxeter import (
@@ -46,7 +45,7 @@ from .coxword import (
     jk_factorize,
     parse_cox_word,
 )
-from .hurwitz import GroupContext, GroupTuple, render_action
+from .hurwitz import GroupContext, render_action
 from .present import (
     block_product_check,
     coset_table_check,
@@ -160,7 +159,10 @@ def _load_inputs(args: argparse.Namespace, command: str) -> list:
     for flag in flags:
         if getattr(args, flag) is None:
             raise ValueError(f"{command} {args.family} needs --{flag}")
-    return [_load(flag, getattr(args, flag)) for flag in flags]
+    inputs = [_load(flag, getattr(args, flag)) for flag in flags]
+    # refused before the relations are generated, which takes O(n^4) time
+    _check_strands(_strands(args.family, inputs))
+    return inputs
 
 
 def _strands(family: str, inputs: list) -> int:
@@ -172,8 +174,6 @@ def _strands(family: str, inputs: list) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inputs = _load_inputs(args, "verify")
-    # refused before the relations are generated, which takes O(n^4) time
-    _check_strands(_strands(args.family, inputs))
     if args.family in _RELATIONS:
         relations, matrix, tag = _RELATIONS[args.family][1](*inputs)
         report = verify_relations(relations, matrix, tag=tag)
@@ -231,18 +231,6 @@ def _build_context(selector: str, n: int) -> GroupContext:
     raise ValueError(f"unknown context {selector!r}; use free, coxeter, or perm:<file>")
 
 
-def _parse_tuple(ctx: GroupContext, entries: list) -> GroupTuple:
-    for i, e in enumerate(entries, start=1):
-        if not isinstance(e, str):
-            raise ValueError(f"tuple entry {i} must be a string, got {e!r}")
-    if ctx.kind == "free":
-        return GroupTuple(ctx, tuple(parse_free_word(e) for e in entries))
-    if ctx.kind == "coxeter":
-        return GroupTuple(ctx, tuple(parse_cox_word(e) for e in entries))
-    assert ctx.degree is not None
-    return GroupTuple(ctx, tuple(Permutation.parse(e, ctx.degree) for e in entries))
-
-
 def cmd_hurwitz(args: argparse.Namespace) -> int:
     if args.tuple is not None:
         entries = json.loads(Path(args.tuple).read_text())
@@ -252,7 +240,10 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
         ctx = _build_context(args.context, n)
         if ctx.kind == "perm" and ctx.n != n:
             raise ValueError(f"tuple length {n} != realization size {ctx.n}")
-        tup = _parse_tuple(ctx, entries)
+        for i, e in enumerate(entries, start=1):
+            if not isinstance(e, str):
+                raise ValueError(f"tuple entry {i} must be a string, got {e!r}")
+        tup = ctx.parse_tuple(entries)
     else:
         if not args.context.startswith("perm:"):
             raise ValueError("--tuple is required for free and coxeter contexts")

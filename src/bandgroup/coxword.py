@@ -70,12 +70,14 @@ def reduce_cox(raw: Iterable[int]) -> CoxWord:
     return CoxWord(tuple(out))
 
 
-def parse_cox_word(text: str) -> CoxWord:
-    """Parse space-separated `s<k>` tokens into a reduced word."""
+def parse_cox_word(text: str, limit: int = MAX_IMAGE_LETTERS) -> CoxWord:
+    """Parse space-separated `s<k>` tokens, at most `limit` of them, into a reduced word."""
     letters: list[int] = []
     for token in text.split():
         if not token.startswith("s") or not token[1:].isdigit():
             raise ValueError(f"cannot parse Coxeter-word token {token!r}")
+        if len(letters) == limit:
+            raise ValueError(f"a Coxeter word may have at most {limit} letters")
         letters.append(int(token[1:]))
     return reduce_cox(letters)
 

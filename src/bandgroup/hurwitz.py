@@ -6,10 +6,10 @@ permutation realization.  A positive step at position j replaces
 (e_j, e_{j+1}) by (e_j e_{j+1} e_j^-1, e_j) in every group; the negative
 step is the inverse move.
 Applying a braid word means applying its letters left to right, which makes
-the whole thing a right action on tuples.  Free and Coxeter entries run on
-the word kernel of `braid` (`_act`), bounded by MAX_IMAGE_LETTERS letters
-per entry and letter indices up to MAX_STRANDS; permutations form a finite
-group, so they are bounded already.
+the whole thing a right action on tuples.  `GroupContext.parse_tuple` parses
+entries, refusing word entries past MAX_IMAGE_LETTERS letters in all; the word
+kernel of `braid` (`_act`) bounds each at as many, with letter indices up to
+MAX_STRANDS.  Permutations form a finite group, so they are bounded already.
 """
 
 from __future__ import annotations
@@ -17,16 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import _COX_TOKENS, _FREE_TOKENS, _NEG, _SELF, MAX_IMAGE_LETTERS, ArtinWord, FreeWord
-from .braid import Permutation, _act, _decode, _encode, _format, _syllables
-from .coxword import CoxWord
+from .braid import Permutation, _act, _decode, _encode, _format, _syllables, parse_free_word
+from .coxword import CoxWord, parse_cox_word
 
 FREE = "free"
 COXETER = "coxeter"
 PERMUTATION = "perm"
 
-# Per word context: the entry type, the letter-inversion table of the kernel
-# and the text of each encoded letter.
-_WORDS = {FREE: (FreeWord, _NEG, _FREE_TOKENS), COXETER: (CoxWord, _SELF, _COX_TOKENS)}
+# Per word context: the entry type, the parser of an entry's text, the
+# letter-inversion table of the kernel and the text of each encoded letter.
+_WORDS = {FREE: (FreeWord, parse_free_word, _NEG, _FREE_TOKENS),
+          COXETER: (CoxWord, parse_cox_word, _SELF, _COX_TOKENS)}
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,16 @@ class GroupContext:
         word_type = _WORDS[self.kind][0]
         return GroupTuple(self, tuple(word_type((i,)) for i in range(1, self.n + 1)))
 
+    def parse_tuple(self, texts: list[str]) -> GroupTuple:
+        """The tuple of texts: words sharing MAX_IMAGE_LETTERS letters, or cycle strings."""
+        if self.kind == PERMUTATION:
+            return GroupTuple(self, tuple(Permutation.parse(t, self.degree) for t in texts))
+        parse, left, entries = _WORDS[self.kind][1], MAX_IMAGE_LETTERS, []
+        for text in texts:
+            entries.append(parse(text, left))
+            left -= len(entries[-1])
+        return GroupTuple(self, tuple(entries))
+
 
 @dataclass(frozen=True)
 class GroupTuple:
@@ -101,33 +112,27 @@ def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(images)
 
 
-def _encoded(tup: GroupTuple) -> list:
-    """The entries as the action takes them: words encoded, permutations as images."""
-    if tup.context.kind == PERMUTATION:
-        return [p.images for p in tup.entries]
-    return [_encode(e.letters) for e in tup.entries]
-
-
-def _act_on(tup: GroupTuple, w: ArtinWord) -> list:
-    """The entries of tup acted on by w, in the form `_encoded` gives them."""
+def _act_on(tup: GroupTuple, w: ArtinWord) -> tuple[list, list]:
+    """The entries of tup before and after w acts: words encoded, permutations as images."""
     if w.n != tup.context.n:
         raise ValueError("braid word and tuple live on different strand counts")
-    entries = _encoded(tup)
-    if tup.context.kind != PERMUTATION:
-        neg = _WORDS[tup.context.kind][1]
-        return _act(entries, _syllables(w.letters), MAX_IMAGE_LETTERS, neg)
+    words = _WORDS.get(tup.context.kind)
+    before = [_encode(e.letters) if words else e.images for e in tup.entries]
+    entries = list(before)
+    if words:
+        return before, _act(entries, _syllables(w.letters), MAX_IMAGE_LETTERS, words[2])
     for k, sign in w.letters:
         a, b = entries[k - 1], entries[k]
         if sign > 0:
             entries[k - 1], entries[k] = _conjugate(a, b), a
         else:
             entries[k - 1], entries[k] = b, _conjugate(_inverse(b), a)
-    return entries
+    return before, entries
 
 
 def hurwitz_apply(tup: GroupTuple, w: ArtinWord) -> GroupTuple:
     """Apply a braid word letter by letter; a right action on tuples."""
-    entries = _act_on(tup, w)
+    entries = _act_on(tup, w)[1]
     if tup.context.kind == PERMUTATION:
         return GroupTuple(tup.context, tuple(Permutation(x) for x in entries))
     word_type = _WORDS[tup.context.kind][0]
@@ -141,9 +146,9 @@ def render_action(tup: GroupTuple, w: ArtinWord) -> tuple[list[str], bool]:
     rendered from its encoding, so an entry of millions of letters never
     becomes a tuple of integers.  A permutation is its cycle string.
     """
-    entries = _act_on(tup, w)
-    fixed = entries == _encoded(tup)
+    before, entries = _act_on(tup, w)
+    fixed = entries == before
     if tup.context.kind == PERMUTATION:
         return [Permutation(x).cycle_string() for x in entries], fixed
-    tokens = _WORDS[tup.context.kind][2]
+    tokens = _WORDS[tup.context.kind][3]
     return [_format(x, tokens) for x in entries], fixed

@@ -62,6 +62,15 @@ def _in_child(argv):
     return int(code), int(kilobytes) / 1024, done.stderr
 
 
+def _timed_child(argv):
+    """Exit code, seconds and standard error of the command line run as a child, given 10 s."""
+    env = {**os.environ, "PYTHONPATH": str(Path(bandgroup.__file__).parents[1])}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "bandgroup.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=10)
+    return done.returncode, time.perf_counter() - start, done.stderr
+
+
 class TestEq:
     def test_equal_words(self, capsys):
         assert main(["eq", "s1 s2 s1", "s2 s1 s2", "--n", "3"]) == 0
@@ -462,6 +471,18 @@ class TestHurwitz:
         out = capsys.readouterr().out
         assert out.endswith("moved\n") and len(out) > 10_000
 
+    @pytest.mark.parametrize("context, entries", [
+        ("free", ["t1^6", "t2^5", "t3"]),
+        ("coxeter", ["s1 s2 s1 s2 s1 s2", "s2 s1 s2 s1 s2", "s3"]),
+    ])
+    def test_word_entries_share_one_budget(self, tmp_path, capsys, monkeypatch, context, entries):
+        monkeypatch.setattr("bandgroup.hurwitz.MAX_IMAGE_LETTERS", 12)
+        assert self._run(tmp_path, context, entries, "s2") == 0
+        assert capsys.readouterr().out.endswith("moved\n")
+        monkeypatch.setattr("bandgroup.hurwitz.MAX_IMAGE_LETTERS", 10)
+        assert self._run(tmp_path, context, entries, "s2") == 2
+        self._usage_error(capsys, "may have at most 4 letters")
+
     @pytest.mark.parametrize("context, entry", [("free", "t200"), ("coxeter", "s200")])
     def test_letter_index_past_the_encoding(self, tmp_path, capsys, context, entry):
         assert self._run(tmp_path, context, [entry, entry], "s1") == 2
@@ -634,6 +655,25 @@ class TestExport:
         path = matrix_file("m.json", CoxeterDatum.constant(40, 3))
         code, peak_mb, _ = _in_child(["export", "--family", "thm1", "--matrix", path])
         assert code == 0 and peak_mb < 100
+
+    @pytest.mark.parametrize("family, flag", [
+        ("thm1", "--matrix"), ("sec4", "--matrix"), ("thm2", "--partition"),
+    ])
+    def test_past_the_free_action_is_refused_as_by_verify(
+        self, tmp_path, capsys, matrix_file, partition_file, family, flag
+    ):
+        # generating the relations on 128 strands would take minutes and gigabytes
+        n = MAX_STRANDS + 1
+        if flag == "--matrix":
+            path = matrix_file("m.json", CoxeterDatum.constant(n, 3))
+        else:
+            path = partition_file("p.json", Partition.singletons(n))
+        assert main(["verify", family, flag, path]) == 2
+        refusal = capsys.readouterr().err
+        dest = tmp_path / "pres.txt"
+        code, seconds, err = _timed_child(["export", "--family", family, flag, path,
+                                           "-o", str(dest)])
+        assert (code, err) == (2, refusal) and seconds < 2 and not dest.exists()
 
     @pytest.mark.parametrize("family, flag", [
         ("thm1", "--matrix"), ("sec4", "--matrix"), ("thm2", "--partition"),

@@ -54,6 +54,10 @@ class TestReduce:
         assert parse_cox_word("").letters == ()
         with pytest.raises(ValueError):
             parse_cox_word("s1'")
+        # the limit counts tokens, before adjacent pairs cancel
+        assert parse_cox_word("s1 s2 s2", 3).letters == (1,)
+        with pytest.raises(ValueError, match="at most 2 letters"):
+            parse_cox_word("s1 s2 s2", 2)
 
 
 class TestFactorization:

@@ -3,17 +3,19 @@ import random
 
 import pytest
 
+from bandgroup import hurwitz
 from bandgroup.braid import (
     MAX_STRANDS,
     ArtinWord,
     FreeWord,
     ImageLimitError,
     Permutation,
+    _encode,
     band_to_artin,
 )
 from bandgroup.coxeter import BandPair, CoxeterDatum, partition_to_matrix, set_partitions
 from bandgroup.coxword import CoxWord, act_band_on_cox
-from bandgroup.hurwitz import GroupContext, GroupTuple, hurwitz_apply
+from bandgroup.hurwitz import GroupContext, GroupTuple, hurwitz_apply, render_action
 
 from oracles import (
     compose_maps,
@@ -289,6 +291,47 @@ class TestStabilizes:
                     power = compose_maps(power, prod)
                 if power == identity:
                     assert hurwitz_apply(tup, band_to_artin(tau, matrix.n) ** m) == tup
+
+
+class TestRender:
+    @pytest.mark.parametrize("ctx", [GroupContext.free(4), GroupContext.coxeter(4)])
+    def test_each_entry_is_encoded_once(self, monkeypatch, ctx):
+        # the stabilizer test compares the entries from before the action,
+        # which the action encoded already
+        encoded = []
+        monkeypatch.setattr(hurwitz, "_encode", lambda x: encoded.append(x) or _encode(x))
+        tup = ctx.defining_tuple()
+        for w, fixed in [(ArtinWord(4, ((1, 1), (3, -1))), False), (ArtinWord(4), True)]:
+            encoded.clear()
+            assert render_action(tup, w)[1] == fixed
+            assert encoded == [e.letters for e in tup.entries]
+
+
+class TestParseTuple:
+    @pytest.mark.parametrize("ctx, texts", [
+        (GroupContext.free(3), ["t1^6", "t2'^5", "t3"]),
+        (GroupContext.coxeter(3), ["s1 s2 s1 s2 s1 s2", "s2 s1 s2 s1 s2", "s3"]),
+    ])
+    def test_word_entries_share_one_budget(self, monkeypatch, ctx, texts):
+        # 6, 5 and 1 letters: each entry is parsed with what the earlier ones left
+        monkeypatch.setattr("bandgroup.hurwitz.MAX_IMAGE_LETTERS", 12)
+        assert [len(e) for e in ctx.parse_tuple(texts).entries] == [6, 5, 1]
+        for budget, left in [(11, 0), (10, 4), (5, 5)]:
+            monkeypatch.setattr("bandgroup.hurwitz.MAX_IMAGE_LETTERS", budget)
+            with pytest.raises(ValueError, match=f"at most {left} letters"):
+                ctx.parse_tuple(texts)
+
+    def test_an_entry_is_refused_before_its_letters_are_built(self, monkeypatch):
+        # the second entry would take gigabytes; the third is never parsed
+        monkeypatch.setattr("bandgroup.hurwitz.MAX_IMAGE_LETTERS", 10)
+        with pytest.raises(ValueError, match="at most 4 letters"):
+            GroupContext.free(3).parse_tuple(["t1^6", "t2^1000000000", "junk"])
+
+    def test_permutation_entries(self):
+        ctx = GroupContext.permutations(
+            (Permutation.parse("(1 2)", 3), Permutation.parse("(2 3)", 3)), 3
+        )
+        assert ctx.parse_tuple(["(1 2)", "(2 3)"]) == ctx.defining_tuple()
 
 
 class TestContextValidation:
