@@ -39,7 +39,6 @@ from .coxword import (
     is_critical,
     is_long,
     jk_factorize,
-    reduce_cox,
 )
 from .hurwitz import GroupContext, GroupTuple, hurwitz_apply
 from .raag import (
@@ -105,7 +104,6 @@ __all__ = [
     "parse_braid_word",
     "partition_to_matrix",
     "permutation_image",
-    "reduce_cox",
     "relations_combing",
     "relations_sec4",
     "relations_thm1",

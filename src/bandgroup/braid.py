@@ -43,8 +43,9 @@ expands a syllable into Artin letters.  Inside the kernel a reduced word is a
 `bytes` object, letter i as the byte 128 + i and its inverse as 128 - i
 for free words, or as itself for Coxeter words, so concatenation, slicing
 and inversion run in C and letter indices, hence strands, are limited to
-127.  At the API boundary free words are `FreeWord`s, tuples of signed
-integers (+i for t_i, -i for its inverse), always freely reduced.
+127.  Text is parsed straight into it (`parse_free_word`, `coxword.parse_cox_word`);
+at the API boundary free words are `FreeWord`s, tuples of signed integers
+(+i for t_i, -i for its inverse), always freely reduced.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .coxeter import BandPair
 
@@ -132,17 +133,6 @@ class FreeWord:
         if any(x == 0 for x in self.letters):
             raise ValueError("letter index 0 is not allowed")
 
-    @staticmethod
-    def from_letters(seq: Iterable[int]) -> FreeWord:
-        """Reduce an arbitrary signed-letter sequence."""
-        out: list[int] = []
-        for x in seq:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        return FreeWord(tuple(out))
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -179,10 +169,12 @@ _WINDOW = 64
 # Coxeter words leave every letter as it is.
 _NEG = bytes((256 - b) % 256 for b in range(256))
 _SELF = bytes(range(256))
-# The text of each encoded letter and a space: t_i and t_i^-1, or s_i.
+# The text of each encoded letter and a space: t_i and t_i^-1, or s_i; and
+# the encoded letter of each plain token s_i.
 _INDICES = range(1, MAX_STRANDS + 1)
 _FREE_TOKENS = {128 + i: f"t{i} " for i in _INDICES} | {128 - i: f"t{i}' " for i in _INDICES}
 _COX_TOKENS = {128 + i: f"s{i} " for i in _INDICES}
+_COX_LETTERS = {f"s{i}": 128 + i for i in _INDICES}
 
 
 class ImageLimitError(ValueError):
@@ -855,25 +847,51 @@ def parse_braid_word(text: str, n: int) -> ArtinWord:
 
 
 _FREE_TOKEN = re.compile(r"^t(\d+)('?)(?:\^(-?\d+))?$")
+_SPACE = re.compile(r"\s")
+_SLICE = 1 << 16
 
 
-def parse_free_word(text: str, limit: int = MAX_IMAGE_LETTERS) -> FreeWord:
-    """Parse tokens like "t1 t2' t3^2" into a reduced free word.
+def _tokens(text: str) -> Iterator[str]:
+    """The tokens of text, split in slices that end at whitespace after _SLICE characters."""
+    start = 0
+    while start < len(text):
+        space = _SPACE.search(text, start + _SLICE)
+        stop = space.start() if space else len(text)
+        yield from text[start:stop].split()
+        start = stop
 
-    A word of more than `limit` letters is refused at the first token past
-    it, before that token's letters are built.
+
+def _index(digits: str) -> int:
+    """The letter index of a word token, refused unless the encoding holds it."""
+    i = int(digits)
+    if i > MAX_STRANDS:
+        raise ValueError(f"letter indices above {MAX_STRANDS} are not supported")
+    if i < 1:
+        raise ValueError("letter index 0 is not allowed")
+    return i
+
+
+def parse_free_word(text: str, limit: int = MAX_IMAGE_LETTERS) -> bytes:
+    """Parse tokens like "t1 t2' t3^2" into the reduced free word, encoded.
+
+    Each token's power is one chunk, joined through `_cancel`.  A letter index
+    outside 1..MAX_STRANDS, or the first token past `limit` letters before
+    they cancel, is refused before its letters are built.
     """
-    letters: list[int] = []
-    for token in text.split():
+    out, count = bytearray(), 0
+    for token in _tokens(text):
         m = _FREE_TOKEN.match(token)
         if not m:
             raise ValueError(f"cannot parse free-word token {token!r}")
         idx, prime, power = m.groups()
-        x = -int(idx) if prime else int(idx)
+        x = -_index(idx) if prime else _index(idx)
         e = int(power) if power is not None else 1
         if e < 0:
             x, e = -x, -e
-        if len(letters) + e > limit:
+        count += e
+        if count > limit:
             raise ValueError(f"a free word may have at most {limit} letters")
-        letters.extend([x] * e)
-    return FreeWord.from_letters(letters)
+        chunk = bytes((128 + x,)) * e
+        c = _cancel(out, chunk, _NEG)
+        out[len(out) - c:] = chunk[c:]
+    return bytes(out)

@@ -23,6 +23,7 @@ from .braid import (
     MAX_STRANDS,
     Permutation,
     _check_strands,
+    _decode,
     braid_equal,
     parse_braid_word,
     permutation_image,
@@ -233,24 +234,27 @@ def _build_context(selector: str, n: int) -> GroupContext:
 
 def cmd_hurwitz(args: argparse.Namespace) -> int:
     if args.tuple is not None:
-        entries = json.loads(Path(args.tuple).read_text())
-        if not isinstance(entries, list):
+        texts = json.loads(Path(args.tuple).read_text())
+        if not isinstance(texts, list):
             raise ValueError("tuple file must hold a JSON array")
-        n = len(entries)
+        n = len(texts)
+        if n > MAX_STRANDS:
+            raise ValueError(f"a tuple may have at most {MAX_STRANDS} entries, got {n}")
         ctx = _build_context(args.context, n)
         if ctx.kind == "perm" and ctx.n != n:
             raise ValueError(f"tuple length {n} != realization size {ctx.n}")
-        for i, e in enumerate(entries, start=1):
+        for i, e in enumerate(texts, start=1):
             if not isinstance(e, str):
                 raise ValueError(f"tuple entry {i} must be a string, got {e!r}")
-        tup = ctx.parse_tuple(entries)
+        entries = ctx.parse_tuple(texts)
+        del texts  # a long entry's text is not kept while the action runs
     else:
         if not args.context.startswith("perm:"):
             raise ValueError("--tuple is required for free and coxeter contexts")
         ctx = _build_context(args.context, 0)
-        tup = ctx.defining_tuple()
+        entries = tuple(p.images for p in ctx.images)
     word = parse_braid_word(args.word, ctx.n)
-    rendered, fixed = render_action(tup, word)
+    rendered, fixed = render_action(ctx, entries, word)
     lines = chain((f"{i}: {text}" for i, text in enumerate(rendered, start=1)),
                   ["stabilizes" if fixed else "moved"])
     _answer(args, {"command": "hurwitz", "result": rendered, "stabilizes": fixed}, lines)
@@ -258,7 +262,7 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
-    word = parse_cox_word(args.word)
+    word = CoxWord(_decode(parse_cox_word(args.word)))
     f = jk_factorize(word, args.j, args.k)
     rows = []
     for nu, block in enumerate(f.blocks):
@@ -303,7 +307,7 @@ def cmd_checkprop(args: argparse.Namespace) -> int:
     if args.random is None:
         if args.word is None or args.band is None or args.m is None:
             raise ValueError("single mode needs WORD, --band and --m")
-        word = parse_cox_word(args.word)
+        word = CoxWord(_decode(parse_cox_word(args.word)))
         result = check(word, _parse_band(args.band), args.m)
         payload = {"command": f"checkprop {args.which}", "status": result.status,
                    "detail": result.detail, "failures": list(result.failures)}

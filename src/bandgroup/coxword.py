@@ -10,8 +10,9 @@ two-letter subalphabet, and the executable checks that blocks marked
 The action itself, `_act_band`, runs on the `bytes` encoding of the braid
 kernel, letter s_i as the byte 128 + i and its own inverse, so letter
 indices go up to MAX_STRANDS.  The injectivity scan calls it on encoded
-words directly; `act_band_on_cox` encodes a `CoxWord` for it and checks
-the result back in.  It is the one implementation of the action: the
+words directly, `parse_cox_word` reads text straight into that encoding,
+and `act_band_on_cox` encodes a `CoxWord` for it and checks the result
+back in.  It is the one implementation of the action: the
 braid's free action pushed through the quotient t_i -> s_i, the route it
 is a closed form of, serves only as the tests' referee.
 """
@@ -21,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .braid import _SELF, MAX_IMAGE_LETTERS, MAX_STRANDS, _cancel, _decode, _encode, _too_long
+from .braid import _COX_LETTERS, _SELF, MAX_IMAGE_LETTERS, MAX_STRANDS, _cancel, _decode, _encode
+from .braid import _index, _tokens, _too_long
 from .coxeter import BandPair, commutes_in_brn, crossing
 
 
@@ -50,36 +52,27 @@ class CoxWord:
         return " ".join(f"s{x}" for x in self.letters) if self.letters else "1"
 
 
-def reduce_cox(raw: Iterable[int]) -> CoxWord:
-    """Delete adjacent equal pairs until none remain.
+def parse_cox_word(text: str, limit: int = MAX_IMAGE_LETTERS) -> bytes:
+    """Parse space-separated `s<k>` tokens, at most `limit` of them, into a reduced word, encoded.
 
-    Single-pair deletion is confluent here, so a one-pass stack reduction
-    reaches the unique reduced word regardless of deletion order.
-
-    >>> reduce_cox([1, 2, 2, 1]).letters
-    ()
-    >>> reduce_cox([1, 2, 2, 3]).letters
-    (1, 3)
+    Each letter cancels the top of the word so far when it equals it.  A
+    letter index outside 1..MAX_STRANDS is refused at its token.
     """
-    out: list[int] = []
-    for x in raw:
+    out, count = bytearray(), 0
+    for token in _tokens(text):
+        x = _COX_LETTERS.get(token)
+        if x is None:
+            if not token.startswith("s") or not token[1:].isdigit():
+                raise ValueError(f"cannot parse Coxeter-word token {token!r}")
+            x = 128 + _index(token[1:])
+        if count == limit:
+            raise ValueError(f"a Coxeter word may have at most {limit} letters")
+        count += 1
         if out and out[-1] == x:
             out.pop()
         else:
             out.append(x)
-    return CoxWord(tuple(out))
-
-
-def parse_cox_word(text: str, limit: int = MAX_IMAGE_LETTERS) -> CoxWord:
-    """Parse space-separated `s<k>` tokens, at most `limit` of them, into a reduced word."""
-    letters: list[int] = []
-    for token in text.split():
-        if not token.startswith("s") or not token[1:].isdigit():
-            raise ValueError(f"cannot parse Coxeter-word token {token!r}")
-        if len(letters) == limit:
-            raise ValueError(f"a Coxeter word may have at most {limit} letters")
-        letters.append(int(token[1:]))
-    return reduce_cox(letters)
+    return bytes(out)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ permutation realization.  A positive step at position j replaces
 step is the inverse move.
 Applying a braid word means applying its letters left to right, which makes
 the whole thing a right action on tuples.  `GroupContext.parse_tuple` parses
-entries, refusing word entries past MAX_IMAGE_LETTERS letters in all; the word
-kernel of `braid` (`_act`) bounds each at as many, with letter indices up to
-MAX_STRANDS.  Permutations form a finite group, so they are bounded already.
+entries as the action takes them (words encoded for the kernel of `braid`,
+`_act`), refusing word entries past MAX_IMAGE_LETTERS letters in all; the
+kernel bounds each at as many, with letter indices up to MAX_STRANDS.
+Permutations form a finite group, so they are bounded already.
 """
 
 from __future__ import annotations
@@ -64,25 +65,15 @@ class GroupContext:
                 raise ValueError(f"realization image {p.cycle_string()} is not an involution")
         return GroupContext(PERMUTATION, len(images), degree, tuple(images))
 
-    def defining_tuple(self) -> GroupTuple:
-        """(t_1..t_n), (s_1..s_n), or the designated permutations."""
+    def parse_tuple(self, texts: list[str]) -> tuple:
+        """Entries as the action takes them: words sharing MAX_IMAGE_LETTERS letters, or images."""
         if self.kind == PERMUTATION:
-            assert self.images is not None
-            return GroupTuple(self, self.images)
-        if self.kind not in _WORDS:
-            raise ValueError(f"unknown context kind {self.kind!r}")
-        word_type = _WORDS[self.kind][0]
-        return GroupTuple(self, tuple(word_type((i,)) for i in range(1, self.n + 1)))
-
-    def parse_tuple(self, texts: list[str]) -> GroupTuple:
-        """The tuple of texts: words sharing MAX_IMAGE_LETTERS letters, or cycle strings."""
-        if self.kind == PERMUTATION:
-            return GroupTuple(self, tuple(Permutation.parse(t, self.degree) for t in texts))
+            return tuple(Permutation.parse(t, self.degree).images for t in texts)
         parse, left, entries = _WORDS[self.kind][1], MAX_IMAGE_LETTERS, []
         for text in texts:
             entries.append(parse(text, left))
             left -= len(entries[-1])
-        return GroupTuple(self, tuple(entries))
+        return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -112,43 +103,38 @@ def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(images)
 
 
-def _act_on(tup: GroupTuple, w: ArtinWord) -> tuple[list, list]:
-    """The entries of tup before and after w acts: words encoded, permutations as images."""
-    if w.n != tup.context.n:
+def _act_on(ctx: GroupContext, entries, w: ArtinWord) -> list:
+    """The entries after w acts: encoded words, or permutations as image tuples."""
+    if w.n != ctx.n:
         raise ValueError("braid word and tuple live on different strand counts")
-    words = _WORDS.get(tup.context.kind)
-    before = [_encode(e.letters) if words else e.images for e in tup.entries]
-    entries = list(before)
-    if words:
-        return before, _act(entries, _syllables(w.letters), MAX_IMAGE_LETTERS, words[2])
+    entries = list(entries)
+    if ctx.kind in _WORDS:
+        return _act(entries, _syllables(w.letters), MAX_IMAGE_LETTERS, _WORDS[ctx.kind][2])
     for k, sign in w.letters:
         a, b = entries[k - 1], entries[k]
         if sign > 0:
             entries[k - 1], entries[k] = _conjugate(a, b), a
         else:
             entries[k - 1], entries[k] = b, _conjugate(_inverse(b), a)
-    return before, entries
+    return entries
 
 
 def hurwitz_apply(tup: GroupTuple, w: ArtinWord) -> GroupTuple:
     """Apply a braid word letter by letter; a right action on tuples."""
-    entries = _act_on(tup, w)[1]
-    if tup.context.kind == PERMUTATION:
-        return GroupTuple(tup.context, tuple(Permutation(x) for x in entries))
-    word_type = _WORDS[tup.context.kind][0]
-    return GroupTuple(tup.context, tuple(word_type(_decode(x)) for x in entries))
+    ctx, words = tup.context, _WORDS.get(tup.context.kind)
+    after = _act_on(ctx, [_encode(e.letters) if words else e.images for e in tup.entries], w)
+    return GroupTuple(ctx, tuple(words[0](_decode(x)) if words else Permutation(x) for x in after))
 
 
-def render_action(tup: GroupTuple, w: ArtinWord) -> tuple[list[str], bool]:
-    """The entries of tup acted on by w as text, and whether w stabilizes tup.
+def render_action(ctx: GroupContext, entries: tuple, w: ArtinWord) -> tuple[list[str], bool]:
+    """Entries from `GroupContext.parse_tuple` acted on by w, as text, and whether w fixes them.
 
     A word is its tokens (t2', s3) joined by spaces, or 1 when it is empty,
     rendered from its encoding, so an entry of millions of letters never
     becomes a tuple of integers.  A permutation is its cycle string.
     """
-    before, entries = _act_on(tup, w)
-    fixed = entries == before
-    if tup.context.kind == PERMUTATION:
-        return [Permutation(x).cycle_string() for x in entries], fixed
-    tokens = _WORDS[tup.context.kind][3]
-    return [_format(x, tokens) for x in entries], fixed
+    after = _act_on(ctx, entries, w)
+    fixed = after == list(entries)
+    if ctx.kind == PERMUTATION:
+        return [Permutation(x).cycle_string() for x in after], fixed
+    return [_format(x, _WORDS[ctx.kind][3]) for x in after], fixed

@@ -32,6 +32,7 @@ from bandgroup.braid import (
     permutation_image,
 )
 from bandgroup.coxeter import BandPair, commutes_in_brn, partition_to_matrix, set_partitions
+from bandgroup.coxword import parse_cox_word
 from bandgroup.present import expand_letter_word, relations_thm2
 
 import test_acceptance as acceptance
@@ -729,11 +730,11 @@ class TestSyntax:
         st.lists(st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0), max_size=30),
     )
     def test_free_word_always_reduced(self, letters, more):
-        w, v = FreeWord.from_letters(letters), FreeWord.from_letters(more)
+        w, v = FreeWord(tuple(reduce_word(letters))), FreeWord(tuple(reduce_word(more)))
         assert all(a != -b for a, b in zip(w.letters, w.letters[1:]))
         x, y = _encode(w.letters), _encode(v.letters)
         assert _mul(x, _inverse(x, _NEG), _NEG) == b""
-        assert _decode(_mul(x, y, _NEG)) == FreeWord.from_letters(letters + more).letters
+        assert list(_decode(_mul(x, y, _NEG))) == reduce_word(letters + more)
         # the same products over involutive letters, each its own inverse
         cw = reduce_word(map(abs, letters), involutive=True)
         cv = reduce_word(map(abs, more), involutive=True)
@@ -742,8 +743,40 @@ class TestSyntax:
         assert list(_decode(_mul(cx, cy, _SELF))) == reduce_word(cw + cv, involutive=True)
 
     def test_parse_free_word(self):
-        assert parse_free_word("t1 t2' t1^2").letters == (1, -2, 1, 1)
-        assert parse_free_word("t1 t1'").letters == ()
+        assert _decode(parse_free_word("t1 t2' t1^2")) == (1, -2, 1, 1)
+        assert parse_free_word("t1 t1'") == b""
+        # letter indices the encoding cannot hold are refused at their token
+        assert _decode(parse_free_word("t127' t01^0 t1")) == (-127, 1)
+        with pytest.raises(ValueError, match="above 127"):
+            parse_free_word("t1 t128^0")
+        with pytest.raises(ValueError, match="letter index 0 is not allowed"):
+            parse_free_word("t1 t0'")
+
+    @pytest.mark.parametrize("involutive", [False, True])
+    def test_parsers_match_the_reduction_referee(self, monkeypatch, involutive):
+        """Seeded texts, read in slices of a few characters, against reduce_word.
+
+        The tokens are drawn from few letters, with powers for free words, so
+        long stretches cancel across the junctions of tokens and of slices.
+        """
+        monkeypatch.setattr("bandgroup.braid._SLICE", 5)
+        parse = parse_cox_word if involutive else parse_free_word
+        rng = random.Random(29)
+        for _ in range(400):
+            letters, tokens = [], []
+            for _ in range(rng.randint(0, 30)):
+                x = rng.randint(1, 3)
+                if involutive:
+                    tokens.append(f"s{x}")
+                    letters.append(x)
+                    continue
+                e, prime = rng.randint(-4, 4), rng.random() < 0.5
+                mark = "'" if prime else ""
+                tokens.append(f"t{x}{mark}^{e}")
+                letters += [-x if prime != (e < 0) else x] * abs(e)
+            spaces = [rng.choice([" ", "  ", "\n", "\t "]) for _ in tokens]
+            text = "".join(f"{space}{token}" for space, token in zip(spaces, tokens))
+            assert list(_decode(parse(text))) == reduce_word(letters, involutive)
 
     def test_free_word_length_is_bounded_before_building(self):
         for bad in (f"t1^{MAX_IMAGE_LETTERS + 1}", f"t1 t2'^-{MAX_IMAGE_LETTERS}", "t1^1000000000"):

@@ -489,6 +489,57 @@ class TestHurwitz:
         self._usage_error(capsys, f"above {MAX_STRANDS}")
 
     @pytest.mark.parametrize("context", ["free", "coxeter", "perm"])
+    def test_tuples_past_the_strand_cap_are_refused(self, tmp_path, capsys, monkeypatch, context):
+        entry = {"free": "t1", "coxeter": "s1"}.get(context, "()")
+        if context == "perm":
+            ctx = tmp_path / "ctx.json"
+            ctx.write_text(json.dumps({"degree": 2, "images": ["()"] * MAX_STRANDS}))
+            context = f"perm:{ctx}"
+        assert self._run(tmp_path, context, [entry] * MAX_STRANDS, "s126") == 0
+        assert capsys.readouterr().out.endswith("stabilizes\n")
+        # refused before the context is built or any entry is parsed
+        monkeypatch.setattr("bandgroup.cli._build_context", None)
+        assert self._run(tmp_path, context, [entry] * (MAX_STRANDS + 1), "s1") == 2
+        self._usage_error(capsys, f"at most {MAX_STRANDS} entries, got {MAX_STRANDS + 1}")
+
+    def test_two_million_entries_are_refused_up_front(self, tmp_path, capsys):
+        # the entries were all parsed and acted on: 11.5 s and 277 MB as a child
+        tup = tmp_path / "t.json"
+        tup.write_text(json.dumps([""] * 2_000_000))
+        started = time.perf_counter()
+        assert main(["hurwitz", "--context", "free", "--tuple", str(tup), "--word", "s1"]) == 2
+        assert time.perf_counter() - started < 1
+        self._usage_error(capsys, f"at most {MAX_STRANDS} entries, got 2000000")
+
+    @pytest.mark.parametrize("context, entries", [
+        ("free", ["t1 t2'", "t2^3 t1'", "t3"]), ("coxeter", ["s1 s2", "s3 s1", "s2"]),
+    ], ids=["free", "coxeter"])
+    def test_entries_are_acted_on_as_parsed(self, tmp_path, capsys, monkeypatch, context, entries):
+        assert self._run(tmp_path, context, entries, "s1 s2' s1") == 0
+        out = capsys.readouterr().out
+
+        def refuse(x):
+            raise AssertionError("an entry was encoded or decoded again")
+
+        monkeypatch.setattr("bandgroup.hurwitz._encode", refuse)
+        monkeypatch.setattr("bandgroup.hurwitz._decode", refuse)
+        assert self._run(tmp_path, context, entries, "s1 s2' s1") == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("context, entries", [
+        # one token of 2^22 letters: four lists of them took 145 MB
+        ("free", ["t1^4194304", "t2", "t3"]),
+        # 2^21 tokens: one list of them, then of the letters, took 190 MB
+        ("coxeter", [" ".join(["s1 s2"] * (1 << 20)), "s2", "s3"]),
+    ], ids=["free-2^22", "coxeter-2^21"])
+    def test_long_entries_are_parsed_in_flat_memory(self, tmp_path, context, entries):
+        tup = tmp_path / "t.json"
+        tup.write_text(json.dumps(entries))
+        code, peak_mb, _ = _in_child(["hurwitz", "--context", context, "--tuple", str(tup),
+                                      "--word", "s2"])
+        assert code == 0 and peak_mb < 100
+
+    @pytest.mark.parametrize("context", ["free", "coxeter", "perm"])
     def test_non_string_entry_is_named(self, tmp_path, capsys, context):
         if context == "perm":
             ctx = tmp_path / "ctx.json"

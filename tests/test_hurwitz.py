@@ -10,7 +10,6 @@ from bandgroup.braid import (
     FreeWord,
     ImageLimitError,
     Permutation,
-    _encode,
     band_to_artin,
 )
 from bandgroup.coxeter import BandPair, CoxeterDatum, partition_to_matrix, set_partitions
@@ -26,8 +25,16 @@ from oracles import (
 )
 
 
+def start(ctx):
+    """The defining tuple of a context: (t_1..t_n), (s_1..s_n) or its designated permutations."""
+    if ctx.kind == "perm":
+        return GroupTuple(ctx, ctx.images)
+    word_type = FreeWord if ctx.kind == "free" else CoxWord
+    return GroupTuple(ctx, tuple(word_type((i,)) for i in range(1, ctx.n + 1)))
+
+
 def cox_tuple(n):
-    return GroupContext.coxeter(n).defining_tuple()
+    return start(GroupContext.coxeter(n))
 
 
 def step(tup, j, sign):
@@ -37,7 +44,7 @@ def step(tup, j, sign):
 
 def perm_tuple(degree, *cycle_texts):
     images = tuple(Permutation.parse(t, degree) for t in cycle_texts)
-    return GroupContext.permutations(images, degree).defining_tuple()
+    return start(GroupContext.permutations(images, degree))
 
 
 def random_word(rng, n, max_len):
@@ -49,16 +56,14 @@ def random_word(rng, n, max_len):
 
 def random_tuple(rng, kind, n):
     if kind == "free":
-        ctx = GroupContext.free(n)
-        tup = ctx.defining_tuple()
+        tup = start(GroupContext.free(n))
     elif kind == "coxeter":
-        ctx = GroupContext.coxeter(n)
-        tup = ctx.defining_tuple()
+        tup = start(GroupContext.coxeter(n))
     else:
         images = tuple(
             Permutation.from_cycles(n + 1, [(i, i + 1)]) for i in range(1, n + 1)
         )
-        tup = GroupContext.permutations(images, n + 1).defining_tuple()
+        tup = start(GroupContext.permutations(images, n + 1))
     # scramble with a random word so the entries are not just generators
     return hurwitz_apply(tup, random_word(rng, n, 6))
 
@@ -202,11 +207,9 @@ class TestKernelAgainstReferee:
                     maps[k - 1], maps[k] = conjugate(a, b), a
                 else:
                     maps[k - 1], maps[k] = b, conjugate(inverse(b), a)
-            got = hurwitz_apply(ctx.defining_tuple(), w).entries
+            got = hurwitz_apply(start(ctx), w).entries
             assert [{x: p(x) for x in range(1, degree + 1)} for p in got] == maps
-            assert (hurwitz_apply(ctx.defining_tuple(), w) == ctx.defining_tuple()) == (
-                list(got) == perms
-            )
+            assert (hurwitz_apply(start(ctx), w) == start(ctx)) == (list(got) == perms)
 
     def test_entry_limits(self, monkeypatch):
         for ctx, big in [
@@ -220,17 +223,17 @@ class TestKernelAgainstReferee:
         w = ArtinWord(3, ((1, 1), (2, -1)) * 8)
         for ctx in (GroupContext.free(3), GroupContext.coxeter(3)):
             involutive = ctx.kind == "coxeter"
-            start = [(1,), (2,), (3,)]
+            generators = [(1,), (2,), (3,)]
             longest = max(
                 len(e)
                 for j in range(len(w.letters) + 1)
-                for e in referee_hurwitz(start, w.letters[:j], involutive)
+                for e in referee_hurwitz(generators, w.letters[:j], involutive)
             )
             monkeypatch.setattr("bandgroup.hurwitz.MAX_IMAGE_LETTERS", longest)
-            assert hurwitz_apply(ctx.defining_tuple(), w) != ctx.defining_tuple()
+            assert hurwitz_apply(start(ctx), w) != start(ctx)
             monkeypatch.setattr("bandgroup.hurwitz.MAX_IMAGE_LETTERS", longest - 1)
             with pytest.raises(ImageLimitError, match=f"exceeds {longest - 1} letters"):
-                hurwitz_apply(ctx.defining_tuple(), w)
+                hurwitz_apply(start(ctx), w)
 
 
 class TestBandPowerLetterAction:
@@ -280,7 +283,7 @@ class TestStabilizes:
         ]
         for matrix, cycles, degree in cases:
             images = tuple(Permutation.parse(c, degree) for c in cycles)
-            tup = GroupContext.permutations(images, degree).defining_tuple()
+            tup = start(GroupContext.permutations(images, degree))
             maps = [{x: p(x) for x in range(1, degree + 1)} for p in images]
             identity = {x: x for x in range(1, degree + 1)}
             for tau in matrix.band_pairs():
@@ -294,17 +297,31 @@ class TestStabilizes:
 
 
 class TestRender:
-    @pytest.mark.parametrize("ctx", [GroupContext.free(4), GroupContext.coxeter(4)])
-    def test_each_entry_is_encoded_once(self, monkeypatch, ctx):
-        # the stabilizer test compares the entries from before the action,
-        # which the action encoded already
-        encoded = []
-        monkeypatch.setattr(hurwitz, "_encode", lambda x: encoded.append(x) or _encode(x))
-        tup = ctx.defining_tuple()
-        for w, fixed in [(ArtinWord(4, ((1, 1), (3, -1))), False), (ArtinWord(4), True)]:
-            encoded.clear()
-            assert render_action(tup, w)[1] == fixed
-            assert encoded == [e.letters for e in tup.entries]
+    @pytest.mark.parametrize("ctx, texts, rendered", [
+        (GroupContext.free(4), ["t1", "t2", "t3'", "t4"], ["t1 t2 t1'", "t1", "t4", "t4' t3' t4"]),
+        (GroupContext.coxeter(4), ["s1", "s2", "s3", "s4"], ["s1 s2 s1", "s1", "s4", "s4 s3 s4"]),
+    ], ids=["free", "coxeter"])
+    def test_entries_are_acted_on_as_parsed(self, monkeypatch, ctx, texts, rendered):
+        # the parsed entries are already the encoding the action runs on
+        def refuse(x):
+            raise AssertionError("an entry was encoded or decoded again")
+
+        monkeypatch.setattr(hurwitz, "_encode", refuse)
+        monkeypatch.setattr(hurwitz, "_decode", refuse)
+        entries = ctx.parse_tuple(texts)
+        assert all(isinstance(e, bytes) for e in entries)
+        w = ArtinWord(4, ((1, 1), (3, -1)))
+        assert render_action(ctx, entries, w) == (rendered, False)
+        assert render_action(ctx, entries, ArtinWord(4)) == (texts, True)
+
+    def test_permutation_entries_are_image_tuples(self):
+        ctx = GroupContext.permutations(
+            (Permutation.parse("(1 2)", 3), Permutation.parse("(2 3)", 3)), 3
+        )
+        entries = ctx.parse_tuple(["(1 2)", "(2 3)"])
+        assert entries == ((2, 1, 3), (1, 3, 2))
+        assert render_action(ctx, entries, ArtinWord(2, ((1, 1),))) == (["(1 3)", "(1 2)"], False)
+        assert render_action(ctx, entries, ArtinWord(2, ((1, 1),)) ** 3) == (["(1 2)", "(2 3)"], True)
 
 
 class TestParseTuple:
@@ -315,7 +332,7 @@ class TestParseTuple:
     def test_word_entries_share_one_budget(self, monkeypatch, ctx, texts):
         # 6, 5 and 1 letters: each entry is parsed with what the earlier ones left
         monkeypatch.setattr("bandgroup.hurwitz.MAX_IMAGE_LETTERS", 12)
-        assert [len(e) for e in ctx.parse_tuple(texts).entries] == [6, 5, 1]
+        assert [len(e) for e in ctx.parse_tuple(texts)] == [6, 5, 1]
         for budget, left in [(11, 0), (10, 4), (5, 5)]:
             monkeypatch.setattr("bandgroup.hurwitz.MAX_IMAGE_LETTERS", budget)
             with pytest.raises(ValueError, match=f"at most {left} letters"):
@@ -331,7 +348,7 @@ class TestParseTuple:
         ctx = GroupContext.permutations(
             (Permutation.parse("(1 2)", 3), Permutation.parse("(2 3)", 3)), 3
         )
-        assert ctx.parse_tuple(["(1 2)", "(2 3)"]) == ctx.defining_tuple()
+        assert ctx.parse_tuple(["(1 2)", "(2 3)"]) == tuple(p.images for p in ctx.images)
 
 
 class TestContextValidation:
