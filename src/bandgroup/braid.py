@@ -20,11 +20,15 @@ action of `hurwitz` on tuples of free or universal Coxeter words.  The
 band-power action on Coxeter words that the injectivity scan folds,
 `coxword._act_band`, is a closed form of its own on the same encoding:
 each letter's image is a slice of c = (s_j s_k)^m and of c^-1, and the
-images meet through `_cancel`.  Routed through `_act` with `_SELF`, the
-action was slower even than the earlier closed form over letter tuples:
+images meet through `_cancel`.  The words the scan acts on are the
+images of a letter s_i, reflections u t u^-1 whose reduced words are odd
+palindromes.  A band power sends one to another: with v t' v^-1 the
+image of t, u t u^-1 goes to h t' h^-1 for h the image of u times v, so
+the scan runs the action on the halves alone (`raag._act_reflections`):
 one `scan inject` on the constant-3 matrix (n = 4, L = 3, B = 2) took
-57.7-67.1 ms against 44.5-52.0 ms (medians of 15 scans, three
-alternating runs, 2 cores, Python 3.11.7).
+4.45-5.52 ms where acting on the whole palindromes took 5.44-7.01 ms
+(medians of 41 scans in one process, alternating the two, two sessions,
+2 cores, Python 3.11.7).
 
 `BraidDecider` decides words of syllables (the band letters of a
 relation, say), and `braid_equal` is the same routine on the runs of two
@@ -204,6 +208,19 @@ def _decode(x: bytes) -> tuple[int, ...]:
 def _format(x: bytes, tokens: dict[int, str]) -> str:
     """An encoded word as text, "1" when it is empty."""
     return x.decode("latin-1").translate(tokens)[:-1] or "1"
+
+
+# Letters per slice of `_format_slices`: 64 KB of a word, up to about 256 KB of its text.
+_TEXT_SLICE = 1 << 16
+
+
+def _format_slices(x: bytes, tokens: dict[int, str]) -> Iterator[str]:
+    """The text of `_format` in slices of _TEXT_SLICE letters, so it is never held whole."""
+    if not x:
+        yield "1"
+    for start in range(0, len(x), _TEXT_SLICE):
+        text = x[start:start + _TEXT_SLICE].decode("latin-1").translate(tokens)
+        yield text if start + _TEXT_SLICE < len(x) else text[:-1]
 
 
 def _cancel(x: bytes, y: bytes, neg: bytes) -> int:

@@ -16,7 +16,6 @@ import json
 import random
 import sys
 from collections.abc import Iterable
-from itertools import chain
 from pathlib import Path
 
 from .braid import (
@@ -106,11 +105,7 @@ def _emit(reports: list[RunReport], args: argparse.Namespace, command: str) -> i
 
 
 def _answer(args: argparse.Namespace, payload: dict, lines: Iterable[str]) -> None:
-    """Print a single answer: the JSON payload under --json, else the text lines.
-
-    The lines are printed one at a time, so a lazy iterable never holds a
-    second copy of a long Hurwitz entry.
-    """
+    """Print a single answer: the JSON payload under --json, else the text lines, one at a time."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -254,10 +249,15 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
         ctx = _build_context(args.context, 0)
         entries = tuple(p.images for p in ctx.images)
     word = parse_braid_word(args.word, ctx.n)
-    rendered, fixed = render_action(ctx, entries, word)
-    lines = chain((f"{i}: {text}" for i, text in enumerate(rendered, start=1)),
-                  ["stabilizes" if fixed else "moved"])
-    _answer(args, {"command": "hurwitz", "result": rendered, "stabilizes": fixed}, lines)
+    texts, fixed = render_action(ctx, entries, word, whole=args.json)
+    if args.json:
+        _answer(args, {"command": "hurwitz", "result": texts, "stabilizes": fixed}, ())
+        return 0
+    for i, slices in enumerate(texts, start=1):
+        sys.stdout.write(f"{i}: ")
+        sys.stdout.writelines(slices)
+        sys.stdout.write("\n")
+    print("stabilizes" if fixed else "moved")
     return 0
 
 

@@ -19,10 +19,12 @@ base the expression ends in, the braid's action on the universal Coxeter
 group must move the base's first letter.  A braid that moves a letter is
 not 1, so a passing certificate also proves the braid nontrivial; the exact
 equality oracle decides only expressions whose certificates all fail.  The
-scan carries the letter images of each shorter prefix down the walk as
-encoded words and decides every level per parent: one index lookup per
-letter image finds the parent's children with a failing certificate, and
-the rest are counted from the parent's masks.
+scan carries the letter images of each shorter prefix down the walk and
+decides every level per parent: one index lookup per letter image finds
+the parent's children with a failing certificate, and the rest are counted
+from the parent's masks.  A letter image is a reflection, whose reduced
+word is an odd palindrome, so the scan carries only its head, the encoded
+word up to the centre, and the kernel acts on the half before it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import accumulate
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .braid import ArtinWord, ImageLimitError
+from .braid import _SELF, ArtinWord, ImageLimitError, _mul
 from .coxeter import BandPair, CoxeterDatum, ScopeError, commutes_in_brn
 from .coxword import _act_band, _band_images
 from .present import BandWordDecider, Letter, expand_letter_word, format_letter_word
@@ -60,12 +62,17 @@ MAX_SCAN_EXPRESSIONS = 100_000
 # within the expression budget can still hold billions of letters (n = 2,
 # L = 1 at max_exp 50000), and a prefix image with the product of its
 # factors' powers (on constant 1000 with n = 3, L = 3, B = 1 the walk
-# would build 9.6x10^7 letters).  A letter is one byte: with entry 3,
-# n = 2 and L = 1, the scan of the 6 max_exp (max_exp + 1) letters took
-# 1.7 to 3.0 ms at max_exp 300 and 16 to 29 ms at 1181 (8.4x10^6 letters,
-# the last that fits; medians of 15 to 30 in process, six runs), and the
-# scan at 1181 peaked at 26.5 MB as a child process (2 cores, Python
-# 3.11.7).
+# would build 9.6x10^7 letters).  The count is of whole images, 2 |head| - 1
+# letters for a reflection carried by its head (see `_act_reflections`),
+# so it bounds the kernel's work, which walks at most the halves; the scan
+# holds about half of them: the heads of the prefix images and of the
+# tables, and the whole tables beside them only when it walks prefixes.
+# A letter is one byte: with entry 3, n = 2 and L = 1, the scan of the
+# 6 max_exp (max_exp + 1) letters took 1.7 to 3.0 ms at max_exp 300 and
+# 16 to 29 ms at 1181 (8.4x10^6 letters, the last that fits; medians of
+# 15 to 30 in process, six runs), and the scan at 1181 peaked at 20.9 MB
+# as a child process, 26.2 MB while it held its tables whole (2 cores,
+# Python 3.11.7).
 MAX_SCAN_LETTERS = 1 << 23
 
 
@@ -253,6 +260,40 @@ def _table_letters(matrix: CoxeterDatum, max_exp: int, held: Sequence[int]) -> i
     return total
 
 
+def _act_reflections(images: list[bytes], j: int, k: int, m: int, table: dict[int, bytes],
+                     heads: dict[int, bytes], left: int) -> tuple[list[bytes], int]:
+    """The images of reflections, given by their heads, under the m-th power of the band on (j, k).
+
+    A reflection u t u^-1 of the universal Coxeter group has the odd
+    palindrome u t reverse(u) as its reduced word, so its head u t, the
+    word up to the centre, determines it.  A band power phi is an
+    automorphism, so phi(u t u^-1) = phi(u) phi(t) phi(u)^-1, where `table`
+    holds phi of the band's letters (`coxword._band_images`) and `heads`
+    their heads v t', a letter outside the band being its own head.  The
+    image is h t' h^-1 for h the reduced product phi(u) v; it is reduced
+    unless h ends in t', and then h is its head.  So only u is acted on
+    (`coxword._act_band`), and a single letter is a table lookup: the
+    product q of phi(u) and v t' is the head when it ends in t', and
+    otherwise, t' having cancelled the end of h, q t' is.  Counted at the
+    2 |head| - 1 letters of the reflection, the images may hold `left`
+    letters in all; ImageLimitError is raised before they would pass it,
+    or already when phi on a prefix of u reaches (left + 1) / 2 + |v t'|
+    letters.
+    """
+    out = []
+    for head in images:
+        image = heads.get(head[-1]) or head[-1:]  # v t'
+        if len(head) > 1:
+            q = _mul(_act_band(head[:-1], j, k, m, (left + 1) // 2 + len(image), table), image,
+                     _SELF)
+            image = q if q and q[-1] == image[-1] else q + image[-1:]
+        left -= 2 * len(image) - 1
+        if left < 0:
+            raise ImageLimitError("the reflections pass the letters left")
+        out.append(image)
+    return out, left
+
+
 def _failing_leaves(
     images: list[bytes], index: list[dict[bytes, list[tuple[int, int]]]], certifies: list[int]
 ) -> dict[tuple[int, int], int]:
@@ -294,19 +335,22 @@ def injectivity_scan(
     under (beta, -e).  The band tables (`coxword._band_images`) hold the
     images of the letters of each band under each of its powers, built
     once per scan: every letter of the band when the walk builds prefix
-    images, only the certified letters otherwise.  An index maps each
-    image of a certified letter under a single factor, read from the
-    tables (the letter itself outside the band), to the factors it
-    undoes.  The scan visits the expressions shorter than max_len, the
-    root first, each with its letter images as words of `coxword`'s byte
-    encoding: their children and certificates are counted from the masks
-    of `_extensions`, and the failing children found by looking up each
-    letter image in the index (`_failing_leaves`).  Passes are entered
-    once per family at the end, and failures one by one in walk order.
-    The band tables and the
-    prefix images share the budget of MAX_SCAN_LETTERS letters: a scan
-    whose tables would pass it is refused with ValueError before it
-    starts, and one whose prefix images pass it as soon as they do.
+    images, only the certified letters otherwise.  Every image of a letter
+    is a reflection u t u^-1, whose reduced word u t reverse(u) its head
+    u t determines, and the scan holds each by its head, as a word of
+    `coxword`'s byte encoding.  An index maps the head of each image of a
+    certified letter under a single factor, read from the tables (the
+    letter itself outside the band), to the factors it undoes.  The scan
+    visits the expressions shorter than max_len, the root first, each with
+    the heads of its letter images: their children and certificates are
+    counted from the masks of `_extensions`, the failing children found by
+    looking up each head in the index (`_failing_leaves`), and the heads of
+    each child built by acting on the halves alone (`_act_reflections`).
+    Passes are entered once per family at the end, and failures one by one
+    in walk order.  The band tables and the prefix images share the budget
+    of MAX_SCAN_LETTERS letters, counted as whole images: a scan whose
+    tables would pass it is refused with ValueError before it starts, and
+    one whose prefix images would pass it before they do.
     `info` counts the expressions, the certificates, the oracle fallbacks,
     the image letters built and the longest image of a certified letter
     under a factor or a prefix, and carries the oracle's own counters (see
@@ -340,20 +384,27 @@ def injectivity_scan(
     entries = [matrix.entry_at(beta.i, beta.j) for beta in bases]
     exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
     root = [bytes((128 + i,)) for i in slot]
-    # tables[k][e]: the images of the held letters of bases[k] under (bases[k], e)
-    tables = [
-        {e: _band_images(beta.i, beta.j, e * m, [128 + x for x in held if beta.i <= x <= beta.j])
-         for e in exponents}
-        for beta, m in zip(bases, entries)
-    ]
+    # tables[k][e]: the images of the held letters of bases[k] under (bases[k], e),
+    # kept for the walk; heads[k][e]: the heads of the same images (see `_act_reflections`)
+    tables: list[dict[int, dict[int, bytes]]] = []
+    heads: list[dict[int, dict[int, bytes]]] = []
+    for beta, m in zip(bases, entries):
+        letters = [128 + x for x in held if beta.i <= x <= beta.j]
+        tables.append({})
+        heads.append({})
+        for e in exponents:
+            table = _band_images(beta.i, beta.j, e * m, letters)
+            heads[-1][e] = {x: w[:len(w) // 2 + 1] for x, w in table.items()}
+            if max_len > 1:
+                tables[-1][e] = table
     # index[s]: each image of the letter in slot s under a factor (bases[k], -e),
     # with the factors (k, e) it undoes
     index: list[dict[bytes, list[tuple[int, int]]]] = [{} for _ in root]
-    for k, table in enumerate(tables):
+    for k, head in enumerate(heads):
         for e in exponents:
             for owners, x in zip(index, root):
-                owners.setdefault(table[-e].get(x[0], x), []).append((k, e))
-    peak = max((len(x) for owners in index for x in owners), default=0)
+                owners.setdefault(head[-e].get(x[0], x), []).append((k, e))
+    peak = max((2 * len(x) - 1 for owners in index for x in owners), default=0)
     expressions = certificates = fallbacks = trivial = fixed = 0
     built = table_letters  # image letters built so far
     extend = _extensions(bases)
@@ -414,19 +465,17 @@ def injectivity_scan(
         for k, x_ends, x_forbidden in extensions:
             beta = bases[k]
             for e in exponents:
-                child = []
-                for x in images:
-                    try:
-                        x = _act_band(x, beta.i, beta.j, e * entries[k],
-                                      MAX_SCAN_LETTERS - built, tables[k][e])
-                    except ImageLimitError:
-                        raise ValueError(f"scan would build more than {MAX_SCAN_LETTERS} image "
-                                         f"letters, {table_letters} of them for its band tables "
-                                         f"and the rest for prefix images; lower --max-len, "
-                                         f"--max-exp or the matrix entries") from None
-                    built += len(x)
-                    peak = max(peak, len(x))
-                    child.append(x)
+                try:
+                    child, left = _act_reflections(images, beta.i, beta.j, e * entries[k],
+                                                   tables[k][e], heads[k][e],
+                                                   MAX_SCAN_LETTERS - built)
+                except ImageLimitError:
+                    raise ValueError(f"scan would build more than {MAX_SCAN_LETTERS} image "
+                                     f"letters, {table_letters} of them for its band tables "
+                                     f"and the rest for prefix images; lower --max-len, "
+                                     f"--max-exp or the matrix entries") from None
+                built = MAX_SCAN_LETTERS - left
+                peak = max(peak, 2 * max(map(len, child)) - 1)
                 child_factors = factors + ((beta, e),)
                 fixes = failing.get((k, e))
                 if fixes:

@@ -396,32 +396,37 @@ class TestScan:
 
     def test_benchmark_and_golden_scans_fit_the_letter_budget(self, monkeypatch):
         # the benchmark scans n = 4, L = 3, B = 2; the golden scans go up to
-        # n = 4, L = 3, B = 2.  The scan builds words only in its band tables
-        # and its prefix images, and counts every letter of them once
-        built = []
+        # n = 4, L = 3, B = 2.  The scan builds words in its band tables, and
+        # carries each prefix image, a reflection, as its head, counted at the
+        # 2 |head| - 1 letters of the reflection; every carried image reaches
+        # `_failing_leaves` once, as its parent's, after the root's letters
+        built, carried = [], []
 
         def counted_tables(*args):
             table = band_images(*args)
             built.extend(map(len, table.values()))
             return table
 
-        def counted_images(*args):
-            image = act(*args)
-            built.append(len(image))
-            return image
+        def counted_leaves(images, *args):
+            carried.append(images)
+            return failing_leaves(images, *args)
 
-        band_images, act = raag._band_images, raag._act_band
+        band_images, failing_leaves = raag._band_images, raag._failing_leaves
         monkeypatch.setattr(raag, "_band_images", counted_tables)
-        monkeypatch.setattr(raag, "_act_band", counted_images)
+        monkeypatch.setattr(raag, "_failing_leaves", counted_leaves)
         mixed = CoxeterDatum.from_entries(4, {(1, 2): 3, (1, 3): 4, (3, 4): 3})
         for matrix, max_len, max_exp in [(CoxeterDatum.constant(4, 3), 3, 2),
                                           (CoxeterDatum.constant(4, 3), 3, 1),
                                           (CoxeterDatum.constant(3, 3), 2, 1),
                                           (CoxeterDatum.constant(3, 3), 1, 2), (mixed, 3, 2)]:
             built.clear()
+            carried.clear()
             report = raag.injectivity_scan(matrix, max_len, max_exp)
             assert report.ok
-            assert sum(built) == report.info["image_letters"] <= MAX_SCAN_LETTERS
+            root, *walked = carried
+            assert all(len(head) == 1 for head in root)
+            letters = sum(built) + sum(2 * len(head) - 1 for images in walked for head in images)
+            assert letters == report.info["image_letters"] <= MAX_SCAN_LETTERS
 
 
 class TestHurwitz:
@@ -538,6 +543,19 @@ class TestHurwitz:
         code, peak_mb, _ = _in_child(["hurwitz", "--context", context, "--tuple", str(tup),
                                       "--word", "s2"])
         assert code == 0 and peak_mb < 100
+
+    def test_long_entry_is_written_in_slices(self, tmp_path, capsys):
+        # the text of an entry is written a slice at a time, byte for byte
+        # what one line of its whole text was; a 16M-letter entry took 170 MB
+        # as one line, 62 MB of it to parse
+        assert self._run(tmp_path, "free", ["t1^200000 t2'", "t2", "t3"], "s2") == 0
+        out = capsys.readouterr().out
+        assert out == "1: " + "t1 " * 200000 + "t2'\n2: t2 t3 t2'\n3: t2\nmoved\n"
+        tup = tmp_path / "t.json"
+        tup.write_text(json.dumps(["t1^16000000", "t2", "t3"]))
+        code, peak_mb, _ = _in_child(["hurwitz", "--context", "free", "--tuple", str(tup),
+                                      "--word", "s2"])
+        assert code == 0 and peak_mb < 80
 
     @pytest.mark.parametrize("context", ["free", "coxeter", "perm"])
     def test_non_string_entry_is_named(self, tmp_path, capsys, context):

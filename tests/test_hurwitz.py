@@ -5,11 +5,16 @@ import pytest
 
 from bandgroup import hurwitz
 from bandgroup.braid import (
+    _COX_TOKENS,
+    _FREE_TOKENS,
+    _TEXT_SLICE,
     MAX_STRANDS,
     ArtinWord,
     FreeWord,
     ImageLimitError,
     Permutation,
+    _format,
+    _format_slices,
     band_to_artin,
 )
 from bandgroup.coxeter import BandPair, CoxeterDatum, partition_to_matrix, set_partitions
@@ -313,6 +318,29 @@ class TestRender:
         w = ArtinWord(4, ((1, 1), (3, -1)))
         assert render_action(ctx, entries, w) == (rendered, False)
         assert render_action(ctx, entries, ArtinWord(4)) == (texts, True)
+
+    @pytest.mark.parametrize("ctx, letter", [
+        (GroupContext.free(3), lambda rng: 128 + rng.choice((-3, -2, -1, 1, 2, 3))),
+        (GroupContext.coxeter(3), lambda rng: 128 + rng.randint(1, 3)),
+    ], ids=["free", "coxeter"])
+    def test_text_in_slices_is_the_whole_text(self, ctx, letter):
+        # the slices of an entry longer than one join to `braid._format` of it;
+        # the words here need not be reduced, the rendering reads bytes only
+        rng = random.Random(27)
+        tokens = _FREE_TOKENS if ctx.kind == "free" else _COX_TOKENS
+        for length in (0, 1, _TEXT_SLICE - 1, _TEXT_SLICE, _TEXT_SLICE + 1, 2 * _TEXT_SLICE + 5):
+            word = bytes(letter(rng) for _ in range(length))
+            slices = list(_format_slices(word, tokens))
+            assert "".join(slices) == _format(word, tokens)
+            assert len(slices) == max(1, -(-length // _TEXT_SLICE))
+        prefix = "t" if ctx.kind == "free" else "s"
+        long = "t1^200000" if ctx.kind == "free" else " ".join(["s1 s2"] * 100000)
+        entries = ctx.parse_tuple([long, f"{prefix}2", f"{prefix}3"])
+        whole, fixed = render_action(ctx, entries, ArtinWord(3, ((2, 1),)))
+        sliced, still = render_action(ctx, entries, ArtinWord(3, ((2, 1),)), whole=False)
+        assert len(entries[0]) > _TEXT_SLICE and fixed == still is False
+        assert ["".join(text) for text in sliced] == whole
+        assert whole[0] == _format(entries[0], tokens)
 
     def test_permutation_entries_are_image_tuples(self):
         ctx = GroupContext.permutations(

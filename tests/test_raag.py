@@ -6,9 +6,10 @@ import random
 import pytest
 
 import bandgroup.raag as raag
-from bandgroup.braid import ArtinWord, ImageLimitError, band_to_artin, braid_equal
+from bandgroup.braid import _SELF, ArtinWord, ImageLimitError, _decode, _encode, _mul
+from bandgroup.braid import band_to_artin, braid_equal
 from bandgroup.coxeter import BandPair, CoxeterDatum, commutes_in_brn
-from bandgroup.coxword import CoxWord, act_band_on_cox, long_pairs
+from bandgroup.coxword import CoxWord, _act_band, _band_images, act_band_on_cox, long_pairs
 from bandgroup.present import BandWordDecider, format_letter_word
 from bandgroup.raag import (
     RaagExpression,
@@ -568,6 +569,107 @@ class TestLastLevel:
         assert lengths == {3 * d + 2 for d in range(2, max_len + 1)}
         assert report.info["oracle_fallbacks"] == {2: 8, 3: 148}[max_len]
         assert same_report(report, referee_injectivity_scan(matrix, max_len, 2))
+
+
+def random_head(rng, n, max_len):
+    """The head u t of a random reflection u t reverse(u) over s_1 .. s_n, encoded."""
+    letters = [rng.randint(1, n)]
+    for _ in range(rng.randint(0, max_len)):
+        letters.append(rng.choice([x for x in range(1, n + 1) if x != letters[-1]]))
+    return bytes(128 + x for x in letters)
+
+
+class TestReflections:
+    """The scan carries each letter image, a reflection, as its head."""
+
+    @staticmethod
+    def _tables(j, k, m):
+        table = _band_images(j, k, m, range(128 + j, 128 + k + 1))
+        return table, {x: w[:len(w) // 2 + 1] for x, w in table.items()}
+
+    def test_heads_match_the_action_on_the_whole_word(self):
+        # for random reflections, every band on n <= 6 and m in +-1 .. +-7,
+        # the image's head put back together as head + reverse(head without
+        # its centre) is the action on the whole palindrome; the centre
+        # cancels the end of phi(u) v in some draws
+        rng = random.Random(27)
+        restored = 0
+        for n in range(2, 7):
+            for j, k in itertools.combinations(range(1, n + 1), 2):
+                for m in [x for x in range(-7, 8) if x]:
+                    table, heads = self._tables(j, k, m)
+                    for _ in range(4):
+                        head = random_head(rng, n, 8)
+                        (image,), left = raag._act_reflections([head], j, k, m, table, heads,
+                                                               1 << 24)
+                        assert image + image[-2::-1] == _act_band(head + head[-2::-1], j, k, m,
+                                                                  1 << 24, table)
+                        assert left == (1 << 24) - (2 * len(image) - 1)
+                        # the head v t' of phi(t), and h = phi(u) v
+                        phi_t = heads.get(head[-1]) or head[-1:]
+                        h = _mul(_act_band(head[:-1], j, k, m, 1 << 24, table), phi_t[:-1], _SELF)
+                        restored += len(head) > 1 and h[-1:] == phi_t[-1:]
+        assert restored > 100
+
+    def test_centre_that_cancels_is_put_back(self):
+        # the band on (1, 2) with m = 1 sends s1 to s1 s2 s1 and s2 to s1, so
+        # s1 s2 s1 goes to s1 s2 s1 s2 s1: h = phi(s1) times the half of
+        # phi(s2), which is empty, ends in the new centre s1, and is the head,
+        # while the product of phi(s1) and the head of phi(s2) lost the centre
+        table, heads = self._tables(1, 2, 1)
+        assert _decode(heads[129]) == (1, 2) and _decode(heads[130]) == (1,)
+        (image,), _ = raag._act_reflections([_encode((1, 2))], 1, 2, 1, table, heads, 99)
+        assert _decode(image) == (1, 2, 1)
+        assert _decode(_act_band(_encode((1, 2, 1)), 1, 2, 1, 99, table)) == (1, 2, 1, 2, 1)
+
+    def test_single_letters_are_table_lookups(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kernel called")
+
+        table, heads = self._tables(1, 3, -2)
+        monkeypatch.setattr(raag, "_act_band", refuse)
+        images, left = raag._act_reflections([b"\x81", b"\x82", b"\x84"], 1, 3, -2, table,
+                                             heads, 99)
+        assert images == [heads[129], heads[130], b"\x84"]
+        assert left == 99 - sum(2 * len(x) - 1 for x in images)
+
+    def test_letters_left_are_never_passed(self):
+        # the images count 2 |head| - 1 letters each: exactly what they need
+        # fits, one letter less is refused
+        rng = random.Random(28)
+        table, heads = self._tables(2, 5, 3)
+        images = [random_head(rng, 6, 12) for _ in range(5)]
+        after, left = raag._act_reflections(images, 2, 5, 3, table, heads, 1 << 24)
+        needed = (1 << 24) - left
+        assert raag._act_reflections(images, 2, 5, 3, table, heads, needed) == (after, 0)
+        with pytest.raises(ImageLimitError):
+            raag._act_reflections(images, 2, 5, 3, table, heads, needed - 1)
+
+
+class TestLetterBudget:
+    def test_prefix_images_past_the_budget_are_refused(self):
+        # constant 1000, n = 3, L = 3, B = 1: the band tables fit in 32,002
+        # letters, but the images under prefixes of two factors grow with
+        # the product of their powers
+        matrix = CoxeterDatum.constant(3, 1000)
+        assert raag._table_letters(matrix, 1, range(1, 4)) == 32002 <= raag.MAX_SCAN_LETTERS
+        with pytest.raises(ValueError, match=(
+                f"^scan would build more than {raag.MAX_SCAN_LETTERS} image letters, 32002 of "
+                f"them for its band tables and the rest for prefix images; lower --max-len, "
+                f"--max-exp or the matrix entries$")):
+            injectivity_scan(matrix, 3, 1)
+
+    @pytest.mark.parametrize("matrix, max_len, max_exp", [
+        (CoxeterDatum.constant(4, 3), 3, 2), (CoxeterDatum.constant(3, 7), 4, 1),
+        (CoxeterDatum.constant(3, 20), 3, 2), (MIXED_LARGE_TYPE, 3, 1)])
+    def test_a_budget_of_the_letters_built_is_met_exactly(self, monkeypatch, matrix, max_len,
+                                                          max_exp):
+        letters = injectivity_scan(matrix, max_len, max_exp).info["image_letters"]
+        monkeypatch.setattr(raag, "MAX_SCAN_LETTERS", letters)
+        assert injectivity_scan(matrix, max_len, max_exp).info["image_letters"] == letters
+        monkeypatch.setattr(raag, "MAX_SCAN_LETTERS", letters - 1)
+        with pytest.raises(ValueError, match="the rest for prefix images"):
+            injectivity_scan(matrix, max_len, max_exp)
 
 
 class TestScanDigests:
