@@ -26,9 +26,9 @@ palindromes.  A band power sends one to another: with v t' v^-1 the
 image of t, u t u^-1 goes to h t' h^-1 for h the image of u times v, so
 the scan runs the action on the halves alone (`raag._act_reflections`):
 one `scan inject` on the constant-3 matrix (n = 4, L = 3, B = 2) took
-4.45-5.52 ms where acting on the whole palindromes took 5.44-7.01 ms
-(medians of 41 scans in one process, alternating the two, two sessions,
-2 cores, Python 3.11.7).
+8.07-8.10 ms where acting on the whole palindromes took 9.48-10.21 ms
+(medians of 41 scans, three alternating child processes a side, 2 cores,
+Python 3.11.7).
 
 `BraidDecider` decides words of syllables (the band letters of a
 relation, say), and `braid_equal` is the same routine on the runs of two
@@ -205,17 +205,17 @@ def _decode(x: bytes) -> tuple[int, ...]:
     return tuple(b - 128 for b in x)
 
 
-def _format(x: bytes, tokens: dict[int, str]) -> str:
-    """An encoded word as text, "1" when it is empty."""
-    return x.decode("latin-1").translate(tokens)[:-1] or "1"
-
-
 # Letters per slice of `_format_slices`: 64 KB of a word, up to about 256 KB of its text.
 _TEXT_SLICE = 1 << 16
 
 
 def _format_slices(x: bytes, tokens: dict[int, str]) -> Iterator[str]:
-    """The text of `_format` in slices of _TEXT_SLICE letters, so it is never held whole."""
+    """An encoded word as text, "1" when it is empty, in slices of _TEXT_SLICE letters.
+
+    Each letter's token ends in a space, and the last slice drops the last
+    one, so the slices join to the tokens separated by spaces; the text of
+    a long word is never held whole.
+    """
     if not x:
         yield "1"
     for start in range(0, len(x), _TEXT_SLICE):

@@ -249,9 +249,10 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
         ctx = _build_context(args.context, 0)
         entries = tuple(p.images for p in ctx.images)
     word = parse_braid_word(args.word, ctx.n)
-    texts, fixed = render_action(ctx, entries, word, whole=args.json)
+    texts, fixed = render_action(ctx, entries, word)
     if args.json:
-        _answer(args, {"command": "hurwitz", "result": texts, "stabilizes": fixed}, ())
+        result = ["".join(text) for text in texts]
+        _answer(args, {"command": "hurwitz", "result": result, "stabilizes": fixed}, ())
         return 0
     for i, slices in enumerate(texts, start=1):
         sys.stdout.write(f"{i}: ")

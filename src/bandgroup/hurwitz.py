@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import _COX_TOKENS, _FREE_TOKENS, _NEG, _SELF, MAX_IMAGE_LETTERS, ArtinWord, FreeWord
-from .braid import Permutation, _act, _decode, _encode, _format, _format_slices, _syllables
-from .braid import parse_free_word
+from .braid import Permutation, _act, _decode, _encode, _format_slices, _syllables, parse_free_word
 from .coxword import CoxWord, parse_cox_word
 
 FREE = "free"
@@ -127,20 +126,18 @@ def hurwitz_apply(tup: GroupTuple, w: ArtinWord) -> GroupTuple:
     return GroupTuple(ctx, tuple(words[0](_decode(x)) if words else Permutation(x) for x in after))
 
 
-def render_action(ctx: GroupContext, entries: tuple, w: ArtinWord,
-                  whole: bool = True) -> tuple[list, bool]:
+def render_action(ctx: GroupContext, entries: tuple, w: ArtinWord) -> tuple[list, bool]:
     """Entries from `GroupContext.parse_tuple` acted on by w, as text, and whether w fixes them.
 
-    A word is its tokens (t2', s3) joined by spaces, or 1 when it is empty,
-    rendered from its encoding, so an entry of millions of letters never
-    becomes a tuple of integers.  A permutation is its cycle string.
-    Unless `whole`, each entry's text comes as an iterable of its slices
-    (`braid._format_slices`), so a long entry's text is never held whole.
+    Each entry's text is an iterable of strings that join to it.  A word is
+    its tokens (t2', s3) joined by spaces, or 1 when it is empty, rendered
+    from its encoding in slices (`braid._format_slices`), so an entry of
+    millions of letters never becomes a tuple of integers and its text is
+    never held whole.  A permutation is its cycle string, which joins to
+    itself.
     """
     after = _act_on(ctx, entries, w)
     fixed = after == list(entries)
     if ctx.kind == PERMUTATION:
-        texts = [Permutation(x).cycle_string() for x in after]
-        return (texts if whole else [(text,) for text in texts]), fixed
-    render = _format if whole else _format_slices
-    return [render(x, _WORDS[ctx.kind][3]) for x in after], fixed
+        return [Permutation(x).cycle_string() for x in after], fixed
+    return [_format_slices(x, _WORDS[ctx.kind][3]) for x in after], fixed

@@ -66,12 +66,13 @@ MAX_SCAN_EXPRESSIONS = 100_000
 # letters for a reflection carried by its head (see `_act_reflections`),
 # so it bounds the kernel's work, which walks at most the halves; the scan
 # holds about half of them: the heads of the prefix images and of the
-# tables, and the whole tables beside them only when it walks prefixes.
+# index, and the tables whole only when it walks prefixes (a scan of one
+# factor reads the heads of each table into the index and drops it).
 # A letter is one byte: with entry 3, n = 2 and L = 1, the scan of the
 # 6 max_exp (max_exp + 1) letters took 1.7 to 3.0 ms at max_exp 300 and
 # 16 to 29 ms at 1181 (8.4x10^6 letters, the last that fits; medians of
-# 15 to 30 in process, six runs), and the scan at 1181 peaked at 20.9 MB
-# as a child process, 26.2 MB while it held its tables whole (2 cores,
+# 15 to 30 in process, six runs), and the scan at 1181 peaked at 20.3 MB
+# as a child process, 26.3 MB while it kept its tables whole (2 cores,
 # Python 3.11.7).
 MAX_SCAN_LETTERS = 1 << 23
 
@@ -261,15 +262,15 @@ def _table_letters(matrix: CoxeterDatum, max_exp: int, held: Sequence[int]) -> i
 
 
 def _act_reflections(images: list[bytes], j: int, k: int, m: int, table: dict[int, bytes],
-                     heads: dict[int, bytes], left: int) -> tuple[list[bytes], int]:
+                     left: int) -> tuple[list[bytes], int]:
     """The images of reflections, given by their heads, under the m-th power of the band on (j, k).
 
     A reflection u t u^-1 of the universal Coxeter group has the odd
     palindrome u t reverse(u) as its reduced word, so its head u t, the
     word up to the centre, determines it.  A band power phi is an
     automorphism, so phi(u t u^-1) = phi(u) phi(t) phi(u)^-1, where `table`
-    holds phi of the band's letters (`coxword._band_images`) and `heads`
-    their heads v t', a letter outside the band being its own head.  The
+    holds phi of the band's letters (`coxword._band_images`), whose heads
+    v t' are sliced from it, a letter outside the band being its own head.  The
     image is h t' h^-1 for h the reduced product phi(u) v; it is reduced
     unless h ends in t', and then h is its head.  So only u is acted on
     (`coxword._act_band`), and a single letter is a table lookup: the
@@ -282,7 +283,8 @@ def _act_reflections(images: list[bytes], j: int, k: int, m: int, table: dict[in
     """
     out = []
     for head in images:
-        image = heads.get(head[-1]) or head[-1:]  # v t'
+        image = table.get(head[-1], head[-1:])
+        image = image[:len(image) // 2 + 1]  # v t'
         if len(head) > 1:
             q = _mul(_act_band(head[:-1], j, k, m, (left + 1) // 2 + len(image), table), image,
                      _SELF)
@@ -334,10 +336,11 @@ def injectivity_scan(
     p·(beta, e) is s_i exactly when the image under p is the image of s_i
     under (beta, -e).  The band tables (`coxword._band_images`) hold the
     images of the letters of each band under each of its powers, built
-    once per scan: every letter of the band when the walk builds prefix
-    images, only the certified letters otherwise.  Every image of a letter
-    is a reflection u t u^-1, whose reduced word u t reverse(u) its head
-    u t determines, and the scan holds each by its head, as a word of
+    once per scan: every letter of the band, kept for the walk, when the
+    walk builds prefix images, and otherwise only the certified letters,
+    each table dropped once the index has read it.  Every image of a
+    letter is a reflection u t u^-1, whose reduced word u t reverse(u) its
+    head u t determines, and the scan holds each by its head, as a word of
     `coxword`'s byte encoding.  An index maps the head of each image of a
     certified letter under a single factor, read from the tables (the
     letter itself outside the band), to the factors it undoes.  The scan
@@ -385,25 +388,20 @@ def injectivity_scan(
     exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
     root = [bytes((128 + i,)) for i in slot]
     # tables[k][e]: the images of the held letters of bases[k] under (bases[k], e),
-    # kept for the walk; heads[k][e]: the heads of the same images (see `_act_reflections`)
+    # kept for the walk; index[s]: the head of each image of the letter in slot s
+    # under a factor (bases[k], -e), with the factors (k, e) it undoes
     tables: list[dict[int, dict[int, bytes]]] = []
-    heads: list[dict[int, dict[int, bytes]]] = []
-    for beta, m in zip(bases, entries):
+    index: list[dict[bytes, list[tuple[int, int]]]] = [{} for _ in root]
+    for k, (beta, m) in enumerate(zip(bases, entries)):
         letters = [128 + x for x in held if beta.i <= x <= beta.j]
         tables.append({})
-        heads.append({})
         for e in exponents:
-            table = _band_images(beta.i, beta.j, e * m, letters)
-            heads[-1][e] = {x: w[:len(w) // 2 + 1] for x, w in table.items()}
-            if max_len > 1:
-                tables[-1][e] = table
-    # index[s]: each image of the letter in slot s under a factor (bases[k], -e),
-    # with the factors (k, e) it undoes
-    index: list[dict[bytes, list[tuple[int, int]]]] = [{} for _ in root]
-    for k, head in enumerate(heads):
-        for e in exponents:
+            table = _band_images(beta.i, beta.j, -e * m, letters)
             for owners, x in zip(index, root):
-                owners.setdefault(head[-e].get(x[0], x), []).append((k, e))
+                image = table.get(x[0], x)
+                owners.setdefault(image[:len(image) // 2 + 1], []).append((k, e))
+            if max_len > 1:
+                tables[k][-e] = table
     peak = max((2 * len(x) - 1 for owners in index for x in owners), default=0)
     expressions = certificates = fallbacks = trivial = fixed = 0
     built = table_letters  # image letters built so far
@@ -467,8 +465,7 @@ def injectivity_scan(
             for e in exponents:
                 try:
                     child, left = _act_reflections(images, beta.i, beta.j, e * entries[k],
-                                                   tables[k][e], heads[k][e],
-                                                   MAX_SCAN_LETTERS - built)
+                                                   tables[k][e], MAX_SCAN_LETTERS - built)
                 except ImageLimitError:
                     raise ValueError(f"scan would build more than {MAX_SCAN_LETTERS} image "
                                      f"letters, {table_letters} of them for its band tables "

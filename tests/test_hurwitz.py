@@ -13,7 +13,6 @@ from bandgroup.braid import (
     FreeWord,
     ImageLimitError,
     Permutation,
-    _format,
     _format_slices,
     band_to_artin,
 )
@@ -301,12 +300,18 @@ class TestStabilizes:
                     assert hurwitz_apply(tup, band_to_artin(tau, matrix.n) ** m) == tup
 
 
+def rendered(ctx, entries, w):
+    """`render_action` with each entry's text joined."""
+    texts, fixed = render_action(ctx, entries, w)
+    return ["".join(text) for text in texts], fixed
+
+
 class TestRender:
-    @pytest.mark.parametrize("ctx, texts, rendered", [
+    @pytest.mark.parametrize("ctx, texts, after", [
         (GroupContext.free(4), ["t1", "t2", "t3'", "t4"], ["t1 t2 t1'", "t1", "t4", "t4' t3' t4"]),
         (GroupContext.coxeter(4), ["s1", "s2", "s3", "s4"], ["s1 s2 s1", "s1", "s4", "s4 s3 s4"]),
     ], ids=["free", "coxeter"])
-    def test_entries_are_acted_on_as_parsed(self, monkeypatch, ctx, texts, rendered):
+    def test_entries_are_acted_on_as_parsed(self, monkeypatch, ctx, texts, after):
         # the parsed entries are already the encoding the action runs on
         def refuse(x):
             raise AssertionError("an entry was encoded or decoded again")
@@ -316,31 +321,32 @@ class TestRender:
         entries = ctx.parse_tuple(texts)
         assert all(isinstance(e, bytes) for e in entries)
         w = ArtinWord(4, ((1, 1), (3, -1)))
-        assert render_action(ctx, entries, w) == (rendered, False)
-        assert render_action(ctx, entries, ArtinWord(4)) == (texts, True)
+        assert rendered(ctx, entries, w) == (after, False)
+        assert rendered(ctx, entries, ArtinWord(4)) == (texts, True)
 
     @pytest.mark.parametrize("ctx, letter", [
         (GroupContext.free(3), lambda rng: 128 + rng.choice((-3, -2, -1, 1, 2, 3))),
         (GroupContext.coxeter(3), lambda rng: 128 + rng.randint(1, 3)),
     ], ids=["free", "coxeter"])
     def test_text_in_slices_is_the_whole_text(self, ctx, letter):
-        # the slices of an entry longer than one join to `braid._format` of it;
-        # the words here need not be reduced, the rendering reads bytes only
+        # the slices of a word longer than one join to its tokens separated
+        # by spaces; the words here need not be reduced, the rendering reads
+        # bytes only
         rng = random.Random(27)
         tokens = _FREE_TOKENS if ctx.kind == "free" else _COX_TOKENS
         for length in (0, 1, _TEXT_SLICE - 1, _TEXT_SLICE, _TEXT_SLICE + 1, 2 * _TEXT_SLICE + 5):
             word = bytes(letter(rng) for _ in range(length))
             slices = list(_format_slices(word, tokens))
-            assert "".join(slices) == _format(word, tokens)
+            assert "".join(slices) == (" ".join(tokens[b].strip() for b in word) or "1")
             assert len(slices) == max(1, -(-length // _TEXT_SLICE))
+        # s2 leaves the first entry as it is, and its text comes in slices
         prefix = "t" if ctx.kind == "free" else "s"
-        long = "t1^200000" if ctx.kind == "free" else " ".join(["s1 s2"] * 100000)
+        long, text = (("t1^200000", " ".join(["t1"] * 200000)) if ctx.kind == "free"
+                      else (" ".join(["s1 s2"] * 100000),) * 2)
         entries = ctx.parse_tuple([long, f"{prefix}2", f"{prefix}3"])
-        whole, fixed = render_action(ctx, entries, ArtinWord(3, ((2, 1),)))
-        sliced, still = render_action(ctx, entries, ArtinWord(3, ((2, 1),)), whole=False)
-        assert len(entries[0]) > _TEXT_SLICE and fixed == still is False
-        assert ["".join(text) for text in sliced] == whole
-        assert whole[0] == _format(entries[0], tokens)
+        texts, fixed = render_action(ctx, entries, ArtinWord(3, ((2, 1),)))
+        slices = list(texts[0])
+        assert fixed is False and len(slices) > 1 and "".join(slices) == text
 
     def test_permutation_entries_are_image_tuples(self):
         ctx = GroupContext.permutations(
@@ -348,8 +354,8 @@ class TestRender:
         )
         entries = ctx.parse_tuple(["(1 2)", "(2 3)"])
         assert entries == ((2, 1, 3), (1, 3, 2))
-        assert render_action(ctx, entries, ArtinWord(2, ((1, 1),))) == (["(1 3)", "(1 2)"], False)
-        assert render_action(ctx, entries, ArtinWord(2, ((1, 1),)) ** 3) == (["(1 2)", "(2 3)"], True)
+        assert rendered(ctx, entries, ArtinWord(2, ((1, 1),))) == (["(1 3)", "(1 2)"], False)
+        assert rendered(ctx, entries, ArtinWord(2, ((1, 1),)) ** 3) == (["(1 2)", "(2 3)"], True)
 
 
 class TestParseTuple:

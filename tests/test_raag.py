@@ -600,8 +600,7 @@ class TestReflections:
                     table, heads = self._tables(j, k, m)
                     for _ in range(4):
                         head = random_head(rng, n, 8)
-                        (image,), left = raag._act_reflections([head], j, k, m, table, heads,
-                                                               1 << 24)
+                        (image,), left = raag._act_reflections([head], j, k, m, table, 1 << 24)
                         assert image + image[-2::-1] == _act_band(head + head[-2::-1], j, k, m,
                                                                   1 << 24, table)
                         assert left == (1 << 24) - (2 * len(image) - 1)
@@ -618,7 +617,7 @@ class TestReflections:
         # while the product of phi(s1) and the head of phi(s2) lost the centre
         table, heads = self._tables(1, 2, 1)
         assert _decode(heads[129]) == (1, 2) and _decode(heads[130]) == (1,)
-        (image,), _ = raag._act_reflections([_encode((1, 2))], 1, 2, 1, table, heads, 99)
+        (image,), _ = raag._act_reflections([_encode((1, 2))], 1, 2, 1, table, 99)
         assert _decode(image) == (1, 2, 1)
         assert _decode(_act_band(_encode((1, 2, 1)), 1, 2, 1, 99, table)) == (1, 2, 1, 2, 1)
 
@@ -628,8 +627,7 @@ class TestReflections:
 
         table, heads = self._tables(1, 3, -2)
         monkeypatch.setattr(raag, "_act_band", refuse)
-        images, left = raag._act_reflections([b"\x81", b"\x82", b"\x84"], 1, 3, -2, table,
-                                             heads, 99)
+        images, left = raag._act_reflections([b"\x81", b"\x82", b"\x84"], 1, 3, -2, table, 99)
         assert images == [heads[129], heads[130], b"\x84"]
         assert left == 99 - sum(2 * len(x) - 1 for x in images)
 
@@ -637,13 +635,13 @@ class TestReflections:
         # the images count 2 |head| - 1 letters each: exactly what they need
         # fits, one letter less is refused
         rng = random.Random(28)
-        table, heads = self._tables(2, 5, 3)
+        table, _ = self._tables(2, 5, 3)
         images = [random_head(rng, 6, 12) for _ in range(5)]
-        after, left = raag._act_reflections(images, 2, 5, 3, table, heads, 1 << 24)
+        after, left = raag._act_reflections(images, 2, 5, 3, table, 1 << 24)
         needed = (1 << 24) - left
-        assert raag._act_reflections(images, 2, 5, 3, table, heads, needed) == (after, 0)
+        assert raag._act_reflections(images, 2, 5, 3, table, needed) == (after, 0)
         with pytest.raises(ImageLimitError):
-            raag._act_reflections(images, 2, 5, 3, table, heads, needed - 1)
+            raag._act_reflections(images, 2, 5, 3, table, needed - 1)
 
 
 class TestLetterBudget:
