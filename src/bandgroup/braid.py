@@ -24,11 +24,7 @@ images meet through `_cancel`.  The words the scan acts on are the
 images of a letter s_i, reflections u t u^-1 whose reduced words are odd
 palindromes.  A band power sends one to another: with v t' v^-1 the
 image of t, u t u^-1 goes to h t' h^-1 for h the image of u times v, so
-the scan runs the action on the halves alone (`raag._act_reflections`):
-one `scan inject` on the constant-3 matrix (n = 4, L = 3, B = 2) took
-8.07-8.10 ms where acting on the whole palindromes took 9.48-10.21 ms
-(medians of 41 scans, three alternating child processes a side, 2 cores,
-Python 3.11.7).
+the scan runs the action on the halves alone (`raag._act_reflections`).
 
 `BraidDecider` decides words of syllables (the band letters of a
 relation, say), and `braid_equal` is the same routine on the runs of two
@@ -460,7 +456,6 @@ class BraidDecider:
 
     def __init__(self, n: int):
         _check_strands(n)
-        self.n = n
         # (strands k, relabelled word) -> images of t_1 .. t_k under its
         # action, _kept letters in all
         self._images: dict[tuple[int, tuple], tuple[bytes, ...]] = {}

@@ -354,11 +354,12 @@ def cmd_checkprop(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     relations, matrix, _ = _RELATIONS[args.family][1](*_load_inputs(args, "export"))
-    text = export_presentation(relations, matrix, args.format)
+    lines = export_presentation(relations, matrix, args.format)
     if args.output:
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as out:
+            out.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return 0
 
 

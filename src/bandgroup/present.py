@@ -512,18 +512,18 @@ def block_product_check(m1: CoxeterDatum, m2: CoxeterDatum) -> RunReport:
 
 def export_presentation(
     rels: Iterable[Relation], matrix: CoxeterDatum, fmt: str = "plain"
-) -> str:
-    """Deterministic text rendering of a presentation.
+) -> Iterator[str]:
+    """The lines of a deterministic text rendering, as they are produced.
 
-    "plain" lists generators then one `lhs = rhs` line per relation in the
-    b-token syntax; "gap-style" lists one relator word per line with
-    uppercase marking inverses.  Each relation is rendered as it arrives,
-    and the lines are sorted on (label, indices) alone, so equal keys keep
-    the family's order.  Output is byte-stable for fixed input.
+    "plain" gives the generators, then one `lhs = rhs` line per relation in
+    the b-token syntax; "gap-style" one relator word per line, uppercase
+    marking inverses.  Relations come in the order the family yields them,
+    `verify`'s order.  The first is drawn before this returns, so a family
+    that refuses its input raises before any line exists.
     """
     if fmt == "plain":
         def render(rel: Relation) -> str:
-            return f"{format_letter_word(rel.lhs)} = {format_letter_word(rel.rhs)}"
+            return f"{format_letter_word(rel.lhs)} = {format_letter_word(rel.rhs)}\n"
     elif fmt == "gap-style":
         def tokens(word: Word) -> list[str]:
             out = []
@@ -533,10 +533,10 @@ def export_presentation(
             return out
 
         def render(rel: Relation) -> str:
-            return " ".join(tokens(rel.lhs) + tokens(_inverse(rel.rhs)))
+            return " ".join(tokens(rel.lhs) + tokens(_inverse(rel.rhs))) + "\n"
     else:
         raise ValueError(f"unknown export format {fmt!r}")
-    keyed = [((rel.label, rel.indices), render(rel)) for rel in rels]
-    keyed.sort(key=lambda pair: pair[0])
     gens = " ".join(f"b{g}" for g in matrix.band_pairs())
-    return "\n".join([f"generators: {gens}", *(line for _, line in keyed)]) + "\n"
+    rels = iter(rels)
+    head = [f"generators: {gens}\n", *map(render, itertools.islice(rels, 1))]
+    return itertools.chain(head, map(render, rels))

@@ -47,8 +47,8 @@ from .report import RunReport
 # 0.43 us per unit of this count (seven scans, n = 3 to 6, L = 2 or 3,
 # counts of 2.7x10^4 to 9x10^4, medians of 7 in process, 2 cores, Python
 # 3.11.7), so such a scan ends within about 45 ms.  The count does not
-# bound the set-up, which grows with n^3 at L = 1: 0.9 s at n = 90 and
-# 2.7 s at n = 124 (count 15,252, the most strands the letter budget
+# bound the set-up, which grows with n^3 at L = 1: 0.56 s at n = 90 and
+# 1.48 s at n = 124 (count 15,252, the most strands the letter budget
 # admits with entry 3; medians of 3).  A letter image grows with
 # exponent x entry, so larger ones cost more per unit; `MAX_SCAN_LETTERS`
 # bounds the images.
@@ -72,8 +72,7 @@ MAX_SCAN_EXPRESSIONS = 100_000
 # 6 max_exp (max_exp + 1) letters took 1.7 to 3.0 ms at max_exp 300 and
 # 16 to 29 ms at 1181 (8.4x10^6 letters, the last that fits; medians of
 # 15 to 30 in process, six runs), and the scan at 1181 peaked at 20.3 MB
-# as a child process, 26.3 MB while it kept its tables whole (2 cores,
-# Python 3.11.7).
+# as a child process (2 cores, Python 3.11.7).
 MAX_SCAN_LETTERS = 1 << 23
 
 
@@ -389,7 +388,8 @@ def injectivity_scan(
     root = [bytes((128 + i,)) for i in slot]
     # tables[k][e]: the images of the held letters of bases[k] under (bases[k], e),
     # kept for the walk; index[s]: the head of each image of the letter in slot s
-    # under a factor (bases[k], -e), with the factors (k, e) it undoes
+    # under a factor (bases[k], -e), with the factors (k, e) it undoes, each one
+    # tuple shared by every slot's list
     tables: list[dict[int, dict[int, bytes]]] = []
     index: list[dict[bytes, list[tuple[int, int]]]] = [{} for _ in root]
     for k, (beta, m) in enumerate(zip(bases, entries)):
@@ -397,9 +397,10 @@ def injectivity_scan(
         tables.append({})
         for e in exponents:
             table = _band_images(beta.i, beta.j, -e * m, letters)
+            owner = (k, e)
             for owners, x in zip(index, root):
                 image = table.get(x[0], x)
-                owners.setdefault(image[:len(image) // 2 + 1], []).append((k, e))
+                owners.setdefault(image[:len(image) // 2 + 1], []).append(owner)
             if max_len > 1:
                 tables[k][-e] = table
     peak = max((2 * len(x) - 1 for owners in index for x in owners), default=0)

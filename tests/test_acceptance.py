@@ -260,8 +260,8 @@ def test_criterion_11_pure_braid_recovery():
     report = verify_relations(rels, matrix)
     assert report.ok
     assert report.instances == len(rels) > 0
-    text = export_presentation(rels, matrix, "plain")
-    assert text == export_presentation(rels, matrix, "plain")
+    text = "".join(export_presentation(rels, matrix, "plain"))
+    assert text == "".join(export_presentation(rels, matrix, "plain"))
     assert text.splitlines()[0] == "generators: b1.2 b1.3 b1.4 b2.3 b2.4 b3.4"
     assert len(text.splitlines()) == 1 + len(rels)
     report_line(11, f"pure-type presentation on 6 generators, {report.instances} relations")

@@ -389,10 +389,13 @@ class TestScan:
         assert _table_letters(CoxeterDatum.constant(125, 3), 1, range(1, 125)) > MAX_SCAN_LETTERS
         path = matrix_file("m.json", matrix)
         started = time.perf_counter()
-        code, _, err = _in_child(["scan", "inject", "--matrix", path,
-                                  "--max-len", "1", "--max-exp", "1"])
+        code, peak_mb, err = _in_child(["scan", "inject", "--matrix", path,
+                                        "--max-len", "1", "--max-exp", "1"])
         assert (code, err) == (0, "")
         assert time.perf_counter() - started < 10
+        # the index holds 1.9 M (slot, factor) entries, one tuple per factor
+        # shared by the slots
+        assert peak_mb < 220
 
     def test_benchmark_and_golden_scans_fit_the_letter_budget(self, monkeypatch):
         # the benchmark scans n = 4, L = 3, B = 2; the golden scans go up to
@@ -714,12 +717,22 @@ class TestExport:
                      "-o", str(dest)]) == 0
         assert dest.read_text().startswith("generators:")
 
-    def test_lines_are_kept_instead_of_relations(self, matrix_file):
-        # 182,780 commutations on 40 strands; sorting the relations
-        # themselves took about 145 MB
+    def test_lines_are_written_as_they_come(self, matrix_file):
+        # 182,780 commutations on 40 strands, each written as it is yielded
         path = matrix_file("m.json", CoxeterDatum.constant(40, 3))
         code, peak_mb, _ = _in_child(["export", "--family", "thm1", "--matrix", path])
-        assert code == 0 and peak_mb < 100
+        assert code == 0 and peak_mb < 40
+
+    @pytest.mark.parametrize("family, output", [("sec4", True), ("thm1", False)],
+                             ids=["sec4-to-file", "thm1-to-stdout"])
+    def test_refused_input_writes_nothing(self, tmp_path, capsys, matrix_file, family, output):
+        # an entry 1 fails sec4's entry check and thm1's large-type check
+        matrix = CoxeterDatum.from_entries(3, {(1, 2): 3, (1, 3): 1, (2, 3): 3})
+        dest = tmp_path / "pres.txt"
+        argv = ["export", "--family", family, "--matrix", matrix_file("m.json", matrix)]
+        assert main(argv + ["-o", str(dest)] * output) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "scope error" in captured.err and not dest.exists()
 
     @pytest.mark.parametrize("family, flag", [
         ("thm1", "--matrix"), ("sec4", "--matrix"), ("thm2", "--partition"),

@@ -530,35 +530,49 @@ class TestExport:
         p = Partition.singletons(3)
         rels = list(relations_thm2(p))
         matrix = partition_to_matrix(p)
-        text = export_presentation(rels, matrix, "plain")
+        text = "".join(export_presentation(rels, matrix, "plain"))
         lines = text.splitlines()
         assert lines[0] == "generators: b1.2 b1.3 b2.3"
         assert len(lines) == 3  # two triple-family relations
         assert set(labels(rels)) == {"thm2.iv"}
         # byte stability
-        assert text == export_presentation(rels, matrix, "plain")
+        assert text == "".join(export_presentation(rels, matrix, "plain"))
 
     def test_commutation_presentation_counts(self):
         matrix = CoxeterDatum.constant(4, 3)
-        text = export_presentation(relations_thm1(matrix), matrix, "plain")
+        text = "".join(export_presentation(relations_thm1(matrix), matrix, "plain"))
         lines = text.splitlines()
         assert lines[0].count("b") == 6
         assert len(lines) == 3
 
     def test_empty_relations(self):
         matrix = CoxeterDatum.constant(3, 3)
-        assert export_presentation([], matrix, "plain") == "generators: b1.2 b1.3 b2.3\n"
+        assert "".join(export_presentation([], matrix, "plain")) == "generators: b1.2 b1.3 b2.3\n"
 
     def test_gap_style_inverses(self):
         matrix = CoxeterDatum.constant(4, 3)
         rels = relations_thm1(matrix)
-        text = export_presentation(rels, matrix, "gap-style")
+        text = "".join(export_presentation(rels, matrix, "gap-style"))
         line = text.splitlines()[1]
         assert line == "b1.2 b3.4 B1.2 B3.4"
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             export_presentation([], CoxeterDatum.constant(3, 3), "latex")
+
+    def test_thm1_is_exported_sorted_on_label_and_indices(self):
+        # export writes a family in the order it yields it, and thm1 yields
+        # its commutations sorted, so its bytes are the sorted rendering's
+        rng = random.Random(28)
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            matrix = CoxeterDatum.from_entries(n, {
+                (a, b): rng.choice((0, 3, 4, 5)) for a, b in itertools.combinations(range(1, n + 1), 2)})
+            rels = list(relations_thm1(matrix))
+            by_key = sorted(rels, key=lambda r: (r.label, r.indices))
+            for fmt in ("plain", "gap-style"):
+                assert (list(export_presentation(rels, matrix, fmt))
+                        == list(export_presentation(by_key, matrix, fmt)))
 
 
 class TestStreamDigests:
