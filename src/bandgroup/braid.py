@@ -15,16 +15,17 @@ letter is one syllable.  A syllable rebuilds only the images of t_i ..
 t_j in one closed-form step, as reduced products of images already built,
 and letters cancel only where two factors meet.  That step is the Hurwitz
 move (a, b) -> (a b a^-1, a) of all the band's Artin letters at once, and
-one kernel, `_act`, runs it for the free action here and for the Hurwitz
-action of `hurwitz` on tuples of free or universal Coxeter words.  The
-band-power action on Coxeter words that the injectivity scan folds,
-`coxword._act_band`, is a closed form of its own on the same encoding:
-each letter's image is a slice of c = (s_j s_k)^m and of c^-1, and the
-images meet through `_cancel`.  The words the scan acts on are the
-images of a letter s_i, reflections u t u^-1 whose reduced words are odd
-palindromes.  A band power sends one to another: with v t' v^-1 the
-image of t, u t u^-1 goes to h t' h^-1 for h the image of u times v, so
-the scan runs the action on the halves alone (`raag._act_reflections`).
+one kernel, `_act`, runs it: for the free action here, for the Hurwitz
+action of `hurwitz` on tuples of free or universal Coxeter words, and for
+the band-power action on Coxeter words that the injectivity scan folds.
+There `coxword._band_images` moves the words s_1 .. s_k by one syllable
+to read off the letters' images, and `coxword._act_band` substitutes
+them into a word, the images meeting through `_cancel`.  The words the
+scan acts on are the images of a letter s_i, reflections u t u^-1 whose
+reduced words are odd palindromes.  A band power sends one to another:
+with v t' v^-1 the image of t, u t u^-1 goes to h t' h^-1 for h the
+image of u times v, so the scan runs the action on the halves alone
+(`raag._act_reflections`).
 
 `BraidDecider` decides words of syllables (the band letters of a
 relation, say), and `braid_equal` is the same routine on the runs of two

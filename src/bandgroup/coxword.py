@@ -2,28 +2,30 @@
 
 Elements of the universal Coxeter group (involutive generators, no other
 relations) are represented by words with no two equal adjacent letters.
-Everything here is about how powers of a band act on such words: the closed
-form of the action, the factorization of a word into maximal blocks over a
-two-letter subalphabet, and the executable checks that blocks marked
-"critical" grow under the action while the block pattern is preserved.
+Everything here is about how powers of a band act on such words: the
+action, the factorization of a word into maximal blocks over a two-letter
+subalphabet, and the executable checks that blocks marked "critical" grow
+under the action while the block pattern is preserved.
 
-The action itself, `_act_band`, runs on the `bytes` encoding of the braid
-kernel, letter s_i as the byte 128 + i and its own inverse, so letter
-indices go up to MAX_STRANDS.  The injectivity scan calls it on encoded
+The action runs on the `bytes` encoding of the braid kernel, letter s_i
+as the byte 128 + i and its own inverse, so letter indices go up to
+MAX_STRANDS.  The images of the band's letters are built by the kernel's
+Hurwitz move, `braid._act`, on the words s_1 .. s_k (`_band_images`), the
+same move that acts on free and Coxeter tuples, and `_act_band`
+substitutes them into a word.  The injectivity scan calls both on encoded
 words directly, `parse_cox_word` reads text straight into that encoding,
-and `act_band_on_cox` encodes a `CoxWord` for it and checks the result
-back in.  It is the one implementation of the action: the
-braid's free action pushed through the quotient t_i -> s_i, the route it
-is a closed form of, serves only as the tests' referee.
+and `act_band_on_cox` encodes a `CoxWord` for them and checks the result
+back in.  The braid's free action pushed through the quotient
+t_i -> s_i, letter by letter, serves only as the tests' referee.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 from .braid import _COX_LETTERS, _SELF, MAX_IMAGE_LETTERS, MAX_STRANDS, _cancel, _decode, _encode
-from .braid import _index, _tokens, _too_long
+from .braid import _act, _index, _tokens, _too_long
 from .coxeter import BandPair, commutes_in_brn, crossing
 
 
@@ -153,89 +155,75 @@ def is_critical(f: JkFactorization, nu: int) -> bool:
 def act_band_on_cox(w: CoxWord, tau: BandPair, m: int, limit: int = MAX_IMAGE_LETTERS) -> CoxWord:
     """Image of a word under the m-th power of the band on tau.
 
-    Letters outside [j, k] are fixed and the others map to their closed
-    forms (see `_act_band`, which this encodes for).  An image that passes
-    `limit` letters raises ImageLimitError, at most 4|m| + 1 letters after
-    it does, and before c = (s_j s_k)^m is built when the image of a letter
-    in [j, k], of 2|m| - 1 letters at least, would pass it; a word with no
-    such letter is then its own image.  Letter indices go up to MAX_STRANDS.
+    Letters outside [j, k] are fixed and the others map to their images
+    under the Hurwitz move (see `_band_images`), joined by `_act_band`.  An
+    image that passes `limit` letters raises ImageLimitError, at most
+    4|m| + 1 letters after it does, and before any image is built when the
+    image of a letter in [j, k], of 2|m| - 1 letters at least, would pass
+    it; a word with no such letter is then its own image.  Letter indices
+    go up to MAX_STRANDS.
 
     >>> act_band_on_cox(CoxWord((2, 4)), BandPair(1, 3), -1).letters
     (3, 1, 2, 1, 3, 4)
     """
     if tau.j > MAX_STRANDS:
         raise ValueError(f"letter indices above {MAX_STRANDS} are not supported")
-    return CoxWord(_decode(_act_band(_encode(w.letters), tau.i, tau.j, m, limit)))
+    x = _encode(w.letters)
+    moved = {y for y in x if 128 + tau.i <= y <= 128 + tau.j}
+    if 2 * abs(m) - 1 > limit:
+        if len(x) > limit or moved:
+            raise _too_long(limit)
+        return w
+    return CoxWord(_decode(_act_band(x, _band_images(tau.i, tau.j, m, moved), limit)))
 
 
-def _band_images(j: int, k: int, m: int, letters: Iterable[int]) -> dict[int, bytes]:
+def _band_images(j: int, k: int, m: int, letters: Collection[int]) -> dict[int, bytes]:
     """The images of encoded letters in [j, k] under the m-th power of the band on (j, k).
 
-    The closed forms are those of `_act_band`, for m nonzero; c and c^-1
-    are built once for all the letters asked for.
+    They are the words at the letters' places after the Hurwitz move of
+    `braid._act` applies the syllable (j, k, m) to s_1 .. s_k.  The move
+    reads s_j and s_k, so they are always given; any other letter not asked
+    for is the empty word, which the move passes by.  The longest image,
+    c s_x c^-1 with c = (s_j s_k)^m, has 4|m| + 1 letters.
 
     >>> {x - 128: _decode(w) for x, w in _band_images(1, 3, -2, (129, 130)).items()}
     {1: (3, 1, 3), 2: (3, 1, 3, 1, 2, 1, 3, 1, 3)}
     """
-    lo, hi = 128 + j, 128 + k
-    c = bytes((lo, hi) if m > 0 else (hi, lo)) * abs(m)
-    c_inv = c[::-1]
-    images = {}
-    for x in letters:
-        if x == lo:
-            images[x] = c + bytes((lo,)) if m > 0 else c[:-1]
-        elif x == hi:
-            images[x] = c_inv[1:] if m > 0 else bytes((hi,)) + c_inv
-        else:
-            images[x] = c + bytes((x,)) + c_inv
-    return images
+    words = [b""] * k
+    for x in (*letters, 128 + j, 128 + k):
+        words[x - 129] = bytes((x,))
+    _act(words, ((j, k, m),), 4 * abs(m) + 1, _SELF)
+    return {x: words[x - 129] for x in letters}
 
 
-def _act_band(w: bytes, j: int, k: int, m: int, limit: int,
-              images: dict[int, bytes] | None = None) -> bytes:
-    """The image of an encoded reduced word under the m-th power of the band on (j, k).
+def _act_band(w: bytes, images: dict[int, bytes], limit: int) -> bytes:
+    """The image of an encoded reduced word under the substitution of `images`.
 
-    With c = (s_j s_k)^m, and (s_j s_k)^-1 = s_k s_j for negative m, the
-    letters outside [j, k] are fixed, a letter s_x strictly between maps to
-    c s_x c^-1, s_j to c s_j and s_k to s_k c^-1.  Reduced, those are slices
-    of c and c^-1: s_j maps to c s_j for m > 0 and to c without its last
-    letter for m < 0, s_k to c^-1 without its first letter for m > 0 and to
-    s_k c^-1 for m < 0.  With c = (s_3 s_1)^2 for the band on (1, 3) and
-    m = -2:
+    Each letter of w in `images` is replaced by its image and every other
+    letter is fixed: with a `_band_images` table, that is the action of a
+    band power.  For the band on (1, 3) and m = -2, s_1 goes to s_3 s_1 s_3
+    and s_4 is fixed:
 
-    >>> _decode(_act_band(_encode((1,)), 1, 3, -2, 99))
-    (3, 1, 3)
-    >>> _decode(_act_band(_encode((3,)), 1, 3, -2, 99))
-    (3, 1, 3, 1, 3)
+    >>> table = _band_images(1, 3, -2, (129,))
+    >>> _decode(_act_band(_encode((4, 1)), table, 99))
+    (4, 3, 1, 3)
 
     The images are joined left to right and letters cancel only where two
     of them meet (`braid._cancel`, each letter its own inverse).  Once the
     image of a prefix of w passes `limit` letters, ImageLimitError is
-    raised; see `act_band_on_cox`.  A caller that applies one nonzero
-    power many times passes its `_band_images` table as `images`;
-    otherwise the image of each letter is built when it is first met.
+    raised; see `act_band_on_cox`.
     """
-    lo, hi = 128 + j, 128 + k
-    if images is None:
-        if not m or 2 * abs(m) - 1 > limit:
-            if len(w) > limit or m and any(lo <= x <= hi for x in w):
-                raise _too_long(limit)
-            return w
-        images = {}
     out = bytearray()
     for x in w:
-        if x < lo or x > hi:
+        image = images.get(x)
+        if image is None:
             out.append(x)
+        elif out and out[-1] == image[0]:
+            n = _cancel(out, image, _SELF)
+            del out[len(out) - n:]
+            out += image[n:]
         else:
-            image = images.get(x)
-            if image is None:
-                image = images[x] = _band_images(j, k, m, (x,))[x]
-            if out and out[-1] == image[0]:
-                n = _cancel(out, image, _SELF)
-                del out[len(out) - n:]
-                out += image[n:]
-            else:
-                out += image
+            out += image
         if len(out) > limit:
             raise _too_long(limit)
     return bytes(out)

@@ -60,7 +60,7 @@ def format_letter_word(word: Word) -> str:
     return " ".join(f"b{p}" if e == 1 else f"b{p}^{e}" for p, e in word)
 
 
-def _syllables(word: Word, matrix: CoxeterDatum) -> tuple[tuple[int, int, int], ...]:
+def _band_syllables(word: Word, matrix: CoxeterDatum) -> tuple[tuple[int, int, int], ...]:
     """The band syllables (i, j, e * m_tau) of the letters (tau, e) of a word."""
     rows = matrix.m
     out = []
@@ -75,7 +75,7 @@ def _syllables(word: Word, matrix: CoxeterDatum) -> tuple[tuple[int, int, int], 
 
 def expand_letter_word(word: Word, matrix: CoxeterDatum) -> ArtinWord:
     """Expand every letter (tau, e) to the band on tau raised to e * m_tau."""
-    return _artin(_syllables(word, matrix), matrix.n)
+    return _artin(_band_syllables(word, matrix), matrix.n)
 
 
 class BandWordDecider:
@@ -95,7 +95,7 @@ class BandWordDecider:
     def equal(self, u: Word, v: Word) -> bool:
         """Whether two words are the same braid; a pair the decider refuses is named."""
         matrix = self._matrix
-        x, y = _syllables(u, matrix), _syllables(v, matrix)
+        x, y = _band_syllables(u, matrix), _band_syllables(v, matrix)
         try:
             return self._braids.equal(x, y)
         except ImageLimitError as exc:
@@ -104,7 +104,7 @@ class BandWordDecider:
 
     def permutation(self, word: Word) -> list[int]:
         """The images of 1 .. n under the permutation of the word's braid."""
-        return _permutation(_syllables(word, self._matrix), self._matrix.n)
+        return _permutation(_band_syllables(word, self._matrix), self._matrix.n)
 
     def counters(self) -> dict[str, int]:
         """The oracle's work so far: see `BraidDecider.counters`."""

@@ -47,8 +47,8 @@ from .report import RunReport
 # 0.43 us per unit of this count (seven scans, n = 3 to 6, L = 2 or 3,
 # counts of 2.7x10^4 to 9x10^4, medians of 7 in process, 2 cores, Python
 # 3.11.7), so such a scan ends within about 45 ms.  The count does not
-# bound the set-up, which grows with n^3 at L = 1: 0.56 s at n = 90 and
-# 1.48 s at n = 124 (count 15,252, the most strands the letter budget
+# bound the set-up, which grows with n^3 at L = 1: 0.62 s at n = 90 and
+# 1.78 s at n = 124 (count 15,252, the most strands the letter budget
 # admits with entry 3; medians of 3).  A letter image grows with
 # exponent x entry, so larger ones cost more per unit; `MAX_SCAN_LETTERS`
 # bounds the images.
@@ -237,16 +237,17 @@ def canonical_expressions(
 
 
 def _table_letters(matrix: CoxeterDatum, max_exp: int, held: Sequence[int]) -> int:
-    """The letters of the scan's band tables, counted in closed form.
+    """The letters of the scan's band tables, counted before any of them is built.
 
     The table of (beta, e) holds the image of each held letter s_x in
     [beta.i, beta.j] under (beta, e), for every base beta and every e in
-    +-1 .. +-max_exp (see `coxword._band_images`).  With m = e times the
-    entry of beta, the image has 4|m| + 1 letters for x strictly between,
-    and 2|m| + 1 or 2|m| - 1 for x = beta.i or x = beta.j by the sign of m
-    (s_j maps to c s_j and s_k to s_k c^-1 with c = (s_j s_k)^m, see
-    `coxword._act_band`).  Over both signs of e the ends give 4|m| a
-    letter, and the |e| sum to max_exp (max_exp + 1).
+    +-1 .. +-max_exp, as the Hurwitz move of `braid._act` builds it (see
+    `coxword._band_images`).  With m = e times the entry of beta and
+    c = (s_j s_k)^m, the reduced image is c s_x c^-1, of 4|m| + 1 letters,
+    for x strictly between, and c s_j or s_k c^-1, of 2|m| + 1 or 2|m| - 1
+    letters by the sign of m, for x = beta.i or x = beta.j.  Over both
+    signs of e the ends give 4|m| a letter, and the |e| sum to
+    max_exp (max_exp + 1).
     """
     weight = max_exp * (max_exp + 1)  # sum of |e| over the values of e
     total = 0
@@ -260,9 +261,9 @@ def _table_letters(matrix: CoxeterDatum, max_exp: int, held: Sequence[int]) -> i
     return total
 
 
-def _act_reflections(images: list[bytes], j: int, k: int, m: int, table: dict[int, bytes],
+def _act_reflections(images: list[bytes], table: dict[int, bytes],
                      left: int) -> tuple[list[bytes], int]:
-    """The images of reflections, given by their heads, under the m-th power of the band on (j, k).
+    """The images of reflections, given by their heads, under the band power of `table`.
 
     A reflection u t u^-1 of the universal Coxeter group has the odd
     palindrome u t reverse(u) as its reduced word, so its head u t, the
@@ -285,8 +286,7 @@ def _act_reflections(images: list[bytes], j: int, k: int, m: int, table: dict[in
         image = table.get(head[-1], head[-1:])
         image = image[:len(image) // 2 + 1]  # v t'
         if len(head) > 1:
-            q = _mul(_act_band(head[:-1], j, k, m, (left + 1) // 2 + len(image), table), image,
-                     _SELF)
+            q = _mul(_act_band(head[:-1], table, (left + 1) // 2 + len(image)), image, _SELF)
             image = q if q and q[-1] == image[-1] else q + image[-1:]
         left -= 2 * len(image) - 1
         if left < 0:
@@ -325,19 +325,20 @@ def injectivity_scan(
     Requires a large-type matrix.  Every nonempty canonical expression gets
     one certificate per base tau it ends in: the image of the letter
     s_{tau.i} under the expression's action on the universal Coxeter group
-    (the band-power action of `coxword._act_band`, folded left to right) must
-    move.  Any passing certificate shows that the braid image is
-    nontrivial; an expression whose certificates all fail goes to the exact
-    equality oracle.  Any failure would exhibit a collapse of the
+    (the band-power action of `coxword`, folded left to right) must move.
+    Any passing certificate shows that the braid image is nontrivial; an
+    expression whose certificates all fail goes to the exact equality
+    oracle.  Any failure would exhibit a collapse of the
     commutation presentation at this scale; none is expected.
 
     Each band power acts as a bijection, so the image of s_i under
     p·(beta, e) is s_i exactly when the image under p is the image of s_i
-    under (beta, -e).  The band tables (`coxword._band_images`) hold the
-    images of the letters of each band under each of its powers, built
-    once per scan: every letter of the band, kept for the walk, when the
-    walk builds prefix images, and otherwise only the certified letters,
-    each table dropped once the index has read it.  Every image of a
+    under (beta, -e).  The band tables hold the images of the letters of
+    each band under each of its powers, each table one Hurwitz move of
+    `braid._act` (`coxword._band_images`), built once per scan: every
+    letter of the band, kept for the walk, when the walk builds prefix
+    images, and otherwise only the certified letters, each table dropped
+    once the index has read it.  Every image of a
     letter is a reflection u t u^-1, whose reduced word u t reverse(u) its
     head u t determines, and the scan holds each by its head, as a word of
     `coxword`'s byte encoding.  An index maps the head of each image of a
@@ -351,7 +352,8 @@ def injectivity_scan(
     Passes are entered once per family at the end, and failures one by one
     in walk order.  The band tables and the prefix images share the budget
     of MAX_SCAN_LETTERS letters, counted as whole images: a scan whose
-    tables would pass it is refused with ValueError before it starts, and
+    tables would pass it (`_table_letters`) is refused with ValueError
+    before it starts, and
     one whose prefix images would pass it before they do.
     `info` counts the expressions, the certificates, the oracle fallbacks,
     the image letters built and the longest image of a certified letter
@@ -383,7 +385,6 @@ def injectivity_scan(
     start = time.perf_counter()
     report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
     decider = BandWordDecider(matrix)
-    entries = [matrix.entry_at(beta.i, beta.j) for beta in bases]
     exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
     root = [bytes((128 + i,)) for i in slot]
     # tables[k][e]: the images of the held letters of bases[k] under (bases[k], e),
@@ -392,7 +393,8 @@ def injectivity_scan(
     # tuple shared by every slot's list
     tables: list[dict[int, dict[int, bytes]]] = []
     index: list[dict[bytes, list[tuple[int, int]]]] = [{} for _ in root]
-    for k, (beta, m) in enumerate(zip(bases, entries)):
+    for k, beta in enumerate(bases):
+        m = matrix.entry_at(beta.i, beta.j)
         letters = [128 + x for x in held if beta.i <= x <= beta.j]
         tables.append({})
         for e in exponents:
@@ -465,8 +467,7 @@ def injectivity_scan(
             beta = bases[k]
             for e in exponents:
                 try:
-                    child, left = _act_reflections(images, beta.i, beta.j, e * entries[k],
-                                                   tables[k][e], MAX_SCAN_LETTERS - built)
+                    child, left = _act_reflections(images, tables[k][e], MAX_SCAN_LETTERS - built)
                 except ImageLimitError:
                     raise ValueError(f"scan would build more than {MAX_SCAN_LETTERS} image "
                                      f"letters, {table_letters} of them for its band tables "

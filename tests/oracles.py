@@ -8,7 +8,7 @@ exceptions are `referee_canonical_expressions` and
 `referee_injectivity_scan`, the enumeration's and the scan's plain
 procedures built from the library's own pieces, and
 `referee_act_band_on_cox`, the band-power action's closed form pushed
-letter by letter through a list, which referees `coxword._act_band`, and
+letter by letter through a list, which referees `coxword.act_band_on_cox`, and
 `referee_long_pairs`, one run count per pair of letters, which referees
 `coxword.long_pairs`.
 """

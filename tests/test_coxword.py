@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bandgroup.braid import ImageLimitError, _decode, _encode, band_to_artin
+from bandgroup.braid import ImageLimitError, _decode, band_to_artin
 from bandgroup.cli import random_cox_word
 from bandgroup.coxeter import BandPair
 from bandgroup.coxword import (
@@ -18,7 +19,7 @@ from bandgroup.coxword import (
     long_pairs,
     parse_cox_word,
 )
-from bandgroup.coxword import _act_band
+from bandgroup.coxword import _band_images
 from oracles import (
     reduce_word,
     referee_act_band_on_cox,
@@ -252,7 +253,8 @@ class TestBandAction:
                 assert act_band_on_cox(word, tau, m, limit) == act_band_on_cox(word, tau, m)
 
     def test_byte_kernel_matches_the_referee(self):
-        # the closed form over bytes against the one pushed letter by letter
+        # the Hurwitz move's images substituted over bytes against the
+        # closed form pushed letter by letter
         rng = random.Random(17)
         for _ in range(20_000):
             n = rng.randint(3, 7)
@@ -260,7 +262,21 @@ class TestBandAction:
             j, k = sorted(rng.sample(range(1, n + 1), 2))
             m = rng.choice([-1, 1]) * rng.randint(1, 12)
             expected = referee_act_band_on_cox(word, BandPair(j, k), m).letters
-            assert _decode(_act_band(_encode(word.letters), j, k, m, 1 << 24)) == expected
+            assert act_band_on_cox(word, BandPair(j, k), m, 1 << 24).letters == expected
+
+    def test_images_do_not_depend_on_the_letters_asked_for(self):
+        # the move reads s_j and s_k, so they are built even when they are
+        # not asked for, and the other letters not asked for change nothing
+        rng = random.Random(36)
+        for j, k in itertools.combinations(range(1, 7), 2):
+            band = range(128 + j, 128 + k + 1)
+            inner = list(band[1:-1])
+            for m in [x for x in range(-7, 8) if x]:
+                every = _band_images(j, k, m, band)
+                subsets = [[], [band[0]], [band[-1]], inner, inner[:1], inner[-1:]]
+                subsets += [rng.sample(band, rng.randint(1, len(band))) for _ in range(4)]
+                for letters in subsets:
+                    assert _band_images(j, k, m, letters) == {x: every[x] for x in letters}
 
     def test_letter_indices_past_the_encoding_are_refused(self):
         with pytest.raises(ValueError, match="above 127"):

@@ -25,8 +25,8 @@ from bandgroup.coxeter import (
 from bandgroup.present import (
     BandWordDecider,
     Relation,
+    _band_syllables,
     _coset_rewrite,
-    _syllables,
     assemble_block_matrix,
     block_product_check,
     coset_table_check,
@@ -645,7 +645,8 @@ class TestLocality:
 
     @staticmethod
     def _keys(rels, matrix):
-        return {_relabel(_syllables(r.lhs, matrix), _syllables(r.rhs, matrix)) for r in rels}
+        return {_relabel(_band_syllables(r.lhs, matrix), _band_syllables(r.rhs, matrix))
+                for r in rels}
 
     def test_relabelled_keys_stop_growing(self):
         families = {

@@ -504,13 +504,14 @@ class TestLastLevel:
     @pytest.mark.parametrize("certified_only", [False, True],
                              ids=["all_letters", "certified_letters"])
     def test_table_letters_closed_form(self, certified_only):
-        # the tables hold every letter of each band when the scan builds
+        # the count that refuses a scan up front is the letters of the tables
+        # the kernel builds: every letter of each band when the scan builds
         # prefix images, and only the certified letters at L = 1
         rng = random.Random(35)
         for _ in range(40):
-            n = rng.randint(2, 6)
+            n = rng.randint(2, 7)
             matrix = CoxeterDatum.from_entries(n, {
-                pair: rng.choice((0, 3, 4, 7))
+                pair: rng.choice((0, 3, 4, 5, 6, 7, 8, 9))
                 for pair in itertools.combinations(range(1, n + 1), 2)
             })
             max_exp = rng.randint(1, 4)
@@ -521,7 +522,7 @@ class TestLastLevel:
                 for beta in bases
                 for e in range(-max_exp, max_exp + 1) if e
                 for image in raag._band_images(
-                    beta.i, beta.j, e * matrix.entry_at(beta.i, beta.j),
+                    beta.i, beta.j, -e * matrix.entry_at(beta.i, beta.j),
                     [128 + x for x in held if beta.i <= x <= beta.j]).values()
             )
             assert raag._table_letters(matrix, max_exp, held) == built
@@ -600,13 +601,13 @@ class TestReflections:
                     table, heads = self._tables(j, k, m)
                     for _ in range(4):
                         head = random_head(rng, n, 8)
-                        (image,), left = raag._act_reflections([head], j, k, m, table, 1 << 24)
-                        assert image + image[-2::-1] == _act_band(head + head[-2::-1], j, k, m,
-                                                                  1 << 24, table)
+                        (image,), left = raag._act_reflections([head], table, 1 << 24)
+                        assert image + image[-2::-1] == _act_band(head + head[-2::-1], table,
+                                                                  1 << 24)
                         assert left == (1 << 24) - (2 * len(image) - 1)
                         # the head v t' of phi(t), and h = phi(u) v
                         phi_t = heads.get(head[-1]) or head[-1:]
-                        h = _mul(_act_band(head[:-1], j, k, m, 1 << 24, table), phi_t[:-1], _SELF)
+                        h = _mul(_act_band(head[:-1], table, 1 << 24), phi_t[:-1], _SELF)
                         restored += len(head) > 1 and h[-1:] == phi_t[-1:]
         assert restored > 100
 
@@ -617,9 +618,9 @@ class TestReflections:
         # while the product of phi(s1) and the head of phi(s2) lost the centre
         table, heads = self._tables(1, 2, 1)
         assert _decode(heads[129]) == (1, 2) and _decode(heads[130]) == (1,)
-        (image,), _ = raag._act_reflections([_encode((1, 2))], 1, 2, 1, table, 99)
+        (image,), _ = raag._act_reflections([_encode((1, 2))], table, 99)
         assert _decode(image) == (1, 2, 1)
-        assert _decode(_act_band(_encode((1, 2, 1)), 1, 2, 1, 99, table)) == (1, 2, 1, 2, 1)
+        assert _decode(_act_band(_encode((1, 2, 1)), table, 99)) == (1, 2, 1, 2, 1)
 
     def test_single_letters_are_table_lookups(self, monkeypatch):
         def refuse(*args):
@@ -627,7 +628,7 @@ class TestReflections:
 
         table, heads = self._tables(1, 3, -2)
         monkeypatch.setattr(raag, "_act_band", refuse)
-        images, left = raag._act_reflections([b"\x81", b"\x82", b"\x84"], 1, 3, -2, table, 99)
+        images, left = raag._act_reflections([b"\x81", b"\x82", b"\x84"], table, 99)
         assert images == [heads[129], heads[130], b"\x84"]
         assert left == 99 - sum(2 * len(x) - 1 for x in images)
 
@@ -637,11 +638,11 @@ class TestReflections:
         rng = random.Random(28)
         table, _ = self._tables(2, 5, 3)
         images = [random_head(rng, 6, 12) for _ in range(5)]
-        after, left = raag._act_reflections(images, 2, 5, 3, table, 1 << 24)
+        after, left = raag._act_reflections(images, table, 1 << 24)
         needed = (1 << 24) - left
-        assert raag._act_reflections(images, 2, 5, 3, table, needed) == (after, 0)
+        assert raag._act_reflections(images, table, needed) == (after, 0)
         with pytest.raises(ImageLimitError):
-            raag._act_reflections(images, 2, 5, 3, table, needed - 1)
+            raag._act_reflections(images, table, needed - 1)
 
 
 class TestLetterBudget:
