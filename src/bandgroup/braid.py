@@ -264,18 +264,12 @@ def _mul(x: bytes, y: bytes, neg: bytes) -> bytes:
 
 
 def _conj(g: bytes, g_inv: bytes, x: bytes, neg: bytes) -> bytes:
-    """The reduced word of g x g^-1, given g and its inverse.
+    """The reduced word of g x g^-1, given g and its inverse, built as (g x) g^-1.
 
-    When what cancels on the left of x and what cancels on its right leave
-    some of x between them, the two junctions are independent and the
-    product is one join of three slices.
+    An empty g or x leaves x as it is.
     """
     if not (g and x):
         return x
-    left = _cancel(g, x, neg) if g_inv[0] == x[0] else 0
-    right = _cancel(x, g_inv, neg) if x[-1] == g[-1] else 0
-    if left + right < len(x):
-        return g[:len(g) - left] + x[left:len(x) - right] + g_inv[right:]
     return _mul(_mul(g, x, neg), g_inv, neg)
 
 
@@ -302,13 +296,14 @@ def _act(words: list[bytes], syllables, limit: int, neg: bytes) -> list[bytes]:
 
     The syllable (i, j, e) is the band power a_ij^e, and the Artin letter
     sigma_k^s is the syllable (k, k + 1, s).  With a and b the words at
-    positions i and j, the move keeps P = a b.  Write e = s (2q + r) with
-    s = +-1 and r = 0 or 1: r = 1 is the move of one Artin letter,
-    (a, b) -> (a b a^-1, a) for s = 1 and (b, b^-1 a b) for s = -1, and
-    then both words are conjugated by P^(s q).  Every word strictly between
-    i and j is conjugated by g = z b^-1, z being the new word at j.  This
-    is the move of the band's Artin letters, one at a time and the last
-    letter first:
+    positions i and j, the move keeps P = a b, which is built once.  Write
+    e = s (2q + r) with s = +-1 and r = 0 or 1: r = 1 is the move of one
+    Artin letter, (a, b) -> (a b a^-1, a) for s = 1 and (b, b^-1 a b) for
+    s = -1, the moved word being the one reduced product P a^-1 or
+    b^-1 P, and then both words are conjugated by P^(s q).  Every word
+    strictly between i and j is conjugated by g = z b^-1, z being the new
+    word at j.  This is the move of the band's Artin letters, one at a
+    time and the last letter first:
 
     >>> x = [bytes((128 + m,)) for m in range(1, 5)]
     >>> letters = band_power(BandPair(1, 4), -3, 4)[::-1]
@@ -321,16 +316,16 @@ def _act(words: list[bytes], syllables, limit: int, neg: bytes) -> list[bytes]:
     for i, j, e in syllables:
         a, b = words[i - 1], words[j - 1]
         b_inv = b[::-1].translate(neg)
+        p = _mul(a, b, neg)
         s = 1 if e > 0 else -1
         q, r = divmod(s * e, 2)
         if not r:
             x, z = a, b
         elif s > 0:
-            x, z = _conj(a, a[::-1].translate(neg), b, neg), a
+            x, z = _mul(p, a[::-1].translate(neg), neg), a
         else:
-            x, z = b, _conj(b_inv, b, a, neg)
+            x, z = b, _mul(b_inv, p, neg)
         if q:
-            p = _mul(a, b, neg)
             if s < 0:
                 p = p[::-1].translate(neg)
             if q > 1:
@@ -407,8 +402,6 @@ def _relabel(u: tuple, v: tuple) -> tuple[int, tuple, tuple]:
     left, right, _ = zip(*u, *v)
     strands = sorted(set(left).union(right))
     k = len(strands)
-    if strands[-1] == k:
-        return k, u, v
     label = [0] * (strands[-1] + 1)
     for p, x in enumerate(strands, 1):
         label[x] = p

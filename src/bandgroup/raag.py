@@ -47,9 +47,9 @@ from .report import RunReport
 # 0.43 us per unit of this count (seven scans, n = 3 to 6, L = 2 or 3,
 # counts of 2.7x10^4 to 9x10^4, medians of 7 in process, 2 cores, Python
 # 3.11.7), so such a scan ends within about 45 ms.  The count does not
-# bound the set-up, which grows with n^3 at L = 1: 0.62 s at n = 90 and
-# 1.78 s at n = 124 (count 15,252, the most strands the letter budget
-# admits with entry 3; medians of 3).  A letter image grows with
+# bound the set-up, which grows with n^3 at L = 1: 0.55 s at n = 90 and
+# 1.53 s at n = 124 (count 15,252, the most strands the letter budget
+# admits with entry 3; medians of 4).  A letter image grows with
 # exponent x entry, so larger ones cost more per unit; `MAX_SCAN_LETTERS`
 # bounds the images.
 MAX_SCAN_EXPRESSIONS = 100_000

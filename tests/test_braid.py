@@ -16,6 +16,7 @@ from bandgroup.braid import (
     ImageLimitError,
     Permutation,
     _act,
+    _conj,
     _decode,
     _encode,
     _free_images,
@@ -391,6 +392,45 @@ class TestSyllableStep:
                 y = reduce_word(inv + tail, involutive)
                 assert _decode(_mul(_encode(tuple(x)), _encode(tuple(y)), neg)) == tuple(
                     reduce_word(x + y, involutive))
+
+    @pytest.mark.parametrize("cancel", [0, 1, _WINDOW - 1, _WINDOW, _WINDOW + 1, 200])
+    def test_conj_cancels_on_either_side(self, cancel):
+        # g = h k with |k| = cancel; x cancels k wholly (x = k^-1), only from
+        # the left (k^-1 y), only from the right (y k), from both (k^-1 y k)
+        # or not at all (y), for a seeded y drawn until exactly that cancels
+        rng = random.Random(35 + cancel)
+        for involutive in (False, True):
+            neg = _SELF if involutive else _NEG
+
+            def inverse(u):
+                return [y if involutive else -y for y in reversed(u)]
+
+            def junction(u, v):
+                c = 0
+                while c < min(len(u), len(v)) and u[-1 - c] == (v[c] if involutive else -v[c]):
+                    c += 1
+                return c
+
+            for _ in range(10):
+                g = random_reduced(rng, 5, cancel + 2, involutive)
+                k = g[len(g) - cancel:]
+                g_word = _encode(tuple(g))
+                g_inv = _inverse(g_word, neg)
+                cases = [inverse(k)]
+                for left, right in ((True, False), (False, True), (True, True), (False, False)):
+                    while True:
+                        y = random_reduced(rng, 5, rng.randint(1, 4), involutive)
+                        x = (inverse(k) if left else []) + y + (k if right else [])
+                        if (reduce_word(x, involutive) == x
+                                and junction(g, x) == (cancel if left else 0)
+                                and junction(x, inverse(g)) == (cancel if right else 0)):
+                            break
+                    cases.append(x)
+                for x in cases:
+                    got = _conj(g_word, g_inv, _encode(tuple(x)), neg)
+                    assert _decode(got) == tuple(reduce_word(g + x + inverse(g), involutive))
+                    assert _conj(b"", b"", _encode(tuple(x)), neg) == _encode(tuple(x))
+                assert _conj(g_word, g_inv, b"", neg) == b""
 
 
 def equal_rewrite(rng, n, letters):
