@@ -114,4 +114,4 @@ def render_reports_json(reports: list[RunReport], command: str) -> str:
         "ok": all(r.ok for r in reports),
         "reports": [r.to_dict() for r in reports],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, sort_keys=True)

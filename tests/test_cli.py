@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_golden import _cases as _golden_cases, _run as _golden_run
 
 import bandgroup
+from bandgroup import cli
 from bandgroup.braid import MAX_IMAGE_LETTERS, MAX_STRANDS, MAX_WORD_LETTERS
 from bandgroup.cli import MAX_DEGREE, MAX_RANDOM_LETTERS, MAX_RANDOM_WORK, main
 from bandgroup.coxeter import CoxeterDatum, Partition
@@ -772,6 +775,71 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "thm9"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    def test_tree_is_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        # the first call builds the tree unless an earlier test did
+        assert main(["eq", "s1 s2 s1", "s2 s1 s2", "--n", "3"]) == 0
+        built.clear()
+        assert main(["perm", "s1 s2", "--n", "3"]) == 0
+        assert built == []
+
+    def test_a_wrapper_on_a_command_sees_its_calls(self, capsys, monkeypatch, partition_file):
+        path = partition_file("P.json", Partition.singletons(3))
+        assert main(["verify", "thm2", "--partition", path]) == 0
+        seen = []
+        verify = cli.cmd_verify
+
+        def wrapped(args):
+            seen.append(args.family)
+            return verify(args)
+
+        monkeypatch.setattr(cli, "cmd_verify", wrapped)
+        assert main(["verify", "thm2", "--partition", path]) == 0
+        assert seen == ["thm2"]
+
+    def test_reuse_keeps_no_state(self, capsys, partition_file):
+        for argv, code in ((["verify", "thm9"], 2), (["--help"], 0), (["checkprop", "nine"], 2)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        capsys.readouterr()
+        path = partition_file("P.json", Partition.singletons(3))
+        env = {**os.environ, "PYTHONPATH": str(Path(bandgroup.__file__).parents[1])}
+        for argv in (["--json", "verify", "thm2", "--partition", path],
+                     ["--json", "eq", "s1 s2 s1", "s2 s1 s2'", "--n", "3"]):
+            code = main(argv)
+            out = capsys.readouterr().out
+            child = subprocess.run([sys.executable, "-m", "bandgroup.cli", *argv],
+                                   capture_output=True, env=env)
+            assert child.returncode == code
+            assert out.encode() == child.stdout
+
+
+# the golden cases that answer under --json; the rest print only an error
+_JSON_CASES = [c for c in _golden_cases() if "--json" in c["argv"] and c["stdout"]]
+
+
+@pytest.mark.parametrize("case", _JSON_CASES, ids=lambda case: case["name"])
+def test_json_is_one_compact_line(case):
+    out = _golden_run(case)["stdout"]
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+def test_compact_lines_cover_every_answering_command():
+    commands = {(c["argv"][1], "--random" in c["argv"]) for c in _JSON_CASES}
+    assert commands == {("verify", False), ("scan", False), ("eq", False), ("perm", False),
+                        ("hurwitz", False), ("factorize", False), ("checkprop", False),
+                        ("checkprop", True)}
 
 
 # -- the exit contract under malformed input ----------------------------------
