@@ -7,10 +7,13 @@ invocation or its inputs were unusable.  Reports render as human text by
 default; --json switches to a byte-stable machine rendering, one compact
 JSON line per invocation in the same style for every subcommand (identical
 invocations with identical inputs and seeds produce identical bytes, which
-is why wall-clock time never appears there).  The argument parser is built
-once per process and reused by every `main` call: building it takes about
-0.8 ms (2 cores, Python 3.11.7), more than half of what a small `verify
-thm2` or `eq` call took in process when it was rebuilt for each.
+is why wall-clock time never appears there).  This module is the only one
+that reads a clock: `main` stamps the parsed command, and the human header
+of a report ends in the seconds from that stamp to the report, file loading
+included.  The argument parser is built once per process and reused by
+every `main` call: building it takes about 0.8 ms (2 cores, Python 3.11.7),
+more than half of what a small `verify thm2` or `eq` call took in process
+when it was rebuilt for each.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import functools
 import json
 import random
 import sys
+import time
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -50,7 +54,7 @@ from .coxword import (
     jk_factorize,
     parse_cox_word,
 )
-from .hurwitz import GroupContext, render_action
+from .hurwitz import PERMUTATION, GroupContext, render_action
 from .present import (
     block_product_check,
     coset_table_check,
@@ -100,13 +104,12 @@ def _letter_index(text: str) -> int:
     return value
 
 
-def _emit(reports: list[RunReport], args: argparse.Namespace, command: str) -> int:
+def _emit(report: RunReport, args: argparse.Namespace, command: str) -> int:
     if args.json:
-        print(render_reports_json(reports, command))
+        print(render_reports_json(report, command))
     else:
-        for report in reports:
-            print(report.render_text())
-    return 0 if all(r.ok for r in reports) else 1
+        print(report.render_text(time.perf_counter() - args.started))
+    return 0 if report.ok else 1
 
 
 def _answer(args: argparse.Namespace, payload: dict, lines: Iterable[str]) -> None:
@@ -180,13 +183,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = verify_relations(relations, matrix, tag=tag)
     else:
         report = _CHECKS[args.family][1](*inputs)
-    return _emit([report], args, f"verify {args.family}")
+    return _emit(report, args, f"verify {args.family}")
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     matrix = _load("matrix", args.matrix)
     report = injectivity_scan(matrix, args.max_len, args.max_exp)
-    return _emit([report], args, "scan inject")
+    return _emit(report, args, "scan inject")
 
 
 def cmd_eq(args: argparse.Namespace) -> int:
@@ -241,7 +244,7 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
         if n > MAX_STRANDS:
             raise ValueError(f"a tuple may have at most {MAX_STRANDS} entries, got {n}")
         ctx = _build_context(args.context, n)
-        if ctx.kind == "perm" and ctx.n != n:
+        if ctx.kind == PERMUTATION and ctx.n != n:
             raise ValueError(f"tuple length {n} != realization size {ctx.n}")
         for i, e in enumerate(texts, start=1):
             if not isinstance(e, str):
@@ -275,7 +278,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         flags = []
         if is_long(block):
             flags.append("long")
-        if 0 < nu < f.ell and is_critical(f, nu):
+        if is_critical(f, nu):
             flags.append("critical")
         rows.append(
             {
@@ -354,7 +357,7 @@ def cmd_checkprop(args: argparse.Namespace) -> int:
             result.passed,
             message=f"word {word}: {result.status} {'; '.join(result.failures)}",
         )
-    return _emit([report], args, f"checkprop {args.which}")
+    return _emit(report, args, f"checkprop {args.which}")
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -441,12 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return globals()[f"cmd_{args.command}"](args)
     except ScopeError as exc:
         print(f"scope error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

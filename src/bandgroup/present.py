@@ -21,7 +21,6 @@ combing.i..iv, combing.derived.1..8, sec4.1, sec4.2, sec4.3a..3e, block.
 from __future__ import annotations
 
 import itertools
-import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -369,7 +368,6 @@ def verify_relations(
     MAX_WORD_LETTERS Artin letters, counted on the strands the relation
     touches, is refused with ImageLimitError naming it (see `BraidDecider`).
     """
-    start = time.perf_counter()
     report = RunReport(tag=tag)
     decider = BandWordDecider(matrix)
     for rel in rels:
@@ -379,7 +377,6 @@ def verify_relations(
             report.add(rel.label, rel.indices, False, "relation fails in the braid group",
                        format_letter_word(rel.lhs), format_letter_word(rel.rhs))
     report.info.update(decider.counters())
-    report.wall_time = time.perf_counter() - start
     return report
 
 
@@ -450,7 +447,6 @@ def coset_table_check(p: Partition) -> RunReport:
     matches the permutation discriminant: the image of n under the
     permutation of the left-hand side.
     """
-    start = time.perf_counter()
     matrix = partition_to_matrix(p)
     n = p.n
     report = RunReport(tag=f"cosets {p}")
@@ -475,7 +471,6 @@ def coset_table_check(p: Partition) -> RunReport:
                            format_letter_word(lhs), format_letter_word(rhs))
     report.info["cosets"] = len(reps)
     report.info.update(decider.counters())
-    report.wall_time = time.perf_counter() - start
     return report
 
 

@@ -29,7 +29,6 @@ word up to the centre, and the kernel acts on the half before it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
@@ -382,7 +381,6 @@ def injectivity_scan(
             f"scan would build {table_letters} image letters for its band tables, past the "
             f"budget of {MAX_SCAN_LETTERS}; lower --max-exp or the matrix entries"
         )
-    start = time.perf_counter()
     report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
     decider = BandWordDecider(matrix)
     exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]
@@ -490,5 +488,4 @@ def injectivity_scan(
     report.info["image_letters"] = built
     report.info["peak_image_letters"] = peak
     report.info.update(decider.counters())
-    report.wall_time = time.perf_counter() - start
     return report

@@ -31,16 +31,15 @@ class RunReport:
     """Aggregated outcome of one verification or scan command.
 
     `families` maps each family to its [instances, passes]; the report's
-    totals are their sums.  Wall time is tracked for the human rendering
-    but deliberately left out of the JSON rendering so that identical runs
-    produce identical bytes.
+    totals are their sums.  A report holds no time, so identical calls
+    return equal reports; the command line times each command itself and
+    hands the seconds to `render_text`.
     """
 
     tag: str
     failures: list[Failure] = field(default_factory=list)
     families: dict[str, list[int]] = field(default_factory=dict)
     info: dict[str, int] = field(default_factory=dict)
-    wall_time: float = 0.0
 
     def add(
         self,
@@ -91,10 +90,11 @@ class RunReport:
             "ok": self.ok,
         }
 
-    def render_text(self) -> str:
+    def render_text(self, seconds: float) -> str:
+        """The human rendering; its header ends in `seconds`, the caller's timing of the run."""
         lines = [
             f"[{'PASS' if self.ok else 'FAIL'}] {self.tag}: "
-            f"{self.passes}/{self.instances} instances pass ({self.wall_time:.2f} s)"
+            f"{self.passes}/{self.instances} instances pass ({seconds:.2f} s)"
         ]
         for name, (total, passed) in sorted(self.families.items()):
             lines.append(f"    {name}: {passed}/{total}")
@@ -108,10 +108,6 @@ class RunReport:
         return "\n".join(lines)
 
 
-def render_reports_json(reports: list[RunReport], command: str) -> str:
-    payload = {
-        "command": command,
-        "ok": all(r.ok for r in reports),
-        "reports": [r.to_dict() for r in reports],
-    }
+def render_reports_json(report: RunReport, command: str) -> str:
+    payload = {"command": command, "ok": report.ok, "reports": [report.to_dict()]}
     return json.dumps(payload, sort_keys=True)

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -823,6 +824,27 @@ class TestParserReuse:
                                    capture_output=True, env=env)
             assert child.returncode == code
             assert out.encode() == child.stdout
+
+
+class TestMain:
+    @pytest.mark.parametrize("argv", [["checkprop", "seven", "--random", "2", "--seed", "0"],
+                                      ["verify", "thm2", "--partition"]])
+    def test_the_header_times_the_parsed_command(self, capsys, monkeypatch, partition_file, argv):
+        if argv[-1] == "--partition":
+            argv = [*argv, partition_file("P.json", Partition.singletons(3))]
+        ticks = iter([10.0, 11.25])
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(" instances pass (1.25 s)")
+        assert next(ticks, None) is None  # the clock is read once at each end
+
+    def test_a_fault_of_the_program_is_not_unusable_input(self, monkeypatch):
+        def fault(u, v):
+            raise KeyError("fault")
+
+        monkeypatch.setattr(cli, "braid_equal", fault)
+        with pytest.raises(KeyError):
+            main(["eq", "s1", "s1", "--n", "2"])
 
 
 # the golden cases that answer under --json; the rest print only an error
