@@ -44,9 +44,10 @@ expands a syllable into Artin letters.  Inside the kernel a reduced word is a
 `bytes` object, letter i as the byte 128 + i and its inverse as 128 - i
 for free words, or as itself for Coxeter words, so concatenation, slicing
 and inversion run in C and letter indices, hence strands, are limited to
-127.  Text is parsed straight into it (`parse_free_word`, `coxword.parse_cox_word`);
-at the API boundary free words are `FreeWord`s, tuples of signed integers
-(+i for t_i, -i for its inverse), always freely reduced.
+127.  One reader, `_read_word`, parses the text of free and of Coxeter
+words straight into it (`parse_free_word`, `parse_cox_word`); at the API
+boundary free words are `FreeWord`s, tuples of signed integers (+i for
+t_i, -i for its inverse), always freely reduced.
 """
 
 from __future__ import annotations
@@ -171,10 +172,11 @@ _WINDOW = 64
 _NEG = bytes((256 - b) % 256 for b in range(256))
 _SELF = bytes(range(256))
 # The text of each encoded letter and a space: t_i and t_i^-1, or s_i; and
-# the encoded letter of each plain token s_i.
+# the encoded letter of each plain token: t_i, t_i' or s_i.
 _INDICES = range(1, MAX_STRANDS + 1)
 _FREE_TOKENS = {128 + i: f"t{i} " for i in _INDICES} | {128 - i: f"t{i}' " for i in _INDICES}
 _COX_TOKENS = {128 + i: f"s{i} " for i in _INDICES}
+_FREE_LETTERS = {f"t{i}": 128 + i for i in _INDICES} | {f"t{i}'": 128 - i for i in _INDICES}
 _COX_LETTERS = {f"s{i}": 128 + i for i in _INDICES}
 
 
@@ -202,12 +204,12 @@ def _decode(x: bytes) -> tuple[int, ...]:
     return tuple(b - 128 for b in x)
 
 
-# Letters per slice of `_format_slices`: 64 KB of a word, up to about 256 KB of its text.
-_TEXT_SLICE = 1 << 16
+# Letters per slice of `_format_slices` (up to 256 KB of text), characters per slice of `_tokens`.
+_SLICE = 1 << 16
 
 
 def _format_slices(x: bytes, tokens: dict[int, str]) -> Iterator[str]:
-    """An encoded word as text, "1" when it is empty, in slices of _TEXT_SLICE letters.
+    """An encoded word as text, "1" when it is empty, in slices of _SLICE letters.
 
     Each letter's token ends in a space, and the last slice drops the last
     one, so the slices join to the tokens separated by spaces; the text of
@@ -215,9 +217,9 @@ def _format_slices(x: bytes, tokens: dict[int, str]) -> Iterator[str]:
     """
     if not x:
         yield "1"
-    for start in range(0, len(x), _TEXT_SLICE):
-        text = x[start:start + _TEXT_SLICE].decode("latin-1").translate(tokens)
-        yield text if start + _TEXT_SLICE < len(x) else text[:-1]
+    for start in range(0, len(x), _SLICE):
+        text = x[start:start + _SLICE].decode("latin-1").translate(tokens)
+        yield text if start + _SLICE < len(x) else text[:-1]
 
 
 def _cancel(x: bytes, y: bytes, neg: bytes) -> int:
@@ -364,7 +366,7 @@ def _generators(n: int) -> list[bytes]:
     return [bytes((128 + i,)) for i in range(1, n + 1)]
 
 
-def _free_images(w: ArtinWord, limit: int) -> list[bytes]:
+def _free_images(w: ArtinWord) -> list[bytes]:
     """Images of t_1 .. t_n under the right action of w, as encoded words.
 
     The action of w = x_1 .. x_m is Psi_1 = phi_m o .. o phi_1, so
@@ -374,18 +376,18 @@ def _free_images(w: ArtinWord, limit: int) -> list[bytes]:
     letter.
 
     >>> w = ArtinWord(3, ((1, 1), (2, -1)))
-    >>> [_decode(img) for img in _free_images(w, MAX_IMAGE_LETTERS)]
+    >>> [_decode(img) for img in _free_images(w)]
     [(1, 3, -1), (1,), (-3, 2, 3)]
     """
     _check_strands(w.n)
-    return _act(_generators(w.n), _syllables(reversed(w.letters)), limit, _NEG)
+    return _act(_generators(w.n), _syllables(reversed(w.letters)), MAX_IMAGE_LETTERS, _NEG)
 
 
 def free_image(w: ArtinWord, i: int) -> FreeWord:
     """Image of the free generator t_i under the right action of w."""
     if not 1 <= i <= w.n:
         raise ValueError(f"free generator index {i} outside 1..{w.n}")
-    return FreeWord(_decode(_free_images(w, MAX_IMAGE_LETTERS)[i - 1]))
+    return FreeWord(_decode(_free_images(w)[i - 1]))
 
 
 def _relabel(u: tuple, v: tuple) -> tuple[int, tuple, tuple]:
@@ -852,9 +854,9 @@ def parse_braid_word(text: str, n: int) -> ArtinWord:
     return ArtinWord(n, tuple(letters))
 
 
-_FREE_TOKEN = re.compile(r"^t(\d+)('?)(?:\^(-?\d+))?$")
 _SPACE = re.compile(r"\s")
-_SLICE = 1 << 16
+# A word token outside its group's letter table: letter, index, prime and power.
+_WORD_TOKEN = re.compile(r"([st])(\d+)('?)(?:\^(-?\d+))?")
 
 
 def _tokens(text: str) -> Iterator[str]:
@@ -867,37 +869,52 @@ def _tokens(text: str) -> Iterator[str]:
         start = stop
 
 
-def _index(digits: str) -> int:
-    """The letter index of a word token, refused unless the encoding holds it."""
-    i = int(digits)
-    if i > MAX_STRANDS:
-        raise ValueError(f"letter indices above {MAX_STRANDS} are not supported")
-    if i < 1:
-        raise ValueError("letter index 0 is not allowed")
-    return i
+def _read_word(text: str, limit: int, involutive: bool) -> bytes:
+    """Read word tokens into the reduced word, encoded: free words, or involutive ones.
+
+    A plain token (t2, t2' or s2) is looked up in its group's letter table,
+    any other goes through _WORD_TOKEN, where only a free word takes a prime
+    or a power.  A single letter cancels the top of the word, a power is
+    joined through `_cancel`.  A letter index outside 1..MAX_STRANDS, or the
+    first token past `limit` letters before they cancel, is refused first.
+    """
+    kind, name, letters, neg = (("Coxeter", "s", _COX_LETTERS, _SELF) if involutive
+                                else ("free", "t", _FREE_LETTERS, _NEG))
+    out, count = bytearray(), 0
+    for token in _tokens(text):
+        x, e = letters.get(token), 1
+        if x is None:
+            m = _WORD_TOKEN.fullmatch(token)
+            if not m or m[1] != name or (involutive and (m[3] or m[4])):
+                raise ValueError(f"cannot parse {kind}-word token {token!r}")
+            i = int(m[2])
+            if i > MAX_STRANDS:
+                raise ValueError(f"letter indices above {MAX_STRANDS} are not supported")
+            if i < 1:
+                raise ValueError("letter index 0 is not allowed")
+            x = 128 - i if m[3] else 128 + i
+            e = int(m[4] or 1)
+            if e < 0:
+                x, e = neg[x], -e
+        count += e
+        if count > limit:
+            raise ValueError(f"a {kind} word may have at most {limit} letters")
+        if e != 1:
+            chunk = bytes((x,)) * e
+            c = _cancel(out, chunk, neg)
+            out[len(out) - c:] = chunk[c:]
+        elif out and out[-1] == neg[x]:
+            out.pop()
+        else:
+            out.append(x)
+    return bytes(out)
 
 
 def parse_free_word(text: str, limit: int = MAX_IMAGE_LETTERS) -> bytes:
-    """Parse tokens like "t1 t2' t3^2" into the reduced free word, encoded.
+    """Parse tokens like "t1 t2' t3^2" into the reduced free word, encoded (`_read_word`)."""
+    return _read_word(text, limit, involutive=False)
 
-    Each token's power is one chunk, joined through `_cancel`.  A letter index
-    outside 1..MAX_STRANDS, or the first token past `limit` letters before
-    they cancel, is refused before its letters are built.
-    """
-    out, count = bytearray(), 0
-    for token in _tokens(text):
-        m = _FREE_TOKEN.match(token)
-        if not m:
-            raise ValueError(f"cannot parse free-word token {token!r}")
-        idx, prime, power = m.groups()
-        x = -_index(idx) if prime else _index(idx)
-        e = int(power) if power is not None else 1
-        if e < 0:
-            x, e = -x, -e
-        count += e
-        if count > limit:
-            raise ValueError(f"a free word may have at most {limit} letters")
-        chunk = bytes((128 + x,)) * e
-        c = _cancel(out, chunk, _NEG)
-        out[len(out) - c:] = chunk[c:]
-    return bytes(out)
+
+def parse_cox_word(text: str, limit: int = MAX_IMAGE_LETTERS) -> bytes:
+    """Parse tokens like "s1 s2 s1" into the reduced involutive word, encoded (`_read_word`)."""
+    return _read_word(text, limit, involutive=True)

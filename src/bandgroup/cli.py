@@ -10,10 +10,13 @@ invocations with identical inputs and seeds produce identical bytes, which
 is why wall-clock time never appears there).  This module is the only one
 that reads a clock: `main` stamps the parsed command, and the human header
 of a report ends in the seconds from that stamp to the report, file loading
-included.  The argument parser is built once per process and reused by
-every `main` call: building it takes about 0.8 ms (2 cores, Python 3.11.7),
-more than half of what a small `verify thm2` or `eq` call took in process
-when it was rebuilt for each.
+included.  Every command returns its exit code and its text, and `main`
+alone writes standard output: a reader that stops reading ends the output,
+not the run, which exits with the command's code and no error.  The
+argument parser is built once per process and reused by every `main` call:
+building it takes about 0.8 ms (2 cores, Python 3.11.7), more than half of
+what a small `verify thm2` or `eq` call took in process when it was rebuilt
+for each.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -34,6 +38,7 @@ from .braid import (
     _decode,
     braid_equal,
     parse_braid_word,
+    parse_cox_word,
     permutation_image,
 )
 from .coxeter import (
@@ -52,7 +57,6 @@ from .coxword import (
     is_critical,
     is_long,
     jk_factorize,
-    parse_cox_word,
 )
 from .hurwitz import PERMUTATION, GroupContext, render_action
 from .present import (
@@ -104,21 +108,17 @@ def _letter_index(text: str) -> int:
     return value
 
 
-def _emit(report: RunReport, args: argparse.Namespace, command: str) -> int:
-    if args.json:
-        print(render_reports_json(report, command))
-    else:
-        print(report.render_text(time.perf_counter() - args.started))
-    return 0 if report.ok else 1
+def _emit(report: RunReport, args: argparse.Namespace, command: str) -> tuple[int, list[str]]:
+    text = (render_reports_json(report, command) if args.json
+            else report.render_text(time.perf_counter() - args.started))
+    return 0 if report.ok else 1, [text + "\n"]
 
 
-def _answer(args: argparse.Namespace, payload: dict, lines: Iterable[str]) -> None:
-    """Print a single answer: the JSON payload under --json, else the text lines, one at a time."""
+def _answer(args: argparse.Namespace, payload: dict, lines: Iterable[str]) -> list[str]:
+    """The text of a single answer: the JSON payload under --json, else the lines."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+        return [json.dumps(payload, sort_keys=True) + "\n"]
+    return [line + "\n" for line in lines]
 
 
 # -- subcommands --------------------------------------------------------------
@@ -176,7 +176,7 @@ def _strands(family: str, inputs: list) -> int:
     return inputs[0].n + (family == "combing")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     inputs = _load_inputs(args, "verify")
     if args.family in _RELATIONS:
         relations, matrix, tag = _RELATIONS[args.family][1](*inputs)
@@ -186,28 +186,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _emit(report, args, f"verify {args.family}")
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     matrix = _load("matrix", args.matrix)
     report = injectivity_scan(matrix, args.max_len, args.max_exp)
     return _emit(report, args, "scan inject")
 
 
-def cmd_eq(args: argparse.Namespace) -> int:
+def cmd_eq(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     u = parse_braid_word(args.left, args.n)
     v = parse_braid_word(args.right, args.n)
     equal = braid_equal(u, v)
-    _answer(args, {"command": "eq", "equal": equal}, ["equal" if equal else "not equal"])
-    return 0 if equal else 1
+    answer = "equal" if equal else "not equal"
+    return 0 if equal else 1, _answer(args, {"command": "eq", "equal": equal}, [answer])
 
 
-def cmd_perm(args: argparse.Namespace) -> int:
+def cmd_perm(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     # eq's bound: a permutation of degree n costs O(n) whatever the word
     _check_strands(args.n)
     word = parse_braid_word(args.word, args.n)
     perm = permutation_image(word)
     cycles = perm.cycle_string()
-    _answer(args, {"command": "perm", "cycles": cycles, "images": list(perm.images)}, [cycles])
-    return 0
+    return 0, _answer(args, {"command": "perm", "cycles": cycles, "images": list(perm.images)},
+                      [cycles])
 
 
 def _build_context(selector: str, n: int) -> GroupContext:
@@ -235,7 +235,7 @@ def _build_context(selector: str, n: int) -> GroupContext:
     raise ValueError(f"unknown context {selector!r}; use free, coxeter, or perm:<file>")
 
 
-def cmd_hurwitz(args: argparse.Namespace) -> int:
+def cmd_hurwitz(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.tuple is not None:
         texts = json.loads(Path(args.tuple).read_text())
         if not isinstance(texts, list):
@@ -260,17 +260,19 @@ def cmd_hurwitz(args: argparse.Namespace) -> int:
     texts, fixed = render_action(ctx, entries, word)
     if args.json:
         result = ["".join(text) for text in texts]
-        _answer(args, {"command": "hurwitz", "result": result, "stabilizes": fixed}, ())
-        return 0
-    for i, slices in enumerate(texts, start=1):
-        sys.stdout.write(f"{i}: ")
-        sys.stdout.writelines(slices)
-        sys.stdout.write("\n")
-    print("stabilizes" if fixed else "moved")
-    return 0
+        return 0, _answer(args, {"command": "hurwitz", "result": result, "stabilizes": fixed}, ())
+
+    def lines():
+        for i, slices in enumerate(texts, start=1):
+            yield f"{i}: "
+            yield from slices
+            yield "\n"
+        yield "stabilizes\n" if fixed else "moved\n"
+
+    return 0, lines()
 
 
-def cmd_factorize(args: argparse.Namespace) -> int:
+def cmd_factorize(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     word = CoxWord(_decode(parse_cox_word(args.word)))
     f = jk_factorize(word, args.j, args.k)
     rows = []
@@ -295,8 +297,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         for row in rows
     ]
     lines.append("separators: " + (" ".join(f"s{x}" for x in f.separators) or "-"))
-    _answer(args, payload, lines)
-    return 0
+    return 0, _answer(args, payload, lines)
 
 
 def random_cox_word(rng: random.Random, n: int, max_len: int) -> CoxWord:
@@ -311,7 +312,7 @@ def random_cox_word(rng: random.Random, n: int, max_len: int) -> CoxWord:
     return CoxWord(tuple(letters))
 
 
-def cmd_checkprop(args: argparse.Namespace) -> int:
+def cmd_checkprop(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     check = check_prop_trans if args.which == "trans" else check_prop7
     if args.random is None:
         if args.word is None or args.band is None or args.m is None:
@@ -321,10 +322,10 @@ def cmd_checkprop(args: argparse.Namespace) -> int:
         payload = {"command": f"checkprop {args.which}", "status": result.status,
                    "detail": result.detail, "failures": list(result.failures)}
         lines = [f"{result.status}: {result.detail}", *(f"  {x}" for x in result.failures)]
-        _answer(args, payload, lines)
+        text = _answer(args, payload, lines)
         if result.status == "precondition-violated":
-            return 2
-        return 0 if result.passed else 1
+            return 2, text
+        return 0 if result.passed else 1, text
 
     bounds = (("random", args.random, 1), ("n", args.n, 3), ("max-len", args.max_len, 0))
     for flag, value, least in bounds:
@@ -360,15 +361,14 @@ def cmd_checkprop(args: argparse.Namespace) -> int:
     return _emit(report, args, f"checkprop {args.which}")
 
 
-def cmd_export(args: argparse.Namespace) -> int:
+def cmd_export(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     relations, matrix, _ = _RELATIONS[args.family][1](*_load_inputs(args, "export"))
     lines = export_presentation(relations, matrix, args.format)
-    if args.output:
-        with open(args.output, "w") as out:
-            out.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
-    return 0
+    if not args.output:
+        return 0, lines
+    with open(args.output, "w") as out:
+        out.writelines(lines)
+    return 0, ()
 
 
 # -- parser -------------------------------------------------------------------
@@ -446,7 +446,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.started = time.perf_counter()
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        code, text = globals()[f"cmd_{args.command}"](args)
+        try:  # a lazy text can still refuse, so it is written inside the outer guard
+            sys.stdout.writelines(text)
+            sys.stdout.flush()
+        except BrokenPipeError:  # no second error at exit: the `signal` docs' SIGPIPE recipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except ScopeError as exc:
         print(f"scope error: {exc}", file=sys.stderr)
         return 2

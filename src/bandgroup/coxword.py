@@ -13,10 +13,10 @@ MAX_STRANDS.  The images of the band's letters are built by the kernel's
 Hurwitz move, `braid._act`, on the words s_1 .. s_k (`_band_images`), the
 same move that acts on free and Coxeter tuples, and `_act_band`
 substitutes them into a word.  The injectivity scan calls both on encoded
-words directly, `parse_cox_word` reads text straight into that encoding,
-and `act_band_on_cox` encodes a `CoxWord` for them and checks the result
-back in.  The braid's free action pushed through the quotient
-t_i -> s_i, letter by letter, serves only as the tests' referee.
+words directly, and `act_band_on_cox` encodes a `CoxWord` for them and
+checks the result back in.  This module has no parser: `braid.parse_cox_word`
+reads text into that encoding.  The braid's free action pushed through the
+quotient t_i -> s_i, letter by letter, serves only as the tests' referee.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
-from .braid import _COX_LETTERS, _SELF, MAX_IMAGE_LETTERS, MAX_STRANDS, _cancel, _decode, _encode
-from .braid import _act, _index, _tokens, _too_long
+from .braid import _SELF, MAX_IMAGE_LETTERS, MAX_STRANDS, _act, _cancel, _decode, _encode, _too_long
 from .coxeter import BandPair, commutes_in_brn, crossing
 
 
@@ -52,29 +51,6 @@ class CoxWord:
 
     def __str__(self) -> str:
         return " ".join(f"s{x}" for x in self.letters) if self.letters else "1"
-
-
-def parse_cox_word(text: str, limit: int = MAX_IMAGE_LETTERS) -> bytes:
-    """Parse space-separated `s<k>` tokens, at most `limit` of them, into a reduced word, encoded.
-
-    Each letter cancels the top of the word so far when it equals it.  A
-    letter index outside 1..MAX_STRANDS is refused at its token.
-    """
-    out, count = bytearray(), 0
-    for token in _tokens(text):
-        x = _COX_LETTERS.get(token)
-        if x is None:
-            if not token.startswith("s") or not token[1:].isdigit():
-                raise ValueError(f"cannot parse Coxeter-word token {token!r}")
-            x = 128 + _index(token[1:])
-        if count == limit:
-            raise ValueError(f"a Coxeter word may have at most {limit} letters")
-        count += 1
-        if out and out[-1] == x:
-            out.pop()
-        else:
-            out.append(x)
-    return bytes(out)
 
 
 @dataclass(frozen=True)
@@ -152,16 +128,16 @@ def is_critical(f: JkFactorization, nu: int) -> bool:
     return crossing(BandPair.of(left, right), BandPair.of(f.j, f.k))
 
 
-def act_band_on_cox(w: CoxWord, tau: BandPair, m: int, limit: int = MAX_IMAGE_LETTERS) -> CoxWord:
+def act_band_on_cox(w: CoxWord, tau: BandPair, m: int) -> CoxWord:
     """Image of a word under the m-th power of the band on tau.
 
     Letters outside [j, k] are fixed and the others map to their images
     under the Hurwitz move (see `_band_images`), joined by `_act_band`.  An
-    image that passes `limit` letters raises ImageLimitError, at most
-    4|m| + 1 letters after it does, and before any image is built when the
-    image of a letter in [j, k], of 2|m| - 1 letters at least, would pass
-    it; a word with no such letter is then its own image.  Letter indices
-    go up to MAX_STRANDS.
+    image that passes MAX_IMAGE_LETTERS letters raises ImageLimitError, at
+    most 4|m| + 1 letters after it does, and before any image is built when
+    the image of a letter in [j, k], of 2|m| - 1 letters at least, would
+    pass it; a word with no such letter is then its own image.  Letter
+    indices go up to MAX_STRANDS.
 
     >>> act_band_on_cox(CoxWord((2, 4)), BandPair(1, 3), -1).letters
     (3, 1, 2, 1, 3, 4)
@@ -170,11 +146,11 @@ def act_band_on_cox(w: CoxWord, tau: BandPair, m: int, limit: int = MAX_IMAGE_LE
         raise ValueError(f"letter indices above {MAX_STRANDS} are not supported")
     x = _encode(w.letters)
     moved = {y for y in x if 128 + tau.i <= y <= 128 + tau.j}
-    if 2 * abs(m) - 1 > limit:
-        if len(x) > limit or moved:
-            raise _too_long(limit)
+    if 2 * abs(m) - 1 > MAX_IMAGE_LETTERS:
+        if len(x) > MAX_IMAGE_LETTERS or moved:
+            raise _too_long(MAX_IMAGE_LETTERS)
         return w
-    return CoxWord(_decode(_act_band(x, _band_images(tau.i, tau.j, m, moved), limit)))
+    return CoxWord(_decode(_act_band(x, _band_images(tau.i, tau.j, m, moved), MAX_IMAGE_LETTERS)))
 
 
 def _band_images(j: int, k: int, m: int, letters: Collection[int]) -> dict[int, bytes]:

@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import _COX_TOKENS, _FREE_TOKENS, _NEG, _SELF, MAX_IMAGE_LETTERS, ArtinWord, FreeWord
-from .braid import Permutation, _act, _decode, _encode, _format_slices, _syllables, parse_free_word
-from .coxword import CoxWord, parse_cox_word
+from .braid import Permutation, _act, _decode, _encode, _format_slices, _syllables, parse_cox_word
+from .braid import parse_free_word
+from .coxword import CoxWord
 
 FREE = "free"
 COXETER = "coxeter"

@@ -29,11 +29,11 @@ from bandgroup.braid import (
     free_image,
     left_normal_form,
     parse_braid_word,
+    parse_cox_word,
     parse_free_word,
     permutation_image,
 )
 from bandgroup.coxeter import BandPair, commutes_in_brn, partition_to_matrix, set_partitions
-from bandgroup.coxword import parse_cox_word
 from bandgroup.present import expand_letter_word, relations_thm2
 
 import test_acceptance as acceptance
@@ -131,7 +131,7 @@ class TestFreeAction:
         for _ in range(20):
             n = rng.randint(2, 5)
             w = random_word(rng, n, 12)
-            images = _free_images(w, MAX_IMAGE_LETTERS)
+            images = _free_images(w)
             for i in range(1, n + 1):
                 assert free_image(w, i).letters == _decode(images[i - 1])
 
@@ -530,7 +530,7 @@ class TestNormalForm:
             assert (left_normal_form(u) == left_normal_form(v)) is equal
             assert braid_equal(u, v) is equal
             if k <= 4:  # k = 5 images pass MAX_IMAGE_LETTERS
-                images = _free_images(u, MAX_IMAGE_LETTERS), _free_images(v, MAX_IMAGE_LETTERS)
+                images = _free_images(u), _free_images(v)
                 assert (images[0] == images[1]) is equal
 
 
@@ -805,18 +805,43 @@ class TestSyntax:
         for _ in range(400):
             letters, tokens = [], []
             for _ in range(rng.randint(0, 30)):
-                x = rng.randint(1, 3)
+                # plain tokens are looked up in the letter table, zero-padded
+                # and powered ones go through the regex, interleaved
+                x, pad = rng.randint(1, 3), rng.choice(["", "0"])
                 if involutive:
-                    tokens.append(f"s{x}")
+                    tokens.append(f"s{pad}{x}")
                     letters.append(x)
                     continue
-                e, prime = rng.randint(-4, 4), rng.random() < 0.5
+                e, prime = rng.choice([1, 1, rng.randint(-4, 4)]), rng.random() < 0.5
                 mark = "'" if prime else ""
-                tokens.append(f"t{x}{mark}^{e}")
+                tokens.append(f"t{pad}{x}{mark}" + (f"^{e}" if e != 1 else rng.choice(["", "^1"])))
                 letters += [-x if prime != (e < 0) else x] * abs(e)
             spaces = [rng.choice([" ", "  ", "\n", "\t "]) for _ in tokens]
             text = "".join(f"{space}{token}" for space, token in zip(spaces, tokens))
             assert list(_decode(parse(text))) == reduce_word(letters, involutive)
+
+    @pytest.mark.parametrize("involutive, text, limit, message", [
+        (True, "s1'", None, "cannot parse Coxeter-word token \"s1'\""),
+        (True, "s1^2", None, "cannot parse Coxeter-word token 's1^2'"),
+        (True, "t1", None, "cannot parse Coxeter-word token 't1'"),
+        (False, "s1", None, "cannot parse free-word token 's1'"),
+        (False, "t0", None, "letter index 0 is not allowed"),
+        (False, "t128^0", None, "letter indices above 127 are not supported"),
+        (True, "s128", None, "letter indices above 127 are not supported"),
+        # the budget counts letters before they cancel
+        (False, "t1 t1'", 1, "a free word may have at most 1 letters"),
+        (False, "t2^3 t2'^3", 5, "a free word may have at most 5 letters"),
+        (False, "t2^2 t2 t2' t2'^2", 5, "a free word may have at most 5 letters"),
+        (True, "s1 s1", 1, "a Coxeter word may have at most 1 letters"),
+        (True, "s1 s02 s2 s1", 3, "a Coxeter word may have at most 3 letters"),
+    ])
+    def test_every_refusal_of_the_reader(self, involutive, text, limit, message):
+        parse = parse_cox_word if involutive else parse_free_word
+        with pytest.raises(ValueError) as refused:
+            parse(text) if limit is None else parse(text, limit)
+        assert str(refused.value) == message
+        if limit is not None:  # one more letter is enough, and all of them cancel
+            assert parse(text, limit + 1) == b""
 
     def test_free_word_length_is_bounded_before_building(self):
         for bad in (f"t1^{MAX_IMAGE_LETTERS + 1}", f"t1 t2'^-{MAX_IMAGE_LETTERS}", "t1^1000000000"):

@@ -75,6 +75,23 @@ def _timed_child(argv):
     return done.returncode, time.perf_counter() - start, done.stderr
 
 
+def _closed_reader_child(argv):
+    """Exit code and standard error of the command line run as a child with no reader.
+
+    Its standard output is a pipe whose read end is closed before the child
+    starts, so its first write fails with EPIPE, with no race.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(bandgroup.__file__).parents[1])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "bandgroup.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write)
+    return done.returncode, done.stderr
+
+
 class TestEq:
     def test_equal_words(self, capsys):
         assert main(["eq", "s1 s2 s1", "s2 s1 s2", "--n", "3"]) == 0
@@ -824,6 +841,22 @@ class TestParserReuse:
                                    capture_output=True, env=env)
             assert child.returncode == code
             assert out.encode() == child.stdout
+
+
+class TestClosedReader:
+    """A reader that stops reading ends the output, not the run: the command's code, no error."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["eq", "a1.3^3 a2.4^3", "a2.4^3 a1.3^3", "--n", "4"], 1),
+        (["export", "--family", "thm1", "--matrix", "m30.json"], 0),
+        (["verify", "thm2", "--partition", "P.json"], 0),
+        (["checkprop", "trans", "s1 s3 s1 s3 s1 s3", "--band", "1.3", "--m", "3"], 2),
+    ], ids=["eq", "export", "verify", "checkprop"])
+    def test_the_command_keeps_its_code(self, tmp_path, argv, code):
+        (tmp_path / "m30.json").write_text(_input_text(CoxeterDatum.constant(30, 3)))
+        (tmp_path / "P.json").write_text(_input_text(Partition.singletons(4)))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert _closed_reader_child(argv) == (code, "")
 
 
 class TestMain:

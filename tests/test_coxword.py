@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bandgroup.braid import ImageLimitError, _decode, band_to_artin
+from bandgroup.braid import ImageLimitError, _decode, band_to_artin, parse_cox_word
 from bandgroup.cli import random_cox_word
 from bandgroup.coxeter import BandPair
 from bandgroup.coxword import (
@@ -17,7 +17,6 @@ from bandgroup.coxword import (
     is_long,
     jk_factorize,
     long_pairs,
-    parse_cox_word,
 )
 from bandgroup.coxword import _band_images
 from oracles import (
@@ -228,16 +227,21 @@ class TestBandAction:
         for m in range(-4, 5):
             assert act_band_on_cox(w(5), BandPair(2, 4), m).letters == (5,)
 
-    def test_power_past_the_limit_is_refused_before_it_is_built(self):
+    def test_power_past_the_limit_is_refused_before_it_is_built(self, monkeypatch):
+        def limited(limit, *call):
+            with monkeypatch.context() as patch:
+                patch.setattr("bandgroup.coxword.MAX_IMAGE_LETTERS", limit)
+                return act_band_on_cox(*call)
+
         # the image of s_4 under a_24^5 is (s_2 s_4)^4 s_2, 2|m| - 1 letters
-        assert len(act_band_on_cox(w(4), BandPair(2, 4), 5, limit=9)) == 9
+        assert len(limited(9, w(4), BandPair(2, 4), 5)) == 9
         with pytest.raises(ImageLimitError, match="exceeds 8 letters"):
-            act_band_on_cox(w(4), BandPair(2, 4), 5, limit=8)
+            limited(8, w(4), BandPair(2, 4), 5)
         # c = (s_2 s_4)^m alone would be 2x10^9 letters
         with pytest.raises(ImageLimitError, match="exceeds 100 letters"):
-            act_band_on_cox(w(5, 3, 1), BandPair(2, 4), -10 ** 9, limit=100)
+            limited(100, w(5, 3, 1), BandPair(2, 4), -10 ** 9)
         # a word with no letter in the band is fixed, whatever the power
-        assert act_band_on_cox(w(5, 1), BandPair(2, 4), 10 ** 9, limit=2) == w(5, 1)
+        assert limited(2, w(5, 1), BandPair(2, 4), 10 ** 9) == w(5, 1)
         # a limit refuses exactly the words with a prefix whose image passes it
         rng = random.Random(14)
         for _ in range(200):
@@ -248,9 +252,9 @@ class TestBandAction:
             limit = rng.randint(0, 20)
             if peak > limit:
                 with pytest.raises(ImageLimitError):
-                    act_band_on_cox(word, tau, m, limit)
+                    limited(limit, word, tau, m)
             else:
-                assert act_band_on_cox(word, tau, m, limit) == act_band_on_cox(word, tau, m)
+                assert limited(limit, word, tau, m) == act_band_on_cox(word, tau, m)
 
     def test_byte_kernel_matches_the_referee(self):
         # the Hurwitz move's images substituted over bytes against the
@@ -262,7 +266,7 @@ class TestBandAction:
             j, k = sorted(rng.sample(range(1, n + 1), 2))
             m = rng.choice([-1, 1]) * rng.randint(1, 12)
             expected = referee_act_band_on_cox(word, BandPair(j, k), m).letters
-            assert act_band_on_cox(word, BandPair(j, k), m, 1 << 24).letters == expected
+            assert act_band_on_cox(word, BandPair(j, k), m).letters == expected
 
     def test_images_do_not_depend_on_the_letters_asked_for(self):
         # the move reads s_j and s_k, so they are built even when they are

@@ -7,7 +7,7 @@ from bandgroup import hurwitz
 from bandgroup.braid import (
     _COX_TOKENS,
     _FREE_TOKENS,
-    _TEXT_SLICE,
+    _SLICE,
     MAX_STRANDS,
     ArtinWord,
     FreeWord,
@@ -334,11 +334,11 @@ class TestRender:
         # bytes only
         rng = random.Random(27)
         tokens = _FREE_TOKENS if ctx.kind == "free" else _COX_TOKENS
-        for length in (0, 1, _TEXT_SLICE - 1, _TEXT_SLICE, _TEXT_SLICE + 1, 2 * _TEXT_SLICE + 5):
+        for length in (0, 1, _SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 5):
             word = bytes(letter(rng) for _ in range(length))
             slices = list(_format_slices(word, tokens))
             assert "".join(slices) == (" ".join(tokens[b].strip() for b in word) or "1")
-            assert len(slices) == max(1, -(-length // _TEXT_SLICE))
+            assert len(slices) == max(1, -(-length // _SLICE))
         # s2 leaves the first entry as it is, and its text comes in slices
         prefix = "t" if ctx.kind == "free" else "s"
         long, text = (("t1^200000", " ".join(["t1"] * 200000)) if ctx.kind == "free"
