@@ -1,10 +1,10 @@
 """Band-letter calculus for braid groups.
 
-Exact braid arithmetic through the faithful free-group action and the
-Garside normal form, Hurwitz actions over three coefficient systems, block
-combinatorics of reduced involutive words, expressions over commuting band
-letters, and a verifier for the relation families of the subgroups
-generated by band powers.
+Exact braid arithmetic through the faithful free-group action and
+Dynnikov coordinates, Hurwitz actions over three coefficient systems,
+block combinatorics of reduced involutive words, expressions over
+commuting band letters, and a verifier for the relation families of the
+subgroups generated by band powers.
 """
 
 from .coxeter import (
@@ -25,7 +25,6 @@ from .braid import (
     band_to_artin,
     braid_equal,
     free_image,
-    left_normal_form,
     parse_braid_word,
     permutation_image,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "is_critical",
     "is_long",
     "jk_factorize",
-    "left_normal_form",
     "normalize",
     "parse_braid_word",
     "partition_to_matrix",

@@ -5,8 +5,11 @@ braids is decided first through the faithful right action on a free group
 F_n: two words are equal in the braid group exactly when they induce the
 same endomorphism, i.e. the same tuple of images of the free generators.
 Images can grow exponentially with word length, so once one outgrows a
-fixed budget the query is handed to the Garside left normal form, which
-is exact as well and polynomial in the word length.
+fixed budget the query is handed to the Dynnikov coordinates of a family
+of loops, on which the braid group acts faithfully by max/min updates
+linear in the word (Dynnikov, *On a Yang-Baxter map and the Dehornoy
+ordering*, Russ. Math. Surveys 2002; Dehornoy, Dynnikov, Rolfsen and
+Wiest, *Ordering Braids*, AMS 2008, ch. XII).
 
 The images are built by right-composition, from the last factor back,
 and the factor is the band syllable (i, j, e), the band power a_ij^e; an
@@ -39,8 +42,8 @@ bands' endpoints, so a_pq -> a_{s_p s_q} is a homomorphism from B_k to
 B_n, and it is injective, since bands that all pass on one side of the
 strands s_1 < .. < s_k lie in one disk around exactly their punctures.
 So a relation on four strands out of forty is decided as one on strands
-1 .. 4, and decided once however often it recurs.  Only the normal form
-expands a syllable into Artin letters.  Inside the kernel a reduced word is a
+1 .. 4, and decided once however often it recurs.  Only the coordinates
+take a syllable letter by letter.  Inside the kernel a reduced word is a
 `bytes` object, letter i as the byte 128 + i and its inverse as 128 - i
 for free words, or as itself for Coxeter words, so concatenation, slicing
 and inversion run in C and letter indices, hence strands, are limited to
@@ -52,7 +55,6 @@ t_i, -i for its inverse), always freely reduced.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -151,17 +153,25 @@ MAX_STRANDS = 127
 # that recur.
 MAX_IMAGE_LETTERS = 1 << 24
 # Letters a free image may reach inside `braid_equal` before the query is
-# handed to the normal form.  Images of the short words the verifier and
-# the scanner compare stay far below it (a few thousand letters at most);
-# past it the free action is slower than the normal form and its memory
-# grows exponentially.
+# handed to the Dynnikov coordinates.  Images of the short words the
+# verifier and the scanner compare stay far below it (a few thousand
+# letters at most).  The coordinates are faster at every size measured, so
+# there is no crossover: on the pairs (a_13^3 a_24^3 ..) of 2 to 7 factors
+# against a rewrite, the free action took 0.07 ms at a 77-letter peak,
+# 0.30 ms at 14,853 letters and 0.82 ms at 86,533, and two coordinate
+# vectors 0.02-0.05 ms (2 cores, Python 3.11.7).  It stays at 2^17 until
+# the benchmark harness stops keeping every output (ROADMAP item 7): at
+# 2^14 a 30 s run of `long_words` read 2.4 times the instances per
+# reference second and completed 1.6 times the operations, and the
+# harness's peak memory grows with them.
 _HANDOVER_LETTERS = 1 << 17
-# Artin letters the normal form may take, per side of a query.  A query
+# Artin letters the coordinates may take, per side of a query.  A query
 # handed over with a longer side, counted on the strands the pair touches,
 # is refused with ImageLimitError, and a parsed braid word may have no more.
-# The normal forms of a pair of seeded random words of this length, on 4,
-# 16 or 127 strands, took at most about 5 s on a 2-core machine, and their
-# cost grows about with the square of the letters (figures in CHANGES.md).
+# The coordinates of a pair of seeded random words of this length, on 4,
+# 16 or 127 strands, took 3.5-5.3 ms in process (2 cores, Python 3.11.7).
+# Their integers stay short (23 to 365 bits on those words, 1,423 bits for
+# (sigma_1 sigma_2^-1)^1024), so the cost is about linear in the letters.
 MAX_WORD_LETTERS = 2048
 # Letters `_cancel` compares in one step, as two integers.  Most junctions
 # cancel fewer; a longer cancellation goes on by galloping.
@@ -181,7 +191,7 @@ _COX_LETTERS = {f"s{i}": 128 + i for i in _INDICES}
 
 
 class ImageLimitError(ValueError):
-    """A word built by an action, or handed to the normal form, would exceed its letters."""
+    """A word built by an action, or handed to the coordinates, would exceed its letters."""
 
 
 def _too_long(limit: int) -> ImageLimitError:
@@ -429,6 +439,67 @@ def _permutation(word: tuple, n: int) -> list[int]:
     return images
 
 
+def _dynnikov(word: tuple, k: int) -> list[int]:
+    """The Dynnikov coordinates of the canonical loops moved by a word of syllables on k strands.
+
+    The loops lie in a disk with k + 1 punctures, the last of which no
+    letter moves, and start at (a_i, b_i) = (0, -1) for i = 1 .. k - 1.
+    Each Artin letter updates two pairs by max and min, x+ = max(x, 0)
+    and x- = min(x, 0) below, and the action is faithful (Dehornoy,
+    Dynnikov, Rolfsen and Wiest, *Ordering Braids*, ch. XII), so two
+    words are one braid exactly when they give the same coordinates.
+    Loops cannot see a twist about the boundary, and on k punctures alone
+    sigma_{k-1}^2 would fix them; the extra puncture makes both visible.
+    The syllable (i, j, e) is g sigma_i^e g^-1 with g = sigma_{j-1} ..
+    sigma_{i+1}, 2(j - i - 1) + |e| updates, applied in word order:
+
+        sigma_1^s on (a_1, b_1), z = a_1 + b_1+ or b_1+ - a_1:
+          a_1' = s (-b_1 + z+),  b_1' = z
+        sigma_i, i >= 2, on pairs i - 1 and i, c = a_{i-1} - a_i - b_i+ + b_{i-1}-:
+          a_{i-1}' = a_{i-1} - b_{i-1}+ - (b_i+ + c)+,  b_{i-1}' = b_i + c-
+          a_i' = a_i - b_i- - (b_{i-1}- - c)-,          b_i' = b_{i-1} - c-
+        sigma_i^-1, d = a_{i-1} - a_i + b_i+ - b_{i-1}-:
+          a_{i-1}' = a_{i-1} + b_{i-1}+ + (b_i+ - d)+,  b_{i-1}' = b_i - d+
+          a_i' = a_i + b_i- + (b_{i-1}- + d)-,          b_i' = b_{i-1} + d+
+
+    >>> _dynnikov(((1, 2, 2),), 2), _dynnikov(((1, 3, -1),), 3)
+    ([1, 1], [1, -2, 0, 0])
+    """
+    # pair i at index i; index 0 is unused
+    a, b = [0] * k, [-1] * k
+    for i, j, e in word:
+        s = 1 if e > 0 else -1
+        letters = [(t, 1) for t in range(j - 1, i, -1)]
+        letters += [(i, s)] * (s * e)
+        letters += [(t, -1) for t in range(i + 1, j)]
+        for t, s in letters:
+            if t == 1:
+                x, y = a[1], b[1]
+                z = (y if y > 0 else 0) + (x if s > 0 else -x)
+                a[1], b[1] = s * (-y + (z if z > 0 else 0)), z
+                continue
+            x0, x1, y0, y1 = a[t - 1], a[t], b[t - 1], b[t]
+            p0 = y0 if y0 > 0 else 0
+            n0 = y0 if y0 < 0 else 0
+            p1 = y1 if y1 > 0 else 0
+            n1 = y1 if y1 < 0 else 0
+            if s > 0:
+                c = x0 - x1 - p1 + n0
+                u, v = p1 + c, n0 - c
+                c = c if c < 0 else 0
+                a[t - 1] = x0 - p0 - (u if u > 0 else 0)
+                a[t] = x1 - n1 - (v if v < 0 else 0)
+                b[t - 1], b[t] = y1 + c, y0 - c
+            else:
+                d = x0 - x1 + p1 - n0
+                u, v = p1 - d, n0 + d
+                d = d if d > 0 else 0
+                a[t - 1] = x0 + p0 + (u if u > 0 else 0)
+                a[t] = x1 + n1 + (v if v < 0 else 0)
+                b[t - 1], b[t] = y1 - d, y0 + d
+    return a[1:] + b[1:]
+
+
 class BraidDecider:
     """Exact equality in the braid group on n strands, for words of syllables.
 
@@ -458,9 +529,9 @@ class BraidDecider:
         self._kept = 0
         # relabelled pair -> whether it is one braid
         self._verdicts: dict[tuple[tuple, tuple], bool] = {}
-        # what the decider did: syllable steps, normal-form handovers, the
-        # longest image it built, the relabelled pairs it decided and those
-        # of them the permutations settled
+        # what the decider did: syllable steps, handovers to the coordinates,
+        # the longest image it built, the relabelled pairs it decided and
+        # those of them the permutations settled
         self.steps = self.handovers = self.peak_letters = 0
         self.distinct = self.perm_rejections = 0
 
@@ -479,9 +550,10 @@ class BraidDecider:
         next, as a cheap filter.  Then the induced free-group endomorphisms
         are compared; the action is faithful, so agreement of all generator
         images settles equality.  When an image outgrows _HANDOVER_LETTERS,
-        the left normal forms decide, unless a relabelled side has more
-        than MAX_WORD_LETTERS Artin letters: then the query is refused
-        with ImageLimitError before any letter is built.
+        the Dynnikov coordinates of the two sides decide (`_dynnikov`),
+        faithful too and linear in the word, unless a relabelled side has
+        more than MAX_WORD_LETTERS Artin letters: then the query is refused
+        with ImageLimitError before any coordinate is computed.
         """
         k, u, v = _relabel(u, v)
         verdict = self._verdicts.get((u, v))
@@ -504,9 +576,9 @@ class BraidDecider:
                 if letters > MAX_WORD_LETTERS:
                     raise ImageLimitError(
                         f"a side has {letters} Artin letters on {k} strands, more than the "
-                        f"{MAX_WORD_LETTERS} the normal form is allowed") from None
+                        f"{MAX_WORD_LETTERS} the Dynnikov fallback is allowed") from None
             self.handovers += 1
-            return left_normal_form(_artin(u, k)) == left_normal_form(_artin(v, k))
+            return _dynnikov(u, k) == _dynnikov(v, k)
 
     def _images_of(self, word: tuple, k: int) -> tuple[bytes, ...]:
         """The images of t_1 .. t_k under the word's action, kept while they fit."""
@@ -525,12 +597,6 @@ class BraidDecider:
         return images
 
 
-def _artin(word: tuple, n: int) -> ArtinWord:
-    """A word of syllables in Artin letters on n strands, the input of the normal form."""
-    return ArtinWord(n, tuple(itertools.chain.from_iterable(
-        band_power(BandPair(i, j), e, n) for i, j, e in word)))
-
-
 def braid_equal(u: ArtinWord, v: ArtinWord) -> bool:
     """Exact equality in the braid group on u.n strands.
 
@@ -540,186 +606,6 @@ def braid_equal(u: ArtinWord, v: ArtinWord) -> bool:
     if u.n != v.n:
         raise ValueError("cannot compare words on different strand counts")
     return BraidDecider(u.n).equal(_syllables(u.letters), _syllables(v.letters))
-
-
-# -- the Garside normal form --------------------------------------------------
-#
-# A simple braid, a positive braid in which any two strands cross at most
-# once, is a permutation tuple x of 0 .. n-1: x[p] is the strand, numbered
-# by its starting position, that ends at position p.  Right multiplication
-# by sigma_k swaps the positions k-1 and k, left multiplication the values
-# k-1 and k.  The half twist Delta is the reversal, and conjugation by Delta
-# is tau: sigma_i -> sigma_{n-i}.  References: ElRifai and Morton,
-# "Algorithms for positive braids" (1994); Thurston, ch. 9 of Epstein et
-# al., "Word Processing in Groups" (1992).
-
-
-def _perm_inverse(x) -> list[int]:
-    inv = [0] * len(x)
-    for p, v in enumerate(x):
-        inv[v] = p
-    return inv
-
-
-def _twist(x: tuple[int, ...]) -> tuple[int, ...]:
-    """tau of a simple braid: Delta x Delta^-1."""
-    top = len(x) - 1
-    return tuple(top - v for v in reversed(x))
-
-
-def _meet(xi: list[int], yi: list[int]) -> list[int]:
-    """The greatest common left divisor of two simple braids.
-
-    Each braid is given by the end position of every strand; the result is
-    the meet's permutation tuple.  This is Thurston's merge sort: blocks of
-    consecutive strands are merged, each already in the meet's order, and a
-    strand of the upper block goes ahead of what is left of the lower block
-    only if it ends ahead of all of it in both braids.  The first blocks
-    are the longest runs of strands that one braid keeps in order, which
-    the meet keeps in order too, or that both braids reverse, which the
-    meet reverses.  O(n log n).
-    """
-    n = len(xi)
-    runs = []
-    lo = 0
-    while lo < n:
-        hi = lo + 1
-        if hi < n and xi[lo] > xi[hi] and yi[lo] > yi[hi]:
-            while hi < n and xi[hi - 1] > xi[hi] and yi[hi - 1] > yi[hi]:
-                hi += 1
-            runs.append(list(range(hi - 1, lo - 1, -1)))
-        else:
-            up_x = up_y = True
-            while hi < n:
-                up_x = up_x and xi[hi - 1] < xi[hi]
-                up_y = up_y and yi[hi - 1] < yi[hi]
-                if not (up_x or up_y):
-                    break
-                hi += 1
-            runs.append(list(range(lo, hi)))
-        lo = hi
-    while len(runs) > 1:
-        merged = []
-        for t in range(1, len(runs), 2):
-            low, high = runs[t - 1], runs[t]
-            m = len(low)
-            # the least end positions over low[i:] in either braid
-            tail_x, tail_y = [0] * m, [0] * m
-            mx = my = n
-            for i in range(m - 1, -1, -1):
-                if xi[low[i]] < mx:
-                    mx = xi[low[i]]
-                if yi[low[i]] < my:
-                    my = yi[low[i]]
-                tail_x[i], tail_y[i] = mx, my
-            out: list[int] = []
-            i = 0
-            for r in high:
-                xr, yr = xi[r], yi[r]
-                while i < m and (xr > tail_x[i] or yr > tail_y[i]):
-                    out.append(low[i])
-                    i += 1
-                out.append(r)
-            out += low[i:]
-            merged.append(out)
-        if len(runs) % 2:
-            merged.append(runs[-1])
-        runs = merged
-    return runs[0]
-
-
-def _left_weight(
-    a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The left-weighted form (a c, c^-1 b) of the product of two simples.
-
-    c is the meet of b with the complement a^-1 Delta of a; None when c is
-    trivial, i.e. when Start(b) is inside Finish(a) already.
-    """
-    n = len(a)
-    b_inv = _perm_inverse(b)
-    if all(a[k - 1] > a[k] or b_inv[k - 1] < b_inv[k] for k in range(1, n)):
-        return None
-    c = _meet([n - 1 - v for v in a], b_inv)
-    c_inv = _perm_inverse(c)
-    return tuple(a[v] for v in c), tuple(c_inv[v] for v in b)
-
-
-def left_normal_form(w: ArtinWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The left normal form Delta^p A_1 .. A_r of w, as (p, (A_1, .., A_r)).
-
-    Each A_i is a simple braid other than 1 and Delta, as a permutation
-    tuple, and every pair is left-weighted: Start(A_{i+1}) lies inside
-    Finish(A_i).  Two words are equal braids exactly when their normal
-    forms are equal.  Each sigma_k^-1 is written Delta^-1 (Delta sigma_k^-1)
-    and every Delta^-1 is moved to the front through tau.  The positive
-    factors are then inserted from the right, and each insertion makes the
-    pairs left-weighted from the right end back, stopping at the first pair
-    that already is.  A factor that becomes Delta joins the front, twisting
-    the factors before it.
-
-    >>> left_normal_form(ArtinWord(3, ((1, 1), (2, 1), (1, 1))))
-    (1, ())
-    >>> left_normal_form(ArtinWord(3, ((1, -1), (2, 1))))
-    (-1, ((1, 2, 0), (0, 2, 1)))
-    """
-    n = w.n
-    identity = tuple(range(n))
-    delta = identity[::-1]
-    negatives = sum(1 for _, s in w.letters if s < 0)
-    remaining = negatives
-    # The normal form so far, with the Deltas it pulled to the front kept
-    # apart: factors[i] is stored as of the pull count stamps[i], and each
-    # later pull from its right twists it once more.
-    pulled = 0
-    factors: list[tuple[int, ...]] = []
-    stamps: list[int] = []
-    # A word that repeats a pattern repeats its pair fixes.
-    fixed_pairs: dict = {}
-    for k, s in w.letters:
-        if s < 0:
-            remaining -= 1
-        # sigma_k or Delta sigma_k^-1, through tau once per Delta^-1 after it
-        if remaining % 2:
-            k = n - k
-        x = list(identity if s > 0 else delta)
-        x[k - 1], x[k] = x[k], x[k - 1]
-        right = tuple(x)
-        if right == delta:
-            pulled += 1
-            continue
-        if right == identity:
-            continue
-        j = len(factors)
-        factors.append(right)
-        stamps.append(pulled)
-        while j:
-            left = factors[j - 1]
-            if (pulled - stamps[j - 1]) % 2:
-                left = _twist(left)
-            if (left, right) in fixed_pairs:
-                pair = fixed_pairs[left, right]
-            else:
-                pair = fixed_pairs[left, right] = _left_weight(left, right)
-            if pair is None:
-                break
-            left, right = pair
-            factors[j], stamps[j] = right, pulled
-            if left == delta:
-                del factors[j - 1], stamps[j - 1]
-                for i in range(j - 1, len(stamps)):
-                    stamps[i] += 1
-                pulled += 1
-                break
-            factors[j - 1], stamps[j - 1] = left, pulled
-            right = left
-            j -= 1
-        if factors[-1] == identity:
-            factors.pop()
-            stamps.pop()
-    return pulled - negatives, tuple(
-        _twist(f) if (pulled - t) % 2 else f for f, t in zip(factors, stamps)
-    )
 
 
 # -- permutations -------------------------------------------------------------

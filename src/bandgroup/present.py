@@ -24,7 +24,14 @@ import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .braid import MAX_WORD_LETTERS, ArtinWord, BraidDecider, ImageLimitError, _artin, _permutation
+from .braid import (
+    MAX_WORD_LETTERS,
+    ArtinWord,
+    BraidDecider,
+    ImageLimitError,
+    _permutation,
+    band_power,
+)
 from .coxeter import (
     BandPair,
     CoxeterDatum,
@@ -74,7 +81,9 @@ def _band_syllables(word: Word, matrix: CoxeterDatum) -> tuple[tuple[int, int, i
 
 def expand_letter_word(word: Word, matrix: CoxeterDatum) -> ArtinWord:
     """Expand every letter (tau, e) to the band on tau raised to e * m_tau."""
-    return _artin(_band_syllables(word, matrix), matrix.n)
+    n = matrix.n
+    return ArtinWord(n, tuple(itertools.chain.from_iterable(
+        band_power(BandPair(i, j), e, n) for i, j, e in _band_syllables(word, matrix))))
 
 
 class BandWordDecider:
@@ -364,9 +373,11 @@ def verify_relations(
     The relations are consumed once, as they come, so a generated family is
     decided in the memory of one relation plus the decider's and the report's.
 
-    A relation that reaches the normal-form handover with a side past
+    A relation whose free images outgrow their budget is decided by the
+    Dynnikov coordinates of its sides, unless a side is past
     MAX_WORD_LETTERS Artin letters, counted on the strands the relation
-    touches, is refused with ImageLimitError naming it (see `BraidDecider`).
+    touches: then it is refused with ImageLimitError naming it (see
+    `BraidDecider`).
     """
     report = RunReport(tag=tag)
     decider = BandWordDecider(matrix)

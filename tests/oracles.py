@@ -10,7 +10,10 @@ procedures built from the library's own pieces, and
 `referee_act_band_on_cox`, the band-power action's closed form pushed
 letter by letter through a list, which referees `coxword.act_band_on_cox`, and
 `referee_long_pairs`, one run count per pair of letters, which referees
-`coxword.long_pairs`.
+`coxword.long_pairs`.  `referee_left_normal_form`, the Garside left
+normal form, is a second exact decision of braid equality, independent
+of the free action, against which the decider's Dynnikov coordinates are
+checked on words too long for the free-action referee.
 """
 
 from __future__ import annotations
@@ -198,6 +201,184 @@ def referee_braid_equal(n: int, u_letters, v_letters) -> bool:
     return all(
         referee_free_image(u_letters, i) == referee_free_image(v_letters, i)
         for i in range(1, n + 1)
+    )
+
+
+# The Garside left normal form.  A simple braid, a positive braid in which
+# any two strands cross at most once, is a permutation tuple x of 0 .. n-1:
+# x[p] is the strand, numbered by its starting position, that ends at
+# position p.  Right multiplication by sigma_k swaps the positions k-1 and
+# k, left multiplication the values k-1 and k.  The half twist Delta is the
+# reversal, and conjugation by Delta is tau: sigma_i -> sigma_{n-i}.
+# References: ElRifai and Morton, "Algorithms for positive braids" (1994);
+# Thurston, ch. 9 of Epstein et al., "Word Processing in Groups" (1992).
+
+
+def _perm_inverse(x) -> list[int]:
+    inv = [0] * len(x)
+    for p, v in enumerate(x):
+        inv[v] = p
+    return inv
+
+
+def _twist(x: tuple[int, ...]) -> tuple[int, ...]:
+    """tau of a simple braid: Delta x Delta^-1."""
+    top = len(x) - 1
+    return tuple(top - v for v in reversed(x))
+
+
+def _meet(xi: list[int], yi: list[int]) -> list[int]:
+    """The greatest common left divisor of two simple braids.
+
+    Each braid is given by the end position of every strand; the result is
+    the meet's permutation tuple.  This is Thurston's merge sort: blocks of
+    consecutive strands are merged, each already in the meet's order, and a
+    strand of the upper block goes ahead of what is left of the lower block
+    only if it ends ahead of all of it in both braids.  The first blocks
+    are the longest runs of strands that one braid keeps in order, which
+    the meet keeps in order too, or that both braids reverse, which the
+    meet reverses.  O(n log n).
+    """
+    n = len(xi)
+    runs = []
+    lo = 0
+    while lo < n:
+        hi = lo + 1
+        if hi < n and xi[lo] > xi[hi] and yi[lo] > yi[hi]:
+            while hi < n and xi[hi - 1] > xi[hi] and yi[hi - 1] > yi[hi]:
+                hi += 1
+            runs.append(list(range(hi - 1, lo - 1, -1)))
+        else:
+            up_x = up_y = True
+            while hi < n:
+                up_x = up_x and xi[hi - 1] < xi[hi]
+                up_y = up_y and yi[hi - 1] < yi[hi]
+                if not (up_x or up_y):
+                    break
+                hi += 1
+            runs.append(list(range(lo, hi)))
+        lo = hi
+    while len(runs) > 1:
+        merged = []
+        for t in range(1, len(runs), 2):
+            low, high = runs[t - 1], runs[t]
+            m = len(low)
+            # the least end positions over low[i:] in either braid
+            tail_x, tail_y = [0] * m, [0] * m
+            mx = my = n
+            for i in range(m - 1, -1, -1):
+                if xi[low[i]] < mx:
+                    mx = xi[low[i]]
+                if yi[low[i]] < my:
+                    my = yi[low[i]]
+                tail_x[i], tail_y[i] = mx, my
+            out: list[int] = []
+            i = 0
+            for r in high:
+                xr, yr = xi[r], yi[r]
+                while i < m and (xr > tail_x[i] or yr > tail_y[i]):
+                    out.append(low[i])
+                    i += 1
+                out.append(r)
+            out += low[i:]
+            merged.append(out)
+        if len(runs) % 2:
+            merged.append(runs[-1])
+        runs = merged
+    return runs[0]
+
+
+def _left_weight(
+    a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The left-weighted form (a c, c^-1 b) of the product of two simples.
+
+    c is the meet of b with the complement a^-1 Delta of a; None when c is
+    trivial, i.e. when Start(b) is inside Finish(a) already.
+    """
+    n = len(a)
+    b_inv = _perm_inverse(b)
+    if all(a[k - 1] > a[k] or b_inv[k - 1] < b_inv[k] for k in range(1, n)):
+        return None
+    c = _meet([n - 1 - v for v in a], b_inv)
+    c_inv = _perm_inverse(c)
+    return tuple(a[v] for v in c), tuple(c_inv[v] for v in b)
+
+
+def referee_left_normal_form(w: ArtinWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The left normal form Delta^p A_1 .. A_r of w, as (p, (A_1, .., A_r)).
+
+    Each A_i is a simple braid other than 1 and Delta, as a permutation
+    tuple, and every pair is left-weighted: Start(A_{i+1}) lies inside
+    Finish(A_i).  Two words are equal braids exactly when their normal
+    forms are equal.  Each sigma_k^-1 is written Delta^-1 (Delta sigma_k^-1)
+    and every Delta^-1 is moved to the front through tau.  The positive
+    factors are then inserted from the right, and each insertion makes the
+    pairs left-weighted from the right end back, stopping at the first pair
+    that already is.  A factor that becomes Delta joins the front, twisting
+    the factors before it.
+
+    >>> referee_left_normal_form(ArtinWord(3, ((1, 1), (2, 1), (1, 1))))
+    (1, ())
+    >>> referee_left_normal_form(ArtinWord(3, ((1, -1), (2, 1))))
+    (-1, ((1, 2, 0), (0, 2, 1)))
+    """
+    n = w.n
+    identity = tuple(range(n))
+    delta = identity[::-1]
+    negatives = sum(1 for _, s in w.letters if s < 0)
+    remaining = negatives
+    # The normal form so far, with the Deltas it pulled to the front kept
+    # apart: factors[i] is stored as of the pull count stamps[i], and each
+    # later pull from its right twists it once more.
+    pulled = 0
+    factors: list[tuple[int, ...]] = []
+    stamps: list[int] = []
+    # A word that repeats a pattern repeats its pair fixes.
+    fixed_pairs: dict = {}
+    for k, s in w.letters:
+        if s < 0:
+            remaining -= 1
+        # sigma_k or Delta sigma_k^-1, through tau once per Delta^-1 after it
+        if remaining % 2:
+            k = n - k
+        x = list(identity if s > 0 else delta)
+        x[k - 1], x[k] = x[k], x[k - 1]
+        right = tuple(x)
+        if right == delta:
+            pulled += 1
+            continue
+        if right == identity:
+            continue
+        j = len(factors)
+        factors.append(right)
+        stamps.append(pulled)
+        while j:
+            left = factors[j - 1]
+            if (pulled - stamps[j - 1]) % 2:
+                left = _twist(left)
+            if (left, right) in fixed_pairs:
+                pair = fixed_pairs[left, right]
+            else:
+                pair = fixed_pairs[left, right] = _left_weight(left, right)
+            if pair is None:
+                break
+            left, right = pair
+            factors[j], stamps[j] = right, pulled
+            if left == delta:
+                del factors[j - 1], stamps[j - 1]
+                for i in range(j - 1, len(stamps)):
+                    stamps[i] += 1
+                pulled += 1
+                break
+            factors[j - 1], stamps[j - 1] = left, pulled
+            right = left
+            j -= 1
+        if factors[-1] == identity:
+            factors.pop()
+            stamps.pop()
+    return pulled - negatives, tuple(
+        _twist(f) if (pulled - t) % 2 else f for f, t in zip(factors, stamps)
     )
 
 

@@ -18,6 +18,7 @@ from bandgroup.braid import (
     _act,
     _conj,
     _decode,
+    _dynnikov,
     _encode,
     _free_images,
     _mul,
@@ -27,7 +28,6 @@ from bandgroup.braid import (
     band_to_artin,
     braid_equal,
     free_image,
-    left_normal_form,
     parse_braid_word,
     parse_cox_word,
     parse_free_word,
@@ -43,6 +43,7 @@ from oracles import (
     reduce_word,
     referee_free_image,
     referee_hurwitz,
+    referee_left_normal_form,
     referee_permutation,
     substitute_artin_letter,
     transposition_map,
@@ -464,14 +465,14 @@ def long_word_pair(k, equal):
 
 
 class TestNormalForm:
-    """The Garside left normal form against the free action."""
+    """The Garside referee against the free action, and the Dynnikov fallback on handed-over pairs."""
 
     def test_factors_are_proper_and_left_weighted(self):
         rng = random.Random(21)
         for n in range(2, 8):
             delta = tuple(range(n - 1, -1, -1))
             for _ in range(20):
-                _, factors = left_normal_form(random_word(rng, n, 30))
+                _, factors = referee_left_normal_form(random_word(rng, n, 30))
                 for a in factors:
                     assert sorted(a) == list(range(n))
                     assert a not in (tuple(range(n)), delta)
@@ -488,14 +489,14 @@ class TestNormalForm:
                 u = random_word(rng, n, 25)
                 v = equal_rewrite(rng, n, u.letters)
                 assert referee_braid_equal(n, u.letters, v.letters)
-                assert left_normal_form(u) == left_normal_form(v)
+                assert referee_left_normal_form(u) == referee_left_normal_form(v)
                 # sigma_k^2 keeps the permutation but changes the braid
                 k, s = rng.randint(1, n - 1), rng.choice((1, -1))
                 pos = rng.randint(0, len(u.letters))
                 w = ArtinWord(n, u.letters[:pos] + ((k, s), (k, s)) + u.letters[pos:])
                 assert permutation_image(w) == permutation_image(u)
                 assert not referee_braid_equal(n, u.letters, w.letters)
-                assert left_normal_form(u) != left_normal_form(w)
+                assert referee_left_normal_form(u) != referee_left_normal_form(w)
 
     @pytest.mark.parametrize(
         "criterion",
@@ -512,12 +513,12 @@ class TestNormalForm:
     def test_acceptance_relations_decided_by_normal_form(self, monkeypatch, criterion):
         calls = []
 
-        def counted(w):
-            calls.append(w)
-            return left_normal_form(w)
+        def counted(word, k):
+            calls.append(word)
+            return _dynnikov(word, k)
 
         monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
-        monkeypatch.setattr("bandgroup.braid.left_normal_form", counted)
+        monkeypatch.setattr("bandgroup.braid._dynnikov", counted)
         criterion()
         assert calls
 
@@ -527,11 +528,72 @@ class TestNormalForm:
         for equal in (True, False):
             u, v = long_word_pair(k, equal)
             assert permutation_image(u) == permutation_image(v)
-            assert (left_normal_form(u) == left_normal_form(v)) is equal
+            assert (referee_left_normal_form(u) == referee_left_normal_form(v)) is equal
+            coordinates = [_dynnikov(_syllables(w.letters), 4) for w in (u, v)]
+            assert (coordinates[0] == coordinates[1]) is equal
             assert braid_equal(u, v) is equal
             if k <= 4:  # k = 5 images pass MAX_IMAGE_LETTERS
                 images = _free_images(u), _free_images(v)
                 assert (images[0] == images[1]) is equal
+
+
+class TestDynnikov:
+    """The Dynnikov coordinates against the free-action and Garside referees."""
+
+    @staticmethod
+    def _same(u, v, k):
+        return _dynnikov(_syllables(u), k) == _dynnikov(_syllables(v), k)
+
+    def test_short_words_match_the_free_action(self):
+        rng = random.Random(35)
+        for k in range(2, 8):
+            for _ in range(40):
+                u = random_word(rng, k, 25).letters
+                v = equal_rewrite(rng, k, u).letters
+                assert referee_braid_equal(k, u, v)
+                assert self._same(u, v, k)
+                # sigma_i^2 keeps the permutation but changes the braid
+                i, s = rng.randint(1, k - 1), rng.choice((1, -1))
+                pos = rng.randint(0, len(u))
+                w = u[:pos] + ((i, s), (i, s)) + u[pos:]
+                assert referee_permutation(k, w) == referee_permutation(k, u)
+                assert not referee_braid_equal(k, u, w)
+                assert not self._same(u, w, k)
+                x = random_word(rng, k, 6).letters
+                assert self._same(u, x, k) is referee_braid_equal(k, u, x)
+
+    def test_the_last_generator_and_the_full_twist_move_the_loops(self):
+        # on k punctures alone the loops would not see these: the extra
+        # puncture is what makes them visible
+        for k in range(2, 7):
+            loops = _dynnikov((), k)
+            assert loops == [0] * (k - 1) + [-1] * (k - 1)
+            assert _dynnikov(((k - 1, k, 2),), k) != loops
+            assert _dynnikov(((k - 1, k, -2),), k) != loops
+            twist = tuple((i, i + 1, 1) for i in range(1, k)) * k
+            assert _dynnikov(twist, k) != loops
+
+    @pytest.mark.parametrize("k", [4, 16, 127])
+    def test_long_pairs_match_the_normal_form(self, monkeypatch, k):
+        # 2048-letter words, too long for the free-action referee: a swap of
+        # two far-commuting letters keeps the braid, and one flipped sign
+        # changes it but keeps the permutation
+        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
+        rng = random.Random(k)
+        u = tuple((rng.randint(1, k - 1), rng.choice((1, -1))) for _ in range(MAX_WORD_LETTERS))
+        far = [p for p in range(len(u) - 1) if abs(u[p][0] - u[p + 1][0]) >= 2]
+        p = rng.choice(far)
+        swapped = u[:p] + (u[p + 1], u[p]) + u[p + 2:]
+        q = rng.randrange(len(u))
+        flipped = u[:q] + ((u[q][0], -u[q][1]),) + u[q + 1:]
+        normal_form = referee_left_normal_form(ArtinWord(k, u))
+        for w, equal in ((swapped, True), (flipped, False)):
+            assert (referee_left_normal_form(ArtinWord(k, w)) == normal_form) is equal
+            assert self._same(u, w, k) is equal
+            decider = BraidDecider(k)
+            assert decider.equal(_syllables(u), _syllables(w)) is equal
+            assert decider.counters()["oracle_handovers"] == 1
+            assert decider.counters()["oracle_perm_rejections"] == 0
 
 
 def _inverse_word(word):
@@ -607,6 +669,13 @@ class TestRelabelledDecider:
         cases = self._cases()
         verdicts = [e for _, pairs in cases for _, _, e in pairs]
         assert verdicts.count(True) >= 200 and verdicts.count(False) >= 50
+        calls = []
+
+        def counted(word, k):
+            calls.append(word)
+            return _dynnikov(word, k)
+
+        monkeypatch.setattr("bandgroup.braid._dynnikov", counted)
         for handover in (False, True):
             if handover:
                 monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
@@ -624,6 +693,9 @@ class TestRelabelledDecider:
                     assert decider.equal(u, v) is equal
                 assert decider.counters() == counters
             assert (handovers > 0) is handover
+            # two coordinate vectors per handover
+            assert len(calls) == 2 * handovers
+            calls.clear()
 
     def test_images_are_kept_per_strand_count(self):
         # a_12^2 is built on 3 strands, then is a side on 2 strands: keyed on
@@ -662,12 +734,12 @@ class TestRelabelledDecider:
 
     def test_handover_past_the_letter_cap_is_refused(self, monkeypatch):
         # a_37^e has 7|e| Artin letters on 8 strands but |e| on the two
-        # strands it touches, which is what the normal form would take
-        def refuse(word):
-            raise AssertionError("the normal form was called")
+        # strands it touches, which is what the coordinates would take
+        def refuse(word, k):
+            raise AssertionError("the coordinates were computed")
 
         monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 64)
-        monkeypatch.setattr("bandgroup.braid.left_normal_form", refuse)
+        monkeypatch.setattr("bandgroup.braid._dynnikov", refuse)
         e = MAX_WORD_LETTERS + 2
         decider = BraidDecider(8)
         with pytest.raises(ImageLimitError, match=f"a side has {e} Artin letters on 2 "
@@ -675,11 +747,11 @@ class TestRelabelledDecider:
             decider.equal(((3, 7, e),), ((3, 7, -e),))
         assert decider.counters()["oracle_handovers"] == 0
         taken = []
-        monkeypatch.setattr("bandgroup.braid.left_normal_form",
-                            lambda word: taken.append(len(word)) or len(taken))
+        monkeypatch.setattr("bandgroup.braid._dynnikov",
+                            lambda word, k: taken.append((word, k)) or len(taken))
         e = MAX_WORD_LETTERS
         assert not decider.equal(((3, 7, e),), ((3, 7, -e),))
-        assert taken == [MAX_WORD_LETTERS, MAX_WORD_LETTERS]
+        assert taken == [(((1, 2, e),), 2), (((1, 2, -e),), 2)]
         assert decider.counters()["oracle_handovers"] == 1
 
 

@@ -298,8 +298,8 @@ class TestVerify:
             started = time.perf_counter()
             self._usage_error(capsys, ["verify", "thm1", "--matrix", path],
                               f"b1.2 b3.4 = b3.4 b1.2: a side has {2 * entry} Artin letters "
-                              f"on 4 strands, more than the {MAX_WORD_LETTERS} the normal form "
-                              f"is allowed")
+                              f"on 4 strands, more than the {MAX_WORD_LETTERS} the Dynnikov "
+                              f"fallback is allowed")
             assert time.perf_counter() - started < 1
         # the blocks' bands a_12 and a_56 are relabelled onto 4 strands
         self._usage_error(capsys, ["verify", "block", "--matrix1", path, "--matrix2", path],
@@ -312,7 +312,7 @@ class TestVerify:
         monkeypatch.setattr("bandgroup.braid.MAX_WORD_LETTERS", 8)
         path = partition_file("p.json", Partition.of(4, [range(1, 5)]))
         self._usage_error(capsys, ["verify", "cosets", "--partition", path],
-                          "more than the 8 the normal form is allowed")
+                          "more than the 8 the Dynnikov fallback is allowed")
 
     def test_long_sec4_words_are_refused_before_they_are_built(self, capsys, matrix_file):
         path = matrix_file("m.json", CoxeterDatum.from_rows(

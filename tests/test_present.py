@@ -7,10 +7,10 @@ import pytest
 
 from bandgroup.braid import (
     ArtinWord,
+    _dynnikov,
     _relabel,
     band_to_artin,
     braid_equal,
-    left_normal_form,
     permutation_image,
 )
 from bandgroup.cli import _combing
@@ -231,9 +231,9 @@ class TestBandWordDecider:
     def test_relations_decided_by_normal_form(self, monkeypatch):
         calls = []
 
-        def counted(w):
-            calls.append(w)
-            return left_normal_form(w)
+        def counted(word, k):
+            calls.append(word)
+            return _dynnikov(word, k)
 
         def reports():
             """thm2, cosets and combing on up to 5 strands."""
@@ -254,12 +254,12 @@ class TestBandWordDecider:
         by_images = list(reports())
         assert all(report.info["oracle_handovers"] == 0 for report in by_images)
         monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
-        monkeypatch.setattr("bandgroup.braid.left_normal_form", counted)
+        monkeypatch.setattr("bandgroup.braid._dynnikov", counted)
         by_normal_form = list(reports())
         assert all(report.ok for report in by_normal_form)
         assert list(map(decisions, by_normal_form)) == list(map(decisions, by_images))
         assert len(calls) > 1000
-        # two normal forms per handover
+        # two coordinate vectors per handover
         assert 2 * sum(report.info["oracle_handovers"] for report in by_normal_form) == len(calls)
 
     def test_counters_report_the_oracle_work(self):
