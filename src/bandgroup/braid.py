@@ -1,15 +1,14 @@
 """Exact braid arithmetic on n strands.
 
 Words in the Artin generators are the universal currency.  Equality of
-braids is decided first through the faithful right action on a free group
-F_n: two words are equal in the braid group exactly when they induce the
-same endomorphism, i.e. the same tuple of images of the free generators.
-Images can grow exponentially with word length, so once one outgrows a
-fixed budget the query is handed to the Dynnikov coordinates of a family
-of loops, on which the braid group acts faithfully by max/min updates
-linear in the word (Dynnikov, *On a Yang-Baxter map and the Dehornoy
-ordering*, Russ. Math. Surveys 2002; Dehornoy, Dynnikov, Rolfsen and
-Wiest, *Ordering Braids*, AMS 2008, ch. XII).
+braids is decided by the Dynnikov coordinates of a family of loops, on
+which the braid group acts faithfully by max/min updates linear in the
+word (Dynnikov, *On a Yang-Baxter map and the Dehornoy ordering*, Russ.
+Math. Surveys 2002; Dehornoy, Dynnikov, Rolfsen and Wiest, *Ordering
+Braids*, AMS 2008, ch. XII): two words are one braid exactly when they
+give the same coordinates.  The right action on a free group F_n, also
+faithful, is the object of study of `free_image` and of the Hurwitz
+actions, and the test referee of equality.
 
 The images are built by right-composition, from the last factor back,
 and the factor is the band syllable (i, j, e), the band power a_ij^e; an
@@ -34,13 +33,12 @@ image of u times v, so the scan runs the action on the halves alone
 relation, say), and `braid_equal` is the same routine on the runs of two
 Artin words.  The decider first relabels a pair onto the k strands it
 touches, in their order, and decides each relabelled pair once, on k
-strands, building the images of each relabelled word once while those it
-keeps fit in MAX_IMAGE_LETTERS letters.  That is exact: the relations of
-Birman, Ko and Lee (*A new approach to the word and conjugacy problems
-in the braid groups*, Adv. Math. 1998) depend only on the order of the
-bands' endpoints, so a_pq -> a_{s_p s_q} is a homomorphism from B_k to
-B_n, and it is injective, since bands that all pass on one side of the
-strands s_1 < .. < s_k lie in one disk around exactly their punctures.
+strands.  That is exact: the relations of Birman, Ko and Lee (*A new
+approach to the word and conjugacy problems in the braid groups*, Adv.
+Math. 1998) depend only on the order of the bands' endpoints, so
+a_pq -> a_{s_p s_q} is a homomorphism from B_k to B_n, and it is
+injective, since bands that all pass on one side of the strands
+s_1 < .. < s_k lie in one disk around exactly their punctures.
 So a relation on four strands out of forty is decided as one on strands
 1 .. 4, and decided once however often it recurs.  Only the coordinates
 take a syllable letter by letter.  Inside the kernel a reduced word is a
@@ -57,6 +55,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 from .coxeter import BandPair
@@ -149,29 +148,23 @@ MAX_STRANDS = 127
 # Hurwitz action.  Images grow exponentially with word length.  At one byte
 # per letter a word stays within 16 MiB and a query within a few such words,
 # and a word too long for the action stops early instead of running for
-# minutes.  A `BraidDecider` keeps no more letters of images for the sides
-# that recur.
+# minutes.
 MAX_IMAGE_LETTERS = 1 << 24
-# Letters a free image may reach inside `braid_equal` before the query is
-# handed to the Dynnikov coordinates.  Images of the short words the
-# verifier and the scanner compare stay far below it (a few thousand
-# letters at most).  The coordinates are faster at every size measured, so
-# there is no crossover: on the pairs (a_13^3 a_24^3 ..) of 2 to 7 factors
-# against a rewrite, the free action took 0.07 ms at a 77-letter peak,
-# 0.30 ms at 14,853 letters and 0.82 ms at 86,533, and two coordinate
-# vectors 0.02-0.05 ms (2 cores, Python 3.11.7).  It stays at 2^17 until
-# the benchmark harness stops keeping every output (ROADMAP item 7): at
-# 2^14 a 30 s run of `long_words` read 2.4 times the instances per
-# reference second and completed 1.6 times the operations, and the
-# harness's peak memory grows with them.
-_HANDOVER_LETTERS = 1 << 17
-# Artin letters the coordinates may take, per side of a query.  A query
-# handed over with a longer side, counted on the strands the pair touches,
-# is refused with ImageLimitError, and a parsed braid word may have no more.
-# The coordinates of a pair of seeded random words of this length, on 4,
-# 16 or 127 strands, took 3.5-5.3 ms in process (2 cores, Python 3.11.7).
-# Their integers stay short (23 to 365 bits on those words, 1,423 bits for
-# (sigma_1 sigma_2^-1)^1024), so the cost is about linear in the letters.
+# Artin letters the coordinates may take, per side of a query inside
+# `BraidDecider`, counted in closed form on the strands the pair touches.
+# A longer side is refused with ImageLimitError before any coordinate is
+# computed.  2^17 refuses `verify thm1` on the constant matrices with n = 4
+# past entry 21845, as did building free images up to 2^17 letters.  The
+# cost is the updates, 2(j - i - 1) + |e| for a_ij^e, times the bits of the
+# coordinates: a side at the cap took 10 ms for a_14^21845 a_23^21845 (17
+# bits), 0.16-0.35 s for seeded random words on 4, 16 or 127 strands and
+# 1.46 s for (sigma_1 sigma_2^-1)^65536 (90,996 bits), in process (2 cores,
+# Python 3.11.7).
+_SIDE_LETTERS = 1 << 17
+# Letters a parsed braid word may have.  Random words cost letters times
+# bits on the coordinates: a pair of seeded random words of this length,
+# on 4, 16 or 127 strands, took 2.4-3.5 ms in process (2 cores, Python
+# 3.11.7), at 24 to 378 bits (1,423 bits for (sigma_1 sigma_2^-1)^1024).
 MAX_WORD_LETTERS = 2048
 # Letters `_cancel` compares in one step, as two integers.  Most junctions
 # cancel fewer; a longer cancellation goes on by galloping.
@@ -191,7 +184,7 @@ _COX_LETTERS = {f"s{i}": 128 + i for i in _INDICES}
 
 
 class ImageLimitError(ValueError):
-    """A word built by an action, or handed to the coordinates, would exceed its letters."""
+    """A word built by an action, or a side given to the coordinates, would exceed its letters."""
 
 
 def _too_long(limit: int) -> ImageLimitError:
@@ -372,10 +365,6 @@ def _syllables(letters) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def _generators(n: int) -> list[bytes]:
-    return [bytes((128 + i,)) for i in range(1, n + 1)]
-
-
 def _free_images(w: ArtinWord) -> list[bytes]:
     """Images of t_1 .. t_n under the right action of w, as encoded words.
 
@@ -390,7 +379,8 @@ def _free_images(w: ArtinWord) -> list[bytes]:
     [(1, 3, -1), (1,), (-3, 2, 3)]
     """
     _check_strands(w.n)
-    return _act(_generators(w.n), _syllables(reversed(w.letters)), MAX_IMAGE_LETTERS, _NEG)
+    generators = [bytes((128 + i,)) for i in range(1, w.n + 1)]
+    return _act(generators, _syllables(reversed(w.letters)), MAX_IMAGE_LETTERS, _NEG)
 
 
 def free_image(w: ArtinWord, i: int) -> FreeWord:
@@ -451,7 +441,8 @@ def _dynnikov(word: tuple, k: int) -> list[int]:
     Loops cannot see a twist about the boundary, and on k punctures alone
     sigma_{k-1}^2 would fix them; the extra puncture makes both visible.
     The syllable (i, j, e) is g sigma_i^e g^-1 with g = sigma_{j-1} ..
-    sigma_{i+1}, 2(j - i - 1) + |e| updates, applied in word order:
+    sigma_{i+1}, 2(j - i - 1) + |e| updates, applied in word order one at
+    a time, with no list of them built:
 
         sigma_1^s on (a_1, b_1), z = a_1 + b_1+ or b_1+ - a_1:
           a_1' = s (-b_1 + z+),  b_1' = z
@@ -469,9 +460,10 @@ def _dynnikov(word: tuple, k: int) -> list[int]:
     a, b = [0] * k, [-1] * k
     for i, j, e in word:
         s = 1 if e > 0 else -1
-        letters = [(t, 1) for t in range(j - 1, i, -1)]
-        letters += [(i, s)] * (s * e)
-        letters += [(t, -1) for t in range(i + 1, j)]
+        letters = repeat((i, s), s * e)
+        if j - i > 1:  # conjugated by sigma_{j-1} .. sigma_{i+1}
+            letters = chain(zip(range(j - 1, i, -1), repeat(1)), letters,
+                            zip(range(i + 1, j), repeat(-1)))
         for t, s in letters:
             if t == 1:
                 x, y = a[1], b[1]
@@ -512,34 +504,25 @@ class BraidDecider:
     as the relations of Birman, Ko and Lee (Adv. Math. 1998) depend only
     on the order of the bands' endpoints, and it is injective, as every
     band on the strands s_1 < .. < s_k passes on the same side and so lies
-    in one disk holding exactly their punctures.  The decider also keeps
-    the free images of each relabelled word it builds, one tuple a word
-    and MAX_IMAGE_LETTERS letters in all, so a side that recurs in another
-    pair is not built again: the rotations of a (2, 2, m) triple in `sec4`
-    share their long sides.  It holds on to verdicts and images as long
-    as it lives: make one per verification call and let it go with the
-    call.
+    in one disk holding exactly their punctures.  It holds on to its
+    verdicts as long as it lives: make one per verification call and let
+    it go with the call.
     """
 
     def __init__(self, n: int):
         _check_strands(n)
-        # (strands k, relabelled word) -> images of t_1 .. t_k under its
-        # action, _kept letters in all
-        self._images: dict[tuple[int, tuple], tuple[bytes, ...]] = {}
-        self._kept = 0
         # relabelled pair -> whether it is one braid
         self._verdicts: dict[tuple[tuple, tuple], bool] = {}
-        # what the decider did: syllable steps, handovers to the coordinates,
-        # the longest image it built, the relabelled pairs it decided and
-        # those of them the permutations settled
-        self.steps = self.handovers = self.peak_letters = 0
+        # what the decider did: coordinate updates, counted in closed form
+        # per syllable, the bits of the largest coordinate, the relabelled
+        # pairs it decided and those of them the permutations settled
+        self.updates = self.bits = 0
         self.distinct = self.perm_rejections = 0
 
     def counters(self) -> dict[str, int]:
         """The decider's work so far, for a report's info."""
-        return {"oracle_steps": self.steps, "oracle_handovers": self.handovers,
-                "oracle_peak_letters": self.peak_letters, "oracle_distinct": self.distinct,
-                "oracle_perm_rejections": self.perm_rejections}
+        return {"oracle_updates": self.updates, "oracle_bits": self.bits,
+                "oracle_distinct": self.distinct, "oracle_perm_rejections": self.perm_rejections}
 
     def equal(self, u: tuple, v: tuple) -> bool:
         """Whether two words of syllables are the same braid.
@@ -547,13 +530,11 @@ class BraidDecider:
         The pair is relabelled onto the k strands it touches and looked up
         among the pairs already decided.  A new pair is decided on k
         strands: equal words settle it first and unequal permutations
-        next, as a cheap filter.  Then the induced free-group endomorphisms
-        are compared; the action is faithful, so agreement of all generator
-        images settles equality.  When an image outgrows _HANDOVER_LETTERS,
-        the Dynnikov coordinates of the two sides decide (`_dynnikov`),
-        faithful too and linear in the word, unless a relabelled side has
-        more than MAX_WORD_LETTERS Artin letters: then the query is refused
-        with ImageLimitError before any coordinate is computed.
+        next, as a cheap filter.  Then the Dynnikov coordinates of the two
+        sides are compared (`_dynnikov`); the action is faithful, so equal
+        coordinates settle equality.  A relabelled side of more than
+        _SIDE_LETTERS Artin letters is refused with ImageLimitError before
+        any coordinate is computed.
         """
         k, u, v = _relabel(u, v)
         verdict = self._verdicts.get((u, v))
@@ -568,33 +549,16 @@ class BraidDecider:
         if _permutation(u, k) != _permutation(v, k):
             self.perm_rejections += 1
             return False
-        try:
-            return self._images_of(u, k) == self._images_of(v, k)
-        except ImageLimitError:
-            for word in (u, v):
-                letters = sum(_band_letters(*syllable) for syllable in word)
-                if letters > MAX_WORD_LETTERS:
-                    raise ImageLimitError(
-                        f"a side has {letters} Artin letters on {k} strands, more than the "
-                        f"{MAX_WORD_LETTERS} the Dynnikov fallback is allowed") from None
-            self.handovers += 1
-            return _dynnikov(u, k) == _dynnikov(v, k)
-
-    def _images_of(self, word: tuple, k: int) -> tuple[bytes, ...]:
-        """The images of t_1 .. t_k under the word's action, kept while they fit."""
-        images = self._images.get((k, word))
-        if images is None:
-            out = _generators(k)
-            for syllable in reversed(word):
-                _act(out, (syllable,), _HANDOVER_LETTERS, _NEG)
-                self.steps += 1
-                self.peak_letters = max(self.peak_letters, *map(len, out))
-            images = tuple(out)
-            letters = sum(map(len, images))
-            if self._kept + letters <= MAX_IMAGE_LETTERS:
-                self._kept += letters
-                self._images[k, word] = images
-        return images
+        for word in (u, v):
+            letters = sum(_band_letters(*syllable) for syllable in word)
+            if letters > _SIDE_LETTERS:
+                raise ImageLimitError(
+                    f"a side has {letters} Artin letters on {k} strands, more than the "
+                    f"{_SIDE_LETTERS} the Dynnikov coordinates are allowed")
+        x, y = _dynnikov(u, k), _dynnikov(v, k)
+        self.updates += sum(2 * (j - i - 1) + abs(e) for i, j, e in u + v)
+        self.bits = max(self.bits, max(map(abs, x + y)).bit_length())
+        return x == y
 
 
 def braid_equal(u: ArtinWord, v: ArtinWord) -> bool:

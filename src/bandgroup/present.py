@@ -91,9 +91,8 @@ class BandWordDecider:
 
     The letter (tau, e) is the band syllable (i, j, e m_tau), and words are
     decided as words of syllables, so a relation that recurs on other
-    strands with the same pattern is decided once, and the free images of
-    a side are kept for the pairs it recurs in (see `BraidDecider`).  Make
-    one per verification call.
+    strands with the same pattern is decided once (see `BraidDecider`).
+    Make one per verification call.
     """
 
     def __init__(self, matrix: CoxeterDatum):
@@ -373,11 +372,11 @@ def verify_relations(
     The relations are consumed once, as they come, so a generated family is
     decided in the memory of one relation plus the decider's and the report's.
 
-    A relation whose free images outgrow their budget is decided by the
+    A relation that its permutations do not settle is decided by the
     Dynnikov coordinates of its sides, unless a side is past
-    MAX_WORD_LETTERS Artin letters, counted on the strands the relation
-    touches: then it is refused with ImageLimitError naming it (see
-    `BraidDecider`).
+    `braid._SIDE_LETTERS` Artin letters, counted on the strands the
+    relation touches: then it is refused with ImageLimitError naming it
+    (see `BraidDecider`).
     """
     report = RunReport(tag=tag)
     decider = BandWordDecider(matrix)

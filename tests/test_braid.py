@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from bandgroup.braid import (
     _NEG,
     _SELF,
+    _SIDE_LETTERS,
     _WINDOW,
     MAX_IMAGE_LETTERS,
     MAX_WORD_LETTERS,
@@ -23,6 +25,7 @@ from bandgroup.braid import (
     _free_images,
     _mul,
     _permutation,
+    _relabel,
     _syllables,
     band_power,
     band_to_artin,
@@ -239,16 +242,15 @@ class TestKernelAgainstReferee:
 
     def test_braid_equal_runs_the_decider(self, monkeypatch):
         built = []
-        images_of = BraidDecider._images_of
 
-        def counted(decider, word, k):
+        def counted(word, k):
             built.append(word)
-            return images_of(decider, word, k)
+            return _dynnikov(word, k)
 
-        monkeypatch.setattr(BraidDecider, "_images_of", counted)
+        monkeypatch.setattr("bandgroup.braid._dynnikov", counted)
         self.test_equal_pairs_agree()
         self.test_unequal_pairs_with_equal_permutations_agree()
-        # the 60 unequal pairs keep their permutations, so both sides are built
+        # the 60 unequal pairs keep their permutations, so both sides reach the coordinates
         assert len(built) >= 120
 
     def test_image_limit(self, monkeypatch):
@@ -465,7 +467,7 @@ def long_word_pair(k, equal):
 
 
 class TestNormalForm:
-    """The Garside referee against the free action, and the Dynnikov fallback on handed-over pairs."""
+    """The Garside referee against the free action, and the Dynnikov coordinates on long pairs."""
 
     def test_factors_are_proper_and_left_weighted(self):
         rng = random.Random(21)
@@ -517,14 +519,12 @@ class TestNormalForm:
             calls.append(word)
             return _dynnikov(word, k)
 
-        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
         monkeypatch.setattr("bandgroup.braid._dynnikov", counted)
         criterion()
         assert calls
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    def test_long_words_both_ways(self, monkeypatch, k):
-        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
+    def test_long_words_both_ways(self, k):
         for equal in (True, False):
             u, v = long_word_pair(k, equal)
             assert permutation_image(u) == permutation_image(v)
@@ -574,11 +574,10 @@ class TestDynnikov:
             assert _dynnikov(twist, k) != loops
 
     @pytest.mark.parametrize("k", [4, 16, 127])
-    def test_long_pairs_match_the_normal_form(self, monkeypatch, k):
+    def test_long_pairs_match_the_normal_form(self, k):
         # 2048-letter words, too long for the free-action referee: a swap of
         # two far-commuting letters keeps the braid, and one flipped sign
         # changes it but keeps the permutation
-        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
         rng = random.Random(k)
         u = tuple((rng.randint(1, k - 1), rng.choice((1, -1))) for _ in range(MAX_WORD_LETTERS))
         far = [p for p in range(len(u) - 1) if abs(u[p][0] - u[p + 1][0]) >= 2]
@@ -592,8 +591,21 @@ class TestDynnikov:
             assert self._same(u, w, k) is equal
             decider = BraidDecider(k)
             assert decider.equal(_syllables(u), _syllables(w)) is equal
-            assert decider.counters()["oracle_handovers"] == 1
+            assert decider.counters()["oracle_updates"] == sum(
+                abs(e) for side in (u, w) for _, _, e in _syllables(side))
             assert decider.counters()["oracle_perm_rejections"] == 0
+
+
+def test_a_long_band_power_takes_its_updates_in_flat_memory():
+    # a_14^(10^6) is 10^6 + 4 updates; a list of them would take some 8 MB
+    tracemalloc.start()
+    try:
+        coordinates = _dynnikov(((1, 4, 10 ** 6),), 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert coordinates == _dynnikov(((1, 4, 10 ** 6 - 1), (1, 4, 1)), 4)
 
 
 def _inverse_word(word):
@@ -676,60 +688,29 @@ class TestRelabelledDecider:
             return _dynnikov(word, k)
 
         monkeypatch.setattr("bandgroup.braid._dynnikov", counted)
-        for handover in (False, True):
-            if handover:
-                monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
-            handovers = 0
-            for n, pairs in cases:
-                decider = BraidDecider(n)
-                for u, v, equal in pairs:
-                    assert decider.equal(u, v) is equal
-                    assert decider.equal(v, u) is equal
-                counters = decider.counters()
-                assert counters["oracle_perm_rejections"] == 0
-                handovers += counters["oracle_handovers"]
-                # asked again, every pair is answered from the verdicts kept
-                for u, v, equal in pairs:
-                    assert decider.equal(u, v) is equal
-                assert decider.counters() == counters
-            assert (handovers > 0) is handover
-            # two coordinate vectors per handover
-            assert len(calls) == 2 * handovers
+        for n, pairs in cases:
+            decider = BraidDecider(n)
+            for u, v, equal in pairs:
+                assert decider.equal(u, v) is equal
+                assert decider.equal(v, u) is equal
+            counters = decider.counters()
+            assert counters["oracle_perm_rejections"] == 0
+            # asked again, every pair is answered from the verdicts kept
+            for u, v, equal in pairs:
+                assert decider.equal(u, v) is equal
+            assert decider.counters() == counters
+            # two coordinate vectors per relabelled pair of unequal words
+            relabelled = {_relabel(x, y) for u, v, _ in pairs for x, y in ((u, v), (v, u))}
+            assert counters["oracle_distinct"] == len(relabelled)
+            assert len(calls) == 2 * sum(x != y for _, x, y in relabelled) > 0
             calls.clear()
-
-    def test_images_are_kept_per_strand_count(self):
-        # a_12^2 is built on 3 strands, then is a side on 2 strands: keyed on
-        # the word alone, its 3 images would meet 2 and the pair would differ
-        decider = BraidDecider(3)
-        assert decider.equal(((1, 2, 2),), ((1, 2, 2), (2, 3, 2), (2, 3, -2)))
-        assert decider.steps == 4
-        assert decider.equal(((1, 2, 2),), ((1, 2, 1), (1, 2, 1)))
-        assert decider.steps == 7
-        # a side met before on as many strands is not built again
-        assert not decider.equal(((1, 2, 1), (1, 2, 1)), ((1, 2, -2),))
-        assert decider.steps == 8
-
-    def test_kept_images_are_bounded(self, monkeypatch):
-        # a_12^2 a_13^2 .. on 3 strands, as in the sec4 words of a (2, 2, m)
-        # triple: three pairs, each side in two of them
-        x, y = (1, 2, 2), (1, 3, 2)
-        u, v, w = (x, y) * 4 + (x,), (y, x) * 4 + (y,), (x, y) * 5
-        pairs = [(u, v), (u, w), (v, w)]
-        decider = BraidDecider(3)
-        verdicts = [decider.equal(*pair) for pair in pairs]
-        assert decider.steps == 9 + 9 + 10 and decider._kept > 0
-        # with no room every side is built each time it is met
-        monkeypatch.setattr("bandgroup.braid.MAX_IMAGE_LETTERS", 0)
-        bounded = BraidDecider(3)
-        assert [bounded.equal(*pair) for pair in pairs] == verdicts
-        assert bounded.steps == 2 * (9 + 9 + 10) and bounded._kept == 0
 
     def test_permutation_filter_is_counted(self):
         decider = BraidDecider(6)
         assert not decider.equal(((2, 5, 1),), ((2, 5, -1), (3, 5, 1)))
         assert not decider.equal(((1, 3, 1),), ((1, 3, -1), (2, 3, 1)))
         assert decider.counters() == {
-            "oracle_steps": 0, "oracle_handovers": 0, "oracle_peak_letters": 0,
+            "oracle_updates": 0, "oracle_bits": 0,
             "oracle_distinct": 1, "oracle_perm_rejections": 1}
 
     def test_handover_past_the_letter_cap_is_refused(self, monkeypatch):
@@ -738,21 +719,23 @@ class TestRelabelledDecider:
         def refuse(word, k):
             raise AssertionError("the coordinates were computed")
 
-        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 64)
         monkeypatch.setattr("bandgroup.braid._dynnikov", refuse)
-        e = MAX_WORD_LETTERS + 2
+        e = _SIDE_LETTERS + 2
         decider = BraidDecider(8)
         with pytest.raises(ImageLimitError, match=f"a side has {e} Artin letters on 2 "
-                                                  f"strands, more than the {MAX_WORD_LETTERS}"):
+                                                  f"strands, more than the {_SIDE_LETTERS}"):
             decider.equal(((3, 7, e),), ((3, 7, -e),))
-        assert decider.counters()["oracle_handovers"] == 0
+        # either side past the cap is refused
+        with pytest.raises(ImageLimitError, match=f"a side has {e} Artin letters on 2 "):
+            decider.equal(((3, 7, 2),), ((3, 7, e),))
+        assert decider.counters()["oracle_updates"] == 0
         taken = []
         monkeypatch.setattr("bandgroup.braid._dynnikov",
-                            lambda word, k: taken.append((word, k)) or len(taken))
-        e = MAX_WORD_LETTERS
+                            lambda word, k: taken.append((word, k)) or [len(taken)])
+        e = _SIDE_LETTERS
         assert not decider.equal(((3, 7, e),), ((3, 7, -e),))
         assert taken == [(((1, 2, e),), 2), (((1, 2, -e),), 2)]
-        assert decider.counters()["oracle_handovers"] == 1
+        assert decider.counters()["oracle_updates"] == 2 * e
 
 
 class TestPermutation:

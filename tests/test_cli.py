@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from test_golden import _cases as _golden_cases, _run as _golden_run
 
 import bandgroup
 from bandgroup import cli
-from bandgroup.braid import MAX_IMAGE_LETTERS, MAX_STRANDS, MAX_WORD_LETTERS
+from bandgroup.braid import _SIDE_LETTERS, MAX_IMAGE_LETTERS, MAX_STRANDS, MAX_WORD_LETTERS
 from bandgroup.cli import MAX_DEGREE, MAX_RANDOM_LETTERS, MAX_RANDOM_WORK, main
 from bandgroup.coxeter import CoxeterDatum, Partition
 from bandgroup import raag
@@ -72,6 +73,24 @@ def _timed_child(argv):
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "bandgroup.cli", *argv], capture_output=True,
                           text=True, env=env, timeout=10)
+    return done.returncode, time.perf_counter() - start, done.stderr
+
+
+def _limited_child(argv, address_bytes):
+    """Exit code, seconds and standard error of the command line run as a child.
+
+    The child's address space is capped at `address_bytes` (RLIMIT_AS), so
+    an allocation past it fails in the child instead of growing, and it is
+    given 10 s.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(bandgroup.__file__).parents[1])}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_bytes, address_bytes))
+
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "bandgroup.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=10, preexec_fn=cap)
     return done.returncode, time.perf_counter() - start, done.stderr
 
 
@@ -286,33 +305,56 @@ class TestVerify:
 
     def test_sides_past_the_letter_cap_are_refused_at_the_handover(self, capsys, matrix_file):
         # thm1 on 4 strands: a_12^m a_34^m and a_14^m a_23^m against their
-        # reverses, 2m and 6m Artin letters a side; the free action decides
-        # both up to m = 10^4 without handing over
+        # reverses, 2m and 6m Artin letters a side; the coordinates decide
+        # both, in 4m and 4m + 8 updates, while 6m stays within the cap
         for entry in (MAX_WORD_LETTERS // 6 + 1, 10 ** 3, 10 ** 4):
             path = matrix_file("m.json", CoxeterDatum.constant(4, entry))
             assert main(["--json", "verify", "thm1", "--matrix", path]) == 0
             info = json.loads(capsys.readouterr().out)["reports"][0]["info"]
-            assert info["oracle_handovers"] == 0
+            assert info["oracle_updates"] == 8 * entry + 8
         for entry in (10 ** 5, 10 ** 9):
             path = matrix_file("m.json", CoxeterDatum.constant(4, entry))
             started = time.perf_counter()
             self._usage_error(capsys, ["verify", "thm1", "--matrix", path],
                               f"b1.2 b3.4 = b3.4 b1.2: a side has {2 * entry} Artin letters "
-                              f"on 4 strands, more than the {MAX_WORD_LETTERS} the Dynnikov "
-                              f"fallback is allowed")
+                              f"on 4 strands, more than the {_SIDE_LETTERS} the Dynnikov "
+                              f"coordinates are allowed")
             assert time.perf_counter() - started < 1
         # the blocks' bands a_12 and a_56 are relabelled onto 4 strands
         self._usage_error(capsys, ["verify", "block", "--matrix1", path, "--matrix2", path],
                           f"b1.2 b5.6 = b5.6 b1.2: a side has {2 * 10 ** 9} Artin letters on 4 "
                           f"strands")
 
+    def test_sides_at_the_letter_cap_are_decided(self, capsys, matrix_file):
+        # a_14^m a_23^m has 6m Artin letters a side: the largest such m
+        # within the cap, decided in 8m + 8 coordinate updates
+        entry = _SIDE_LETTERS // 6
+        assert entry == 21845
+        path = matrix_file("m.json", CoxeterDatum.constant(4, entry))
+        assert main(["--json", "verify", "thm1", "--matrix", path]) == 0
+        info = json.loads(capsys.readouterr().out)["reports"][0]["info"]
+        assert info["oracle_updates"] == 8 * entry + 8
+
+    @pytest.mark.parametrize("entry, side, letters", [
+        (21846, "b1.4 b2.3 = b2.3 b1.4", 6 * 21846),
+        (10 ** 9, "b1.2 b3.4 = b3.4 b1.2", 2 * 10 ** 9),
+    ])
+    def test_sides_past_the_letter_cap_are_refused_in_bounded_memory(self, matrix_file, entry,
+                                                                      side, letters):
+        # one past the cap, and a band power that a list of its letters
+        # could not hold in the child's 512 MB of address space
+        path = matrix_file("m.json", CoxeterDatum.constant(4, entry))
+        code, seconds, err = _limited_child(["verify", "thm1", "--matrix", path], 1 << 29)
+        assert code == 2 and seconds < 1
+        assert err == (f"error: {side}: a side has {letters} Artin letters on 4 strands, more "
+                       f"than the {_SIDE_LETTERS} the Dynnikov coordinates are allowed\n")
+
     def test_coset_handovers_past_the_letter_cap_are_refused(self, capsys, monkeypatch,
                                                              partition_file):
-        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
-        monkeypatch.setattr("bandgroup.braid.MAX_WORD_LETTERS", 8)
+        monkeypatch.setattr("bandgroup.braid._SIDE_LETTERS", 8)
         path = partition_file("p.json", Partition.of(4, [range(1, 5)]))
         self._usage_error(capsys, ["verify", "cosets", "--partition", path],
-                          "more than the 8 the Dynnikov fallback is allowed")
+                          "more than the 8 the Dynnikov coordinates are allowed")
 
     def test_long_sec4_words_are_refused_before_they_are_built(self, capsys, matrix_file):
         path = matrix_file("m.json", CoxeterDatum.from_rows(

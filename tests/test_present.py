@@ -7,8 +7,12 @@ import pytest
 
 from bandgroup.braid import (
     ArtinWord,
+    BraidDecider,
     _dynnikov,
+    _free_images,
+    _permutation,
     _relabel,
+    band_power,
     band_to_artin,
     braid_equal,
     permutation_image,
@@ -41,7 +45,22 @@ from bandgroup.present import (
     verify_relations,
 )
 
-from oracles import referee_braid_equal, referee_free_image
+from oracles import referee_braid_equal
+
+
+def _artin_letters(word, k):
+    """The Artin letters of a word of syllables on k strands."""
+    return tuple(x for i, j, e in word for x in band_power(BandPair(i, j), e, k))
+
+
+def _free_action(word, k):
+    """The free images of a word of syllables on k strands, each read as one integer.
+
+    It stands in for `braid._dynnikov`, so the decider compares the images
+    of the free action, the referee of the coordinates, instead.
+    """
+    images = _free_images(ArtinWord(k, _artin_letters(word, k)))
+    return [int.from_bytes(b"\1" + image, "big") for image in images]
 
 
 def bp(a, b):
@@ -228,6 +247,29 @@ class TestBandWordDecider:
                 for word, artin in ((u, lhs), (v, rhs)):
                     assert decider.permutation(word) == list(permutation_image(artin).images)
 
+    def test_sweep_pairs_match_the_referee(self, monkeypatch):
+        # the relabelled pairs a round of the partition sweep decides: thm2
+        # and cosets on the partitions of 6, combing on those of 4
+        decided = {}
+        decide = BraidDecider._decide
+
+        def recorded(decider, k, u, v):
+            verdict = decided[k, u, v] = decide(decider, k, u, v)
+            return verdict
+
+        monkeypatch.setattr(BraidDecider, "_decide", recorded)
+        for p in set_partitions(6):
+            assert verify_relations(relations_thm2(p), partition_to_matrix(p)).ok
+            assert coset_table_check(p).ok
+        for p in set_partitions(4):
+            assert verify_relations(*_combing(p)[:2]).ok
+        assert len(decided) == 52
+        coordinates = 0
+        for (k, u, v), verdict in decided.items():
+            assert referee_braid_equal(k, _artin_letters(u, k), _artin_letters(v, k)) is verdict
+            coordinates += u != v and _permutation(u, k) == _permutation(v, k)
+        assert coordinates == 50  # two pairs have equal words
+
     def test_relations_decided_by_normal_form(self, monkeypatch):
         calls = []
 
@@ -251,37 +293,32 @@ class TestBandWordDecider:
             out["info"] = {k: v for k, v in out["info"].items() if not k.startswith("oracle_")}
             return out
 
+        monkeypatch.setattr("bandgroup.braid._dynnikov", _free_action)
         by_images = list(reports())
-        assert all(report.info["oracle_handovers"] == 0 for report in by_images)
-        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
         monkeypatch.setattr("bandgroup.braid._dynnikov", counted)
         by_normal_form = list(reports())
         assert all(report.ok for report in by_normal_form)
         assert list(map(decisions, by_normal_form)) == list(map(decisions, by_images))
         assert len(calls) > 1000
-        # two coordinate vectors per handover
-        assert 2 * sum(report.info["oracle_handovers"] for report in by_normal_form) == len(calls)
+        # the updates are the closed form of the words given the coordinates
+        assert sum(report.info["oracle_updates"] for report in by_normal_form) == sum(
+            2 * (j - i - 1) + abs(e) for word in calls for i, j, e in word)
 
     def test_counters_report_the_oracle_work(self):
         # thm1 on 4 strands: a_12 a_34 = a_34 a_12 and a_14 a_23 = a_23 a_14,
-        # four syllable steps each, as no side ends like another
+        # with entry 3 sides of 3 + 3 and (4 + 3) + 3 coordinate updates
         matrix = CoxeterDatum.constant(4, 3)
         rels = list(relations_thm1(matrix))
         report = verify_relations(rels, matrix)
-        peak = 0
-        for rel in rels:
-            for word in (rel.lhs, rel.rhs):
-                for k in range(len(word)):
-                    letters = expand_letter_word(word[k:], matrix).letters
-                    peak = max(peak, *(len(referee_free_image(letters, i)) for i in range(1, 5)))
-        assert report.info == {"oracle_steps": 8, "oracle_handovers": 0,
-                               "oracle_peak_letters": peak, "oracle_distinct": 2,
-                               "oracle_perm_rejections": 0}
+        bits = max(abs(c).bit_length() for rel in rels for word in (rel.lhs, rel.rhs)
+                   for c in _dynnikov(_band_syllables(word, matrix), 4))
+        assert report.info == {"oracle_updates": 2 * 6 + 2 * 10, "oracle_bits": bits,
+                               "oracle_distinct": 2, "oracle_perm_rejections": 0}
         for report in (coset_table_check(Partition.of(3, [range(1, 4)])),
                        block_product_check(CoxeterDatum.constant(2, 3),
                                            CoxeterDatum.constant(3, 3))):
-            assert report.info["oracle_steps"] > 0
-            assert report.info["oracle_handovers"] == 0
+            assert report.info["oracle_updates"] > 0
+            assert report.info["oracle_bits"] > 0
 
     def test_failures_carry_witnesses(self, monkeypatch):
         matrix = CoxeterDatum.constant(3, 3)
@@ -302,7 +339,7 @@ class TestBandWordDecider:
             }
 
         check()
-        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
+        monkeypatch.setattr("bandgroup.braid._dynnikov", _free_action)
         check()
 
     def test_failures_on_one_pattern_carry_their_own_witnesses(self):

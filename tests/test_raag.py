@@ -392,10 +392,9 @@ class TestIncrementalScan:
 
     def test_oracle_fallbacks_keep_the_letter_cap(self, monkeypatch):
         # every certificate fails, so the oracle decides b1.2^-1, 4 Artin
-        # letters with entry 4, and refuses to hand it over past a cap of 2
+        # letters with entry 4, and refuses it past a cap of 2
         monkeypatch.setattr(raag, "_band_images", fixing_tables)
-        monkeypatch.setattr("bandgroup.braid._HANDOVER_LETTERS", 1)
-        monkeypatch.setattr("bandgroup.braid.MAX_WORD_LETTERS", 2)
+        monkeypatch.setattr("bandgroup.braid._SIDE_LETTERS", 2)
         with pytest.raises(ImageLimitError, match=r"^b1\.2\^-1 = 1: a side has 4 Artin "
                                                   r"letters on 2 strands, more than the 2 "):
             injectivity_scan(CoxeterDatum.constant(4, 4), 1, 1)
@@ -680,7 +679,7 @@ class TestScanDigests:
     nontrivial failures are entered in walk order.
     """
 
-    PINNED = {"clean": "03e311f3d12a940b", "stubbed": "52404f7431769b9f"}
+    PINNED = {"clean": "c6cee19d7b6b8b80", "stubbed": "e13f358d5c250016"}
 
     @staticmethod
     def _digest():
