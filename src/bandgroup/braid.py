@@ -142,7 +142,7 @@ class FreeWord:
 
 # -- the word kernel ----------------------------------------------------------
 
-# Letter indices the byte encoding holds, hence strands of the free action.
+# Letter indices the byte encoding holds; also the command line's strand bound.
 MAX_STRANDS = 127
 # Letters allowed in any one word the kernel builds for `free_image` and the
 # Hurwitz action.  Images grow exponentially with word length.  At one byte
@@ -193,7 +193,7 @@ def _too_long(limit: int) -> ImageLimitError:
 
 def _check_strands(n: int) -> None:
     if n > MAX_STRANDS:
-        raise ValueError(f"the free action handles at most {MAX_STRANDS} strands, got {n}")
+        raise ValueError(f"a braid may have at most {MAX_STRANDS} strands, got {n}")
 
 
 def _encode(letters: tuple[int, ...]) -> bytes:
@@ -493,7 +493,7 @@ def _dynnikov(word: tuple, k: int) -> list[int]:
 
 
 class BraidDecider:
-    """Exact equality in the braid group on n strands, for words of syllables.
+    """Exact equality of braids on any number of strands, for words of syllables.
 
     A word is a tuple of band syllables (i, j, e), each the band power
     a_ij^e, such as the band letters of a relation.  Each pair is first
@@ -509,8 +509,7 @@ class BraidDecider:
     it go with the call.
     """
 
-    def __init__(self, n: int):
-        _check_strands(n)
+    def __init__(self):
         # relabelled pair -> whether it is one braid
         self._verdicts: dict[tuple[tuple, tuple], bool] = {}
         # what the decider did: coordinate updates, counted in closed form
@@ -565,11 +564,12 @@ def braid_equal(u: ArtinWord, v: ArtinWord) -> bool:
     """Exact equality in the braid group on u.n strands.
 
     This is `BraidDecider.equal` on the words' runs of letters as
-    syllables.
+    syllables.  It refuses more than MAX_STRANDS strands, as `eq` does.
     """
     if u.n != v.n:
         raise ValueError("cannot compare words on different strand counts")
-    return BraidDecider(u.n).equal(_syllables(u.letters), _syllables(v.letters))
+    _check_strands(u.n)
+    return BraidDecider().equal(_syllables(u.letters), _syllables(v.letters))
 
 
 # -- permutations -------------------------------------------------------------

@@ -201,7 +201,7 @@ def cmd_eq(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def cmd_perm(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    # eq's bound: a permutation of degree n costs O(n) whatever the word
+    # the command line's bound, as eq's: a permutation costs O(n) whatever the word
     _check_strands(args.n)
     word = parse_braid_word(args.word, args.n)
     perm = permutation_image(word)

@@ -97,7 +97,7 @@ class BandWordDecider:
 
     def __init__(self, matrix: CoxeterDatum):
         self._matrix = matrix
-        self._braids = BraidDecider(matrix.n)
+        self._braids = BraidDecider()
 
     def equal(self, u: Word, v: Word) -> bool:
         """Whether two words are the same braid; a pair the decider refuses is named."""

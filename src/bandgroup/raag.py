@@ -34,7 +34,7 @@ from itertools import accumulate
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .braid import _SELF, ArtinWord, ImageLimitError, _mul
+from .braid import _SELF, ArtinWord, ImageLimitError, _check_strands, _mul
 from .coxeter import BandPair, CoxeterDatum, ScopeError, commutes_in_brn
 from .coxword import _act_band, _band_images
 from .present import BandWordDecider, Letter, expand_letter_word, format_letter_word
@@ -352,8 +352,9 @@ def injectivity_scan(
     in walk order.  The band tables and the prefix images share the budget
     of MAX_SCAN_LETTERS letters, counted as whole images: a scan whose
     tables would pass it (`_table_letters`) is refused with ValueError
-    before it starts, and
-    one whose prefix images would pass it before they do.
+    before it starts, and one whose prefix images would pass it before
+    they do.  The tables encode s_i as the byte 128 + i, so a matrix on
+    more than MAX_STRANDS strands is refused before any table is built.
     `info` counts the expressions, the certificates, the oracle fallbacks,
     the image letters built and the longest image of a certified letter
     under a factor or a prefix, and carries the oracle's own counters (see
@@ -381,6 +382,7 @@ def injectivity_scan(
             f"scan would build {table_letters} image letters for its band tables, past the "
             f"budget of {MAX_SCAN_LETTERS}; lower --max-exp or the matrix entries"
         )
+    _check_strands(matrix.n)
     report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
     decider = BandWordDecider(matrix)
     exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]

@@ -589,7 +589,7 @@ class TestDynnikov:
         for w, equal in ((swapped, True), (flipped, False)):
             assert (referee_left_normal_form(ArtinWord(k, w)) == normal_form) is equal
             assert self._same(u, w, k) is equal
-            decider = BraidDecider(k)
+            decider = BraidDecider()
             assert decider.equal(_syllables(u), _syllables(w)) is equal
             assert decider.counters()["oracle_updates"] == sum(
                 abs(e) for side in (u, w) for _, _, e in _syllables(side))
@@ -689,7 +689,7 @@ class TestRelabelledDecider:
 
         monkeypatch.setattr("bandgroup.braid._dynnikov", counted)
         for n, pairs in cases:
-            decider = BraidDecider(n)
+            decider = BraidDecider()
             for u, v, equal in pairs:
                 assert decider.equal(u, v) is equal
                 assert decider.equal(v, u) is equal
@@ -706,12 +706,22 @@ class TestRelabelledDecider:
             calls.clear()
 
     def test_permutation_filter_is_counted(self):
-        decider = BraidDecider(6)
+        decider = BraidDecider()
         assert not decider.equal(((2, 5, 1),), ((2, 5, -1), (3, 5, 1)))
         assert not decider.equal(((1, 3, 1),), ((1, 3, -1), (2, 3, 1)))
         assert decider.counters() == {
             "oracle_updates": 0, "oracle_bits": 0,
             "oracle_distinct": 1, "oracle_perm_rejections": 1}
+
+    def test_pairs_are_decided_on_any_strands(self):
+        # the decider takes no strand count: a pair is relabelled onto the
+        # four strands it touches, so the byte encoding's 127 plays no part
+        far = 10 ** 6
+        decider = BraidDecider()
+        assert decider.equal(((1, far, 1), (2, 3, 1)), ((2, 3, 1), (1, far, 1)))
+        # pure braids that do not commute, so the coordinates decide them
+        assert not decider.equal(((2, 3, 2), (3, far, 2)), ((3, far, 2), (2, 3, 2)))
+        assert decider.counters()["oracle_perm_rejections"] == 0
 
     def test_handover_past_the_letter_cap_is_refused(self, monkeypatch):
         # a_37^e has 7|e| Artin letters on 8 strands but |e| on the two
@@ -721,7 +731,7 @@ class TestRelabelledDecider:
 
         monkeypatch.setattr("bandgroup.braid._dynnikov", refuse)
         e = _SIDE_LETTERS + 2
-        decider = BraidDecider(8)
+        decider = BraidDecider()
         with pytest.raises(ImageLimitError, match=f"a side has {e} Artin letters on 2 "
                                                   f"strands, more than the {_SIDE_LETTERS}"):
             decider.equal(((3, 7, e),), ((3, 7, -e),))

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -19,7 +20,8 @@ import bandgroup
 from bandgroup import cli
 from bandgroup.braid import _SIDE_LETTERS, MAX_IMAGE_LETTERS, MAX_STRANDS, MAX_WORD_LETTERS
 from bandgroup.cli import MAX_DEGREE, MAX_RANDOM_LETTERS, MAX_RANDOM_WORK, main
-from bandgroup.coxeter import CoxeterDatum, Partition
+from bandgroup.coxeter import CoxeterDatum, Partition, matrix_from_json
+from bandgroup.present import relations_thm1, verify_relations
 from bandgroup import raag
 from bandgroup.raag import MAX_SCAN_EXPRESSIONS, MAX_SCAN_LETTERS, _table_letters
 
@@ -174,7 +176,7 @@ class TestPerm:
         assert capsys.readouterr().out.strip() == "(1 2)"
         assert main(["perm", "s1", "--n", str(MAX_STRANDS + 1)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == (f"error: the free action handles at most {MAX_STRANDS} "
+        assert out == "" and err == (f"error: a braid may have at most {MAX_STRANDS} "
                                      f"strands, got {MAX_STRANDS + 1}\n")
 
 
@@ -279,6 +281,17 @@ class TestVerify:
         for args, strands in cases:
             self._usage_error(capsys, ["verify", *args],
                               f"at most {MAX_STRANDS} strands, got {strands}")
+
+    def test_the_api_decides_past_the_strand_cap_that_the_command_line_keeps(
+        self, capsys, matrix_file
+    ):
+        # the decider has no strand limit; 127 strands is the command line's bound
+        entries = {(1, 130): 3, (2, 3): 3, (60, 129): 4, (61, 70): 5}
+        matrix = CoxeterDatum.from_entries(130, entries)
+        report = verify_relations(relations_thm1(matrix), matrix)
+        assert report.ok and report.instances == report.passes == 6
+        assert main(["verify", "thm1", "--matrix", matrix_file("m.json", matrix)]) == 2
+        assert f"at most {MAX_STRANDS} strands, got 130" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n, entries", [
         # the largest (2, 2, m) entry the sec4 guard admits
@@ -459,6 +472,34 @@ class TestScan:
         # the index holds 1.9 M (slot, factor) entries, one tuple per factor
         # shared by the slots
         assert peak_mb < 220
+
+    @pytest.mark.parametrize("max_len", ["1", "2"])
+    @pytest.mark.parametrize("n", [MAX_STRANDS + 1, 200])
+    def test_scan_past_the_byte_encoding_is_refused_before_any_table(
+        self, capsys, monkeypatch, matrix_file, n, max_len
+    ):
+        # the band tables encode s_i as the byte 128 + i
+        def refuse(*args):
+            raise AssertionError("a band table was built")
+
+        monkeypatch.setattr(raag, "_band_images", refuse)
+        path = matrix_file("m.json", CoxeterDatum.from_entries(n, {(1, n): 3}))
+        assert main(["scan", "inject", "--matrix", path,
+                     "--max-len", max_len, "--max-exp", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"at most {MAX_STRANDS} strands, got {n}" in captured.err
+        assert "free action" not in captured.err
+        assert "bytes must be in range" not in captured.err
+
+    @pytest.mark.parametrize("max_len", ["1", "2"])
+    def test_scan_on_the_most_strands_the_byte_encoding_holds(self, capsys, matrix_file,
+                                                               max_len):
+        n = MAX_STRANDS
+        path = matrix_file("m.json", CoxeterDatum.from_entries(n, {(1, n): 3}))
+        assert main(["--json", "scan", "inject", "--matrix", path,
+                     "--max-len", max_len, "--max-exp", "1"]) == 0
+        report, = json.loads(capsys.readouterr().out)["reports"]
+        assert report["instances"] == report["passes"] == 4
 
     def test_benchmark_and_golden_scans_fit_the_letter_budget(self, monkeypatch):
         # the benchmark scans n = 4, L = 3, B = 2; the golden scans go up to
@@ -951,12 +992,16 @@ _MALFORMED = _JSON_VALUES.map(json.dumps) | st.text(max_size=12)
 
 @st.composite
 def _matrix_text(draw):
-    n = draw(st.sampled_from([1, 2, 3, 4, 0]))
+    n = draw(st.sampled_from([1, 2, 3, 4, 0, MAX_STRANDS, MAX_STRANDS + 1, 200]))
     entries = st.sampled_from(draw(st.sampled_from([[0, 3], [1, 2], [0, 1, 2, 3]])))
     rows = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            rows[a][b] = rows[b][a] = draw(entries)
+    if n <= 4:
+        pairs = itertools.combinations(range(n), 2)
+    else:  # a few entries of a matrix on 127 strands or more
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(sorted)
+        pairs = draw(st.lists(pair, max_size=3))
+    for a, b in pairs:
+        rows[a][b] = rows[b][a] = draw(entries)
     payload = draw(st.sampled_from(
         [{"n": n, "m": rows}] * 4 + [{"n": n + 1, "m": rows}, {"n": "4", "m": rows}, {"n": n}, rows]
     ))
@@ -1085,12 +1130,31 @@ def _argv(draw):
     return argv, files
 
 
-def _strands(argv):
-    """The --n of an eq or perm argv, or 1 when it has none or it is not an integer."""
-    if "--n" not in argv:
+def _strands(argv, files):
+    """The strands an argv asks for, or 1 when it names none.
+
+    That is the --n of eq or perm when it is an integer, or else the n of
+    each valid matrix file the command reads, summed for `verify block`.
+    """
+    if "--n" in argv:
+        value = argv[argv.index("--n") + 1]
+        return int(value) if value.lstrip("-").isdigit() else 1
+    if "scan" in argv:
+        flags = ["matrix"]
+    elif "verify" in argv:
+        flags = _VERIFY_FILES[argv[argv.index("verify") + 1]]
+    elif "export" in argv:
+        flags = _VERIFY_FILES[argv[argv.index("--family") + 1]]
+    else:
         return 1
-    value = argv[argv.index("--n") + 1]
-    return int(value) if value.lstrip("-").isdigit() else 1
+    strands = 0
+    for flag in flags:
+        if flag.startswith("matrix") and flag in files:
+            try:
+                strands += matrix_from_json(files[flag]).n
+            except ValueError:  # malformed
+                pass
+    return strands or 1
 
 
 def _placed(arg, tmp, files):
@@ -1105,6 +1169,7 @@ class TestExitContract:
     @given(_argv())
     def test_malformed_input_never_crashes(self, case):
         argv, files = case
+        strands = _strands(argv, files)
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             argv = [_placed(a, tmp, files) for a in argv]
@@ -1117,7 +1182,7 @@ class TestExitContract:
                     code = exc.code
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
-        if not 1 <= _strands(argv) <= MAX_STRANDS:
+        if not 1 <= strands <= MAX_STRANDS:
             assert code == 2
         if code == 1:
             text = out.getvalue()
