@@ -1,14 +1,17 @@
 """Exact braid arithmetic on n strands.
 
-Words in the Artin generators are the universal currency.  Equality of
-braids is decided by the Dynnikov coordinates of a family of loops, on
-which the braid group acts faithfully by max/min updates linear in the
-word (Dynnikov, *On a Yang-Baxter map and the Dehornoy ordering*, Russ.
-Math. Surveys 2002; Dehornoy, Dynnikov, Rolfsen and Wiest, *Ordering
-Braids*, AMS 2008, ch. XII): two words are one braid exactly when they
-give the same coordinates.  The right action on a free group F_n, also
-faithful, is the object of study of `free_image` and of the Hurwitz
-actions, and the test referee of equality.
+Braid words are read as band syllables (i, j, e), the band powers a_ij^e,
+one per token (`_read_braid`), and written out in the Artin generators
+only for an `ArtinWord` (`parse_braid_word`), which the API and the
+Hurwitz actions take.  Equality of braids is decided by the Dynnikov
+coordinates of a family of loops, on which the braid group acts
+faithfully by max/min updates linear in the word (Dynnikov, *On a
+Yang-Baxter map and the Dehornoy ordering*, Russ. Math. Surveys 2002;
+Dehornoy, Dynnikov, Rolfsen and Wiest, *Ordering Braids*, AMS 2008,
+ch. XII): two words are one braid exactly when they give the same
+coordinates.  The right action on a free group F_n, also faithful, is the
+object of study of `free_image` and of the Hurwitz actions, and the test
+referee of equality.
 
 The images are built by right-composition, from the last factor back,
 and the factor is the band syllable (i, j, e), the band power a_ij^e; an
@@ -29,13 +32,13 @@ with v t' v^-1 the image of t, u t u^-1 goes to h t' h^-1 for h the
 image of u times v, so the scan runs the action on the halves alone
 (`raag._act_reflections`).
 
-`BraidDecider` decides words of syllables (the band letters of a
-relation, say), and `braid_equal` is the same routine on the runs of two
-Artin words.  The decider first relabels a pair onto the k strands it
-touches, in their order, and decides each relabelled pair once, on k
-strands.  That is exact: the relations of Birman, Ko and Lee (*A new
-approach to the word and conjugacy problems in the braid groups*, Adv.
-Math. 1998) depend only on the order of the bands' endpoints, so
+`BraidDecider` decides words of syllables: the band letters of a
+relation, the syllables of the tokens of an `eq` query, or the runs of two
+Artin words in `braid_equal`.  The decider first relabels a pair onto the
+k strands it touches, in their order, and decides each relabelled pair
+once, on k strands.  That is exact: the relations of Birman, Ko and Lee
+(*A new approach to the word and conjugacy problems in the braid groups*,
+Adv. Math. 1998) depend only on the order of the bands' endpoints, so
 a_pq -> a_{s_p s_q} is a homomorphism from B_k to B_n, and it is
 injective, since bands that all pass on one side of the strands
 s_1 < .. < s_k lie in one disk around exactly their punctures.
@@ -350,19 +353,31 @@ def _act(words: list[bytes], syllables, limit: int, neg: bytes) -> list[bytes]:
     return words
 
 
-def _syllables(letters) -> tuple[tuple[int, int, int], ...]:
-    """Artin letters as band syllables (k, k + 1, e), each run of sigma_k^+-1 as one power."""
+def _merge(syllables) -> tuple[tuple[int, int, int], ...]:
+    """Band syllables with each run on one band (i, j) as one power, zero powers dropped.
+
+    A run that cancels to the zero power is removed, and the syllables on
+    either side of it may then merge in turn.
+
+    >>> _merge([(1, 3, 2), (2, 3, 0), (1, 3, -1), (1, 2, 1), (1, 2, -1), (1, 3, 1)])
+    ((1, 3, 2),)
+    """
     out: list[tuple[int, int, int]] = []
-    for k, s in letters:
-        if out and out[-1][0] == k:
-            e = out[-1][2] + s
+    for i, j, e in syllables:
+        if out and out[-1][0] == i and out[-1][1] == j:
+            e += out[-1][2]
             if e:
-                out[-1] = (k, k + 1, e)
+                out[-1] = (i, j, e)
             else:
                 out.pop()
-        else:
-            out.append((k, k + 1, s))
+        elif e:
+            out.append((i, j, e))
     return tuple(out)
+
+
+def _syllables(letters) -> tuple[tuple[int, int, int], ...]:
+    """Artin letters as band syllables (k, k + 1, e), each run of sigma_k^+-1 as one power."""
+    return _merge((k, k + 1, s) for k, s in letters)
 
 
 def _free_images(w: ArtinWord) -> list[bytes]:
@@ -674,34 +689,63 @@ def permutation_image(w: ArtinWord) -> Permutation:
 _TOKEN = re.compile(r"^(?:s(\d+)|a(\d+)\.(\d+))('?)(?:\^(-?\d+))?$")
 
 
-def parse_braid_word(text: str, n: int) -> ArtinWord:
-    """Parse whitespace-separated braid tokens.
+def _read_braid(text: str, n: int) -> list[tuple[int, int, int]]:
+    """Read whitespace-separated braid tokens as band syllables (i, j, e), one per token.
 
-    `s<k>` is an Artin generator, `a<i>.<j>` a band; a trailing apostrophe
-    inverts and `^<e>` raises to an integer power, so "a1.3'^2" means the
-    square of the inverse band on strands 1 and 3.  A word of more than
-    MAX_WORD_LETTERS letters is refused before any of it is built.
+    `s<k>` is the Artin generator sigma_k, the syllable (k, k + 1, e), and
+    `a<i>.<j>` the band on strands i < j, the syllable (i, j, e); a
+    trailing apostrophe inverts and `^<e>` raises to an integer power, so
+    "a1.3'^2" is (1, 3, -2).  No Artin letter is built.  Each token is
+    checked in turn, a zero power included: its syntax, 1 <= i < j for a
+    band, the MAX_WORD_LETTERS letters its expansion would bring the word
+    to, then that the band fits on n strands or that k is in 1 .. n - 1.
+
+    >>> _read_braid("s2 a1.3'^2 s1^0", 3)
+    [(2, 3, 1), (1, 3, -2), (1, 2, 0)]
     """
     if n < 1:
         raise ValueError(f"a braid needs at least 1 strand, got {n}")
-    letters: list[tuple[int, int]] = []
+    # token -> syllable, for this word only: a repeated token skips the regex
+    read: dict[str, tuple[int, int, int]] = {}
+    out: list[tuple[int, int, int]] = []
+    count = 0
     for token in text.split():
-        m = _TOKEN.match(token)
-        if not m:
-            raise ValueError(f"cannot parse braid token {token!r}")
-        s_idx, band_i, band_j, prime, power = m.groups()
-        e = int(power) if power is not None else 1
-        if prime:
-            e = -e
-        band = BandPair(int(band_i), int(band_j)) if s_idx is None else None
-        i, j = band.indices() if band else (int(s_idx), int(s_idx) + 1)
-        if len(letters) + _band_letters(i, j, e) > MAX_WORD_LETTERS:
+        syllable = read.get(token)
+        if syllable is None:
+            m = _TOKEN.match(token)
+            if not m:
+                raise ValueError(f"cannot parse braid token {token!r}")
+            s_idx, band_i, band_j, prime, power = m.groups()
+            e = int(power) if power is not None else 1
+            if prime:
+                e = -e
+            if s_idx is None:
+                syllable = (*BandPair(int(band_i), int(band_j)).indices(), e)
+            else:
+                syllable = (int(s_idx), int(s_idx) + 1, e)
+            read[token] = syllable
+        i, j, e = syllable
+        count += _band_letters(i, j, e)
+        if count > MAX_WORD_LETTERS:
             raise ValueError(f"a braid word may have at most {MAX_WORD_LETTERS} letters")
-        if band:
-            letters += band_power(band, e, n)
-        else:
-            letters += ArtinWord(n, ((i, 1 if e >= 0 else -1),)).letters * abs(e)
-    return ArtinWord(n, tuple(letters))
+        if i < 1 or j > n:
+            raise ValueError(f"band {i}.{j} does not fit on {n} strands" if token[0] == "a"
+                             else f"generator index {i} outside 1..{n - 1}")
+        out.append(syllable)
+    return out
+
+
+def parse_braid_word(text: str, n: int) -> ArtinWord:
+    """Parse whitespace-separated braid tokens into Artin letters.
+
+    The tokens are read as by `_read_braid`, so "a1.3'^2" means the square
+    of the inverse band on strands 1 and 3, and each syllable is written
+    out in letters by `band_power`, with nothing cancelled.  A word of more
+    than MAX_WORD_LETTERS letters is refused before any of it is built.
+    `eq` and `perm` take the syllables themselves.
+    """
+    return ArtinWord(n, tuple(chain.from_iterable(
+        band_power(BandPair(i, j), e, n) for i, j, e in _read_braid(text, n))))
 
 
 _SPACE = re.compile(r"\s")

@@ -33,13 +33,15 @@ from pathlib import Path
 
 from .braid import (
     MAX_STRANDS,
+    BraidDecider,
     Permutation,
     _check_strands,
     _decode,
-    braid_equal,
+    _merge,
+    _permutation,
+    _read_braid,
     parse_braid_word,
     parse_cox_word,
-    permutation_image,
 )
 from .coxeter import (
     BandPair,
@@ -193,9 +195,11 @@ def cmd_scan(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def cmd_eq(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    u = parse_braid_word(args.left, args.n)
-    v = parse_braid_word(args.right, args.n)
-    equal = braid_equal(u, v)
+    # band tokens reach the decider as syllables, with no Artin letter built
+    u = _merge(_read_braid(args.left, args.n))
+    v = _merge(_read_braid(args.right, args.n))
+    _check_strands(args.n)
+    equal = BraidDecider().equal(u, v)
     answer = "equal" if equal else "not equal"
     return 0 if equal else 1, _answer(args, {"command": "eq", "equal": equal}, [answer])
 
@@ -203,8 +207,7 @@ def cmd_eq(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 def cmd_perm(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     # the command line's bound, as eq's: a permutation costs O(n) whatever the word
     _check_strands(args.n)
-    word = parse_braid_word(args.word, args.n)
-    perm = permutation_image(word)
+    perm = Permutation(tuple(_permutation(_merge(_read_braid(args.word, args.n)), args.n)))
     cycles = perm.cycle_string()
     return 0, _answer(args, {"command": "perm", "cycles": cycles, "images": list(perm.images)},
                       [cycles])

@@ -354,7 +354,8 @@ def injectivity_scan(
     tables would pass it (`_table_letters`) is refused with ValueError
     before it starts, and one whose prefix images would pass it before
     they do.  The tables encode s_i as the byte 128 + i, so a matrix on
-    more than MAX_STRANDS strands is refused before any table is built.
+    more than MAX_STRANDS strands is refused first, before either budget is
+    counted (counting the tables' letters takes O(n^3) time).
     `info` counts the expressions, the certificates, the oracle fallbacks,
     the image letters built and the longest image of a certified letter
     under a factor or a prefix, and carries the oracle's own counters (see
@@ -364,6 +365,7 @@ def injectivity_scan(
         raise ScopeError("injectivity scan needs a large-type matrix (entries 0 or >= 3)")
     if max_len < 1 or max_exp < 1:
         raise ValueError("bounds must be at least 1")
+    _check_strands(matrix.n)
     bases = matrix.band_pairs()
     letters = len(bases) * 2 * max_exp
     # a count of 2 or more passes the budget within 64 factors
@@ -382,7 +384,6 @@ def injectivity_scan(
             f"scan would build {table_letters} image letters for its band tables, past the "
             f"budget of {MAX_SCAN_LETTERS}; lower --max-exp or the matrix entries"
         )
-    _check_strands(matrix.n)
     report = RunReport(tag=f"scan inject L={max_len} B={max_exp}")
     decider = BandWordDecider(matrix)
     exponents = [e for e in range(-max_exp, max_exp + 1) if e != 0]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -23,8 +24,10 @@ from bandgroup.braid import (
     _dynnikov,
     _encode,
     _free_images,
+    _merge,
     _mul,
     _permutation,
+    _read_braid,
     _relabel,
     _syllables,
     band_power,
@@ -36,6 +39,7 @@ from bandgroup.braid import (
     parse_free_word,
     permutation_image,
 )
+from bandgroup.cli import main as cli_main
 from bandgroup.coxeter import BandPair, commutes_in_brn, partition_to_matrix, set_partitions
 from bandgroup.present import expand_letter_word, relations_thm2
 
@@ -912,3 +916,171 @@ class TestSyntax:
         for bad in (f"t1^{MAX_IMAGE_LETTERS + 1}", f"t1 t2'^-{MAX_IMAGE_LETTERS}", "t1^1000000000"):
             with pytest.raises(ValueError, match=f"at most {MAX_IMAGE_LETTERS} letters"):
                 parse_free_word(bad)
+
+
+def braid_tokens(rng, n, length):
+    """A seeded word of s and a tokens on n strands, as (band, prime, power) triples.
+
+    The power is None for a token written without one, else -3..3, 0 included.
+    """
+    tokens = []
+    for _ in range(length):
+        if n > 2 and rng.random() < 0.5:
+            band = tuple(sorted(rng.sample(range(1, n + 1), 2)))
+        else:
+            k = rng.randint(1, n - 1)
+            band = (k, k + 1)
+        tokens.append((band, rng.random() < 0.4, rng.choice([None, *range(-3, 4)])))
+    return tokens
+
+
+def token_text(tokens):
+    """The text of (band, prime, power) triples.
+
+    An adjacent band (i, i + 1) is written s<i> or a<i>.<i+1>, by the parity
+    of i and the prime, so both spellings meet in the words.
+    """
+    out = []
+    for (i, j), prime, power in tokens:
+        name = f"s{i}" if j == i + 1 and (i + prime) % 2 else f"a{i}.{j}"
+        out.append(name + ("'" if prime else "") + ("" if power is None else f"^{power}"))
+    return " ".join(out)
+
+
+def _exponent(prime, power):
+    return (-1 if prime else 1) * (1 if power is None else power)
+
+
+def equal_rewrites(rng, tokens):
+    """The text of a word equal to tokens, by rewriting or commuting tokens.
+
+    Every a_{i,i+2}^e is written as s_i' s_{i+1}^e s_i; failing that, two
+    adjacent tokens on nested or disjoint bands are swapped.  None if neither
+    applies.
+    """
+    if any(j == i + 2 for (i, j), _, _ in tokens):
+        parts = []
+        for token in tokens:
+            (i, j), prime, power = token
+            if j == i + 2:
+                parts.append(f"s{i}' s{i + 1}^{_exponent(prime, power)} s{i}")
+            else:
+                parts.append(token_text([token]))
+        return " ".join(parts)
+    swaps = [p for p in range(len(tokens) - 1)
+             if commutes_in_brn(BandPair(*tokens[p][0]), BandPair(*tokens[p + 1][0]))]
+    if not swaps:
+        return None
+    p = rng.choice(swaps)
+    return token_text(tokens[:p] + [tokens[p + 1], tokens[p]] + tokens[p + 2:])
+
+
+class TestSyllableReader:
+    """`eq` and `perm` read band tokens as syllables, against the Artin letters."""
+
+    @staticmethod
+    def _eq(capsys, left, right, n):
+        code = cli_main(["--json", "eq", left, right, "--n", str(n)])
+        captured = capsys.readouterr()
+        assert code in (0, 1) and captured.err == ""
+        assert json.loads(captured.out)["equal"] == (code == 0)
+        return code == 0
+
+    @staticmethod
+    def _pairs():
+        """Seeded (n, left, right, equal) on n = 2..8, with equal and unequal pairs."""
+        rng = random.Random(39)
+        pairs = []
+        for n in range(2, 9):
+            while sum(p[0] == n for p in pairs) < 24:
+                tokens = braid_tokens(rng, n, rng.randint(1, 5))
+                same = equal_rewrites(rng, tokens)
+                if same is not None:
+                    pairs.append((n, token_text(tokens), same, True))
+                # one sign flipped on a token of nonzero power: a^e to a^-e
+                flips = [p for p, (_, prime, power) in enumerate(tokens) if power != 0]
+                if flips:
+                    p = rng.choice(flips)
+                    band, prime, power = tokens[p]
+                    flipped = tokens[:p] + [(band, not prime, power)] + tokens[p + 1:]
+                    pairs.append((n, token_text(tokens), token_text(flipped), False))
+        return pairs
+
+    def test_eq_agrees_with_the_letters_and_the_referee(self, capsys):
+        pairs = self._pairs()
+        assert sum(equal for *_, equal in pairs) >= 50
+        assert sum(not equal for *_, equal in pairs) >= 50
+        assert sum("'" in u and "a" in u for _, u, _, _ in pairs) >= 50
+        for n, left, right, equal in pairs:
+            u, v = parse_braid_word(left, n), parse_braid_word(right, n)
+            assert referee_braid_equal(n, u.letters, v.letters) == equal, (n, left, right)
+            assert braid_equal(u, v) == equal, (n, left, right)
+            assert self._eq(capsys, left, right, n) == equal, (n, left, right)
+
+    def test_perm_agrees_with_the_letters(self, capsys):
+        for n, left, right, _ in self._pairs():
+            for text in (left, right):
+                assert cli_main(["--json", "perm", text, "--n", str(n)]) == 0
+                images = json.loads(capsys.readouterr().out)["images"]
+                assert tuple(images) == permutation_image(parse_braid_word(text, n)).images
+                assert images == _permutation(_merge(_read_braid(text, n)), n)
+
+    def test_syllables_of_artin_words_are_those_of_their_letters(self):
+        rng = random.Random(40)
+        for n in range(2, 9):
+            for _ in range(40):
+                # few generators and zero powers, so runs cancel and merge across them
+                tokens = []
+                for _ in range(rng.randint(0, 12)):
+                    k = rng.randint(1, min(n - 1, 2))
+                    tokens.append(f"s{k}" + rng.choice(["", "'"])
+                                  + rng.choice(["", *(f"^{e}" for e in range(-3, 4))]))
+                text = " ".join(tokens)
+                assert _merge(_read_braid(text, n)) == _syllables(parse_braid_word(text, n).letters)
+
+    def test_bands_reach_the_decider_as_syllables(self):
+        assert _read_braid("a1.4'^3 s2^0 a1.4^-2 s3", 4) == [(1, 4, -3), (2, 3, 0), (1, 4, -2),
+                                                              (3, 4, 1)]
+        assert _merge(_read_braid("a1.4'^3 s2^0 a1.4^-2 s3", 4)) == ((1, 4, -5), (3, 4, 1))
+        # a band merges with its own band alone, an adjacent one with its s token
+        assert _merge(_read_braid("a1.3 a1.2 s1' a1.3 a2.3", 3)) == ((1, 3, 2), (2, 3, 1))
+        assert _merge(_read_braid("a1.3 a1.4 a1.3'", 4)) == ((1, 3, 1), (1, 4, 1), (1, 3, -1))
+
+    @pytest.mark.parametrize("text, n, message", [
+        ("", 0, "a braid needs at least 1 strand, got 0"),
+        ("x1", -1, "a braid needs at least 1 strand, got -1"),
+        ("x1", 4, "cannot parse braid token 'x1'"),
+        ("s1 a1", 4, "cannot parse braid token 'a1'"),
+        ("a1.2.3", 4, "cannot parse braid token 'a1.2.3'"),
+        ("s1^^2", 4, "cannot parse braid token 's1^^2'"),
+        ("s-1", 4, "cannot parse braid token 's-1'"),
+        ("s1^2'", 4, "cannot parse braid token \"s1^2'\""),
+        ("a1.3''", 4, "cannot parse braid token \"a1.3''\""),
+        ("s1 x1 s1^5000", 4, "cannot parse braid token 'x1'"),
+        ("a3.3", 4, "band pair needs 1 <= i < j, got (3, 3)"),
+        ("a3.2^0", 4, "band pair needs 1 <= i < j, got (3, 2)"),
+        ("a0.2", 4, "band pair needs 1 <= i < j, got (0, 2)"),
+        ("a3.2^5000", 4, "band pair needs 1 <= i < j, got (3, 2)"),
+        # the letters are counted before the strands are checked
+        ("s1^2049", 4, "a braid word may have at most 2048 letters"),
+        ("a1.4^409 s2^4", 4, "a braid word may have at most 2048 letters"),
+        ("a1.3^400 s2^0 a1.3^400", 4, "a braid word may have at most 2048 letters"),
+        ("s0^3000", 4, "a braid word may have at most 2048 letters"),
+        ("a1.9^300", 4, "a braid word may have at most 2048 letters"),
+        ("s1^5000 x1", 4, "a braid word may have at most 2048 letters"),
+        ("s4", 4, "generator index 4 outside 1..3"),
+        ("s0^0", 4, "generator index 0 outside 1..3"),
+        ("s2 s2 s5^0 s5", 4, "generator index 5 outside 1..3"),
+        ("s1", 1, "generator index 1 outside 1..0"),
+        ("a1.5^0", 4, "band 1.5 does not fit on 4 strands"),
+        ("a1.3 a1.3 a2.6'^2", 5, "band 2.6 does not fit on 5 strands"),
+    ])
+    def test_every_refusal_keeps_its_message(self, capsys, text, n, message):
+        for read in (_read_braid, parse_braid_word):
+            with pytest.raises(ValueError) as refused:
+                read(text, n)
+            assert str(refused.value) == message
+        for argv in (["eq", text, "s1", "--n", str(n)], ["eq", "", text, "--n", str(n)],
+                     ["perm", text, "--n", str(n)]):
+            assert cli_main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -491,6 +491,22 @@ class TestScan:
         assert "free action" not in captured.err
         assert "bytes must be in range" not in captured.err
 
+    def test_a_dense_scan_past_the_byte_encoding_is_refused_before_its_budgets(
+        self, capsys, monkeypatch, matrix_file
+    ):
+        # counting the band tables' letters takes O(n^3) time; a dense
+        # 200-strand matrix is refused by its strands before that count
+        def refuse(*args):
+            raise AssertionError("the band tables' letters were counted")
+
+        monkeypatch.setattr(raag, "_table_letters", refuse)
+        n = 200
+        path = matrix_file("m.json", CoxeterDatum.from_entries(
+            n, {(a, b): 3 for a in range(1, n + 1) for b in range(a + 1, n + 1)}))
+        assert main(["scan", "inject", "--matrix", path, "--max-len", "1", "--max-exp", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"at most {MAX_STRANDS} strands, got {n}" in captured.err
+
     @pytest.mark.parametrize("max_len", ["1", "2"])
     def test_scan_on_the_most_strands_the_byte_encoding_holds(self, capsys, matrix_file,
                                                                max_len):
@@ -955,10 +971,11 @@ class TestMain:
         assert next(ticks, None) is None  # the clock is read once at each end
 
     def test_a_fault_of_the_program_is_not_unusable_input(self, monkeypatch):
-        def fault(u, v):
-            raise KeyError("fault")
+        class FaultyDecider:
+            def equal(self, u, v):
+                raise KeyError("fault")
 
-        monkeypatch.setattr(cli, "braid_equal", fault)
+        monkeypatch.setattr(cli, "BraidDecider", FaultyDecider)
         with pytest.raises(KeyError):
             main(["eq", "s1", "s1", "--n", "2"])
 
